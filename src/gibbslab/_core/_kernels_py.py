@@ -1,97 +1,7 @@
-"""NumPy implementations of the hot kernels.
-
-J0/J1 are evaluated by the defining power series for small arguments and by
-Miller's backward recurrence (normalized with J0 + 2*J2 + 2*J4 + ... = 1) for
-large ones; both are plain double-precision schemes with absolute error below
-1e-13 on [0, 700], which covers the first two hundred J0 zeros.
+"""NumPy implementations of the |v|^p reductions (the fallback for the
+compiled core).
 """
 import numpy as np
-
-_SERIES_CUT = 8.0
-_SERIES_TERMS = 30
-
-
-def _j01_series(x):
-    """Power-series J0 and J1 for 0 <= x <= 8."""
-    q = 0.25 * x * x
-    t0 = np.ones_like(x)
-    t1 = np.ones_like(x)
-    s0 = t0.copy()
-    s1 = t1.copy()
-    for j in range(1, _SERIES_TERMS):
-        t0 = -t0 * q / (j * j)
-        t1 = -t1 * q / (j * (j + 1))
-        s0 += t0
-        s1 += t1
-    return s0, 0.5 * x * s1
-
-
-def _j01_miller(x):
-    """Backward-recurrence J0 and J1 for x > 0 (vectorized per octave)."""
-    xmax = float(np.max(x))
-    m = int(xmax + 12.0 * xmax ** (1.0 / 3.0) + 32.0)
-    m += m % 2
-    inv_x = 1.0 / x
-    pp = np.zeros_like(x)                 # p_{k+1}
-    pc = np.full_like(x, 1e-30)           # p_k, seeded at k = m
-    s = np.zeros_like(x)
-    j1 = np.zeros_like(x)
-    for k in range(m, 0, -1):
-        pm = (2.0 * k) * inv_x * pc - pp
-        pp, pc = pc, pm                   # pc == p_{k-1} now
-        n = k - 1
-        if n == 1:
-            j1 = pc.copy()
-        if n > 0 and n % 2 == 0:
-            s += 2.0 * pc
-        if k % 16 == 0:
-            big = np.abs(pc) > 1e200
-            if big.any():
-                f = np.where(big, 1e-200, 1.0)
-                pp *= f
-                pc *= f
-                s *= f
-                j1 *= f
-    s += pc                               # pc == p_0
-    return pc / s, j1 / s
-
-
-def j01_arrays(x):
-    """(J0(x), J1(x)) for an array of nonnegative arguments."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
-        raise ValueError("Bessel kernels are defined for x >= 0")
-    shape = x.shape
-    x = np.ravel(x)
-    out0 = np.empty_like(x)
-    out1 = np.empty_like(x)
-    small = x <= _SERIES_CUT
-    if small.any():
-        out0[small], out1[small] = _j01_series(x[small])
-    large = ~small
-    if large.any():
-        xl = x[large]
-        r0 = np.empty_like(xl)
-        r1 = np.empty_like(xl)
-        # octave chunks keep the recurrence start order matched to the argument
-        lo = _SERIES_CUT
-        while lo < xl.max() + 1.0:
-            hi = 2.0 * lo
-            sel = (xl > lo) & (xl <= hi)
-            if sel.any():
-                r0[sel], r1[sel] = _j01_miller(xl[sel])
-            lo = hi
-        out0[large] = r0
-        out1[large] = r1
-    return out0.reshape(shape), out1.reshape(shape)
-
-
-def j0_array(x):
-    return j01_arrays(x)[0]
-
-
-def j1_array(x):
-    return j01_arrays(x)[1]
 
 
 def abs_power_mean(values, p):

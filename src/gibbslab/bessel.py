@@ -1,15 +1,17 @@
 """Zero-order Bessel machinery: J0/J1 evaluation and certified J0 zeros.
 
-Zeros are located from McMahon asymptotic guesses, polished by Newton steps
-(J0' = -J1) with a bisection fallback, and certified against the table
-invariants: |J0(z_n)| < 1e-12, spacing within 0.3 of pi, and J1 alternating
-in sign at consecutive zeros.
+J0 and J1 are scipy.special's, and the zeros come from
+scipy.special.jn_zeros. Every table is certified against the table
+invariants before it is returned: |J0(z_n)| < 1e-12, spacing within 0.3 of
+pi, and J1 alternating in sign at consecutive zeros.
 """
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import jn_zeros
 
-from ._core import j0_array, j1_array, j01_arrays
+from ._core import j0_array, j1_array
 
 ZERO_RESIDUAL_TOL = 1e-12
 
@@ -66,53 +68,13 @@ class BesselTable:
                 w.writerow([i, f"{z:.15g}", f"{j1:.15g}"])
 
 
-def _mcmahon_guess(n):
-    """McMahon expansion for the n-th positive zero of J0."""
-    b = (n - 0.25) * np.pi
-    bi = 1.0 / b
-    return b + bi * (0.125 + bi * bi * (-31.0 / 384.0
-                     + bi * bi * (3779.0 / 15360.0)))
-
-
 def bessel_zeros(count: int) -> BesselTable:
-    """First `count` positive zeros of J0, Newton-refined and certified."""
+    """First `count` positive zeros of J0, certified by validate()."""
+    if not isinstance(count, numbers.Integral):
+        raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    zs = np.empty(count)
-    for i in range(count):
-        z = _mcmahon_guess(i + 1)
-        converged = False
-        for _ in range(8):
-            j0v, j1v = j01_arrays(np.array([z]))
-            step = float(j0v[0]) / float(j1v[0])   # Newton with J0' = -J1
-            z = z + step
-            if abs(step) < 1e-14 * z:
-                converged = True
-                break
-        if not converged or abs(bessel_j0(z)) >= ZERO_RESIDUAL_TOL:
-            z = _bisect_zero(i + 1)
-        zs[i] = z
+    zs = jn_zeros(0, count)
     table = BesselTable(zeros=zs, j1_at_zeros=j1_array(zs))
     table.validate()
     return table
-
-
-def _bisect_zero(n: int) -> float:
-    """Bisection fallback around the McMahon guess."""
-    guess = _mcmahon_guess(n)
-    lo, hi = guess - 0.5, guess + 0.5
-    flo, fhi = bessel_j0(lo), bessel_j0(hi)
-    if flo * fhi > 0:
-        raise RuntimeError(
-            f"could not bracket J0 zero #{n} near {guess:.6f}; "
-            "J0 evaluation is suspect")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = bessel_j0(mid)
-        if flo * fm <= 0:
-            hi, fhi = mid, fm
-        else:
-            lo, flo = mid, fm
-        if hi - lo < 1e-15 * hi:
-            break
-    return 0.5 * (lo + hi)

@@ -62,10 +62,11 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.cutoff < 0:
-            raise ValueError("cutoff must be nonnegative")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
+        if not self.cutoff >= 0:
+            raise ValueError(
+                f"cutoff must be nonnegative, got {self.cutoff!r}")
         if self.n_modes < 1 or self.n_samples < 1:
             raise ValueError("n_modes and n_samples must be positive")
         if self.sampler not in SAMPLERS:
@@ -152,11 +153,13 @@ def _sech_shift_1d(n_modes: int, cutoff: float, frac: float,
     return np.stack([g_target.real, g_target.imag], axis=-1)
 
 
-def _disc_shift_2d(n_modes: int, cutoff: float, frac: float,
+def _disc_shift_2d(n_modes: int, p: float, cutoff: float, frac: float,
                    table: BesselTable, basis: RadialBasis) -> np.ndarray:
-    """Mean shift onto a mass frac*cutoff dilated ground-state profile of
-    width ~ 8/z_N projected onto the disc modes."""
-    gs = solve_ground_state(2, 4)
+    """Mean shift onto a mass frac*cutoff dilated exponent-p ground-state
+    profile of width ~ 8/z_N projected onto the disc modes."""
+    if not float(p).is_integer():
+        raise ValueError(f"the 2D soliton shift needs an integer p, got {p!r}")
+    gs = solve_ground_state(2, int(p))
     phi = profile_function(gs)
     z_top = table.zeros[n_modes - 1]
     w = 8.0 / z_top
@@ -224,7 +227,7 @@ class _Ensemble2D:
         self.area_w = basis.quad.area_weights
         self.theta = None
         if cfg.sampler == "soliton":
-            self.theta = _disc_shift_2d(cfg.n_modes, cfg.cutoff,
+            self.theta = _disc_shift_2d(cfg.n_modes, cfg.p, cfg.cutoff,
                                         cfg.soliton_mass_fraction, table,
                                         basis)
 

@@ -327,14 +327,10 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         from ._core import _impl
         if _impl is _kernels_py:
             return True, "compiled backend absent; fallback in use"
-        x = np.linspace(0.0, 300.0, 20001)
-        d0 = np.max(np.abs(_impl.j0_array(x) - _kernels_py.j0_array(x)))
-        d1 = np.max(np.abs(_impl.j1_array(x) - _kernels_py.j1_array(x)))
         v = rng_for(125, 0).standard_normal((64, 257))
         dp = np.max(np.abs(_impl.abs_power_mean(v, 6.0)
                            - _kernels_py.abs_power_mean(v, 6.0)))
-        ok = d0 < 1e-13 and d1 < 1e-13 and dp < 1e-12
-        return ok, f"j0 {d0:.1e}, j1 {d1:.1e}, power-mean {dp:.1e}"
+        return dp < 1e-12, f"power-mean {dp:.1e}"
 
     _check("spectral-realness", realness, results)
     _check("spectral-parseval", parseval, results)

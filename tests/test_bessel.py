@@ -86,6 +86,11 @@ def test_bad_count_rejected():
         bessel_zeros(0)
 
 
+def test_non_integer_count_rejected():
+    with pytest.raises(ValueError, match="integer"):
+        bessel_zeros(2.5)
+
+
 def test_corrupt_table_fails_validation(table200):
     bad = BesselTable(zeros=table200.zeros[:10] + 1e-3,
                       j1_at_zeros=table200.j1_at_zeros[:10])

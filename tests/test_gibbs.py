@@ -1,5 +1,6 @@
 """Partition estimators, tails, layer cake, and the divergence scan."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,29 @@ def test_resolution_validation_rejected_before_sampling():
                           n_samples=100, seed=0, quad_nodes=32)
     with pytest.raises(ValueError):
         estimate_partition(cfg2)
+
+
+def test_nan_cutoff_rejected():
+    with pytest.raises(ValueError, match="cutoff"):
+        EnsembleConfig(dim=1, p=6, cutoff=math.nan, n_modes=8, n_samples=10)
+
+
+def test_nan_p_rejected():
+    with pytest.raises(ValueError, match="p must be"):
+        EnsembleConfig(dim=1, p=math.nan, cutoff=1.0, n_modes=8,
+                       n_samples=10)
+
+
+def test_2d_soliton_shift_follows_config_p():
+    # the 2D ground state exists for p <= 4 only: p=6 must reach the solver
+    # and fail there instead of silently shifting onto the p=4 profile
+    cfg = EnsembleConfig(dim=2, p=6, cutoff=1.0, n_modes=16, n_samples=100,
+                         seed=0, sampler="soliton")
+    with pytest.raises(ValueError, match="2D range"):
+        estimate_partition(cfg)
+    cfg = replace(cfg, p=4.5)
+    with pytest.raises(ValueError, match="integer p"):
+        estimate_partition(cfg)
 
 
 def test_constrained_tail_level_zero_is_cutoff_probability():

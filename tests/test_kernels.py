@@ -1,27 +1,35 @@
-"""Backend parity and accuracy of the hot kernels."""
+"""Argument checks of the Bessel wrappers and backend parity of the power
+kernels."""
+import math
+
 import numpy as np
 import pytest
-import scipy.special as sp
 
 from gibbslab._core import _kernels_py
-from gibbslab._core import BACKEND, j0_array, j1_array, abs_power_mean, \
-    weighted_abs_power_sum
-
-
-def test_j0_j1_against_scipy():
-    x = np.linspace(0.0, 660.0, 44001)
-    assert np.max(np.abs(j0_array(x) - sp.j0(x))) < 1e-12
-    assert np.max(np.abs(j1_array(x) - sp.j1(x))) < 1e-12
-
-
-def test_j0_series_region_small_arguments():
-    x = np.linspace(0.0, 8.0, 2001)
-    assert np.max(np.abs(j0_array(x) - sp.j0(x))) < 1e-13
+from gibbslab._core import BACKEND, j0_array, j1_array, j01_arrays, \
+    abs_power_mean, weighted_abs_power_sum
+from gibbslab.bessel import bessel_j0, bessel_j1
 
 
 def test_negative_argument_rejected():
     with pytest.raises(ValueError):
         j0_array(np.array([-1.0]))
+
+
+@pytest.mark.parametrize("fn", [j0_array, j1_array, j01_arrays])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_argument_rejected(fn, bad):
+    with pytest.raises(ValueError):
+        fn(np.array([bad]))
+    with pytest.raises(ValueError):
+        fn(np.array([bad, 1.0]))
+
+
+def test_scalar_helpers_reject_non_finite():
+    with pytest.raises(ValueError):
+        bessel_j0(math.inf)
+    with pytest.raises(ValueError):
+        bessel_j1(math.nan)
 
 
 def test_power_mean_even_fast_path_matches_generic():
@@ -46,9 +54,6 @@ def test_weighted_power_sum_matches_direct():
 
 
 def test_backends_agree():
-    x = np.linspace(0.0, 400.0, 10001)
-    assert np.max(np.abs(j0_array(x) - _kernels_py.j0_array(x))) < 1e-13
-    assert np.max(np.abs(j1_array(x) - _kernels_py.j1_array(x))) < 1e-13
     rng = np.random.default_rng(2)
     v = rng.standard_normal((8, 513))
     w = rng.random(513)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from gibbslab.radial2d import (block_l4_expectation, disc_quadrature,
                                dyadic_project_radial, evaluate_radial,
@@ -26,6 +27,25 @@ def test_mode_normalization_unit_l2(table200):
         f = sample_radial(0, 0, 100, table200)
         f = type(f)(100, coeffs, table200)
         assert abs(radial_lp_norm(f, 2.0, basis) - 1.0) < 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 300))
+@example(1)
+@example(300)
+def test_disc_quadrature_is_gauss_legendre_on_unit_interval(n):
+    q = disc_quadrature(n)
+    assert q.count == n
+    assert np.all(q.weights > 0.0)
+    assert abs(q.weights.sum() - 1.0) < 1e-13
+    assert np.all((q.nodes > 0.0) & (q.nodes < 1.0))
+    # exact for every monomial r^k with k <= 2n-1. The top moments rest on
+    # the few tiny weights next to r = 1, whose relative rounding is far
+    # above machine epsilon, so the error is measured against the unit
+    # total mass (absolute) rather than against 1/(k+1).
+    k = np.arange(2 * n)
+    moments = q.weights @ (q.nodes[:, None] ** k[None, :])
+    assert np.max(np.abs(moments - 1.0 / (k + 1))) < 1e-13
 
 
 def test_mode_orthogonality_under_quadrature(table64):
