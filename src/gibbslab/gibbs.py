@@ -23,8 +23,6 @@ observable signature of a divergent partition function.
 """
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,12 +31,16 @@ from ._core import abs_power_mean, weighted_abs_power_sum
 from .bessel import BesselTable, bessel_zeros
 from .groundstate import profile_function, solve_ground_state
 from .radial2d import RadialBasis, min_node_count, radial_basis
-from .rng import rng_for
+from . import rng
 from .spectral1d import GFF, evaluate_coeff_rows, spectral_weights
 from .tails import TailCurve
 
 SAMPLERS = ("plain", "tilted", "soliton")
 _LOG_HUGE = 700.0
+BATCH_SIZE = 4096              # samples per stream
+TILT_SCALE = 2.0               # tilted: standard deviation of the tilted modes
+TILT_MODES = 4                 # tilted: how many of the lowest modes
+SOLITON_MASS_FRACTION = 0.95   # soliton: shift mass as a fraction of K
 
 
 @dataclass(frozen=True)
@@ -54,10 +56,6 @@ class EnsembleConfig:
     grid_size: int | None = None   # 1D; defaults to 4 * n_modes
     quad_nodes: int | None = None  # 2D; defaults to the basis default
     calibration: bool = False      # replace the Gibbs exponent by 0
-    batch_size: int = 4096
-    tilt_scale: float = 2.0
-    tilt_modes: int = 4
-    soliton_mass_fraction: float = 0.95
 
     def __post_init__(self):
         if self.dim not in (1, 2):
@@ -182,25 +180,18 @@ class _Ensemble1D:
         self.theta = None
         if cfg.sampler == "soliton":
             self.theta = _sech_shift_1d(cfg.n_modes, cfg.cutoff,
-                                        cfg.soliton_mass_fraction,
+                                        SOLITON_MASS_FRACTION,
                                         cfg.normalization)
 
-    def draw(self, rng, b):
-        return rng.standard_normal((b, self.cfg.n_modes, 2))
+    def draw(self, gen, b):
+        return gen.standard_normal((b, self.cfg.n_modes, 2))
 
-    def measure(self, g):
+    def synthesize(self, g):
+        """(int |u|^p, ||u||_2^2) per row of Gaussians."""
         coeffs = self.weights * (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
         vals = evaluate_coeff_rows(coeffs, self.grid_size)
-        x = abs_power_mean(vals, self.cfg.p) / self.cfg.p
-        l2sq = 2.0 * np.sum(np.abs(coeffs) ** 2, axis=1)
-        return x, l2sq
-
-    def lp_norms(self, g):
-        coeffs = self.weights * (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
-        vals = evaluate_coeff_rows(coeffs, self.grid_size)
-        lp = abs_power_mean(vals, self.cfg.p) ** (1.0 / self.cfg.p)
-        l2sq = 2.0 * np.sum(np.abs(coeffs) ** 2, axis=1)
-        return lp, l2sq
+        return (abs_power_mean(vals, self.cfg.p),
+                2.0 * np.sum(np.abs(coeffs) ** 2, axis=1))
 
 
 class _Ensemble2D:
@@ -228,26 +219,17 @@ class _Ensemble2D:
         self.theta = None
         if cfg.sampler == "soliton":
             self.theta = _disc_shift_2d(cfg.n_modes, cfg.p, cfg.cutoff,
-                                        cfg.soliton_mass_fraction, table,
-                                        basis)
+                                        SOLITON_MASS_FRACTION, table, basis)
 
-    def draw(self, rng, b):
-        return rng.standard_normal((b, self.cfg.n_modes))
+    def draw(self, gen, b):
+        return gen.standard_normal((b, self.cfg.n_modes))
 
-    def measure(self, g):
+    def synthesize(self, g):
+        """(int |v|^p, ||v||_2^2) per row of Gaussians."""
         coeffs = g * self.inv_z
         vals = coeffs @ self.matrix_t
-        x = weighted_abs_power_sum(vals, self.area_w, self.cfg.p) / self.cfg.p
-        l2sq = np.sum(coeffs * coeffs, axis=1)
-        return x, l2sq
-
-    def lp_norms(self, g):
-        coeffs = g * self.inv_z
-        vals = coeffs @ self.matrix_t
-        lp = weighted_abs_power_sum(vals, self.area_w,
-                                    self.cfg.p) ** (1.0 / self.cfg.p)
-        l2sq = np.sum(coeffs * coeffs, axis=1)
-        return lp, l2sq
+        return (weighted_abs_power_sum(vals, self.area_w, self.cfg.p),
+                np.sum(coeffs * coeffs, axis=1))
 
 
 def _make_ensemble(cfg, table=None, basis=None):
@@ -262,8 +244,8 @@ def _apply_proposal(ens, g):
     if cfg.sampler == "plain":
         return g, np.zeros(b)
     if cfg.sampler == "tilted":
-        k = min(cfg.tilt_modes, cfg.n_modes)
-        sig = cfg.tilt_scale
+        k = min(TILT_MODES, cfg.n_modes)
+        sig = TILT_SCALE
         g = g.copy()
         g[half:, :k] *= sig
         flat = g[:, :k].reshape(b, -1)
@@ -281,28 +263,10 @@ def _apply_proposal(ens, g):
     return g, log_w
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("GIBBSLAB_WORKERS", "1")))
-    except ValueError:
-        return 1
-
-
 def _batched(cfg, ens, fn, stream_offset=0):
-    """Run fn(batch_index) -> partial over all batches, in stream order."""
-    n_batches = (cfg.n_samples + cfg.batch_size - 1) // cfg.batch_size
-
-    def job(i):
-        start = i * cfg.batch_size
-        b = min(cfg.batch_size, cfg.n_samples - start)
-        rng = rng_for(cfg.seed, stream_offset + i)
-        return fn(rng, b)
-
-    workers = _worker_count()
-    if workers == 1:
-        return [job(i) for i in range(n_batches)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(job, range(n_batches)))
+    # Kept as a separate module-level name with this signature because the
+    # benchmark's tracer (perfbench/spans.py) rebinds it to time the pool.
+    return rng.batches(cfg.seed, cfg.n_samples, BATCH_SIZE, fn, stream_offset)
 
 
 def _combine_lse(partials):
@@ -326,12 +290,12 @@ def estimate_partition(cfg: EnsembleConfig, table: BesselTable | None = None,
     ens = _make_ensemble(cfg, table, basis)
     ksq = cfg.cutoff * cfg.cutoff
 
-    def batch(rng, b):
-        g = ens.draw(rng, b)
+    def batch(gen, start, b):
+        g = ens.draw(gen, b)
         g, log_w = _apply_proposal(ens, g)
-        x, l2sq = ens.measure(g)
+        power_mean, l2sq = ens.synthesize(g)
         inside = l2sq <= ksq
-        expo = log_w if cfg.calibration else log_w + x
+        expo = log_w if cfg.calibration else log_w + power_mean / cfg.p
         lw = np.where(inside, expo, -math.inf)
         m = float(np.max(lw)) if len(lw) else -math.inf
         if not math.isfinite(m):
@@ -365,10 +329,11 @@ def constrained_tail(cfg: EnsembleConfig, lam: float,
     ens = _make_ensemble(cfg, table, basis)
     ksq = cfg.cutoff * cfg.cutoff
 
-    def batch(rng, b):
-        g = ens.draw(rng, b)
+    def batch(gen, start, b):
+        g = ens.draw(gen, b)
         g, log_w = _apply_proposal(ens, g)
-        lp, l2sq = ens.lp_norms(g)
+        power_mean, l2sq = ens.synthesize(g)
+        lp = power_mean ** (1.0 / cfg.p)
         ind = (l2sq <= ksq) & (lp > lam)
         w = np.where(ind, np.exp(log_w), 0.0)
         return (float(w.sum()), float((w * w).sum()),
@@ -398,7 +363,7 @@ def tail_curve(cfg: EnsembleConfig, lams,
     independent and combine in quadrature downstream.
     """
     lams = np.asarray(lams, dtype=float)
-    n_batches = (cfg.n_samples + cfg.batch_size - 1) // cfg.batch_size
+    n_batches = (cfg.n_samples + BATCH_SIZE - 1) // BATCH_SIZE
     emp = np.empty(len(lams))
     err = np.empty(len(lams))
     frac = np.empty(len(lams))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .radial2d import BesselTable, radial_basis
-from .rng import rng_for
+from .rng import batches, rng_for
 from .spectral1d import (GFF, SpectralField1D, evaluate_coeff_rows,
                          l2_norm_spectral, spectral_weights, _window)
 from ._core import abs_power_mean, weighted_abs_power_sum
@@ -67,17 +67,15 @@ def chi2_tail_empirical(m_dof: int, levels, n_samples: int,
                         seed: int = 0) -> TailCurve:
     """Monte Carlo tail of a chi-square with the matching analytic bound."""
     levels = np.asarray(levels, dtype=float)
-    counts = np.zeros(len(levels))
-    batch = 1 << 16
-    done = 0
-    stream = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        z = rng_for(seed, stream).standard_normal((b, m_dof))
+
+    def batch(rng, start, b):
+        z = rng.standard_normal((b, m_dof))
         s = np.sum(z * z, axis=1)
-        counts += (s[:, None] >= levels[None, :] ** 2).sum(axis=0)
-        done += b
-        stream += 1
+        return (s[:, None] >= levels[None, :] ** 2).sum(axis=0)
+
+    counts = np.zeros(len(levels))
+    for c in batches(seed, n_samples, 1 << 16, batch):
+        counts += c
     p = counts / n_samples
     err = np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples) / n_samples)
     theo = np.array([chi2_tail_bound(m_dof, r)[0] for r in levels])
@@ -121,19 +119,16 @@ def gaussian_mgf_quadrature(c: float, m_dof: int) -> float:
 
 def gaussian_mgf_mc(c: float, m_dof: int, n_samples: int, seed: int = 0):
     """Monte Carlo mean of exp(c chi2_M) with its empirical standard error."""
+    def batch(rng, start, b):
+        z = rng.standard_normal((b, m_dof))
+        w = np.exp(c * np.sum(z * z, axis=1))
+        return w.sum(), (w * w).sum()
+
     total = 0.0
     total2 = 0.0
-    batch = 1 << 16
-    done = 0
-    stream = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        z = rng_for(seed, stream).standard_normal((b, m_dof))
-        w = np.exp(c * np.sum(z * z, axis=1))
-        total += w.sum()
-        total2 += (w * w).sum()
-        done += b
-        stream += 1
+    for s1, s2 in batches(seed, n_samples, 1 << 16, batch):
+        total += s1
+        total2 += s2
     mean = total / n_samples
     var = max(total2 / n_samples - mean * mean, 0.0)
     return mean, math.sqrt(var / n_samples)
@@ -177,19 +172,14 @@ def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> BernsteinPr
     keep = _window("block", j, n_modes)
     w = spectral_weights(n_modes, GFF)
     freqs = np.arange(1, n_modes + 1)
-    best = -math.inf
-    best_coeffs = None
-    batch = 512
-    done = 0
-    stream = 0
-    while done < trials:
-        b = min(batch, trials - done)
-        rng = rng_for(seed, stream)
+    size = 512
+
+    def batch(rng, start, b):
         # draw the full batch regardless of b so a smaller corpus is a prefix
-        g = rng.standard_normal((batch, n_modes, 2))[:b]
+        g = rng.standard_normal((size, n_modes, 2))[:b]
         coeffs = np.where(keep, w * (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2),
                           0.0j)
-        centers = rng.random(batch)[:b]
+        centers = rng.random(size)[:b]
         packets = np.where(keep,
                            np.exp(-2j * np.pi * np.outer(centers, freqs)),
                            0.0j)
@@ -199,11 +189,13 @@ def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> BernsteinPr
         l2 = np.sqrt(2.0 * np.sum(np.abs(coeffs) ** 2, axis=1))
         ratios = nums / (2.0 ** (j * (0.5 - 1.0 / p)) * l2)
         i = int(np.argmax(ratios))
-        if ratios[i] > best:
-            best = float(ratios[i])
-            best_coeffs = coeffs[i]
-        done += b
-        stream += 1
+        return float(ratios[i]), coeffs[i]
+
+    best = -math.inf
+    best_coeffs = None
+    for ratio, coeffs in batches(seed, trials, size, batch):
+        if ratio > best:
+            best, best_coeffs = ratio, coeffs
     fld = SpectralField1D(n_modes, best_coeffs, GFF)
     return BernsteinProbe(best, fld, j, p, trials)
 
@@ -304,20 +296,18 @@ def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
     keep = _window("high", k, n_modes)
     w = spectral_weights(n_modes, GFF)
     grid_size = 4 * n_modes
-    counts = np.zeros(len(lams))
-    batch = 2048
-    done = 0
-    stream = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        g = rng_for(seed, stream).standard_normal((b, n_modes, 2))
+
+    def batch(rng, start, b):
+        g = rng.standard_normal((b, n_modes, 2))
         coeffs = np.where(keep, w * (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2),
                           0.0j)
         vals = evaluate_coeff_rows(coeffs, grid_size)
         norms = abs_power_mean(vals, p) ** (1.0 / p)
-        counts += (norms[:, None] > lams[None, :]).sum(axis=0)
-        done += b
-        stream += 1
+        return (norms[:, None] > lams[None, :]).sum(axis=0)
+
+    counts = np.zeros(len(lams))
+    for c in batches(seed, n_samples, 2048, batch):
+        counts += c
     emp = counts / n_samples
     err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
     cb = 1.0 if bernstein_c is None else bernstein_c
