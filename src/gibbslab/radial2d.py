@@ -20,7 +20,7 @@ from scipy.special import roots_legendre
 
 from ._core import j0_array, j1_array, weighted_abs_power_sum
 from .bessel import BesselTable
-from .rng import rng_for
+from .rng import batches, rng_for
 from .spectral1d import _window
 
 
@@ -189,17 +189,12 @@ def block_l4_expectation(j: int, n_samples: int, table: BesselTable,
     z = table.zeros[:n_modes]
     mat = basis.matrix[:, :n_modes]
     aw = basis.quad.area_weights
-    norms = np.empty(n_samples)
-    batch = 2048
-    done = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        g = np.stack([rng_for(seed, s).standard_normal(n_modes)
-                      for s in range(done, done + b)])
-        coeffs = np.where(keep, g / z, 0.0)
-        vals = coeffs @ mat.T
-        norms[done:done + b] = weighted_abs_power_sum(vals, aw, 4.0) ** 0.25
-        done += b
+
+    def batch(rng, start, b):
+        coeffs = np.where(keep, rng.standard_normal((b, n_modes)) / z, 0.0)
+        return weighted_abs_power_sum(coeffs @ mat.T, aw, 4.0) ** 0.25
+
+    norms = np.concatenate(batches(seed, n_samples, 2048, batch))
     mean = float(norms.mean())
     stderr = float(norms.std(ddof=1) / np.sqrt(n_samples))
     return mean, stderr

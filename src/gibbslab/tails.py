@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .radial2d import BesselTable, radial_basis
-from .rng import batches, rng_for
+from .rng import batches
 from .spectral1d import (GFF, SpectralField1D, evaluate_coeff_rows,
                          l2_norm_spectral, spectral_weights, _window)
 from ._core import abs_power_mean, weighted_abs_power_sum
@@ -359,20 +359,13 @@ def block_norm_samples_2d(j: int, n_samples: int, table: BesselTable,
     keep = _window("block", j, n_modes)
     z = table.zeros[:n_modes]
     aw = basis.quad.area_weights
-    out = np.empty(n_samples)
-    batch = 2048
-    done = 0
-    stream = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        g = np.stack([rng_for(seed, s).standard_normal(n_modes)
-                      for s in range(done, done + b)])
-        coeffs = np.where(keep, g / z, 0.0)
+
+    def batch(rng, start, b):
+        coeffs = np.where(keep, rng.standard_normal((b, n_modes)) / z, 0.0)
         vals = coeffs @ basis.matrix[:, :n_modes].T
-        out[done:done + b] = weighted_abs_power_sum(vals, aw, 4.0) ** 0.25
-        done += b
-        stream += 1
-    return out
+        return weighted_abs_power_sum(vals, aw, 4.0) ** 0.25
+
+    return np.concatenate(batches(seed, n_samples, 2048, batch))
 
 
 @dataclass(frozen=True)
@@ -428,20 +421,16 @@ def block_tail_empirical_2d(k: int, lams, n_modes: int, n_samples: int,
     keep = _window("high", k, n_modes)
     z = table.zeros[:n_modes]
     aw = basis.quad.area_weights
-    counts = np.zeros(len(lams))
-    batch = 2048
-    done = 0
-    stream = 0
-    while done < n_samples:
-        b = min(batch, n_samples - done)
-        g = np.stack([rng_for(seed, st).standard_normal(n_modes)
-                      for st in range(done, done + b)])
-        coeffs = np.where(keep, g / z, 0.0)
+
+    def batch(rng, start, b):
+        coeffs = np.where(keep, rng.standard_normal((b, n_modes)) / z, 0.0)
         vals = coeffs @ basis.matrix[:, :n_modes].T
         norms = weighted_abs_power_sum(vals, aw, 4.0) ** 0.25
-        counts += (norms[:, None] >= lams[None, :]).sum(axis=0)
-        done += b
-        stream += 1
+        return (norms[:, None] >= lams[None, :]).sum(axis=0)
+
+    counts = np.zeros(len(lams))
+    for c in batches(seed, n_samples, 2048, batch):
+        counts += c
     emp = counts / n_samples
     err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
     theo = np.full(len(lams), math.nan)

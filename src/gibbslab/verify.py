@@ -18,7 +18,7 @@ from .bessel import bessel_zeros
 from .groundstate import (disc_gns_check, gns_functional, profile_function,
                           solve_ground_state)
 from .radial2d import (grad_l2_spectral_sq, radial_basis, sample_radial)
-from .rng import rng_for
+from .rng import batches, rng_for
 from .spectral1d import (dyadic_project, evaluate_grid, h1_seminorm_sq,
                          l2_norm_spectral, lp_norm, sample_loop)
 
@@ -263,13 +263,13 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         # direct simulation of the cutoff event from the weighted chi-squares
         n = 50000
         w = 1.0 / (2 * np.pi * np.arange(1, 33)) ** 2
-        hits = 0
-        for s in range(0, n, 10000):
-            g = np.stack([rng_for(118, i).standard_normal((32, 2))
-                          for i in range(s, s + 10000)])
+
+        def batch(rng, start, b):
+            g = rng.standard_normal((b, 32, 2))
             l2 = np.sum(w[None, :, None] * g * g, axis=(1, 2))
-            hits += int(np.sum(l2 <= cutoff ** 2))
-        direct = hits / n
+            return int(np.sum(l2 <= cutoff ** 2))
+
+        direct = sum(batches(118, n, 10000, batch)) / n
         se = math.sqrt(direct * (1 - direct) / n
                        + rep.estimate * (1 - rep.estimate) / cfg.n_samples)
         dev = abs(direct - rep.estimate) / se
