@@ -1,32 +1,35 @@
-"""Hot numerical kernels.
+"""Hot numerical kernels: the |v|^p reductions and the J0/J1 wrappers.
 
-J0 and J1 come from scipy.special for every backend; the wrappers here only
-add the argument check. The |v|^p reductions have a compiled core and a
-pure-NumPy fallback: if the Cython extension was not built (or if
-GIBBSLAB_PURE_PYTHON=1 is set) the NumPy versions are used, and BACKEND
-names the one in use. The benchmark script under benchmarks/ compares them.
+J0 and J1 come from scipy.special; the wrappers only add the argument check.
 """
-import os
-
 import numpy as np
 from scipy import special
 
-from . import _kernels_py
-
 BACKEND = "numpy"
-_impl = _kernels_py
 
-if os.environ.get("GIBBSLAB_PURE_PYTHON", "") != "1":
-    try:
-        from . import _kernels as _compiled
 
-        _impl = _compiled
-        BACKEND = "cython"
-    except ImportError:
-        pass
+def _abs_power(v, p):
+    """|v|^p; an even integer p is multiplied out (v*v chained) instead of
+    going through the generic power."""
+    ip = int(round(p))
+    if not (ip == p and ip % 2 == 0 and ip >= 2):
+        return np.abs(v) ** p
+    w = v * v
+    out = w
+    for _ in range(ip // 2 - 1):
+        out = out * w
+    return out
 
-abs_power_mean = _impl.abs_power_mean
-weighted_abs_power_sum = _impl.weighted_abs_power_sum
+
+def abs_power_mean(values, p):
+    """Mean of |v|^p along the last axis (even integer p short-circuits)."""
+    return _abs_power(np.asarray(values, dtype=float), p).mean(axis=-1)
+
+
+def weighted_abs_power_sum(values, weights, p):
+    """Sum of weights[q]*|v[..., q]|^p along the last axis."""
+    return _abs_power(np.asarray(values, dtype=float), p) \
+        @ np.asarray(weights, dtype=float)
 
 
 def _bessel_arg(x):

@@ -14,6 +14,7 @@ import numpy as np
 from scipy.stats import norm as normal_dist
 
 from . import gibbs, tails
+from ._core import abs_power_mean
 from .bessel import bessel_zeros
 from .groundstate import (disc_gns_check, gns_functional, profile_function,
                           solve_ground_state)
@@ -323,14 +324,10 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
             f"{direct.estimate:.5f} ({dev:.1f} sigma)")
 
     def kernel_parity():
-        from ._core import _kernels_py
-        from ._core import _impl
-        if _impl is _kernels_py:
-            return True, "compiled backend absent; fallback in use"
         v = rng_for(125, 0).standard_normal((64, 257))
-        dp = np.max(np.abs(_impl.abs_power_mean(v, 6.0)
-                           - _kernels_py.abs_power_mean(v, 6.0)))
-        return dp < 1e-12, f"power-mean {dp:.1e}"
+        dp = np.max(np.abs(abs_power_mean(v, 6.0)
+                           - (np.abs(v) ** 6.0).mean(axis=-1)))
+        return dp < 1e-12, f"even-power chain vs generic power {dp:.1e}"
 
     _check("spectral-realness", realness, results)
     _check("spectral-parseval", parseval, results)
