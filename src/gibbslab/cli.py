@@ -5,7 +5,9 @@ verify. Every run writes its outputs under --out-dir only, embeds the
 resolved configuration and the package version in a JSON sidecar, and is
 reproducible byte-for-byte from that sidecar. Options resolve with the
 precedence CLI > config file > built-in defaults; config files are flat
-key=value lines. GIBBSLAB_WORKERS sets the Monte Carlo worker count.
+key=value lines. GIBBSLAB_WORKERS sets the Monte Carlo worker count. A
+domain error (an out-of-range option or a bad GIBBSLAB_WORKERS) ends with a
+one-line message and exit status 2, as argparse's usage errors do.
 """
 import argparse
 import csv
@@ -14,7 +16,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, gibbs, tails, verify
+from . import __version__, gibbs, rng, tails, verify
 from .bessel import bessel_zeros
 from .groundstate import solve_ground_state
 from .radial2d import block_l4_expectation
@@ -301,7 +303,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_verify)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        rng.worker_count()
+        return args.fn(args)
+    except ValueError as exc:
+        print(f"{ap.prog} {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Command-line behavior: files, determinism, config precedence, verify."""
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -33,6 +34,25 @@ def test_malformed_p_exits_2():
         capture_output=True, text=True)
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+@pytest.mark.parametrize("args, workers, message", [
+    (["bessel-table", "--count", "0"], "1", "count must be >= 1"),
+    (["partition", "--dim", "2", "--p", "6", "--ratio", "0.5",
+      "--sampler", "soliton"], "1", "p <= 4"),
+    (["partition", "--dim", "1", "--p", "6", "--cutoff", "1.0",
+      "--n-modes", "8", "--samples", "100"], "abc", "GIBBSLAB_WORKERS"),
+])
+def test_domain_errors_exit_2_with_one_line(tmp_path, args, workers,
+                                            message):
+    proc = subprocess.run(
+        [sys.executable, "-m", "gibbslab.cli", *args,
+         "--out-dir", str(tmp_path)],
+        capture_output=True, text=True,
+        env={**os.environ, "GIBBSLAB_WORKERS": workers})
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert message in proc.stderr
 
 
 def test_bessel_table_command(tmp_path):

@@ -13,6 +13,7 @@ from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (EnsembleConfig, constrained_tail,
                             estimate_partition, tail_curve)
 from gibbslab.radial2d import block_l4_expectation
+from gibbslab.rng import worker_count
 from gibbslab.tails import (bernstein_probe, block_norm_samples_2d,
                             block_tail_empirical_2d, chi2_tail_empirical,
                             gaussian_mgf_mc, high_freq_empirical_1d)
@@ -182,3 +183,10 @@ def test_worker_count_does_not_change_samplers(name, monkeypatch):
     monkeypatch.setenv("GIBBSLAB_WORKERS", "2")
     two = WORKER_SAMPLERS[name]()
     assert one == two
+
+
+@pytest.mark.parametrize("text", ["abc", "0", "-1", "1.5"])
+def test_bad_worker_count_rejected(text, monkeypatch):
+    monkeypatch.setenv("GIBBSLAB_WORKERS", text)
+    with pytest.raises(ValueError, match="GIBBSLAB_WORKERS"):
+        worker_count()
