@@ -73,9 +73,7 @@ def chi2_tail_empirical(m_dof: int, levels, n_samples: int,
         s = np.sum(z * z, axis=1)
         return (s[:, None] >= levels[None, :] ** 2).sum(axis=0)
 
-    counts = np.zeros(len(levels))
-    for c in batches(seed, n_samples, 1 << 16, batch):
-        counts += c
+    counts = sum(batches(seed, n_samples, 1 << 16, batch))
     p = counts / n_samples
     err = np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples) / n_samples)
     theo = np.array([chi2_tail_bound(m_dof, r)[0] for r in levels])
@@ -305,9 +303,7 @@ def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
         norms = abs_power_mean(vals, p) ** (1.0 / p)
         return (norms[:, None] > lams[None, :]).sum(axis=0)
 
-    counts = np.zeros(len(lams))
-    for c in batches(seed, n_samples, 2048, batch):
-        counts += c
+    counts = sum(batches(seed, n_samples, 2048, batch))
     emp = counts / n_samples
     err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
     cb = 1.0 if bernstein_c is None else bernstein_c
@@ -428,9 +424,7 @@ def block_tail_empirical_2d(k: int, lams, n_modes: int, n_samples: int,
         norms = weighted_abs_power_sum(vals, aw, 4.0) ** 0.25
         return (norms[:, None] >= lams[None, :]).sum(axis=0)
 
-    counts = np.zeros(len(lams))
-    for c in batches(seed, n_samples, 2048, batch):
-        counts += c
+    counts = sum(batches(seed, n_samples, 2048, batch))
     emp = counts / n_samples
     err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
     theo = np.full(len(lams), math.nan)
