@@ -48,6 +48,8 @@ def batches(seed: int, n_samples: int, batch_size: int, fn,
     b = min(batch_size, n_samples - start) of them and draws from
     rng_for(seed, stream_offset + i).
     """
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
     n_batches = (n_samples + batch_size - 1) // batch_size
 
     def job(i):

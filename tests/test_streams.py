@@ -190,3 +190,13 @@ def test_bad_worker_count_rejected(text, monkeypatch):
     monkeypatch.setenv("GIBBSLAB_WORKERS", text)
     with pytest.raises(ValueError, match="GIBBSLAB_WORKERS"):
         worker_count()
+
+
+@pytest.mark.parametrize("sampler", [
+    lambda: chi2_tail_empirical(1, [1.0], 0),
+    lambda: bernstein_probe(3, 6.0, 0),
+    lambda: block_l4_expectation(3, 0, _table()),
+])
+def test_empty_sample_count_rejected(sampler):
+    with pytest.raises(ValueError, match="at least one sample"):
+        sampler()
