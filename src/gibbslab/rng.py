@@ -10,8 +10,9 @@ There is one stream layout:
   * the per-field helpers (sample_loop, sample_radial) draw field k from
     stream k.
 
-GIBBSLAB_WORKERS sets how many threads run the batches. Results are merged
-in stream order, so every result is bit-identical for any worker count.
+GIBBSLAB_WORKERS sets how many threads run the batches. batches() returns
+the batch results in stream order and callers reduce them in that order, so
+every result is bit-identical for any worker count.
 """
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -30,14 +31,10 @@ def rng_for(seed: int, stream: int) -> np.random.Generator:
 def worker_count() -> int:
     """Worker threads from GIBBSLAB_WORKERS (default 1)."""
     text = os.environ.get("GIBBSLAB_WORKERS", "1")
-    try:
-        workers = int(text)
-    except ValueError:
-        workers = 0
-    if workers < 1:
+    if not text.isdecimal() or int(text) < 1:
         raise ValueError(
             f"GIBBSLAB_WORKERS must be a positive integer, got {text!r}")
-    return workers
+    return int(text)
 
 
 def batches(seed: int, n_samples: int, batch_size: int, fn,

@@ -187,7 +187,7 @@ def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> BernsteinPr
         l2 = np.sqrt(2.0 * np.sum(np.abs(coeffs) ** 2, axis=1))
         ratios = nums / (2.0 ** (j * (0.5 - 1.0 / p)) * l2)
         i = int(np.argmax(ratios))
-        return float(ratios[i]), coeffs[i]
+        return float(ratios[i]), coeffs[i].copy()   # not a view of the batch
 
     best = -math.inf
     best_coeffs = None
