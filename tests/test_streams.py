@@ -4,7 +4,9 @@ The golden values are float.hex digests of small runs of every sampler whose
 stream layout is fixed (batch i on stream offset + i, fixed batch sizes); a
 refactor of the sampling code must reproduce them bit for bit. The worker
 test runs every sampler with one and with two worker threads on inputs large
-enough for several batches, and requires identical results.
+enough for several batches, and requires identical results. The disc block
+norms are pinned by every 500th of their 5000 values (all three batches); the
+worker test compares all of them.
 """
 import numpy as np
 import pytest
@@ -40,6 +42,14 @@ def _curve(curve):
     return _hex(curve.empirical) + _hex(curve.err)
 
 
+def _table():
+    return bessel_zeros(64)
+
+
+def _block_norms_2d():
+    return block_norm_samples_2d(3, 5000, _table(), seed=32)
+
+
 SAME_LAYOUT = {
     "partition-1d-plain":
         lambda: _report(estimate_partition(_config(1, "plain", 11))),
@@ -67,11 +77,41 @@ SAME_LAYOUT = {
     "high-freq-1d":
         lambda: _curve(high_freq_empirical_1d(3, [0.12, 0.16], 32, 3000,
                                               seed=24)),
+    "block-norms-2d": lambda: _hex(_block_norms_2d()[::500]),
+    "block-tail-2d":
+        lambda: _curve(block_tail_empirical_2d(2, [0.25, 0.5, 1.0], 32, 5000,
+                                               _table(), seed=33)),
+    "block-l4-2d":
+        lambda: _hex(block_l4_expectation(3, 5000, _table(), seed=34)),
 }
 
 GOLDEN = {
     "bernstein": [
         "0x1.aea15ebd61239p-1",
+    ],
+    "block-l4-2d": [
+        "0x1.bf0d6579787c5p-4",
+        "0x1.6775af8bae595p-11",
+    ],
+    "block-norms-2d": [
+        "0x1.4fa6796ceadd7p-3",
+        "0x1.17d239ec264b6p-4",
+        "0x1.ccbeae00a4baap-4",
+        "0x1.8208f896183edp-5",
+        "0x1.0c605044cb305p-3",
+        "0x1.d4d5c1043c646p-5",
+        "0x1.2979a134dd47ep-4",
+        "0x1.9aedcdc39b0e2p-4",
+        "0x1.3f74db82d0898p-3",
+        "0x1.e26e9fa04eef6p-4",
+    ],
+    "block-tail-2d": [
+        "0x1.35dcc63f14120p-2",
+        "0x1.54c985f06f694p-9",
+        "0x0.0p+0",
+        "0x1.a9c3f105f3df4p-8",
+        "0x1.7993e06d8ac9ep-11",
+        "0x1.a36e2eb1c432dp-13",
     ],
     "chi2-tail": [
         "0x1.1758e219652bdp-3",
@@ -159,20 +199,10 @@ def _tail_curve_1d():
     return _curve(tail_curve(cfg, [0.0, 0.5, 1.0]))
 
 
-def _table():
-    return bessel_zeros(64)
-
-
 WORKER_SAMPLERS = {
     **SAME_LAYOUT,
     "tail-curve": _tail_curve_1d,
-    "block-norms-2d":
-        lambda: _hex(block_norm_samples_2d(3, 5000, _table(), seed=32)),
-    "block-tail-2d":
-        lambda: _curve(block_tail_empirical_2d(2, [0.5, 1.0], 32, 5000,
-                                               _table(), seed=33)),
-    "block-l4-2d":
-        lambda: _hex(block_l4_expectation(3, 5000, _table(), seed=34)),
+    "block-norms-2d": lambda: _hex(_block_norms_2d()),
 }
 
 
