@@ -111,6 +111,14 @@ def test_mass_2d_p4_against_independent_shooting():
     assert gs.residual_max < 1e-8
 
 
+def test_ground_state_2d_p4_pinned():
+    # the oracle above checks the mass to 1e-6; these pin the discrete
+    # solution of the FD system itself
+    gs = solve_ground_state(2, 4)
+    assert abs(gs.mass - 4.837539979069467) < 1e-12 * 4.837539979069467
+    assert abs(gs.profile[0] - 5.40406639343504) < 1e-10
+
+
 def test_profile_invariants_2d():
     gs = solve_ground_state(2, 4)
     assert gs.profile[0] > 0
