@@ -4,9 +4,9 @@ associated Gagliardo-Nirenberg machinery.
 In one dimension the equation reduces by scaling to Q'' - Q + Q^(p-1) = 0,
 whose sech-power solution is known in closed form; the profile, its mass and
 all functionals are then analytic. In two dimensions the radial profile is
-found by shooting on phi(0) (bisection between sign-crossing and turn-up
-outcomes) and then polished by a Newton solve of a fourth-order finite
-difference discretization, whose converged max-norm residual certifies the
+one damped Newton solve of a fourth-order finite-difference discretization,
+started from the 1D closed-form profile of the same p (the 2D equation only
+adds the (p-2) phi'/r term); its converged max-norm residual certifies the
 profile. Masses are Richardson-extrapolated from two grids.
 
 Two constants are exposed per ground state:
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson, solve_ivp
+from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 from scipy.special import beta as beta_fn
@@ -131,42 +131,9 @@ def _j_value(dim, p, grad, mass, lp_p):
     return grad ** e_grad * mass ** e_mass / lp_p
 
 
-# ---------------------------------------------------------------- 2D, shooting
+# ---------------------------------------------------------------- 2D, Newton
 
-def _shoot_2d(p: int, s0: float, r_max: float):
-    """Integrate from the series start; returns (outcome, solution).
-
-    outcome is 'cross' when phi reaches zero, 'turn' when phi' turns positive
-    while phi is still order one, 'decay' otherwise.
-    """
-    r0 = 1e-6
-    c2 = ((p + 2) * s0 - s0 ** (p - 1)) / (4.0 * (p - 2))
-
-    def rhs(r, y):
-        f, fp = y
-        return [fp, ((p + 2) * f - f ** (p - 1)) / (p - 2) - fp / r]
-
-    def ev_cross(r, y):
-        return y[0]
-    ev_cross.terminal = True
-    ev_cross.direction = -1
-
-    def ev_turn(r, y):
-        return y[1]
-    ev_turn.terminal = True
-    ev_turn.direction = 1
-
-    sol = solve_ivp(rhs, (r0, r_max), [s0 + c2 * r0 * r0, 2 * c2 * r0],
-                    method="DOP853", rtol=1e-12, atol=1e-14,
-                    events=[ev_cross, ev_turn], dense_output=True)
-    if sol.t_events[0].size:
-        return "cross", sol
-    if sol.t_events[1].size:
-        return "turn", sol
-    return "decay", sol
-
-
-def _newton_polish_2d(p: int, r_max: float, n_cells: int, guess):
+def _newton_2d(p: int, r_max: float, n_cells: int, guess):
     """Newton solve of the 5-point FD discretization on r_i = i h.
 
     Rows 0..n-3 impose the equation (with the even extension across r = 0);
@@ -202,34 +169,27 @@ def _newton_polish_2d(p: int, r_max: float, n_cells: int, guess):
         res[n - 1] = f[n - 1]
         return res
 
-    # banded Jacobian, bandwidth 2
+    # banded Jacobian, bandwidth 2: entry (row, col) sits at ab[2 + row - col, col]
     def jacobian(f):
         ab = np.zeros((5, n))
         lap2 = (p - 2) / h2
         adv = (p - 2) / h1
-
-        def add(row, col, val):
-            ab[2 + row - col, col] += val
-
-        add(0, 0, 2 * (-30.0) * lap2 - (p + 2) + (p - 1) * f[0] ** (p - 2))
-        add(0, 1, 2 * 32.0 * lap2)
-        add(0, 2, 2 * (-2.0) * lap2)
-        i = 1
-        ri = r[i]
-        add(i, 0, 16 * lap2 + (-8.0) * adv / ri)
-        add(i, 1, -31 * lap2 + 1.0 * adv / ri - (p + 2)
-            + (p - 1) * f[i] ** (p - 2))
-        add(i, 2, 16 * lap2 + 8.0 * adv / ri)
-        add(i, 3, -1 * lap2 - 1.0 * adv / ri)
-        for i in range(2, n - 2):
-            ri = r[i]
-            add(i, i - 2, -lap2 + adv / ri)
-            add(i, i - 1, 16 * lap2 - 8 * adv / ri)
-            add(i, i, -30 * lap2 - (p + 2) + (p - 1) * f[i] ** (p - 2))
-            add(i, i + 1, 16 * lap2 + 8 * adv / ri)
-            add(i, i + 2, -lap2 - adv / ri)
-        add(n - 2, n - 2, 1.0)
-        add(n - 1, n - 1, 1.0)
+        ab[2, 0] = 2 * (-30.0) * lap2 - (p + 2) + (p - 1) * f[0] ** (p - 2)
+        ab[1, 1] = 2 * 32.0 * lap2
+        ab[0, 2] = 2 * (-2.0) * lap2
+        r1 = r[1]
+        ab[3, 0] = 16 * lap2 + (-8.0) * adv / r1
+        ab[2, 1] = (-31 * lap2 + 1.0 * adv / r1 - (p + 2)
+                    + (p - 1) * f[1] ** (p - 2))
+        ab[1, 2] = 16 * lap2 + 8.0 * adv / r1
+        ab[0, 3] = -1 * lap2 - 1.0 * adv / r1
+        ri = r[2:n - 2]
+        ab[4, :n - 4] = -lap2 + adv / ri
+        ab[3, 1:n - 3] = 16 * lap2 - 8 * adv / ri
+        ab[2, 2:n - 2] = -30 * lap2 - (p + 2) + (p - 1) * f[2:n - 2] ** (p - 2)
+        ab[1, 3:n - 1] = 16 * lap2 + 8 * adv / ri
+        ab[0, 4:] = -lap2 - adv / ri
+        ab[2, n - 2:] = 1.0
         return ab
 
     # rounding floor of the stencil evaluation; can't resolve residuals below it
@@ -251,16 +211,9 @@ def _newton_polish_2d(p: int, r_max: float, n_cells: int, guess):
         else:
             if base < 0.5 * RESIDUAL_TOL:
                 break               # stalled at the rounding floor; good enough
-            raise RuntimeError("Newton polish stalled on the FD system")
+            raise RuntimeError("Newton solve stalled on the FD system")
     res = residual_vec(phi)
     return r, phi, float(np.max(np.abs(res[:n - 2])))
-
-
-def _simpson(y, h):
-    n = len(y)
-    if n % 2 == 0:
-        raise ValueError("Simpson needs an odd point count")
-    return h / 3.0 * (y[0] + y[-1] + 4 * y[1:-1:2].sum() + 2 * y[2:-1:2].sum())
 
 
 def _fd_derivative(f, h):
@@ -277,37 +230,18 @@ def _fd_derivative(f, h):
 def _solve_2d(p: int) -> GroundState:
     mu = math.sqrt((p + 2) / (p - 2))
     r_max = (math.log(1e10) + 3.0) / mu
-    lo, hi = (p + 2) ** (1.0 / (p - 2)) + 0.05, 4.0 * (p + 2) ** (1.0 / (p - 2))
-    out_lo, _ = _shoot_2d(p, lo, r_max)
-    out_hi, _ = _shoot_2d(p, hi, r_max)
-    if out_lo != "turn" or out_hi != "cross":
-        raise RuntimeError(
-            f"shooting bracket failed: outcomes ({out_lo}, {out_hi})")
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        out, _ = _shoot_2d(p, mid, r_max)
-        if out == "cross":
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-12 * hi:
-            break
-    s_star = 0.5 * (lo + hi)
-    _, sol = _shoot_2d(p, s_star, r_max)
-
-    def guess(r):
-        t = np.clip(r, sol.t[0], sol.t[-1])
-        vals = sol.sol(t)[0]
-        vals = np.where(r > sol.t[-1], 0.0, vals)
-        return np.clip(vals, 0.0, None)
+    # the 2D equation adds only the (p-2) phi'/r term to the 1D one, so the
+    # 1D closed form is a close enough start for the damped Newton solve
+    guess = profile_function(_solve_1d(p))
 
     n_cells = 2200
     masses = {}
     results = {}
     for cells in (n_cells, 2 * n_cells):
-        grid, prof, res = _newton_polish_2d(p, r_max, cells, guess)
+        grid, prof, res = _newton_2d(p, r_max, cells, guess)
         h = grid[1] - grid[0]
-        masses[cells] = math.sqrt(2 * math.pi * _simpson(prof * prof * grid, h))
+        masses[cells] = math.sqrt(2 * math.pi * simpson(prof * prof * grid,
+                                                        dx=h))
         results[cells] = (grid, prof, res, h)
     m_h, m_h2 = masses[n_cells], masses[2 * n_cells]
     mass = (16 * m_h2 - m_h) / 15.0
@@ -321,8 +255,8 @@ def _solve_2d(p: int) -> GroundState:
         raise RuntimeError("2D profile is not positive decreasing")
 
     dprof = _fd_derivative(prof, h)
-    grad = math.sqrt(2 * math.pi * _simpson(dprof * dprof * grid, h))
-    lp_p = 2 * math.pi * _simpson(prof ** p * grid, h)
+    grad = math.sqrt(2 * math.pi * simpson(dprof * dprof * grid, dx=h))
+    lp_p = 2 * math.pi * simpson(prof ** p * grid, dx=h)
     j_min = _j_value(2, p, grad, mass, lp_p)
     return GroundState(
         dim=2, p=p, grid=grid, profile=prof, mass=mass, grad_norm=grad,
