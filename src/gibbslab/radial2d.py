@@ -176,25 +176,28 @@ def dyadic_project_radial(field: RadialField2D, kind: str,
     return RadialField2D(field.n_modes, coeffs, field.table, g)
 
 
-def block_l4_expectation(j: int, n_samples: int, table: BesselTable,
-                         seed: int = 0,
-                         basis: RadialBasis | None = None):
-    """Monte Carlo estimate of E ||v_j||_{L^4(disc)} with its standard error."""
-    if j < 1:
-        raise ValueError("block index must be >= 1")
-    n_modes = 2 ** j
-    if basis is None:
-        basis = radial_basis(table, n_modes)
-    keep = _window("block", j, n_modes)
+def _disc_l4_norms(keep: np.ndarray, n_samples: int, table: BesselTable,
+                   seed: int) -> np.ndarray:
+    """||v||_{L^4(disc)} of sampled fields a_n = g_n / z_n kept to the modes
+    where keep is true, one per sample in stream order."""
+    n_modes = len(keep)
+    basis = radial_basis(table, n_modes)
     z = table.zeros[:n_modes]
-    mat = basis.matrix[:, :n_modes]
     aw = basis.quad.area_weights
 
     def batch(rng, start, b):
         coeffs = np.where(keep, rng.standard_normal((b, n_modes)) / z, 0.0)
-        return weighted_abs_power_sum(coeffs @ mat.T, aw, 4.0) ** 0.25
+        return weighted_abs_power_sum(coeffs @ basis.matrix.T, aw, 4.0) ** 0.25
 
-    norms = np.concatenate(batches(seed, n_samples, 2048, batch))
+    return np.concatenate(batches(seed, n_samples, 2048, batch))
+
+
+def block_l4_expectation(j: int, n_samples: int, table: BesselTable,
+                         seed: int = 0):
+    """Monte Carlo estimate of E ||v_j||_{L^4(disc)} with its standard error."""
+    if j < 1:
+        raise ValueError("block index must be >= 1")
+    norms = _disc_l4_norms(_window("block", j, 2 ** j), n_samples, table, seed)
     mean = float(norms.mean())
     stderr = float(norms.std(ddof=1) / np.sqrt(n_samples))
     return mean, stderr

@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .radial2d import BesselTable, radial_basis
+from .radial2d import BesselTable, _disc_l4_norms
 from .rng import batches
 from .spectral1d import (GFF, SpectralField1D, evaluate_coeff_rows,
                          l2_norm_spectral, spectral_weights, _window)
-from ._core import abs_power_mean, weighted_abs_power_sum
+from ._core import abs_power_mean
 
 
 @dataclass(frozen=True)
@@ -350,18 +350,7 @@ def fernique_probe(norm_samples, ts) -> FerniqueProbe:
 def block_norm_samples_2d(j: int, n_samples: int, table: BesselTable,
                           seed: int = 0) -> np.ndarray:
     """L4 norms of dyadic block fields on the disc, for Fernique probes."""
-    n_modes = 2 ** j
-    basis = radial_basis(table, n_modes)
-    keep = _window("block", j, n_modes)
-    z = table.zeros[:n_modes]
-    aw = basis.quad.area_weights
-
-    def batch(rng, start, b):
-        coeffs = np.where(keep, rng.standard_normal((b, n_modes)) / z, 0.0)
-        vals = coeffs @ basis.matrix[:, :n_modes].T
-        return weighted_abs_power_sum(vals, aw, 4.0) ** 0.25
-
-    return np.concatenate(batches(seed, n_samples, 2048, batch))
+    return _disc_l4_norms(_window("block", j, 2 ** j), n_samples, table, seed)
 
 
 @dataclass(frozen=True)
@@ -413,19 +402,8 @@ def block_tail_empirical_2d(k: int, lams, n_modes: int, n_samples: int,
                             c4: float | None = None) -> TailCurve:
     """Empirical P(||v_(high k)||_4 >= lam) against the chained bound."""
     lams = np.asarray(lams, dtype=float)
-    basis = radial_basis(table, n_modes)
-    keep = _window("high", k, n_modes)
-    z = table.zeros[:n_modes]
-    aw = basis.quad.area_weights
-
-    def batch(rng, start, b):
-        coeffs = np.where(keep, rng.standard_normal((b, n_modes)) / z, 0.0)
-        vals = coeffs @ basis.matrix[:, :n_modes].T
-        norms = weighted_abs_power_sum(vals, aw, 4.0) ** 0.25
-        return (norms[:, None] >= lams[None, :]).sum(axis=0)
-
-    counts = sum(batches(seed, n_samples, 2048, batch))
-    emp = counts / n_samples
+    norms = _disc_l4_norms(_window("high", k, n_modes), n_samples, table, seed)
+    emp = (norms[:, None] >= lams[None, :]).sum(axis=0) / n_samples
     err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
     theo = np.full(len(lams), math.nan)
     valid = np.zeros(len(lams), dtype=bool)
