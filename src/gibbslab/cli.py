@@ -6,8 +6,9 @@ resolved configuration and the package version in a JSON sidecar, and is
 reproducible byte-for-byte from that sidecar. Options resolve with the
 precedence CLI > config file > built-in defaults; config files are flat
 key=value lines. GIBBSLAB_WORKERS sets the Monte Carlo worker count. A
-domain error (an out-of-range option or a bad GIBBSLAB_WORKERS) ends with a
-one-line message and exit status 2, as argparse's usage errors do.
+domain error (an out-of-range or missing option, an unreadable or malformed
+config file, or a bad GIBBSLAB_WORKERS) ends with a one-line message and exit
+status 2, as argparse's usage errors do.
 """
 import argparse
 import csv
@@ -39,13 +40,17 @@ def _float_list(text):
 
 
 def _read_config_file(path):
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"config file {path}: {exc.strerror}") from None
     vals = {}
-    for line in Path(path).read_text().splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise SystemExit(f"malformed config line: {line!r}")
+            raise ValueError(f"malformed config line: {line!r}")
         k, v = line.split("=", 1)
         vals[k.strip().replace("-", "_")] = v.strip()
     return vals
@@ -58,8 +63,11 @@ def _resolve(args, defaults, parsers):
         raw = _read_config_file(args.config)
         for k, v in raw.items():
             if k not in defaults:
-                raise SystemExit(f"unknown config key {k!r}")
-            file_vals[k] = parsers.get(k, str)(v)
+                raise ValueError(f"unknown config key {k!r}")
+            try:
+                file_vals[k] = parsers.get(k, str)(v)
+            except (ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValueError(f"config key {k!r}: {exc}") from None
     out = dict(defaults)
     out.update(file_vals)
     for k in defaults:
@@ -108,6 +116,8 @@ def _cmd_threshold_scan(args):
                "schedule": _int_list, "samples": int, "seed": int,
                "sampler": str}
     opts = _resolve(args, defaults, parsers)
+    if not opts["schedule"]:
+        raise ValueError("schedule must list at least one N")
     out = _outdir(args)
     gs = solve_ground_state(opts["dim"], opts["p"])   # never hard-coded
     rows = []
@@ -203,7 +213,7 @@ def _cmd_partition(args):
     cutoff = opts["cutoff"]
     if math.isnan(cutoff):
         if math.isnan(opts["ratio"]):
-            raise SystemExit("provide either --cutoff or --ratio")
+            raise ValueError("provide either --cutoff or --ratio")
         gs = solve_ground_state(opts["dim"], opts["p"])
         cutoff = opts["ratio"] * gs.mass
     cfg = gibbs.EnsembleConfig(

@@ -36,18 +36,38 @@ def test_malformed_p_exits_2():
     assert "usage" in proc.stderr.lower()
 
 
+# config files the error cases below name; missing.cfg is never written
+CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
+           "unknown-key.cfg": "banana = 1\n"}
+
+
 @pytest.mark.parametrize("args, workers, message", [
     (["bessel-table", "--count", "0"], "1", "count must be >= 1"),
     (["partition", "--dim", "2", "--p", "6", "--ratio", "0.5",
       "--sampler", "soliton"], "1", "p <= 4"),
     (["partition", "--dim", "1", "--p", "6", "--cutoff", "1.0",
       "--n-modes", "8", "--samples", "100"], "abc", "GIBBSLAB_WORKERS"),
+    (["bessel-table", "--config", "missing.cfg"], "1",
+     "No such file or directory"),
+    (["ground-state", "--config", "bad-p.cfg"], "1",
+     "p must be an even integer greater than 2"),
+    (["threshold-scan", "--schedule", ""], "1",
+     "schedule must list at least one N"),
+    (["bessel-table", "--config", "malformed.cfg"], "1",
+     "malformed config line"),
+    (["bessel-table", "--config", "unknown-key.cfg"], "1",
+     "unknown config key 'banana'"),
+    (["partition", "--dim", "1", "--p", "6"], "1",
+     "provide either --cutoff or --ratio"),
 ])
 def test_domain_errors_exit_2_with_one_line(tmp_path, args, workers,
                                             message):
+    for name, text in CONFIGS.items():
+        (tmp_path / name).write_text(text)
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
     proc = subprocess.run(
         [sys.executable, "-m", "gibbslab.cli", *args,
-         "--out-dir", str(tmp_path)],
+         "--out-dir", str(tmp_path / "out")],
         capture_output=True, text=True,
         env={**os.environ, "GIBBSLAB_WORKERS": workers})
     assert proc.returncode == 2
@@ -133,9 +153,8 @@ def test_config_file_precedence(tmp_path):
 def test_unknown_config_key_rejected(tmp_path):
     cfgfile = tmp_path / "opts.cfg"
     cfgfile.write_text("banana = 1\n")
-    with pytest.raises(SystemExit):
-        run_cli(["bessel-table", "--config", str(cfgfile),
-                 "--out-dir", str(tmp_path / "x")])
+    assert run_cli(["bessel-table", "--config", str(cfgfile),
+                    "--out-dir", str(tmp_path / "x")]) == 2
 
 
 def test_partition_ratio_path(tmp_path):
