@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from gibbslab.bessel import bessel_zeros
@@ -15,7 +14,3 @@ def table64(table200):
 
     return BesselTable(zeros=table200.zeros[:64],
                        j1_at_zeros=table200.j1_at_zeros[:64])
-
-
-def pytest_configure(config):
-    np.seterr(over="ignore")
