@@ -4,11 +4,14 @@ Commands: ground-state, threshold-scan, tail-scan, bessel-table, partition,
 verify. Every run writes its outputs under --out-dir only, embeds the
 resolved configuration and the package version in a JSON sidecar, and is
 reproducible byte-for-byte from that sidecar. Options resolve with the
-precedence CLI > config file > built-in defaults; config files are flat
-key=value lines. GIBBSLAB_WORKERS sets the Monte Carlo worker count. A
-domain error (an out-of-range or missing option, an unreadable or malformed
-config file, or a bad GIBBSLAB_WORKERS) ends with a one-line message and exit
-status 2, as argparse's usage errors do.
+precedence CLI > config file > built-in defaults. Config files are flat
+key=value lines whose keys are the option names, written with - or _, and
+a value from a file goes through the same parser as the same value given as
+a flag. GIBBSLAB_WORKERS sets the Monte Carlo worker count. A domain error
+(an out-of-range, empty or missing option, an unreadable or malformed config
+file, or a bad GIBBSLAB_WORKERS) ends with a one-line message and exit
+status 2, as argparse's usage errors do. A command computes its results
+before it creates --out-dir, so a failed run writes nothing.
 """
 import argparse
 import csv
@@ -29,6 +32,29 @@ def _even_p(text):
         raise argparse.ArgumentTypeError(
             f"p must be an even integer greater than 2, got {text}")
     return v
+
+
+def _dim(text):
+    v = int(text)
+    if v not in (1, 2):
+        raise argparse.ArgumentTypeError(f"dim must be 1 or 2, got {text}")
+    return v
+
+
+def _sampler(text):
+    if text not in gibbs.SAMPLERS:
+        raise argparse.ArgumentTypeError(
+            f"sampler must be one of {', '.join(gibbs.SAMPLERS)}, got {text}")
+    return text
+
+
+def _bool(text):
+    """Config-file boolean; on the command line the option is a bare flag."""
+    low = text.lower()
+    if low not in ("1", "true", "yes", "0", "false", "no"):
+        raise argparse.ArgumentTypeError(
+            f"expected 1/true/yes or 0/false/no, got {text}")
+    return low in ("1", "true", "yes")
 
 
 def _int_list(text):
@@ -56,31 +82,26 @@ def _read_config_file(path):
     return vals
 
 
-def _resolve(args, defaults, parsers):
+def _resolve(args, options):
     """Effective options: CLI beats config file beats defaults."""
-    file_vals = {}
-    if getattr(args, "config", None):
-        raw = _read_config_file(args.config)
-        for k, v in raw.items():
-            if k not in defaults:
+    parsers = {name: parse for name, parse, _ in options}
+    out = {name: default for name, _, default in options}
+    if args.config:
+        for k, v in _read_config_file(args.config).items():
+            if k not in parsers:
                 raise ValueError(f"unknown config key {k!r}")
             try:
-                file_vals[k] = parsers.get(k, str)(v)
+                out[k] = parsers[k](v)
             except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"config key {k!r}: {exc}") from None
-    out = dict(defaults)
-    out.update(file_vals)
-    for k in defaults:
-        cli_val = getattr(args, k, None)
-        if cli_val is not None:
-            out[k] = cli_val
+    for k in out:
+        if getattr(args, k) is not None:
+            out[k] = getattr(args, k)
+    for k, v in out.items():
+        if v == []:
+            item = "N" if k == "schedule" else "value"
+            raise ValueError(f"{k} must list at least one {item}")
     return out
-
-
-def _outdir(args):
-    d = Path(args.out_dir)
-    d.mkdir(parents=True, exist_ok=True)
-    return d
 
 
 def _write_sidecar(path: Path, command: str, options: dict):
@@ -92,10 +113,9 @@ def _write_sidecar(path: Path, command: str, options: dict):
 
 # ------------------------------------------------------------------ commands
 
-def _cmd_ground_state(args):
-    opts = _resolve(args, {"dim": 1, "p": 6}, {"dim": int, "p": _even_p})
-    out = _outdir(args)
+def _cmd_ground_state(opts, out):
     gs = solve_ground_state(opts["dim"], opts["p"])
+    out.mkdir(parents=True, exist_ok=True)
     gs.to_csv(out / "profile.csv")
     summary = gs.summary()
     summary.update({"j_min": gs.j_min, "sharp_constant": gs.sharp_constant,
@@ -107,18 +127,7 @@ def _cmd_ground_state(args):
     return 0
 
 
-def _cmd_threshold_scan(args):
-    defaults = {"dim": 1, "p": 6,
-                "ratios": [0.25, 0.5, 0.75, 0.9, 1.1, 1.5],
-                "schedule": [16, 32, 64, 128, 256, 512],
-                "samples": 100000, "seed": 0, "sampler": "soliton"}
-    parsers = {"dim": int, "p": _even_p, "ratios": _float_list,
-               "schedule": _int_list, "samples": int, "seed": int,
-               "sampler": str}
-    opts = _resolve(args, defaults, parsers)
-    if not opts["schedule"]:
-        raise ValueError("schedule must list at least one N")
-    out = _outdir(args)
+def _cmd_threshold_scan(opts, out):
     gs = solve_ground_state(opts["dim"], opts["p"])   # never hard-coded
     rows = []
     for ratio in opts["ratios"]:
@@ -126,10 +135,11 @@ def _cmd_threshold_scan(args):
             dim=opts["dim"], p=opts["p"], cutoff=ratio * gs.mass,
             n_modes=opts["schedule"][0], n_samples=opts["samples"],
             seed=opts["seed"], sampler=opts["sampler"])
-        v = gibbs.divergence_scan(cfg, opts["schedule"])
-        rows.append((ratio, ratio * gs.mass, v))
-        scan_path = out / f"scan_ratio_{ratio:g}.csv"
-        with open(scan_path, "w", newline="") as fh:
+        rows.append((ratio, ratio * gs.mass,
+                     gibbs.divergence_scan(cfg, opts["schedule"])))
+    out.mkdir(parents=True, exist_ok=True)
+    for ratio, _, v in rows:
+        with open(out / f"scan_ratio_{ratio:g}.csv", "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["N", "n_samples", "log_estimate", "stderr",
                         "fraction_inside_cutoff"])
@@ -150,26 +160,16 @@ def _cmd_threshold_scan(args):
     return 0
 
 
-def _cmd_tail_scan(args):
-    defaults = {"dim": 1, "p": 6, "n_modes": 128, "samples": 100000,
-                "seed": 0, "k_list": [3, 4, 5],
-                "lambdas": [round(0.25 * i, 4) for i in range(1, 13)],
-                "bernstein_trials": 5000}
-    parsers = {"dim": int, "p": _even_p, "n_modes": int, "samples": int,
-               "seed": int, "k_list": _int_list, "lambdas": _float_list,
-               "bernstein_trials": int}
-    opts = _resolve(args, defaults, parsers)
-    out = _outdir(args)
+def _cmd_tail_scan(opts, out):
     if opts["dim"] == 1:
         c_hat = max(tails.bernstein_probe(j, opts["p"],
                                           opts["bernstein_trials"],
                                           seed=opts["seed"]).c_hat
                     for j in opts["k_list"])
-        for k in opts["k_list"]:
-            curve = tails.high_freq_empirical_1d(
-                k, opts["lambdas"], opts["n_modes"], opts["samples"],
-                p=opts["p"], seed=opts["seed"], bernstein_c=c_hat)
-            curve.to_csv(out / f"high_freq_tail_k{k}.csv")
+        curves = {f"high_freq_tail_k{k}.csv": tails.high_freq_empirical_1d(
+            k, opts["lambdas"], opts["n_modes"], opts["samples"],
+            p=opts["p"], seed=opts["seed"], bernstein_c=c_hat)
+            for k in opts["k_list"]}
         extra = {"bernstein_c_hat": c_hat}
     else:
         table = bessel_zeros(opts["n_modes"])
@@ -179,37 +179,30 @@ def _cmd_tail_scan(args):
         c4 = max(block_l4_expectation(j, 2000, table,
                                       seed=opts["seed"] + 2)[0] * 2 ** (j / 2)
                  for j in (3, 4, 5))
-        for k in opts["k_list"]:
-            curve = tails.block_tail_empirical_2d(
-                k, opts["lambdas"], opts["n_modes"], opts["samples"], table,
-                seed=opts["seed"], c_prime=c_prime, c4=c4)
-            curve.to_csv(out / f"block_tail_k{k}.csv")
+        curves = {f"block_tail_k{k}.csv": tails.block_tail_empirical_2d(
+            k, opts["lambdas"], opts["n_modes"], opts["samples"], table,
+            seed=opts["seed"], c_prime=c_prime, c4=c4)
+            for k in opts["k_list"]}
         extra = {"fernique_c_prime": c_prime, "block_l4_c4": c4}
+    out.mkdir(parents=True, exist_ok=True)
+    for name, curve in curves.items():
+        curve.to_csv(out / name)
     _write_sidecar(out / "tail_scan.config.json", "tail-scan",
                    {**opts, **extra})
     print(f"tail curves written to {out}")
     return 0
 
 
-def _cmd_bessel_table(args):
-    opts = _resolve(args, {"count": 100}, {"count": int})
-    out = _outdir(args)
+def _cmd_bessel_table(opts, out):
     table = bessel_zeros(opts["count"])
+    out.mkdir(parents=True, exist_ok=True)
     table.to_csv(out / "bessel_zeros.csv")
     _write_sidecar(out / "bessel_table.config.json", "bessel-table", opts)
     print(f"{table.count} zeros written; z_1 = {table.zeros[0]:.15g}")
     return 0
 
 
-def _cmd_partition(args):
-    defaults = {"dim": 1, "p": 6, "cutoff": math.nan, "ratio": math.nan,
-                "n_modes": 64, "samples": 100000, "seed": 0,
-                "sampler": "plain", "calibration": False}
-    parsers = {"dim": int, "p": _even_p, "cutoff": float, "ratio": float,
-               "n_modes": int, "samples": int, "seed": int, "sampler": str,
-               "calibration": lambda s: s.lower() in ("1", "true", "yes")}
-    opts = _resolve(args, defaults, parsers)
-    out = _outdir(args)
+def _cmd_partition(opts, out):
     cutoff = opts["cutoff"]
     if math.isnan(cutoff):
         if math.isnan(opts["ratio"]):
@@ -221,6 +214,7 @@ def _cmd_partition(args):
         n_samples=opts["samples"], seed=opts["seed"], sampler=opts["sampler"],
         calibration=opts["calibration"])
     rep = gibbs.estimate_partition(cfg)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "partition.json").write_text(rep.to_json())
     print(f"log_estimate={rep.log_estimate:.6g}  "
           f"stderr(rel)={rep.log_std_error:.3g}  "
@@ -243,6 +237,38 @@ def _cmd_verify(args):
     return 0 if failures == 0 else 1
 
 
+# command -> (function, help, options); each option is (name, parser,
+# default), its flag is --name with _ written as -, and a _bool option is a
+# bare flag
+_DIM_P = [("dim", _dim, 1), ("p", _even_p, 6)]
+_COMMANDS = {
+    "ground-state": (_cmd_ground_state, "solve the ground-state problem",
+                     _DIM_P),
+    "threshold-scan": (
+        _cmd_threshold_scan, "divergence scans across cutoff ratios",
+        _DIM_P + [("ratios", _float_list, [0.25, 0.5, 0.75, 0.9, 1.1, 1.5]),
+                  ("schedule", _int_list, [16, 32, 64, 128, 256, 512]),
+                  ("samples", int, 100000), ("seed", int, 0),
+                  ("sampler", _sampler, "soliton")]),
+    "tail-scan": (
+        _cmd_tail_scan, "tail curves against their bounds",
+        _DIM_P + [("n_modes", int, 128), ("samples", int, 100000),
+                  ("seed", int, 0), ("k_list", _int_list, [3, 4, 5]),
+                  ("lambdas", _float_list,
+                   [round(0.25 * i, 4) for i in range(1, 13)]),
+                  ("bernstein_trials", int, 5000)]),
+    "bessel-table": (_cmd_bessel_table, "export the J0 zero table",
+                     [("count", int, 100)]),
+    "partition": (
+        _cmd_partition, "single partition-function estimate at --cutoff K, "
+                        "or at --ratio r (K = r times the critical mass)",
+        _DIM_P + [("cutoff", float, math.nan), ("ratio", float, math.nan),
+                  ("n_modes", int, 64), ("samples", int, 100000),
+                  ("seed", int, 0), ("sampler", _sampler, "plain"),
+                  ("calibration", _bool, False)]),
+}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="gibbslab",
@@ -250,72 +276,31 @@ def main(argv=None) -> int:
         epilog="Environment: GIBBSLAB_WORKERS sets the Monte Carlo worker "
                "count (default 1).")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat key=value option file")
         p.add_argument("--out-dir", default="runs",
                        help="output directory (nothing is written elsewhere)")
-
-    p = sub.add_parser("ground-state", help="solve the ground-state problem")
-    common(p)
-    p.add_argument("--dim", type=int, choices=(1, 2))
-    p.add_argument("--p", type=_even_p)
-    p.set_defaults(fn=_cmd_ground_state)
-
-    p = sub.add_parser("threshold-scan",
-                       help="divergence scans across cutoff ratios")
-    common(p)
-    p.add_argument("--dim", type=int, choices=(1, 2))
-    p.add_argument("--p", type=_even_p)
-    p.add_argument("--ratios", type=_float_list)
-    p.add_argument("--schedule", type=_int_list)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sampler", choices=gibbs.SAMPLERS)
-    p.set_defaults(fn=_cmd_threshold_scan)
-
-    p = sub.add_parser("tail-scan", help="tail curves against their bounds")
-    common(p)
-    p.add_argument("--dim", type=int, choices=(1, 2))
-    p.add_argument("--p", type=_even_p)
-    p.add_argument("--n-modes", dest="n_modes", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--k-list", dest="k_list", type=_int_list)
-    p.add_argument("--lambdas", type=_float_list)
-    p.add_argument("--bernstein-trials", dest="bernstein_trials", type=int)
-    p.set_defaults(fn=_cmd_tail_scan)
-
-    p = sub.add_parser("bessel-table", help="export the J0 zero table")
-    common(p)
-    p.add_argument("--count", type=int)
-    p.set_defaults(fn=_cmd_bessel_table)
-
-    p = sub.add_parser("partition", help="single partition-function estimate")
-    common(p)
-    p.add_argument("--dim", type=int, choices=(1, 2))
-    p.add_argument("--p", type=_even_p)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--ratio", type=float,
-                   help="cutoff as a multiple of the critical mass")
-    p.add_argument("--n-modes", dest="n_modes", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--sampler", choices=gibbs.SAMPLERS)
-    p.add_argument("--calibration", action="store_const", const=True)
-    p.set_defaults(fn=_cmd_partition)
+        for name, parse, _ in options:
+            flag = "--" + name.replace("_", "-")
+            if parse is _bool:
+                p.add_argument(flag, action="store_const", const=True)
+            else:
+                p.add_argument(flag, type=parse)
 
     p = sub.add_parser("verify", help="run the pinned invariant suite")
     p.add_argument("--junit", help="write a JUnit XML report here")
     p.add_argument("--inject-fault", choices=verify.FAULTS,
                    help="deliberately break an internal identity (the suite "
                         "must then fail)")
-    p.set_defaults(fn=_cmd_verify)
 
     args = ap.parse_args(argv)
     try:
         rng.worker_count()
-        return args.fn(args)
+        if args.command == "verify":
+            return _cmd_verify(args)
+        fn, _, options = _COMMANDS[args.command]
+        return fn(_resolve(args, options), Path(args.out_dir))
     except ValueError as exc:
         print(f"{ap.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2

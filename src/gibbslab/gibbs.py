@@ -28,9 +28,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._core import abs_power_mean, weighted_abs_power_sum
-from .bessel import BesselTable, bessel_zeros
+from .bessel import bessel_zeros
 from .groundstate import profile_function, solve_ground_state
-from .radial2d import RadialBasis, min_node_count, radial_basis
+from .radial2d import RadialBasis, radial_basis
 from . import rng
 from .spectral1d import GFF, evaluate_coeff_rows, spectral_weights
 from .tails import TailCurve
@@ -54,7 +54,6 @@ class EnsembleConfig:
     sampler: str = "plain"
     normalization: str = GFF       # 1D spectral weight convention
     grid_size: int | None = None   # 1D; defaults to 4 * n_modes
-    quad_nodes: int | None = None  # 2D; defaults to the basis default
     calibration: bool = False      # replace the Gibbs exponent by 0
 
     def __post_init__(self):
@@ -152,22 +151,22 @@ def _sech_shift_1d(n_modes: int, cutoff: float, frac: float,
 
 
 def _disc_shift_2d(n_modes: int, p: float, cutoff: float, frac: float,
-                   table: BesselTable, basis: RadialBasis) -> np.ndarray:
+                   basis: RadialBasis) -> np.ndarray:
     """Mean shift onto a mass frac*cutoff dilated exponent-p ground-state
     profile of width ~ 8/z_N projected onto the disc modes."""
     if not float(p).is_integer():
         raise ValueError(f"the 2D soliton shift needs an integer p, got {p!r}")
     gs = solve_ground_state(2, int(p))
     phi = profile_function(gs)
-    z_top = table.zeros[n_modes - 1]
-    w = 8.0 / z_top
+    z = basis.table.zeros[:n_modes]
+    w = 8.0 / z[-1]
     r = basis.quad.nodes
     target = (frac * cutoff / gs.mass) * phi(r / w) / w
     a = basis.project(target)[:n_modes]
     mass = math.sqrt(float(np.sum(a * a)))
     if mass > 0:
         a *= min(1.0, frac * cutoff / mass)
-    return table.zeros[:n_modes] * a
+    return z * a
 
 
 # ------------------------------------------------------------- batch machinery
@@ -195,31 +194,20 @@ class _Ensemble1D:
 
 
 class _Ensemble2D:
-    def __init__(self, cfg: EnsembleConfig, table: BesselTable | None,
-                 basis: RadialBasis | None):
+    def __init__(self, cfg: EnsembleConfig, basis: RadialBasis | None):
         self.cfg = cfg
-        if table is None:
-            table = basis.table if basis is not None \
-                else bessel_zeros(cfg.n_modes)
-        if table.count < cfg.n_modes:
-            raise ValueError("Bessel table too short for the config")
         if basis is None:
-            quad = None
-            if cfg.quad_nodes is not None:
-                from .radial2d import disc_quadrature
-                quad = disc_quadrature(cfg.quad_nodes)
-            basis = radial_basis(table, cfg.n_modes, quad)
-        if basis.quad.count < min_node_count(table, cfg.n_modes):
-            raise ValueError("quadrature undersamples the top mode")
-        self.table = table
-        self.basis = basis
+            basis = radial_basis(bessel_zeros(cfg.n_modes), cfg.n_modes)
+        if basis.n_modes < cfg.n_modes:
+            raise ValueError(f"basis holds {basis.n_modes} modes, fewer than "
+                             f"n_modes={cfg.n_modes}")
         self.matrix_t = basis.matrix[:, :cfg.n_modes].T
-        self.inv_z = 1.0 / table.zeros[:cfg.n_modes]
+        self.inv_z = 1.0 / basis.table.zeros[:cfg.n_modes]
         self.area_w = basis.quad.area_weights
         self.theta = None
         if cfg.sampler == "soliton":
             self.theta = _disc_shift_2d(cfg.n_modes, cfg.p, cfg.cutoff,
-                                        SOLITON_MASS_FRACTION, table, basis)
+                                        SOLITON_MASS_FRACTION, basis)
 
     def draw(self, gen, b):
         return gen.standard_normal((b, self.cfg.n_modes))
@@ -232,8 +220,8 @@ class _Ensemble2D:
                 np.sum(coeffs * coeffs, axis=1))
 
 
-def _make_ensemble(cfg, table=None, basis=None):
-    return _Ensemble1D(cfg) if cfg.dim == 1 else _Ensemble2D(cfg, table, basis)
+def _make_ensemble(cfg, basis=None):
+    return _Ensemble1D(cfg) if cfg.dim == 1 else _Ensemble2D(cfg, basis)
 
 
 def _apply_proposal(ens, g):
@@ -284,10 +272,10 @@ def _combine_lse(partials):
     return m, s1, s2, inside
 
 
-def estimate_partition(cfg: EnsembleConfig, table: BesselTable | None = None,
+def estimate_partition(cfg: EnsembleConfig,
                        basis: RadialBasis | None = None) -> EstimatorReport:
     """Importance-weighted mean of the cutoff Gibbs weight."""
-    ens = _make_ensemble(cfg, table, basis)
+    ens = _make_ensemble(cfg, basis)
     ksq = cfg.cutoff * cfg.cutoff
 
     def batch(gen, start, b):
@@ -320,13 +308,12 @@ def estimate_partition(cfg: EnsembleConfig, table: BesselTable | None = None,
 
 
 def constrained_tail(cfg: EnsembleConfig, lam: float,
-                     table: BesselTable | None = None,
                      basis: RadialBasis | None = None,
                      stream_offset: int = 0) -> EstimatorReport:
     """P(||u||_p > lam, ||u||_2 <= K) with its sampling error."""
     if lam < 0:
         raise ValueError("lam must be >= 0")
-    ens = _make_ensemble(cfg, table, basis)
+    ens = _make_ensemble(cfg, basis)
     ksq = cfg.cutoff * cfg.cutoff
 
     def batch(gen, start, b):
@@ -355,7 +342,6 @@ def constrained_tail(cfg: EnsembleConfig, lam: float,
 
 
 def tail_curve(cfg: EnsembleConfig, lams,
-               table: BesselTable | None = None,
                basis: RadialBasis | None = None) -> TailCurve:
     """Constrained tail probabilities on a level grid.
 
@@ -368,7 +354,7 @@ def tail_curve(cfg: EnsembleConfig, lams,
     err = np.empty(len(lams))
     frac = np.empty(len(lams))
     for i, lam in enumerate(lams):
-        rep = constrained_tail(cfg, float(lam), table, basis,
+        rep = constrained_tail(cfg, float(lam), basis,
                                stream_offset=i * n_batches)
         emp[i], err[i], frac[i] = rep.estimate, rep.standard_error, \
             rep.fraction_inside_cutoff
@@ -418,19 +404,13 @@ def divergence_scan(cfg: EnsembleConfig, n_schedule) -> DivergenceVerdict:
     n_schedule = [int(n) for n in n_schedule]
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("schedule must be increasing")
-    table = None
     basis = None
     if cfg.dim == 2:
-        table = bessel_zeros(max(n_schedule))
-        quad = None
-        if cfg.quad_nodes is not None:
-            from .radial2d import disc_quadrature
-            quad = disc_quadrature(cfg.quad_nodes)
-        basis = radial_basis(table, max(n_schedule), quad)
+        basis = radial_basis(bessel_zeros(max(n_schedule)), max(n_schedule))
     logs, errs, fracs = [], [], []
     for n in n_schedule:
         cfg_n = replace(cfg, n_modes=n, grid_size=None)
-        rep = estimate_partition(cfg_n, table, basis)
+        rep = estimate_partition(cfg_n, basis)
         logs.append(rep.log_estimate)
         errs.append(max(rep.log_std_error, 1e-9))
         fracs.append(rep.fraction_inside_cutoff)

@@ -38,7 +38,9 @@ def test_malformed_p_exits_2():
 
 # config files the error cases below name; missing.cfg is never written
 CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
-           "unknown-key.cfg": "banana = 1\n"}
+           "unknown-key.cfg": "banana = 1\n", "dim-3.cfg": "dim = 3\n",
+           "bad-sampler.cfg": "sampler = bogus\n",
+           "bad-bool.cfg": "calibration = ture\ncutoff = 1.0\n"}
 
 
 @pytest.mark.parametrize("args, workers, message", [
@@ -59,6 +61,22 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
      "unknown config key 'banana'"),
     (["partition", "--dim", "1", "--p", "6"], "1",
      "provide either --cutoff or --ratio"),
+    (["threshold-scan", "--ratios", ""], "1",
+     "ratios must list at least one value"),
+    (["tail-scan", "--dim", "1", "--k-list", ""], "1",
+     "k_list must list at least one value"),
+    (["tail-scan", "--dim", "2", "--p", "4", "--k-list", ""], "1",
+     "k_list must list at least one value"),
+    (["tail-scan", "--lambdas", ""], "1",
+     "lambdas must list at least one value"),
+    (["threshold-scan", "--schedule", "32,16", "--samples", "100"], "1",
+     "schedule must be increasing"),
+    (["ground-state", "--config", "dim-3.cfg"], "1",
+     "config key 'dim': dim must be 1 or 2, got 3"),
+    (["threshold-scan", "--config", "bad-sampler.cfg"], "1",
+     "config key 'sampler': sampler must be one of"),
+    (["partition", "--config", "bad-bool.cfg"], "1",
+     "config key 'calibration': expected 1/true/yes or 0/false/no"),
 ])
 def test_domain_errors_exit_2_with_one_line(tmp_path, args, workers,
                                             message):
@@ -73,6 +91,7 @@ def test_domain_errors_exit_2_with_one_line(tmp_path, args, workers,
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert message in proc.stderr
+    assert not (tmp_path / "out").exists()      # a failed run writes nothing
 
 
 def test_bessel_table_command(tmp_path):
@@ -148,6 +167,24 @@ def test_config_file_precedence(tmp_path):
     assert run_cli(["bessel-table", "--config", str(cfgfile), "--count", "10",
                     "--out-dir", str(out2)]) == 0
     assert len((out2 / "bessel_zeros.csv").read_text().splitlines()) == 11
+
+
+def test_config_file_and_flags_give_identical_outputs(tmp_path):
+    opts = {"dim": "1", "p": "6", "n-modes": "32", "samples": "2000",
+            "seed": "5", "k-list": "3,4", "lambdas": "0.5,1.0",
+            "bernstein-trials": "500"}
+    cfgfile = tmp_path / "opts.cfg"
+    cfgfile.write_text("".join(f"{k.replace('-', '_')} = {v}\n"
+                               for k, v in opts.items()))
+    flags = [a for k, v in opts.items() for a in (f"--{k}", v)]
+    by_flag, by_file = tmp_path / "flags", tmp_path / "file"
+    assert run_cli(["tail-scan", *flags, "--out-dir", str(by_flag)]) == 0
+    assert run_cli(["tail-scan", "--config", str(cfgfile),
+                    "--out-dir", str(by_file)]) == 0
+    names = sorted(f.name for f in by_flag.iterdir())
+    assert names == sorted(f.name for f in by_file.iterdir())
+    for name in names:
+        assert (by_flag / name).read_bytes() == (by_file / name).read_bytes()
 
 
 def test_unknown_config_key_rejected(tmp_path):

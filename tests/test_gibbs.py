@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (EnsembleConfig, constrained_tail, divergence_scan,
                             estimate_partition, layer_cake_reconstruct,
                             tail_curve)
 from gibbslab.groundstate import solve_ground_state
+from gibbslab.radial2d import radial_basis
 from gibbslab.tails import TailCurve
 
 
@@ -79,10 +81,13 @@ def test_resolution_validation_rejected_before_sampling():
         estimate_partition(cfg)
     with pytest.raises(ValueError):
         EnsembleConfig(dim=1, p=6, cutoff=-1.0, n_modes=8, n_samples=10)
-    cfg2 = EnsembleConfig(dim=2, p=4, cutoff=1.0, n_modes=64,
-                          n_samples=100, seed=0, quad_nodes=32)
-    with pytest.raises(ValueError):
-        estimate_partition(cfg2)
+
+
+def test_basis_with_too_few_modes_rejected():
+    basis = radial_basis(bessel_zeros(8), 8)
+    cfg = EnsembleConfig(dim=2, p=4, cutoff=1.0, n_modes=16, n_samples=100)
+    with pytest.raises(ValueError, match="basis holds 8 modes, fewer than"):
+        estimate_partition(cfg, basis)
 
 
 def test_nan_cutoff_rejected():
