@@ -8,10 +8,11 @@ precedence CLI > config file > built-in defaults. Config files are flat
 key=value lines whose keys are the option names, written with - or _, and
 a value from a file goes through the same parser as the same value given as
 a flag. GIBBSLAB_WORKERS sets the Monte Carlo worker count. A domain error
-(an out-of-range, empty or missing option, an unreadable or malformed config
-file, or a bad GIBBSLAB_WORKERS) ends with a one-line message and exit
-status 2, as argparse's usage errors do. A command computes its results
-before it creates --out-dir, so a failed run writes nothing.
+(an out-of-range, empty, missing or conflicting option, an unreadable or
+malformed config file, or a bad GIBBSLAB_WORKERS) ends with a one-line
+message and exit status 2, as argparse's usage errors do. A command
+computes its results before it creates --out-dir, so a failed run writes
+nothing.
 """
 import argparse
 import csv
@@ -161,6 +162,9 @@ def _cmd_threshold_scan(opts, out):
 
 
 def _cmd_tail_scan(opts, out):
+    if opts["dim"] == 2 and opts["p"] != 4:
+        raise ValueError(f"the 2D block tails are L4 norms: p must be 4 in "
+                         f"dim 2, got {opts['p']}")
     if opts["dim"] == 1:
         c_hat = max(tails.bernstein_probe(j, opts["p"],
                                           opts["bernstein_trials"],
@@ -204,6 +208,8 @@ def _cmd_bessel_table(opts, out):
 
 def _cmd_partition(opts, out):
     cutoff = opts["cutoff"]
+    if not (math.isnan(cutoff) or math.isnan(opts["ratio"])):
+        raise ValueError("--cutoff and --ratio are mutually exclusive")
     if math.isnan(cutoff):
         if math.isnan(opts["ratio"]):
             raise ValueError("provide either --cutoff or --ratio")

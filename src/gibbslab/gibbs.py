@@ -20,6 +20,16 @@ space is exponentially rare under the plain ensemble: the mixture keeps the
 weights bounded by two while letting the estimator actually visit the
 concentration channel whose growth with the truncation level is the
 observable signature of a divergent partition function.
+
+Each batch is drawn whole (one stream, BATCH_SIZE rows) but synthesized in
+row slices of about SYNTH_BUDGET grid values, so that the spectrum, the grid
+and the |u|^p chain of a slice stay in cache; a batch that fits the budget
+goes through whole. Every row is reduced on its own, so slicing changes no
+result bit. The rows of a slice are a power of two, at least 64: OpenBLAS
+computes the last rows of a 2D matrix product whose row count is not a
+multiple of its 4-row kernel with another kernel that rounds differently
+(slices of 7 or 626 rows moved power_mean by up to 4e-15 relative), and with
+power-of-two slices those rows are the same ones as in the whole batch.
 """
 import json
 import math
@@ -38,6 +48,7 @@ from .tails import TailCurve
 SAMPLERS = ("plain", "tilted", "soliton")
 _LOG_HUGE = 700.0
 BATCH_SIZE = 4096              # samples per stream
+SYNTH_BUDGET = 1 << 19         # grid values per synthesis slice (4 MB)
 TILT_SCALE = 2.0               # tilted: standard deviation of the tilted modes
 TILT_MODES = 4                 # tilted: how many of the lowest modes
 SOLITON_MASS_FRACTION = 0.95   # soliton: shift mass as a fraction of K
@@ -175,7 +186,7 @@ class _Ensemble1D:
     def __init__(self, cfg: EnsembleConfig):
         self.cfg = cfg
         self.weights = spectral_weights(cfg.n_modes, cfg.normalization)
-        self.grid_size = cfg.resolved_grid_size()
+        self.width = cfg.resolved_grid_size()       # grid points per row
         self.theta = None
         if cfg.sampler == "soliton":
             self.theta = _sech_shift_1d(cfg.n_modes, cfg.cutoff,
@@ -188,7 +199,7 @@ class _Ensemble1D:
     def synthesize(self, g):
         """(int |u|^p, ||u||_2^2) per row of Gaussians."""
         coeffs = self.weights * (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
-        vals = evaluate_coeff_rows(coeffs, self.grid_size)
+        vals = evaluate_coeff_rows(coeffs, self.width)
         return (abs_power_mean(vals, self.cfg.p),
                 2.0 * np.sum(np.abs(coeffs) ** 2, axis=1))
 
@@ -204,6 +215,7 @@ class _Ensemble2D:
         self.matrix_t = basis.matrix[:, :cfg.n_modes].T
         self.inv_z = 1.0 / basis.table.zeros[:cfg.n_modes]
         self.area_w = basis.quad.area_weights
+        self.width = basis.quad.count               # quadrature nodes per row
         self.theta = None
         if cfg.sampler == "soliton":
             self.theta = _disc_shift_2d(cfg.n_modes, cfg.p, cfg.cutoff,
@@ -218,6 +230,17 @@ class _Ensemble2D:
         vals = coeffs @ self.matrix_t
         return (weighted_abs_power_sum(vals, self.area_w, self.cfg.p),
                 np.sum(coeffs * coeffs, axis=1))
+
+
+def _synthesize(ens, g):
+    """ens.synthesize(g) run over row slices of about SYNTH_BUDGET grid
+    values and joined per row; bit-identical to the whole batch at once."""
+    if len(g) * ens.width <= SYNTH_BUDGET:
+        return ens.synthesize(g)
+    rows = max(SYNTH_BUDGET // ens.width, 64)
+    rows = 1 << (rows.bit_length() - 1)        # a power of two, see above
+    parts = [ens.synthesize(g[i:i + rows]) for i in range(0, len(g), rows)]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _make_ensemble(cfg, basis=None):
@@ -281,7 +304,7 @@ def estimate_partition(cfg: EnsembleConfig,
     def batch(gen, start, b):
         g = ens.draw(gen, b)
         g, log_w = _apply_proposal(ens, g)
-        power_mean, l2sq = ens.synthesize(g)
+        power_mean, l2sq = _synthesize(ens, g)
         inside = l2sq <= ksq
         expo = log_w if cfg.calibration else log_w + power_mean / cfg.p
         lw = np.where(inside, expo, -math.inf)
@@ -311,34 +334,55 @@ def constrained_tail(cfg: EnsembleConfig, lam: float,
                      basis: RadialBasis | None = None,
                      stream_offset: int = 0) -> EstimatorReport:
     """P(||u||_p > lam, ||u||_2 <= K) with its sampling error."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    return constrained_tails(cfg, [lam], basis, stream_offset)[0]
+
+
+def constrained_tails(cfg: EnsembleConfig, lams,
+                      basis: RadialBasis | None = None,
+                      stream_offset: int = 0) -> list[EstimatorReport]:
+    """constrained_tail at every level of lams from one pass over the draws.
+
+    The levels share their draws, so their errors are correlated; each
+    report is bit-identical to the single-level call.
+    """
+    lams = [float(lam) for lam in lams]
+    for lam in lams:
+        if not lam >= 0:
+            raise ValueError(f"lam must be >= 0, got {lam!r}")
     ens = _make_ensemble(cfg, basis)
     ksq = cfg.cutoff * cfg.cutoff
 
     def batch(gen, start, b):
         g = ens.draw(gen, b)
         g, log_w = _apply_proposal(ens, g)
-        power_mean, l2sq = ens.synthesize(g)
+        power_mean, l2sq = _synthesize(ens, g)
         lp = power_mean ** (1.0 / cfg.p)
-        ind = (l2sq <= ksq) & (lp > lam)
-        w = np.where(ind, np.exp(log_w), 0.0)
-        return (float(w.sum()), float((w * w).sum()),
-                int((l2sq <= ksq).sum()))
+        inside = l2sq <= ksq
+        weight = np.exp(log_w)
+        sums = []
+        for lam in lams:
+            # a 1-D sum per level: summing a (b, levels) array along axis 0
+            # adds in another order and changes the bits
+            w = np.where(inside & (lp > lam), weight, 0.0)
+            sums.append((float(w.sum()), float((w * w).sum())))
+        return int(inside.sum()), sums
 
     parts = _batched(cfg, ens, batch, stream_offset=stream_offset)
-    sw = sum(p[0] for p in parts)
-    sw2 = sum(p[1] for p in parts)
-    inside = sum(p[2] for p in parts)
+    inside = sum(count for count, _ in parts)
     n = cfg.n_samples
-    mean = sw / n
-    var = max(sw2 / n - mean * mean, 0.0)
-    se = math.sqrt(var / n)
-    ess = sw * sw / sw2 if sw2 > 0 else 0.0
-    return EstimatorReport(mean, math.log(mean) if mean > 0 else -math.inf,
-                           se, se / mean if mean > 0 else 0.0, ess,
-                           inside / n, cfg.n_modes, n, cfg.seed,
-                           cfg.to_dict())
+    reports = []
+    for per_batch in zip(*(sums for _, sums in parts)):     # level by level
+        sw = sum(s1 for s1, _ in per_batch)
+        sw2 = sum(s2 for _, s2 in per_batch)
+        mean = sw / n
+        var = max(sw2 / n - mean * mean, 0.0)
+        se = math.sqrt(var / n)
+        ess = sw * sw / sw2 if sw2 > 0 else 0.0
+        reports.append(EstimatorReport(
+            mean, math.log(mean) if mean > 0 else -math.inf, se,
+            se / mean if mean > 0 else 0.0, ess, inside / n, cfg.n_modes, n,
+            cfg.seed, cfg.to_dict()))
+    return reports
 
 
 def tail_curve(cfg: EnsembleConfig, lams,

@@ -77,6 +77,10 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
      "config key 'sampler': sampler must be one of"),
     (["partition", "--config", "bad-bool.cfg"], "1",
      "config key 'calibration': expected 1/true/yes or 0/false/no"),
+    (["tail-scan", "--dim", "2", "--p", "6"], "1",
+     "p must be 4 in dim 2, got 6"),
+    (["partition", "--dim", "1", "--p", "6", "--cutoff", "1.0",
+      "--ratio", "0.5"], "1", "--cutoff and --ratio are mutually exclusive"),
 ])
 def test_domain_errors_exit_2_with_one_line(tmp_path, args, workers,
                                             message):

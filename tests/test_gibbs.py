@@ -7,7 +7,8 @@ import pytest
 from scipy.integrate import quad
 
 from gibbslab.bessel import bessel_zeros
-from gibbslab.gibbs import (EnsembleConfig, constrained_tail, divergence_scan,
+from gibbslab.gibbs import (EnsembleConfig, constrained_tail,
+                            constrained_tails, divergence_scan,
                             estimate_partition, layer_cake_reconstruct,
                             tail_curve)
 from gibbslab.groundstate import solve_ground_state
@@ -120,11 +121,20 @@ def test_constrained_tail_level_zero_is_cutoff_probability():
     assert rep.estimate == rep.fraction_inside_cutoff
 
 
+@pytest.mark.parametrize("lam", [-0.5, math.nan])
+def test_constrained_tail_rejects_bad_level(lam):
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=100)
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        constrained_tail(cfg, lam)
+    with pytest.raises(ValueError, match="lam must be >= 0"):
+        tail_curve(cfg, [0.0, lam])
+
+
 def test_constrained_tail_nonincreasing_in_level():
     cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=16,
                          n_samples=20000, seed=8)
-    vals = [constrained_tail(cfg, lam).estimate
-            for lam in (0.0, 0.2, 0.4, 0.8)]
+    vals = [rep.estimate
+            for rep in constrained_tails(cfg, (0.0, 0.2, 0.4, 0.8))]
     assert all(b <= a for a, b in zip(vals, vals[1:]))
 
 
@@ -180,12 +190,12 @@ def test_constrained_tail_resolvable_window():
     cfg = EnsembleConfig(dim=1, p=6, cutoff=0.5 * gs.mass, n_modes=32,
                          n_samples=10 ** 6, seed=99)
     lams = np.arange(0.5, 0.91, 0.05)
-    probs = np.array([constrained_tail(cfg, float(l)).estimate for l in lams])
+    *reps, deep = constrained_tails(cfg, [*lams, 2.0])   # one pass
+    probs = np.array([rep.estimate for rep in reps])
     assert np.all(np.diff(probs) < 0)
     assert probs[0] > 1e-1 and probs[-1] < 1e-4
     slope = np.polyfit(np.log(lams), np.log(-np.log(probs)), 1)[0]
     assert 1.5 < slope < 4.5
-    deep = constrained_tail(cfg, 2.0)
     assert deep.estimate == 0.0
 
 

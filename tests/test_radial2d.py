@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gibbslab.radial2d import (block_l4_expectation, disc_quadrature,
-                               dyadic_project_radial, evaluate_radial,
-                               grad_l2_spectral, grad_l2_spectral_sq,
-                               min_node_count, radial_basis, radial_lp_norm,
-                               sample_radial, zero_field_radial)
+from gibbslab.radial2d import (RadialField2D, block_l4_expectation,
+                               disc_quadrature, dyadic_project_radial,
+                               evaluate_radial, grad_l2_spectral,
+                               grad_l2_spectral_sq, min_node_count,
+                               radial_basis, radial_lp_norm, sample_radial,
+                               zero_field_radial)
 
 
 def test_sampling_deterministic(table64):
@@ -53,6 +54,25 @@ def test_mode_orthogonality_under_quadrature(table64):
     gram = basis.matrix.T * basis.quad.area_weights @ basis.matrix
     off = gram - np.diag(np.diag(gram))
     assert np.max(np.abs(off)) < 1e-8
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3).filter(lambda x: x == 0.0
+                                            or abs(x) >= 1e-100),
+                min_size=1, max_size=200))
+@example([1.0])
+@example([0.0] * 199 + [1.0])
+def test_parseval_through_the_default_quadrature(table200, coeffs):
+    # ||v||_2^2 by quadrature at the default node count against sum a_n^2;
+    # the Gram matrix of the modes under that rule is within 1e-12 of the
+    # identity up to 200 modes. Parseval is scale-free, so the coefficients
+    # skip magnitudes whose squares would underflow to subnormals.
+    a = np.array(coeffs)
+    basis = radial_basis(table200, len(a))
+    quad_sq = radial_lp_norm(RadialField2D(len(a), a, table200), 2.0,
+                             basis) ** 2
+    spectral_sq = float(np.sum(a * a))
+    assert abs(quad_sq - spectral_sq) <= 1e-11 * spectral_sq
 
 
 def test_expected_l2_mass_matches_analytic_sum(table200):

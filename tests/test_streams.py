@@ -6,16 +6,23 @@ refactor of the sampling code must reproduce them bit for bit. The worker
 test runs every sampler with one and with two worker threads on inputs large
 enough for several batches, and requires identical results. The disc block
 norms are pinned by every 500th of their 5000 values (all three batches); the
-worker test compares all of them.
+worker test compares all of them. The one-pass tail levels and the row
+slices of the synthesis must leave every bit of these results in place.
 """
+import functools
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from gibbslab import gibbs
 from gibbslab.bessel import bessel_zeros
-from gibbslab.gibbs import (EnsembleConfig, constrained_tail,
-                            estimate_partition, tail_curve)
-from gibbslab.radial2d import block_l4_expectation
-from gibbslab.rng import worker_count
+from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
+                            constrained_tails, estimate_partition, tail_curve)
+from gibbslab.radial2d import block_l4_expectation, radial_basis
+from gibbslab.rng import rng_for, worker_count
 from gibbslab.tails import (bernstein_probe, block_norm_samples_2d,
                             block_tail_empirical_2d, chi2_tail_empirical,
                             gaussian_mgf_mc, high_freq_empirical_1d)
@@ -213,6 +220,71 @@ def test_worker_count_does_not_change_samplers(name, monkeypatch):
     monkeypatch.setenv("GIBBSLAB_WORKERS", "2")
     two = WORKER_SAMPLERS[name]()
     assert one == two
+
+
+@pytest.mark.parametrize("name, cfg, lam, offset", [
+    ("constrained-tail-1d", _config(1, "tilted", 17), 0.4, 3),
+    ("constrained-tail-2d", _config(2, "plain", 18), 0.6, 0),
+])
+def test_constrained_tails_match_golden_per_level_calls(name, cfg, lam,
+                                                        offset):
+    lams = [0.0, lam, 0.2, 1.0]
+    reps = constrained_tails(cfg, lams, stream_offset=offset)
+    assert _report(reps[1]) == GOLDEN[name]
+    assert [_report(r) for r in reps] == [
+        _report(constrained_tail(cfg, x, stream_offset=offset))
+        for x in lams]
+
+
+@functools.cache
+def _wide_basis():
+    # more modes than the configs use, as in a divergence scan
+    return radial_basis(bessel_zeros(64), 64)
+
+
+def _sliced_run(dim, sampler, n_samples, rows, workers):
+    """The per-row synthesis of the last batch, then the partition and
+    two-level tail digests, with the synthesis slice budget set to `rows`
+    rows of grid values (None: each batch whole)."""
+    if dim == 1:
+        cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=37,
+                             n_samples=n_samples, seed=41, sampler=sampler)
+        basis = None
+    else:
+        cfg = EnsembleConfig(dim=2, p=4, cutoff=2.0, n_modes=37,
+                             n_samples=n_samples, seed=42, sampler=sampler)
+        basis = _wide_basis()
+    ens = gibbs._make_ensemble(cfg, basis)
+    g = ens.draw(rng_for(cfg.seed, 0), n_samples % BATCH_SIZE or BATCH_SIZE)
+    g, _ = gibbs._apply_proposal(ens, g)
+    budget = rows * ens.width if rows else 1 << 62
+    with mock.patch.object(gibbs, "SYNTH_BUDGET", budget), \
+            mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
+        per_row = np.concatenate(gibbs._synthesize(ens, g)).tobytes()
+        tails = constrained_tails(cfg, [0.0, 0.4], basis, stream_offset=2)
+        return [per_row, _report(estimate_partition(cfg, basis))] \
+            + [_report(r) for r in tails]
+
+
+@functools.cache
+def _whole_batches(dim, sampler, n_samples):
+    return _sliced_run(dim, sampler, n_samples, None, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]), sampler=st.sampled_from(gibbs.SAMPLERS),
+       n_samples=st.sampled_from([4096, 5003, 9000]),
+       rows=st.integers(0, 12).flatmap(
+           lambda k: st.integers(1 << k, (2 << k) - 1)),
+       workers=st.sampled_from([1, 2]))
+@example(dim=2, sampler="soliton", n_samples=5003, rows=99, workers=2)
+def test_synthesis_slices_do_not_change_results(dim, sampler, n_samples,
+                                                rows, workers):
+    # a budget of `rows` rows, log-uniform from 1 to 8191, gives slices from
+    # the 64-row floor up to a whole 4096-row batch; 5003 and 9000 samples
+    # end on a short batch (907 and 808 rows)
+    assert _sliced_run(dim, sampler, n_samples, rows, workers) \
+        == _whole_batches(dim, sampler, n_samples)
 
 
 @pytest.mark.parametrize("text", ["abc", "0", "-1", "1.5"])
