@@ -26,6 +26,11 @@ from .spectral1d import (dyadic_project, evaluate_grid, h1_seminorm_sq,
 FAULTS = ("j1-normalization",)
 
 
+def normal_two_sided_tail(x):
+    """P(|Z| > x) for a standard normal Z: the oracle of the tail checks."""
+    return 2 * (1 - normal_dist.cdf(x))
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -203,7 +208,7 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
 
     def chi2_lemma():
         curve = tails.chi2_tail_empirical(1, [3.0, 3.5], 10 ** 6, seed=110)
-        oracle = 2 * (1 - normal_dist.cdf(3.0))
+        oracle = normal_two_sided_tail(3.0)
         dev = abs(curve.empirical[0] - oracle) / curve.err[0]
         dominated = np.all(curve.empirical <= curve.theoretical + 3 * curve.err)
         return dominated and dev < 3, (
@@ -249,7 +254,7 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         ts = np.array([1.5, 2.0, 3.0])
         fp = tails.fernique_probe(x, ts)
         mean = math.sqrt(2 / math.pi)
-        oracle = 2 * (1 - normal_dist.cdf(ts * mean))
+        oracle = normal_two_sided_tail(ts * mean)
         err = np.sqrt(oracle * (1 - oracle) / len(x))
         dev = np.max(np.abs(fp.empirical - oracle) / err)
         return dev < 3 and fp.c_hat > 0, f"max deviation {dev:.2f} sigma"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm as normal_dist
 
+from gibbslab import verify
 from gibbslab.rng import rng_for
 from gibbslab.spectral1d import SpectralField1D, GFF
 from gibbslab.tails import (TailCurve, bernstein_probe, bernstein_ratio,
@@ -66,6 +67,27 @@ def test_mgf_quadrature_grid():
         for m in (1, 2, 4, 8):
             exact = gaussian_mgf(c, m)
             assert abs(gaussian_mgf_quadrature(c, m) - exact) < 1e-10 * exact
+
+
+# float.hex of the quadrature, taken while it still called scipy.stats.chi2
+MGF_QUADRATURE_GOLDEN = {(0.3, 1): "0x1.94c583ada5f41p+0",
+                         (0.2, 4): "0x1.638e38e38e38ep+1"}
+
+
+@pytest.mark.parametrize("c, m", sorted(MGF_QUADRATURE_GOLDEN))
+def test_mgf_quadrature_golden(c, m):
+    assert gaussian_mgf_quadrature(c, m).hex() == MGF_QUADRATURE_GOLDEN[c, m]
+
+
+def test_verify_normal_oracles_golden():
+    # the oracle values of verify's chi-square-tail-lemma (x = 3) and
+    # fernique-normal-oracle (x = t sqrt(2/pi), t = 1.5, 2, 3) checks,
+    # taken while they called scipy.stats.norm.cdf
+    tail = verify.normal_two_sided_tail
+    assert float(tail(3.0)).hex() == "0x1.61de1f985b600p-9"
+    ts = np.array([1.5, 2.0, 3.0]) * math.sqrt(2 / math.pi)
+    assert [float(v).hex() for v in tail(ts)] == [
+        "0x1.d9daa3d964c30p-3", "0x1.c4c5f52f292d0p-4", "0x1.114f3ed7857c0p-6"]
 
 
 def test_mgf_monte_carlo_finite_variance_regime():
