@@ -7,7 +7,10 @@ all functionals are then analytic. In two dimensions the radial profile is
 one damped Newton solve of a fourth-order finite-difference discretization,
 started from the 1D closed-form profile of the same p (the 2D equation only
 adds the (p-2) phi'/r term); its converged max-norm residual certifies the
-profile. Masses are Richardson-extrapolated from two grids.
+profile. Masses are Richardson-extrapolated from two grids. Only the 2D
+solve, the spline of profile_function and the J functional need scipy beyond
+scipy.special, so they import scipy.linalg, scipy.integrate and
+scipy.interpolate when first called, and the 1D path never loads them.
 
 Two constants are exposed per ground state:
 
@@ -24,10 +27,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.interpolate import CubicSpline
-from scipy.linalg import solve_banded
 from scipy.special import beta as beta_fn
+# imported where used: scipy.integrate and .interpolate pull in scipy.optimize
 
 from .radial2d import (RadialBasis, RadialField2D, grad_l2_spectral_sq,
                        l2_norm_spectral_radial, radial_lp_norm)
@@ -139,6 +140,8 @@ def _newton_2d(p: int, r_max: float, n_cells: int, guess):
     Rows 0..n-3 impose the equation (with the even extension across r = 0);
     the last two values are clamped to zero. Returns (grid, profile, residual).
     """
+    from scipy.linalg import solve_banded
+
     h = r_max / n_cells
     n = n_cells + 1
     r = np.arange(n) * h
@@ -228,6 +231,8 @@ def _fd_derivative(f, h):
 
 
 def _solve_2d(p: int) -> GroundState:
+    from scipy.integrate import simpson
+
     mu = math.sqrt((p + 2) / (p - 2))
     r_max = (math.log(1e10) + 3.0) / mu
     # the 2D equation adds only the (p-2) phi'/r term to the 1D one, so the
@@ -268,6 +273,8 @@ def _solve_2d(p: int) -> GroundState:
 
 def profile_function(gs: GroundState):
     """Cubic-spline evaluator phi(|x|), zero beyond the stored grid."""
+    from scipy.interpolate import CubicSpline
+
     spline = CubicSpline(gs.grid, gs.profile,
                          bc_type=((1, 0.0), (1, 0.0)))
     edge = gs.grid[-1]
@@ -306,6 +313,8 @@ def _fd4(values: np.ndarray, h: float) -> np.ndarray:
 def gns_functional(grid: np.ndarray, values: np.ndarray, dim: int,
                    p: float) -> float:
     """J(f) for a gridded profile (full line for dim=1, radial for dim=2)."""
+    from scipy.integrate import simpson
+
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     h = grid[1] - grid[0]

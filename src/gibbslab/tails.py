@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .radial2d import BesselTable, _disc_l4_norms
 from .rng import batches
@@ -103,13 +104,15 @@ def gaussian_mgf(c: float, m_dof: int) -> float:
 def gaussian_mgf_quadrature(c: float, m_dof: int) -> float:
     """Independent quadrature of the same Gaussian integral."""
     from scipy.integrate import quad
-    from scipy.stats import chi2
 
     if c >= 0.5:
         return math.inf
 
     def integrand(t):
-        return math.exp(c * t + chi2.logpdf(t, m_dof))
+        # the chi-square(M) log density, written as scipy.stats.chi2 does
+        logpdf = (xlogy(m_dof / 2. - 1, t) - t / 2. - gammaln(m_dof / 2.)
+                  - (np.log(2) * m_dof) / 2.)
+        return math.exp(c * t + logpdf)
 
     val, _ = quad(integrand, 0.0, np.inf, limit=400)
     return val

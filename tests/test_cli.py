@@ -225,3 +225,32 @@ def test_commands_write_only_inside_out_dir(tmp_path, monkeypatch):
     run_cli(["ground-state", "--dim", "1", "--p", "4", "--out-dir", str(out)])
     assert list(workdir.iterdir()) == []
     assert (out / "summary.json").exists()
+
+
+# scipy subpackages that a 1D command never runs; scipy.integrate and
+# scipy.interpolate each pull in scipy.optimize, and scipy.stats all three
+UNUSED_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate",
+                "scipy.interpolate", "scipy.linalg")
+
+
+def test_cli_loads_only_the_scipy_it_runs(tmp_path):
+    code = f"""
+import sys
+
+def loaded():
+    return [m for m in {UNUSED_SCIPY!r} if m in sys.modules]
+
+import gibbslab.cli
+assert loaded() == [], f"on import: {{loaded()}}"
+assert gibbslab.cli.main([
+    "threshold-scan", "--dim", "1", "--p", "6", "--ratios", "0.5",
+    "--schedule", "16,32", "--samples", "500", "--seed", "1",
+    "--out-dir", {str(tmp_path / "scan")!r}]) == 0
+assert loaded() == [], f"after a 1D scan: {{loaded()}}"
+from gibbslab import tails
+tails.gaussian_mgf_quadrature(0.3, 1)
+assert "scipy.stats" not in sys.modules, "after the MGF quadrature"
+"""
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
