@@ -161,10 +161,23 @@ def _cmd_threshold_scan(opts, out):
     return 0
 
 
+# dyadic blocks whose L4 expectation sets the 2D tail constant C4; block j
+# spans modes 2^(j-1)+1 .. 2^j, so --n-modes must reach 2^5 in dim 2
+_C4_BLOCKS = (3, 4, 5)
+
+
 def _cmd_tail_scan(opts, out):
+    for lam in opts["lambdas"]:
+        if not 0 < lam < math.inf:
+            raise ValueError(f"lambdas must be finite and positive, got {lam}")
     if opts["dim"] == 2 and opts["p"] != 4:
         raise ValueError(f"the 2D block tails are L4 norms: p must be 4 in "
                          f"dim 2, got {opts['p']}")
+    if opts["dim"] == 2 and opts["n_modes"] < 2 ** _C4_BLOCKS[-1]:
+        raise ValueError(
+            f"n_modes must be at least {2 ** _C4_BLOCKS[-1]} in dim 2, the "
+            f"top mode of the block-{_C4_BLOCKS[-1]} L4 probe, "
+            f"got {opts['n_modes']}")
     if opts["dim"] == 1:
         c_hat = max(tails.bernstein_probe(j, opts["p"],
                                           opts["bernstein_trials"],
@@ -182,7 +195,7 @@ def _cmd_tail_scan(opts, out):
         c_prime = tails.fernique_probe(norms, [1.5, 2.0, 3.0]).c_hat
         c4 = max(block_l4_expectation(j, 2000, table,
                                       seed=opts["seed"] + 2)[0] * 2 ** (j / 2)
-                 for j in (3, 4, 5))
+                 for j in _C4_BLOCKS)
         curves = {f"block_tail_k{k}.csv": tails.block_tail_empirical_2d(
             k, opts["lambdas"], opts["n_modes"], opts["samples"], table,
             seed=opts["seed"], c_prime=c_prime, c4=c4)

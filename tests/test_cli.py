@@ -81,6 +81,18 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
      "p must be 4 in dim 2, got 6"),
     (["partition", "--dim", "1", "--p", "6", "--cutoff", "1.0",
       "--ratio", "0.5"], "1", "--cutoff and --ratio are mutually exclusive"),
+    (["tail-scan", "--dim", "2", "--p", "4", "--lambdas", "nan,0.5"], "1",
+     "lambdas must be finite and positive, got nan"),
+    (["tail-scan", "--dim", "2", "--p", "4", "--lambdas=-1"], "1",
+     "lambdas must be finite and positive, got -1.0"),
+    (["tail-scan", "--dim", "1", "--lambdas", "0.5,inf"], "1",
+     "lambdas must be finite and positive, got inf"),
+    (["tail-scan", "--dim", "1", "--lambdas", "nan,0.5"], "1",
+     "lambdas must be finite and positive, got nan"),
+    (["tail-scan", "--dim", "1", "--lambdas", "0.5,0"], "1",
+     "lambdas must be finite and positive, got 0.0"),
+    (["tail-scan", "--dim", "2", "--p", "4", "--n-modes", "31"], "1",
+     "n_modes must be at least 32 in dim 2"),
 ])
 def test_domain_errors_exit_2_with_one_line(tmp_path, args, workers,
                                             message):
