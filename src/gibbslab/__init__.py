@@ -7,27 +7,23 @@ inequalities that control the ensembles, and runs the truncation divergence
 scans for the partition functions.
 """
 from ._core import BACKEND
-from .bessel import BesselTable, bessel_j0, bessel_j1, bessel_zeros
+from .bessel import BesselTable, bessel_j0, bessel_zeros
 from .gibbs import (DivergenceVerdict, EnsembleConfig, EstimatorReport,
                     LayerCakeResult, constrained_tail, divergence_scan,
                     estimate_partition, layer_cake_reconstruct, tail_curve)
-from .groundstate import (GroundState, disc_gns_check, gns_constant,
-                          gns_functional, gns_minimum, periodic_gns_probe,
+from .groundstate import (GroundState, disc_gns_check, gns_functional,
                           profile_function, solve_ground_state)
 from .radial2d import (DiscQuadrature, RadialBasis, RadialField2D,
-                       block_l4_expectation, disc_quadrature,
-                       dyadic_project_radial, evaluate_radial,
-                       grad_l2_spectral, grad_l2_spectral_sq,
-                       l2_norm_spectral_radial, radial_basis, radial_lp_norm,
-                       sample_radial, zero_field_radial)
+                       block_l4_expectation, disc_quadrature, evaluate_radial,
+                       grad_l2_spectral_sq, l2_norm_spectral_radial,
+                       radial_basis, radial_lp_norm, sample_radial)
 from .rng import rng_for
-from .spectral1d import (GFF, PAPER_LITERAL, GridSamples1D, SpectralField1D,
-                         dyadic_project, evaluate_grid, field_from_json,
-                         field_to_json, h1_seminorm, h1_seminorm_sq,
-                         l2_norm_spectral, lp_norm, sample_loop, zero_field)
+from .spectral1d import (GFF, PAPER_LITERAL, SpectralField1D, dyadic_project,
+                         evaluate_grid, h1_seminorm_sq, l2_norm_spectral,
+                         lp_norm, sample_loop)
 from .tails import (BernsteinProbe, Block2DBound, DyadicSchedule,
                     FerniqueProbe, HighFreqBound, TailCurve, bernstein_probe,
-                    bernstein_ratio, block_norm_samples_2d, block_tail_2d,
+                    block_norm_samples_2d, block_tail_2d,
                     block_tail_empirical_2d, chi2_tail_bound,
                     chi2_tail_empirical, dyadic_schedule, fernique_probe,
                     gaussian_mgf, gaussian_mgf_mc, gaussian_mgf_quadrature,

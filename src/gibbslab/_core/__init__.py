@@ -50,7 +50,7 @@ def j1_array(x):
 
 
 def j01_arrays(x):
-    """(J0(x), J1(x)); kept as a public name that callers and the
-    benchmark's tracer bind to."""
+    """(J0(x), J1(x)); nothing in the package calls it, but the benchmark's
+    tracer binds it by name, so it stays until that tracer drops it."""
     x = _bessel_arg(x)
     return special.j0(x), special.j1(x)

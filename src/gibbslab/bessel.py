@@ -1,4 +1,4 @@
-"""Zero-order Bessel machinery: J0/J1 evaluation and certified J0 zeros.
+"""Zero-order Bessel machinery: J0 evaluation and certified J0 zeros.
 
 J0 and J1 are scipy.special's, and the zeros come from
 scipy.special.jn_zeros. Every table is certified against the table
@@ -19,14 +19,6 @@ ZERO_RESIDUAL_TOL = 1e-12
 def bessel_j0(x):
     """J0 at a scalar or array argument, x >= 0."""
     out = j0_array(np.asarray(x, dtype=float))
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(np.ravel(out)[0])
-    return out
-
-
-def bessel_j1(x):
-    """J1 at a scalar or array argument, x >= 0."""
-    out = j1_array(np.asarray(x, dtype=float))
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(np.ravel(out)[0])
     return out

@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, gibbs, rng, tails, verify
+from . import __version__, gibbs, rng, spectral1d, tails, verify
 from .bessel import bessel_zeros
 from .groundstate import solve_ground_state
 from .radial2d import block_l4_expectation
@@ -129,6 +129,9 @@ def _cmd_ground_state(opts, out):
 
 
 def _cmd_threshold_scan(opts, out):
+    for ratio in opts["ratios"]:
+        if not ratio >= 0:
+            raise ValueError(f"ratios must be nonnegative, got {ratio}")
     gs = solve_ground_state(opts["dim"], opts["p"])   # never hard-coded
     rows = []
     for ratio in opts["ratios"]:
@@ -170,6 +173,11 @@ def _cmd_tail_scan(opts, out):
     for lam in opts["lambdas"]:
         if not 0 < lam < math.inf:
             raise ValueError(f"lambdas must be finite and positive, got {lam}")
+    for k in opts["k_list"]:
+        # the samplers' own window rule: an empty window samples a zero field
+        if not spectral1d._window("high", k, opts["n_modes"]).any():
+            raise ValueError(f"k_list level {k} has an empty high-frequency "
+                             f"window at n_modes {opts['n_modes']}")
     if opts["dim"] == 2 and opts["p"] != 4:
         raise ValueError(f"the 2D block tails are L4 norms: p must be 4 in "
                          f"dim 2, got {opts['p']}")
@@ -226,6 +234,8 @@ def _cmd_partition(opts, out):
     if math.isnan(cutoff):
         if math.isnan(opts["ratio"]):
             raise ValueError("provide either --cutoff or --ratio")
+        if opts["ratio"] < 0:
+            raise ValueError(f"ratio must be nonnegative, got {opts['ratio']}")
         gs = solve_ground_state(opts["dim"], opts["p"])
         cutoff = opts["ratio"] * gs.mass
     cfg = gibbs.EnsembleConfig(

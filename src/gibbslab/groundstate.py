@@ -32,8 +32,6 @@ from scipy.special import beta as beta_fn
 
 from .radial2d import (RadialBasis, RadialField2D, grad_l2_spectral_sq,
                        l2_norm_spectral_radial, radial_lp_norm)
-from .spectral1d import (GFF, evaluate_grid, h1_seminorm, l2_norm_spectral,
-                         lp_norm, sample_loop)
 
 RESIDUAL_TOL = 1e-8
 
@@ -287,16 +285,6 @@ def profile_function(gs: GroundState):
     return phi
 
 
-def gns_constant(gs: GroundState) -> float:
-    """Bookkeeping constant (p/2) mass^(2-p) of a solved ground state."""
-    return (gs.p / 2.0) * gs.mass ** (2 - gs.p)
-
-
-def gns_minimum(gs: GroundState) -> float:
-    """Attained minimum of the interpolation functional."""
-    return gs.j_min
-
-
 def _fd4(values: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order first derivative on a uniform grid."""
     f = values
@@ -333,35 +321,6 @@ def gns_functional(grid: np.ndarray, values: np.ndarray, dim: int,
     l2 = math.sqrt(float(simpson(values * values * w, dx=h)))
     gr = math.sqrt(float(simpson(d * d * w, dx=h)))
     return _j_value(dim, p, gr, l2, lp_p)
-
-
-def periodic_gns_probe(margin: float, corpus_size: int, *, p: int = 6,
-                       n_modes: int = 64, grid_size: int | None = None,
-                       seed: int = 0,
-                       sharp_constant: float | None = None) -> float:
-    """Empirical lower bound for the additive constant in the periodic
-    interpolation inequality with a sharp-constant margin.
-
-    Over a corpus of sampled loops u, returns the maximum of
-    (|u|_p^p - (C+margin) |u'|^((p-2)/2) |u|^((p+2)/2)) / |u|^p, so any
-    admissible additive constant must be at least the returned value.
-    """
-    if margin <= 0:
-        raise ValueError("margin must be positive")
-    if sharp_constant is None:
-        sharp_constant = solve_ground_state(1, p).sharp_constant
-    if grid_size is None:
-        grid_size = max(4 * n_modes, (p + 1) * n_modes)
-    c = sharp_constant + margin
-    best = -math.inf
-    for stream in range(corpus_size):
-        u = sample_loop(seed, stream, n_modes, GFF)
-        lp_p = lp_norm(evaluate_grid(u, grid_size), p) ** p
-        l2 = l2_norm_spectral(u)
-        h1 = h1_seminorm(u)
-        val = (lp_p - c * h1 ** ((p - 2) / 2.0) * l2 ** ((p + 2) / 2.0)) / l2 ** p
-        best = max(best, val)
-    return best
 
 
 def disc_gns_check(field: RadialField2D, basis: RadialBasis,

@@ -120,10 +120,6 @@ class RadialField2D:
             raise ValueError("non-finite coefficient")
 
 
-def zero_field_radial(n_modes: int, table: BesselTable) -> RadialField2D:
-    return RadialField2D(n_modes, np.zeros(n_modes), table)
-
-
 def sample_radial(seed: int, stream: int, n_modes: int,
                   table: BesselTable) -> RadialField2D:
     """a_n = g_n / z_n with standard real Gaussians g_n; pure in (seed, stream)."""
@@ -159,21 +155,6 @@ def grad_l2_spectral_sq(field: RadialField2D) -> float:
         return float(np.sum(field.gaussians * field.gaussians))
     za = field.table.zeros[:field.n_modes] * field.coeffs
     return float(np.sum(za * za))
-
-
-def grad_l2_spectral(field: RadialField2D) -> float:
-    return float(np.sqrt(grad_l2_spectral_sq(field)))
-
-
-def dyadic_project_radial(field: RadialField2D, kind: str,
-                          k: int) -> RadialField2D:
-    """Dyadic window on the mode index (same tiling as the 1D module)."""
-    keep = _window(kind, k, field.n_modes)
-    coeffs = np.where(keep, field.coeffs, 0.0)
-    g = None
-    if field.gaussians is not None:
-        g = np.where(keep, field.gaussians, 0.0)
-    return RadialField2D(field.n_modes, coeffs, field.table, g)
 
 
 def _disc_l4_norms(keep: np.ndarray, n_samples: int, table: BesselTable,

@@ -2,13 +2,13 @@
 
 Every Monte Carlo draw in the package is a pure function of (seed, stream):
 stream k of seed s is the Philox generator keyed by SeedSequence(s, spawn_key=(k,)).
-There is one stream layout:
+Streams are laid out in two ways:
 
-  * a multi-batch sampler goes through batches(), where batch i draws from
-    stream offset + i (the offset lets one seed feed several independent
-    runs, e.g. the levels of a tail curve);
+  * every multi-batch sampler goes through batches(), where batch i draws
+    from stream offset + i (the offset lets one seed feed several
+    independent runs, e.g. the levels of a tail curve);
   * the per-field helpers (sample_loop, sample_radial) draw field k from
-    stream k.
+    stream k; only verify's field checks and the tests call them.
 
 GIBBSLAB_WORKERS sets how many threads run the batches. batches() returns
 the batch results in stream order and callers reduce them in that order, so

@@ -14,7 +14,6 @@ Dyadic windows are indexed so that consecutive low/high projections tile the
 spectrum exactly: low(k) keeps 1 <= |n| <= 2^k, high(k) keeps |n| > 2^(k-1),
 and block(k) = low(k) minus low(k-1) (block 0 is the single frequency 1).
 """
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,34 +54,12 @@ class SpectralField1D:
         if not np.all(np.isfinite(self.coeffs_pos.view(float))):
             raise ValueError("non-finite coefficient")
 
-    def coeff(self, n: int) -> complex:
-        """Signed-frequency coefficient (Hermitian symmetry for n < 0)."""
-        if n == 0 or abs(n) > self.n_modes:
-            return 0.0j
-        c = self.coeffs_pos[abs(n) - 1]
-        return c if n > 0 else np.conj(c)
-
-
-@dataclass(frozen=True)
-class GridSamples1D:
-    """Real field values on the uniform grid x_m = m/M."""
-
-    grid_size: int
-    values: np.ndarray
-    n_modes: int                    # of the field these were evaluated from
-
-
-def zero_field(n_modes: int, normalization: str = GFF) -> SpectralField1D:
-    return SpectralField1D(n_modes, np.zeros(n_modes, dtype=complex),
-                           normalization)
-
 
 def sample_loop(seed: int, stream: int, n_modes: int,
                 normalization: str = GFF) -> SpectralField1D:
     """Draw one loop; a pure function of (seed, stream)."""
     if n_modes < 1:
-        raise ValueError("n_modes must be >= 1 (use zero_field for the "
-                         "empty field)")
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     g = rng_for(seed, stream).standard_normal((n_modes, 2))
     w = spectral_weights(n_modes, normalization)
     coeffs = w * (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
@@ -115,10 +92,9 @@ def dyadic_project(field: SpectralField1D, kind: str, k: int) -> SpectralField1D
     return SpectralField1D(field.n_modes, coeffs, field.normalization, g)
 
 
-def evaluate_grid(field: SpectralField1D, grid_size: int) -> GridSamples1D:
-    """Field values on the uniform M-point grid via the inverse FFT."""
-    values = evaluate_coeff_rows(field.coeffs_pos[None, :], grid_size)[0]
-    return GridSamples1D(grid_size, values, field.n_modes)
+def evaluate_grid(field: SpectralField1D, grid_size: int) -> np.ndarray:
+    """Field values on the uniform M-point grid x_m = m/M via the inverse FFT."""
+    return evaluate_coeff_rows(field.coeffs_pos[None, :], grid_size)[0]
 
 
 def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int) -> np.ndarray:
@@ -133,11 +109,11 @@ def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int) -> np.ndarray:
     return grid_size * np.fft.irfft(spec, n=grid_size, axis=-1)
 
 
-def lp_norm(samples: GridSamples1D, p: float) -> float:
-    """Rectangle-rule L^p norm on the unit circle."""
+def lp_norm(values: np.ndarray, p: float) -> float:
+    """Rectangle-rule L^p norm on the unit circle of uniform grid values."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return float(abs_power_mean(samples.values, p)) ** (1.0 / p)
+    return float(abs_power_mean(values, p)) ** (1.0 / p)
 
 
 def l2_norm_spectral(field: SpectralField1D) -> float:
@@ -161,36 +137,3 @@ def h1_seminorm_sq(field: SpectralField1D) -> float:
     n = np.arange(1, field.n_modes + 1, dtype=float)
     return 2.0 * float(np.sum((2.0 * np.pi * n) ** 2
                               * np.abs(field.coeffs_pos) ** 2))
-
-
-def h1_seminorm(field: SpectralField1D) -> float:
-    return float(np.sqrt(h1_seminorm_sq(field)))
-
-
-def field_to_json(field: SpectralField1D) -> str:
-    """Snapshot record with both frequency signs listed explicitly."""
-    coeffs = []
-    for n in range(-field.n_modes, field.n_modes + 1):
-        if n == 0:
-            continue
-        c = field.coeff(n)
-        coeffs.append([n, float(c.real), float(c.imag)])
-    return json.dumps({"n_modes": field.n_modes,
-                       "normalization": field.normalization,
-                       "coeffs": coeffs})
-
-
-def field_from_json(text: str) -> SpectralField1D:
-    rec = json.loads(text)
-    n_modes = int(rec["n_modes"])
-    coeffs = np.zeros(n_modes, dtype=complex)
-    seen = {}
-    for n, re, im in rec["coeffs"]:
-        seen[int(n)] = complex(re, im)
-    for n in range(1, n_modes + 1):
-        cpos = seen.get(n, 0.0j)
-        cneg = seen.get(-n, 0.0j)
-        if abs(np.conj(cneg) - cpos) > 1e-12 * (1.0 + abs(cpos)):
-            raise ValueError(f"record is not Hermitian at frequency {n}")
-        coeffs[n - 1] = cpos
-    return SpectralField1D(n_modes, coeffs, rec["normalization"])

@@ -18,7 +18,7 @@ from scipy.special import gammaln, xlogy
 from .radial2d import BesselTable, _disc_l4_norms
 from .rng import batches
 from .spectral1d import (GFF, SpectralField1D, evaluate_coeff_rows,
-                         l2_norm_spectral, spectral_weights, _window)
+                         spectral_weights, _window)
 from ._core import abs_power_mean
 
 
@@ -144,18 +144,6 @@ class BernsteinProbe:
     block: int
     p: float
     trials: int
-
-
-def bernstein_ratio(block_field: SpectralField1D, j: int, p: float,
-                    grid_size: int | None = None) -> float:
-    """||u_j||_p / (2^(j(1/2-1/p)) ||u_j||_2) for a block-supported field."""
-    n = block_field.n_modes
-    if grid_size is None:
-        grid_size = max(4, int(p) + 2) * n
-    vals = evaluate_coeff_rows(block_field.coeffs_pos[None, :], grid_size)[0]
-    num = float(abs_power_mean(vals, p)) ** (1.0 / p)
-    den = 2.0 ** (j * (0.5 - 1.0 / p)) * l2_norm_spectral(block_field)
-    return num / den
 
 
 def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> BernsteinProbe:

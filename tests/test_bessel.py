@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from gibbslab.bessel import BesselTable, bessel_j0, bessel_j1, bessel_zeros
+from gibbslab.bessel import BesselTable, bessel_j0, bessel_zeros
 
 
 def _series_j0(x):
@@ -36,10 +36,6 @@ def _bisect(f, lo, hi):
 
 def test_j0_at_zero_is_one():
     assert bessel_j0(0.0) == 1.0
-
-
-def test_j1_at_zero_vanishes():
-    assert bessel_j1(0.0) == 0.0
 
 
 def test_first_zero_matches_series_bisection():

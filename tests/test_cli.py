@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +94,19 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
      "lambdas must be finite and positive, got 0.0"),
     (["tail-scan", "--dim", "2", "--p", "4", "--n-modes", "31"], "1",
      "n_modes must be at least 32 in dim 2"),
+    (["tail-scan", "--dim", "2", "--p", "4", "--n-modes", "32", "--k-list",
+      "7", "--samples", "500", "--lambdas", "0.5"], "1",
+     "k_list level 7 has an empty high-frequency window at n_modes 32"),
+    (["tail-scan", "--dim", "1", "--n-modes", "16", "--k-list", "6"], "1",
+     "k_list level 6 has an empty high-frequency window at n_modes 16"),
+    (["tail-scan", "--dim", "1", "--n-modes", "0"], "1",
+     "k_list level 3 has an empty high-frequency window at n_modes 0"),
+    (["threshold-scan", "--ratios", "-0.5"], "1",
+     "ratios must be nonnegative, got -0.5"),
+    (["threshold-scan", "--ratios", "0.5,nan"], "1",
+     "ratios must be nonnegative, got nan"),
+    (["partition", "--dim", "1", "--p", "6", "--ratio", "-0.5"], "1",
+     "ratio must be nonnegative, got -0.5"),
 ])
 def test_domain_errors_exit_2_with_one_line(tmp_path, args, workers,
                                             message):
@@ -266,3 +280,18 @@ assert "scipy.stats" not in sys.modules, "after the MGF quadrature"
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_binds(tmp_path):
+    # perfbench/spans.py rebinds package functions by name (and the private
+    # gibbs._batched); a deleted or renamed one fails it before the run
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "spans.py"),
+         str(tmp_path / "trace.json"), "bessel-table", "--count", "5",
+         "--out-dir", str(tmp_path / "out")],
+        cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads((tmp_path / "trace.json").read_text())
+    assert trace["calls"]["bessel.zeros"] == 1

@@ -10,8 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab.groundstate import (disc_gns_check, gns_constant, gns_functional,
-                                  gns_minimum, periodic_gns_probe,
+from gibbslab.groundstate import (disc_gns_check, gns_functional,
                                   profile_function, solve_ground_state)
 from gibbslab.radial2d import RadialField2D, radial_basis, sample_radial
 from gibbslab.rng import rng_for
@@ -143,7 +142,7 @@ def test_gns_constant_1d_p6_value():
 def test_gns_constant_identity_exact():
     for dim, p in ((1, 4), (1, 6), (2, 4)):
         gs = solve_ground_state(dim, p)
-        assert abs(gns_constant(gs) * gs.mass ** (p - 2) - p / 2.0) < 1e-12
+        assert abs(gs.gns_constant * gs.mass ** (p - 2) - p / 2.0) < 1e-12
 
 
 def test_gns_constant_2d_form():
@@ -186,7 +185,7 @@ def test_gaussian_bump_above_minimum():
     grid = _grids(1)
     f = np.exp(-grid ** 2)
     gs = solve_ground_state(1, 6)
-    assert gns_functional(grid, f, 1, 6) >= gns_minimum(gs)
+    assert gns_functional(grid, f, 1, 6) >= gs.j_min
 
 
 def test_perturbed_minimizer_above_minimum():
@@ -225,43 +224,6 @@ def test_functional_rejects_vanishing_input():
     grid = _grids(1)
     with pytest.raises(ValueError):
         gns_functional(grid, np.zeros_like(grid), 1, 6)
-
-
-# ------------------------------------------------------------ periodic probe
-
-def test_periodic_probe_finite_and_monotone():
-    vals = {m: periodic_gns_probe(m, 60, p=6, n_modes=32, seed=77)
-            for m in (0.1, 1.0, 10.0)}
-    for v in vals.values():
-        assert math.isfinite(v)
-    assert vals[0.1] >= vals[1.0] >= vals[10.0]
-
-
-def test_periodic_probe_single_cosine_closed_form():
-    # for u = 2 cos(2 pi x): |u|_6^6 = 2^6*5/16 = 20, |u'|_2 = 2 pi sqrt2,
-    # |u|_2 = sqrt2; the probe over that one-element corpus equals the formula
-    from gibbslab.groundstate import solve_ground_state as sgs
-    gs = sgs(1, 6)
-    c = gs.sharp_constant + 0.5
-    lp6 = 20.0
-    h1 = 2 * math.pi * math.sqrt(2.0)
-    l2 = math.sqrt(2.0)
-    expected = (lp6 - c * h1 ** 2 * l2 ** 4) / l2 ** 6
-    # reproduce through the module machinery via a crafted corpus of size 1
-    from gibbslab.spectral1d import SpectralField1D, GFF, evaluate_grid, lp_norm
-    f = SpectralField1D(2, np.array([1.0, 0.0], dtype=complex), GFF)
-    got_lp = lp_norm(evaluate_grid(f, 16), 6) ** 6
-    from gibbslab.spectral1d import h1_seminorm, l2_norm_spectral
-    got = (got_lp - c * h1_seminorm(f) ** 2 * l2_norm_spectral(f) ** 4) \
-        / l2_norm_spectral(f) ** 6
-    assert abs(got - expected) < 1e-10
-
-
-def test_probe_excludes_constants():
-    # corpus fields are spectral and mean-zero by construction; the probe
-    # value is finite for every margin
-    v = periodic_gns_probe(0.5, 25, p=6, n_modes=16, seed=3)
-    assert math.isfinite(v)
 
 
 # ---------------------------------------------------------------- disc check

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gibbslab.radial2d import (RadialField2D, block_l4_expectation,
-                               disc_quadrature, dyadic_project_radial,
-                               evaluate_radial, grad_l2_spectral,
+                               disc_quadrature, evaluate_radial,
                                grad_l2_spectral_sq, min_node_count,
-                               radial_basis, radial_lp_norm, sample_radial,
-                               zero_field_radial)
+                               radial_basis, radial_lp_norm, sample_radial)
+from gibbslab.spectral1d import _window
 
 
 def test_sampling_deterministic(table64):
@@ -22,11 +21,9 @@ def test_sampling_deterministic(table64):
 def test_mode_normalization_unit_l2(table200):
     basis = radial_basis(table200, 100)
     for n in (1, 10, 50, 100):
-        f = zero_field_radial(100, table200)
-        coeffs = f.coeffs.copy()
+        coeffs = np.zeros(100)
         coeffs[n - 1] = 1.0
-        f = sample_radial(0, 0, 100, table200)
-        f = type(f)(100, coeffs, table200)
+        f = RadialField2D(100, coeffs, table200)
         assert abs(radial_lp_norm(f, 2.0, basis) - 1.0) < 1e-10
 
 
@@ -102,7 +99,7 @@ def test_single_mode_evaluation(table64):
 
 def test_zero_field_evaluates_to_zeros(table64):
     basis = radial_basis(table64, 16)
-    f = zero_field_radial(16, table64)
+    f = RadialField2D(16, np.zeros(16), table64)
     assert np.all(evaluate_radial(f, basis) == 0.0)
     assert radial_lp_norm(f, 3.0, basis) == 0.0
 
@@ -148,27 +145,14 @@ def test_grad_energy_matches_derivative_quadrature(table64):
         assert abs(quad - spec) < 1e-6 * spec
 
 
-def test_block_projection_identities(table64):
-    f = sample_radial(31, 7, 64, table64)
-    for k in (1, 3, 5):
-        lo = dyadic_project_radial(f, "low", k - 1)
-        hi = dyadic_project_radial(f, "high", k)
-        assert np.array_equal(lo.coeffs + hi.coeffs, f.coeffs)
-    total = grad_l2_spectral(f) ** 2
-    acc = sum(grad_l2_spectral(dyadic_project_radial(f, "block", k)) ** 2
-              for k in range(0, 7))
-    assert abs(acc - total) < 1e-12 * (1 + total)
-
-
 def test_block_energy_counts_modes(table64):
     # block j of a sampled field has E[grad^2] = number of modes in block
     n, j = 4000, 4
-    sizes = []
+    keep = _window("block", j, 32)
     vals = np.empty(n)
     for s in range(n):
         f = sample_radial(37, s, 32, table64)
-        blk = dyadic_project_radial(f, "block", j)
-        vals[s] = grad_l2_spectral_sq(blk)
+        vals[s] = np.sum(f.gaussians[keep] ** 2)
     n_in_block = 2 ** (j - 1)
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - n_in_block) < 3 * se

@@ -8,8 +8,7 @@ from scipy.stats import norm as normal_dist
 
 from gibbslab import verify
 from gibbslab.rng import rng_for
-from gibbslab.spectral1d import SpectralField1D, GFF
-from gibbslab.tails import (TailCurve, bernstein_probe, bernstein_ratio,
+from gibbslab.tails import (TailCurve, bernstein_probe,
                             block_norm_samples_2d, block_tail_2d,
                             block_tail_empirical_2d, chi2_tail_bound,
                             chi2_tail_empirical, dyadic_schedule,
@@ -97,17 +96,6 @@ def test_mgf_monte_carlo_finite_variance_regime():
 
 
 # -------------------------------------------------------------- Bernstein
-
-def test_single_frequency_ratio_closed_form(table64):
-    # a pure cosine in block j has ratio (5/16)^(1/6) / sqrt(1/2) / 2^(j/3)
-    j = 4
-    n_modes = 16
-    coeffs = np.zeros(n_modes, dtype=complex)
-    coeffs[11] = 0.5                      # n = 12 lies in block 4 = (8..16]
-    f = SpectralField1D(n_modes, coeffs, GFF)
-    expected = (5.0 / 16.0) ** (1 / 6.0) / math.sqrt(0.5) / 2.0 ** (j / 3.0)
-    assert abs(bernstein_ratio(f, j, 6.0) - expected) < 1e-12
-
 
 def test_probe_monotone_in_corpus():
     small = bernstein_probe(4, 6.0, 500, seed=9)
