@@ -15,12 +15,12 @@ from .groundstate import (GroundState, disc_gns_check, gns_functional,
                           profile_function, solve_ground_state)
 from .radial2d import (DiscQuadrature, RadialBasis, RadialField2D,
                        block_l4_expectation, disc_quadrature, evaluate_radial,
-                       grad_l2_spectral_sq, l2_norm_spectral_radial,
-                       radial_basis, radial_lp_norm, sample_radial)
+                       grad_l2_spectral_sq, radial_basis, radial_lp_norm,
+                       sample_radials)
 from .rng import rng_for
 from .spectral1d import (GFF, PAPER_LITERAL, SpectralField1D, dyadic_project,
-                         evaluate_grid, h1_seminorm_sq, l2_norm_spectral,
-                         lp_norm, sample_loop)
+                         evaluate_coeff_rows, h1_seminorm_sq, l2_norm_spectral,
+                         lp_norm, sample_loops)
 from .tails import (BernsteinProbe, Block2DBound, DyadicSchedule,
                     FerniqueProbe, HighFreqBound, TailCurve, bernstein_probe,
                     block_norm_samples_2d, block_tail_2d,

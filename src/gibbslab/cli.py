@@ -133,14 +133,13 @@ def _cmd_threshold_scan(opts, out):
         if not ratio >= 0:
             raise ValueError(f"ratios must be nonnegative, got {ratio}")
     gs = solve_ground_state(opts["dim"], opts["p"])   # never hard-coded
-    rows = []
-    for ratio in opts["ratios"]:
-        cfg = gibbs.EnsembleConfig(
-            dim=opts["dim"], p=opts["p"], cutoff=ratio * gs.mass,
-            n_modes=opts["schedule"][0], n_samples=opts["samples"],
-            seed=opts["seed"], sampler=opts["sampler"])
-        rows.append((ratio, ratio * gs.mass,
-                     gibbs.divergence_scan(cfg, opts["schedule"])))
+    cfgs = [gibbs.EnsembleConfig(
+        dim=opts["dim"], p=opts["p"], cutoff=ratio * gs.mass,
+        n_modes=opts["schedule"][0], n_samples=opts["samples"],
+        seed=opts["seed"], sampler=opts["sampler"])
+        for ratio in opts["ratios"]]              # every ratio checked first
+    rows = [(ratio, cfg.cutoff, gibbs.divergence_scan(cfg, opts["schedule"]))
+            for ratio, cfg in zip(opts["ratios"], cfgs)]
     out.mkdir(parents=True, exist_ok=True)
     for ratio, _, v in rows:
         with open(out / f"scan_ratio_{ratio:g}.csv", "w", newline="") as fh:
@@ -174,6 +173,10 @@ def _cmd_tail_scan(opts, out):
         if not 0 < lam < math.inf:
             raise ValueError(f"lambdas must be finite and positive, got {lam}")
     for k in opts["k_list"]:
+        lowest = 1 if opts["dim"] == 1 else 0   # dim 1 probes block k >= 1
+        if k < lowest:
+            raise ValueError(f"k_list levels must be >= {lowest} in dim "
+                             f"{opts['dim']}, got {k}")
         # the samplers' own window rule: an empty window samples a zero field
         if not spectral1d._window("high", k, opts["n_modes"]).any():
             raise ValueError(f"k_list level {k} has an empty high-frequency "

@@ -42,12 +42,13 @@ from .bessel import bessel_zeros
 from .groundstate import profile_function, solve_ground_state
 from .radial2d import RadialBasis, radial_basis
 from . import rng
-from .spectral1d import GFF, evaluate_coeff_rows, spectral_weights
+from .rng import BATCH_SIZE
+from .spectral1d import (GFF, evaluate_coeff_rows, gaussian_coeffs,
+                         spectral_weights)
 from .tails import TailCurve
 
 SAMPLERS = ("plain", "tilted", "soliton")
 _LOG_HUGE = 700.0
-BATCH_SIZE = 4096              # samples per stream
 SYNTH_BUDGET = 1 << 19         # grid values per synthesis slice (4 MB)
 TILT_SCALE = 2.0               # tilted: standard deviation of the tilted modes
 TILT_MODES = 4                 # tilted: how many of the lowest modes
@@ -79,6 +80,10 @@ class EnsembleConfig:
             raise ValueError("n_modes and n_samples must be positive")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}")
+        if self.sampler == "soliton" and math.isinf(self.cutoff):
+            # its shift is scaled to a fraction of the cutoff mass
+            raise ValueError("the soliton sampler needs a finite cutoff, "
+                             f"got cutoff={self.cutoff!r}")
 
     def resolved_grid_size(self) -> int:
         g = self.grid_size if self.grid_size is not None else 4 * self.n_modes
@@ -198,7 +203,7 @@ class _Ensemble1D:
 
     def synthesize(self, g):
         """(int |u|^p, ||u||_2^2) per row of Gaussians."""
-        coeffs = self.weights * (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
+        coeffs = gaussian_coeffs(g, self.weights)
         vals = evaluate_coeff_rows(coeffs, self.width)
         return (abs_power_mean(vals, self.cfg.p),
                 2.0 * np.sum(np.abs(coeffs) ** 2, axis=1))

@@ -31,7 +31,7 @@ from scipy.special import beta as beta_fn
 # imported where used: scipy.integrate and .interpolate pull in scipy.optimize
 
 from .radial2d import (RadialBasis, RadialField2D, grad_l2_spectral_sq,
-                       l2_norm_spectral_radial, radial_lp_norm)
+                       radial_lp_norm)
 
 RESIDUAL_TOL = 1e-8
 
@@ -324,10 +324,11 @@ def gns_functional(grid: np.ndarray, values: np.ndarray, dim: int,
 
 
 def disc_gns_check(field: RadialField2D, basis: RadialBasis,
-                   sharp_constant: float) -> float:
-    """Saturation ratio |v|_4^4 / (C |grad v|^2 |v|^2) on the disc; <= 1."""
-    l2sq = l2_norm_spectral_radial(field) ** 2
-    if l2sq == 0.0:
+                   sharp_constant: float) -> np.ndarray:
+    """Saturation ratio |v|_4^4 / (C |grad v|^2 |v|^2) on the disc of each
+    field; <= 1."""
+    l2sq = np.sum(field.coeffs ** 2, axis=-1)
+    if np.any(l2sq == 0.0):
         raise ValueError("zero field")
     num = radial_lp_norm(field, 4.0, basis) ** 4
     return num / (sharp_constant * grad_l2_spectral_sq(field) * l2sq)

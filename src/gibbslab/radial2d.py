@@ -20,7 +20,7 @@ from scipy.special import roots_legendre
 
 from ._core import j0_array, j1_array, weighted_abs_power_sum
 from .bessel import BesselTable
-from .rng import batches, rng_for
+from .rng import BATCH_SIZE, batches
 from .spectral1d import _window
 
 
@@ -106,55 +106,59 @@ def radial_basis(table: BesselTable, n_modes: int,
 
 @dataclass(frozen=True)
 class RadialField2D:
-    """Coefficients against the normalized disc modes."""
+    """Coefficients against the normalized disc modes, one row per field;
+    one field is a stack of one."""
 
-    n_modes: int
-    coeffs: np.ndarray
+    coeffs: np.ndarray              # (fields, N)
     table: BesselTable
     gaussians: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.table.count < self.n_modes:
+        if self.coeffs.ndim != 2:
+            raise ValueError("coefficients must be (fields, n_modes)")
+        if self.table.count < self.coeffs.shape[1]:
             raise ValueError("Bessel table too short for field")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("non-finite coefficient")
 
 
-def sample_radial(seed: int, stream: int, n_modes: int,
-                  table: BesselTable) -> RadialField2D:
-    """a_n = g_n / z_n with standard real Gaussians g_n; pure in (seed, stream)."""
+def sample_radials(seed: int, n_fields: int, n_modes: int,
+                   table: BesselTable) -> RadialField2D:
+    """a_n = g_n / z_n with standard real Gaussians g_n, n_fields rows through
+    rng.batches: BATCH_SIZE fields per stream, the rows a plain estimate of
+    n_fields samples draws."""
     if table.count < n_modes:
         raise ValueError("Bessel table too short for requested n_modes")
-    g = rng_for(seed, stream).standard_normal(n_modes)
-    return RadialField2D(n_modes, g / table.zeros[:n_modes], table, gaussians=g)
+    g = np.empty((n_fields, n_modes))
+    batches(seed, n_fields, BATCH_SIZE,
+            lambda rng, start, b: rng.standard_normal(out=g[start:start + b]))
+    return RadialField2D(g / table.zeros[:n_modes], table, gaussians=g)
 
 
 def evaluate_radial(field: RadialField2D, basis: RadialBasis) -> np.ndarray:
-    """Field values at the quadrature nodes."""
-    if basis.n_modes < field.n_modes:
+    """Field values at the quadrature nodes, one row per field."""
+    n_modes = field.coeffs.shape[1]
+    if basis.n_modes < n_modes:
         raise ValueError("basis holds fewer modes than the field")
-    return basis.matrix[:, :field.n_modes] @ field.coeffs
+    return field.coeffs @ basis.matrix[:, :n_modes].T
 
 
-def radial_lp_norm(field: RadialField2D, p: float, basis: RadialBasis) -> float:
-    """L^p norm over the disc by Gauss-Legendre quadrature."""
+def radial_lp_norm(field: RadialField2D, p: float,
+                   basis: RadialBasis) -> np.ndarray:
+    """L^p norm of each field over the disc by Gauss-Legendre quadrature."""
     if p < 1:
         raise ValueError("p must be >= 1")
     v = evaluate_radial(field, basis)
-    s = float(weighted_abs_power_sum(v, basis.quad.area_weights, p))
-    return s ** (1.0 / p)
+    return weighted_abs_power_sum(v, basis.quad.area_weights, p) ** (1.0 / p)
 
 
-def l2_norm_spectral_radial(field: RadialField2D) -> float:
-    return float(np.sqrt(np.sum(field.coeffs ** 2)))
-
-
-def grad_l2_spectral_sq(field: RadialField2D) -> float:
-    """Dirichlet energy; for sampled fields exactly the sum of Gaussian squares."""
+def grad_l2_spectral_sq(field: RadialField2D) -> np.ndarray:
+    """Dirichlet energy of each field; for sampled fields exactly the sum of
+    its Gaussian squares."""
     if field.gaussians is not None:
-        return float(np.sum(field.gaussians * field.gaussians))
-    za = field.table.zeros[:field.n_modes] * field.coeffs
-    return float(np.sum(za * za))
+        return np.sum(field.gaussians * field.gaussians, axis=-1)
+    za = field.table.zeros[:field.coeffs.shape[1]] * field.coeffs
+    return np.sum(za * za, axis=-1)
 
 
 def _disc_l4_norms(keep: np.ndarray, n_samples: int, table: BesselTable,

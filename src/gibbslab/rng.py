@@ -2,13 +2,11 @@
 
 Every Monte Carlo draw in the package is a pure function of (seed, stream):
 stream k of seed s is the Philox generator keyed by SeedSequence(s, spawn_key=(k,)).
-Streams are laid out in two ways:
-
-  * every multi-batch sampler goes through batches(), where batch i draws
-    from stream offset + i (the offset lets one seed feed several
-    independent runs, e.g. the levels of a tail curve);
-  * the per-field helpers (sample_loop, sample_radial) draw field k from
-    stream k; only verify's field checks and the tests call them.
+Streams have one layout: every sampler goes through batches(), where batch i
+draws from stream offset + i (the offset lets one seed feed several
+independent runs, e.g. the levels of a tail curve). The field corpora and
+the partition estimators put BATCH_SIZE samples on each stream, so a corpus
+of n fields holds the Gaussian rows a plain estimate of n samples draws.
 
 GIBBSLAB_WORKERS sets how many threads run the batches. batches() returns
 the batch results in stream order and callers reduce them in that order, so
@@ -18,6 +16,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+BATCH_SIZE = 4096       # samples per stream, for the fields and the estimators
 
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:

@@ -14,12 +14,13 @@ Dyadic windows are indexed so that consecutive low/high projections tile the
 spectrum exactly: low(k) keeps 1 <= |n| <= 2^k, high(k) keeps |n| > 2^(k-1),
 and block(k) = low(k) minus low(k-1) (block 0 is the single frequency 1).
 """
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._core import abs_power_mean
-from .rng import rng_for
+from .rng import BATCH_SIZE, batches
 
 GFF = "gff"
 PAPER_LITERAL = "paper-literal"
@@ -37,33 +38,42 @@ def spectral_weights(n_modes: int, normalization: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralField1D:
-    """Fourier data of a real mean-zero loop, frequencies 1..n_modes."""
+    """Fourier data of real mean-zero loops, one row per field; one field is
+    a stack of one. Row entries are c_n for frequencies n = 1..N."""
 
-    n_modes: int
-    coeffs_pos: np.ndarray          # c_n for n = 1..N; c_{-n} = conj(c_n)
+    coeffs_pos: np.ndarray          # (fields, N); c_{-n} = conj(c_n)
     normalization: str
-    gaussians: np.ndarray | None = None   # (N, 2) standard normals, sampled fields
+    gaussians: np.ndarray | None = None   # (fields, N, 2), sampled fields
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError("n_modes must be >= 1")
-        if len(self.coeffs_pos) != self.n_modes:
-            raise ValueError("coefficient array does not match n_modes")
+        if self.coeffs_pos.ndim != 2 or self.coeffs_pos.shape[1] < 1:
+            raise ValueError("coefficients must be (fields, n_modes) with "
+                             "n_modes >= 1")
         if self.normalization not in _NORMALIZATIONS:
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if not np.all(np.isfinite(self.coeffs_pos.view(float))):
             raise ValueError("non-finite coefficient")
 
 
-def sample_loop(seed: int, stream: int, n_modes: int,
-                normalization: str = GFF) -> SpectralField1D:
-    """Draw one loop; a pure function of (seed, stream)."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    g = rng_for(seed, stream).standard_normal((n_modes, 2))
+def gaussian_coeffs(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """c_n = w_n (g_n0 + i g_n1) / sqrt(2) for normals of shape (..., N, 2)."""
+    return weights * (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
+
+
+def sample_loops(seed: int, n_fields: int, n_modes: int,
+                 normalization: str = GFF) -> SpectralField1D:
+    """n_fields loops through rng.batches: BATCH_SIZE fields per stream, the
+    Gaussian rows a plain estimate of n_fields samples draws."""
     w = spectral_weights(n_modes, normalization)
-    coeffs = w * (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0)
-    return SpectralField1D(n_modes, coeffs, normalization, gaussians=g)
+    g = np.empty((n_fields, n_modes, 2))
+    coeffs = np.empty((n_fields, n_modes), dtype=complex)
+
+    def batch(rng, start, b):       # in place: no corpus-sized temporaries
+        rng.standard_normal(out=g[start:start + b])
+        coeffs[start:start + b] = gaussian_coeffs(g[start:start + b], w)
+
+    batches(seed, n_fields, BATCH_SIZE, batch)
+    return SpectralField1D(coeffs, normalization, gaussians=g)
 
 
 def _window(kind: str, k: int, n_modes: int) -> np.ndarray:
@@ -84,21 +94,17 @@ def _window(kind: str, k: int, n_modes: int) -> np.ndarray:
 
 def dyadic_project(field: SpectralField1D, kind: str, k: int) -> SpectralField1D:
     """Littlewood-Paley style projection; zeroed modes drop their Gaussians."""
-    keep = _window(kind, k, field.n_modes)
+    keep = _window(kind, k, field.coeffs_pos.shape[-1])
     coeffs = np.where(keep, field.coeffs_pos, 0.0j)
     g = None
     if field.gaussians is not None:
         g = np.where(keep[:, None], field.gaussians, 0.0)
-    return SpectralField1D(field.n_modes, coeffs, field.normalization, g)
-
-
-def evaluate_grid(field: SpectralField1D, grid_size: int) -> np.ndarray:
-    """Field values on the uniform M-point grid x_m = m/M via the inverse FFT."""
-    return evaluate_coeff_rows(field.coeffs_pos[None, :], grid_size)[0]
+    return SpectralField1D(coeffs, field.normalization, g)
 
 
 def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int) -> np.ndarray:
-    """Batched grid evaluation: rows of c_n (n=1..N) -> rows of field values."""
+    """Field values on the uniform M-point grid x_m = m/M by the inverse FFT:
+    rows of c_n (n=1..N) -> rows of field values."""
     n_modes = coeff_rows.shape[-1]
     if grid_size < 4 * n_modes:
         raise ValueError(
@@ -109,31 +115,28 @@ def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int) -> np.ndarray:
     return grid_size * np.fft.irfft(spec, n=grid_size, axis=-1)
 
 
-def lp_norm(values: np.ndarray, p: float) -> float:
-    """Rectangle-rule L^p norm on the unit circle of uniform grid values."""
+def lp_norm(values: np.ndarray, p: float) -> np.ndarray:
+    """Rectangle-rule L^p norm on the unit circle of each row of uniform
+    grid values."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return float(abs_power_mean(values, p)) ** (1.0 / p)
+    return abs_power_mean(values, p) ** (1.0 / p)
 
 
-def l2_norm_spectral(field: SpectralField1D) -> float:
-    """Parseval L^2 norm."""
-    return float(np.sqrt(l2_norm_spectral_sq(field)))
+def l2_norm_spectral(field: SpectralField1D) -> np.ndarray:
+    """Parseval L^2 norm of each field."""
+    return np.sqrt(2.0 * np.sum(np.abs(field.coeffs_pos) ** 2, axis=-1))
 
 
-def l2_norm_spectral_sq(field: SpectralField1D) -> float:
-    return 2.0 * float(np.sum(np.abs(field.coeffs_pos) ** 2))
-
-
-def h1_seminorm_sq(field: SpectralField1D) -> float:
-    """Squared Dirichlet energy int_0^1 |u'|^2.
+def h1_seminorm_sq(field: SpectralField1D) -> np.ndarray:
+    """Squared Dirichlet energy int_0^1 |u'|^2 of each field.
 
     For gff-sampled fields this is taken directly from the stored standard
     normals, making the chi-square law exact in floating point; otherwise the
     spectral formula sum (2 pi n)^2 |c_n|^2 over both signs is used.
     """
     if field.normalization == GFF and field.gaussians is not None:
-        return float(np.sum(field.gaussians * field.gaussians))
-    n = np.arange(1, field.n_modes + 1, dtype=float)
-    return 2.0 * float(np.sum((2.0 * np.pi * n) ** 2
-                              * np.abs(field.coeffs_pos) ** 2))
+        return np.sum(field.gaussians * field.gaussians, axis=(-2, -1))
+    n = np.arange(1, field.coeffs_pos.shape[-1] + 1, dtype=float)
+    return 2.0 * np.sum((2.0 * np.pi * n) ** 2
+                        * np.abs(field.coeffs_pos) ** 2, axis=-1)

@@ -18,8 +18,7 @@ from scipy.special import gammaln, xlogy
 from .radial2d import BesselTable, _disc_l4_norms
 from .rng import batches
 from .spectral1d import (GFF, SpectralField1D, evaluate_coeff_rows,
-                         spectral_weights, _window)
-from ._core import abs_power_mean
+                         gaussian_coeffs, lp_norm, spectral_weights, _window)
 
 
 @dataclass(frozen=True)
@@ -166,15 +165,14 @@ def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> BernsteinPr
     def batch(rng, start, b):
         # draw the full batch regardless of b so a smaller corpus is a prefix
         g = rng.standard_normal((size, n_modes, 2))[:b]
-        coeffs = np.where(keep, w * (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2),
-                          0.0j)
+        coeffs = np.where(keep, gaussian_coeffs(g, w), 0.0j)
         centers = rng.random(size)[:b]
         packets = np.where(keep,
                            np.exp(-2j * np.pi * np.outer(centers, freqs)),
                            0.0j)
         coeffs[1::2] = packets[1::2]     # parity split keeps prefixes nested
         vals = evaluate_coeff_rows(coeffs, grid_size)
-        nums = abs_power_mean(vals, p) ** (1.0 / p)
+        nums = lp_norm(vals, p)
         l2 = np.sqrt(2.0 * np.sum(np.abs(coeffs) ** 2, axis=1))
         ratios = nums / (2.0 ** (j * (0.5 - 1.0 / p)) * l2)
         i = int(np.argmax(ratios))
@@ -185,8 +183,8 @@ def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> BernsteinPr
     for ratio, coeffs in batches(seed, trials, size, batch):
         if ratio > best:
             best, best_coeffs = ratio, coeffs
-    fld = SpectralField1D(n_modes, best_coeffs, GFF)
-    return BernsteinProbe(best, fld, j, p, trials)
+    return BernsteinProbe(best, SpectralField1D(best_coeffs[None], GFF), j,
+                          p, trials)
 
 
 # ------------------------------------------------------------ dyadic schedule
@@ -288,10 +286,9 @@ def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
 
     def batch(rng, start, b):
         g = rng.standard_normal((b, n_modes, 2))
-        coeffs = np.where(keep, w * (g[..., 0] + 1j * g[..., 1]) / np.sqrt(2),
-                          0.0j)
+        coeffs = np.where(keep, gaussian_coeffs(g, w), 0.0j)
         vals = evaluate_coeff_rows(coeffs, grid_size)
-        norms = abs_power_mean(vals, p) ** (1.0 / p)
+        norms = lp_norm(vals, p)
         return (norms[:, None] > lams[None, :]).sum(axis=0)
 
     counts = sum(batches(seed, n_samples, 2048, batch))

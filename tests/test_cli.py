@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -107,6 +108,21 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
      "ratios must be nonnegative, got nan"),
     (["partition", "--dim", "1", "--p", "6", "--ratio", "-0.5"], "1",
      "ratio must be nonnegative, got -0.5"),
+    (["threshold-scan", "--ratios", "inf", "--schedule", "16,32",
+      "--samples", "100"], "1",
+     "the soliton sampler needs a finite cutoff, got cutoff=inf"),
+    (["partition", "--dim", "1", "--p", "6", "--ratio", "inf",
+      "--sampler", "soliton"], "1",
+     "the soliton sampler needs a finite cutoff, got cutoff=inf"),
+    (["partition", "--dim", "2", "--p", "4", "--cutoff", "inf",
+      "--sampler", "soliton"], "1",
+     "the soliton sampler needs a finite cutoff, got cutoff=inf"),
+    (["tail-scan", "--dim", "1", "--n-modes", "16", "--k-list", "0"], "1",
+     "k_list levels must be >= 1 in dim 1, got 0"),
+    (["tail-scan", "--dim", "1", "--n-modes", "16", "--k-list=3,-1"], "1",
+     "k_list levels must be >= 1 in dim 1, got -1"),
+    (["tail-scan", "--dim", "2", "--p", "4", "--k-list=-1"], "1",
+     "k_list levels must be >= 0 in dim 2, got -1"),
 ])
 def test_domain_errors_exit_2_with_one_line(tmp_path, args, workers,
                                             message):
@@ -185,6 +201,15 @@ def test_tail_scan_outputs_sorted_and_rerunnable(tmp_path):
             assert float(emp) <= float(theo) + 3 * float(err)
 
 
+def test_tail_scan_2d_takes_level_zero(tmp_path):
+    # in dim 2 level 0 is the whole spectrum, a valid window
+    out = tmp_path / "t"
+    assert run_cli(["tail-scan", "--dim", "2", "--p", "4", "--n-modes", "32",
+                    "--samples", "500", "--k-list", "0", "--lambdas", "0.5",
+                    "--out-dir", str(out)]) == 0
+    assert (out / "block_tail_k0.csv").is_file()
+
+
 def test_config_file_precedence(tmp_path):
     cfgfile = tmp_path / "opts.cfg"
     cfgfile.write_text("count = 25\n")
@@ -241,6 +266,11 @@ def test_verify_junit_report(tmp_path):
     xml = junit_xml(results)
     assert 'tests="2"' in xml and 'failures="1"' in xml
     assert "&lt; badly &gt;" in xml
+    # every check, passing or failing, carries its measured string
+    cases = ElementTree.fromstring(xml.encode()).findall("testcase")
+    assert [c.findtext("system-out") for c in cases] == [
+        "fine", "broke < badly >"]
+    assert [c.find("failure") is None for c in cases] == [True, False]
 
 
 def test_commands_write_only_inside_out_dir(tmp_path, monkeypatch):

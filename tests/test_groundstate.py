@@ -12,7 +12,7 @@ import pytest
 
 from gibbslab.groundstate import (disc_gns_check, gns_functional,
                                   profile_function, solve_ground_state)
-from gibbslab.radial2d import RadialField2D, radial_basis, sample_radial
+from gibbslab.radial2d import RadialField2D, radial_basis, sample_radials
 from gibbslab.rng import rng_for
 
 SQRT3PI = math.sqrt(3.0) * math.pi
@@ -231,21 +231,32 @@ def test_functional_rejects_vanishing_input():
 def test_disc_check_single_mode(table64):
     gs = solve_ground_state(2, 4)
     basis = radial_basis(table64, 16)
-    coeffs = np.zeros(16)
-    coeffs[0] = 1.0
-    f = RadialField2D(16, coeffs, table64)
-    r = disc_gns_check(f, basis, gs.sharp_constant)
+    coeffs = np.zeros((1, 16))
+    coeffs[0, 0] = 1.0
+    r = disc_gns_check(RadialField2D(coeffs, table64), basis,
+                       gs.sharp_constant)[0]
     assert 0.0 < r < 1.0
 
 
 def test_disc_check_random_sweep(table64):
     gs = solve_ground_state(2, 4)
     basis = radial_basis(table64, 64)
-    worst = 0.0
-    for stream in range(1000):
-        f = sample_radial(91, stream, 64, table64)
-        worst = max(worst, disc_gns_check(f, basis, gs.sharp_constant))
-    assert worst <= 1.0 + 1e-9
+    ratios = disc_gns_check(sample_radials(91, 1000, 64, table64), basis,
+                            gs.sharp_constant)
+    assert np.max(ratios) <= 1.0 + 1e-9
+
+
+def test_disc_check_stack_matches_single_fields(table64):
+    # a stack goes through one matrix product, whose rounding may differ
+    # from a one-row product in the last bits
+    gs = solve_ground_state(2, 4)
+    basis = radial_basis(table64, 64)
+    f = sample_radials(92, 7, 64, table64)
+    ratios = disc_gns_check(f, basis, gs.sharp_constant)
+    for i in range(7):
+        one = RadialField2D(f.coeffs[i:i + 1], table64, f.gaussians[i:i + 1])
+        single = disc_gns_check(one, basis, gs.sharp_constant)[0]
+        assert abs(single - ratios[i]) <= 1e-13 * ratios[i]
 
 
 def test_disc_check_near_saturation(table200):
@@ -257,8 +268,8 @@ def test_disc_check_near_saturation(table200):
     w = 0.02
     target = phi(basis.quad.nodes / w) / w
     coeffs = basis.project(target)
-    f = RadialField2D(200, coeffs, table200)
-    r = disc_gns_check(f, basis, gs.sharp_constant)
+    r = disc_gns_check(RadialField2D(coeffs[None], table200), basis,
+                       gs.sharp_constant)[0]
     assert r > 0.9
     assert r <= 1.0 + 1e-9
 
@@ -266,6 +277,8 @@ def test_disc_check_near_saturation(table200):
 def test_disc_check_rejects_zero_field(table64):
     gs = solve_ground_state(2, 4)
     basis = radial_basis(table64, 16)
-    f = RadialField2D(16, np.zeros(16), table64)
+    coeffs = np.zeros((2, 16))
+    coeffs[0, 0] = 1.0               # one zero field in the stack is enough
+    f = RadialField2D(coeffs, table64)
     with pytest.raises(ValueError):
         disc_gns_check(f, basis, gs.sharp_constant)

@@ -8,23 +8,23 @@ from hypothesis import example, given, settings, strategies as st
 from gibbslab.radial2d import (RadialField2D, block_l4_expectation,
                                disc_quadrature, evaluate_radial,
                                grad_l2_spectral_sq, min_node_count,
-                               radial_basis, radial_lp_norm, sample_radial)
+                               radial_basis, radial_lp_norm, sample_radials)
 from gibbslab.spectral1d import _window
 
 
 def test_sampling_deterministic(table64):
-    a = sample_radial(9, 4, 32, table64)
-    b = sample_radial(9, 4, 32, table64)
+    a = sample_radials(9, 4, 32, table64)
+    b = sample_radials(9, 4, 32, table64)
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
 def test_mode_normalization_unit_l2(table200):
     basis = radial_basis(table200, 100)
-    for n in (1, 10, 50, 100):
-        coeffs = np.zeros(100)
-        coeffs[n - 1] = 1.0
-        f = RadialField2D(100, coeffs, table200)
-        assert abs(radial_lp_norm(f, 2.0, basis) - 1.0) < 1e-10
+    coeffs = np.zeros((4, 100))
+    for i, n in enumerate((1, 10, 50, 100)):
+        coeffs[i, n - 1] = 1.0
+    f = RadialField2D(coeffs, table200)
+    assert np.all(np.abs(radial_lp_norm(f, 2.0, basis) - 1.0) < 1e-10)
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,8 +66,8 @@ def test_parseval_through_the_default_quadrature(table200, coeffs):
     # skip magnitudes whose squares would underflow to subnormals.
     a = np.array(coeffs)
     basis = radial_basis(table200, len(a))
-    quad_sq = radial_lp_norm(RadialField2D(len(a), a, table200), 2.0,
-                             basis) ** 2
+    quad_sq = radial_lp_norm(RadialField2D(a[None], table200), 2.0,
+                             basis)[0] ** 2
     spectral_sq = float(np.sum(a * a))
     assert abs(quad_sq - spectral_sq) <= 1e-11 * spectral_sq
 
@@ -75,56 +75,53 @@ def test_parseval_through_the_default_quadrature(table200, coeffs):
 def test_expected_l2_mass_matches_analytic_sum(table200):
     n_modes, n_samples = 100, 100000
     target = float(np.sum(table200.zeros[:n_modes] ** -2.0))
-    vals = np.empty(n_samples)
-    for s in range(n_samples):
-        f = sample_radial(17, s, n_modes, table200)
-        vals[s] = np.sum(f.coeffs ** 2)
+    vals = np.sum(sample_radials(17, n_samples, n_modes, table200).coeffs ** 2,
+                  axis=-1)
     se = vals.std(ddof=1) / math.sqrt(n_samples)
     assert abs(vals.mean() - target) < 3 * se
 
 
 def test_grad_energy_bit_exact(table64):
-    f = sample_radial(5, 3, 64, table64)
-    assert grad_l2_spectral_sq(f) == float(np.sum(f.gaussians ** 2))
+    f = sample_radials(5, 3, 64, table64)
+    for i in range(3):
+        assert grad_l2_spectral_sq(f)[i] == np.sum(f.gaussians[i] ** 2)
 
 
 def test_single_mode_evaluation(table64):
     basis = radial_basis(table64, 16)
-    coeffs = np.zeros(16)
-    coeffs[0] = 1.0
-    f = type(sample_radial(0, 0, 16, table64))(16, coeffs, table64)
-    vals = evaluate_radial(f, basis)
-    assert np.allclose(vals, basis.matrix[:, 0], atol=0)
+    coeffs = np.zeros((1, 16))
+    coeffs[0, 0] = 1.0
+    vals = evaluate_radial(RadialField2D(coeffs, table64), basis)
+    assert np.allclose(vals[0], basis.matrix[:, 0], atol=0)
 
 
 def test_zero_field_evaluates_to_zeros(table64):
     basis = radial_basis(table64, 16)
-    f = RadialField2D(16, np.zeros(16), table64)
+    f = RadialField2D(np.zeros((1, 16)), table64)
     assert np.all(evaluate_radial(f, basis) == 0.0)
-    assert radial_lp_norm(f, 3.0, basis) == 0.0
+    assert radial_lp_norm(f, 3.0, basis) == [0.0]
 
 
 def test_center_value_closed_form(table64):
     # at r=0 every J0 is 1, so v(0) = sum a_n / (sqrt(pi) |J1(z_n)|)
     n_modes = 16
-    f = sample_radial(23, 1, n_modes, table64)
-    expected = float(np.sum(
-        f.coeffs / (math.sqrt(math.pi)
-                    * np.abs(table64.j1_at_zeros[:n_modes]))))
+    f = sample_radials(23, 2, n_modes, table64)
+    expected = np.sum(f.coeffs / (math.sqrt(math.pi)
+                                  * np.abs(table64.j1_at_zeros[:n_modes])),
+                      axis=-1)
     quad = disc_quadrature(256)
     basis = radial_basis(table64, n_modes, quad)
     # extrapolate the basis to r=0 via its definition
     from gibbslab._core import j0_array
     e0 = j0_array(np.zeros(n_modes)) / (math.sqrt(math.pi)
                                         * np.abs(table64.j1_at_zeros[:16]))
-    assert abs(float(f.coeffs @ e0) - expected) < 1e-12
+    assert np.all(np.abs(f.coeffs @ e0 - expected) < 1e-12)
 
 
 def test_lp_norm_against_dense_trapezoid(table64):
     basis = radial_basis(table64, 4)
-    coeffs = np.array([1.0, 0.0, 0.0, 0.0])
-    f = type(sample_radial(0, 0, 4, table64))(4, coeffs, table64)
-    val = radial_lp_norm(f, 4.0, basis)
+    f = RadialField2D(np.array([[1.0, 0.0, 0.0, 0.0]]), table64)
+    val = radial_lp_norm(f, 4.0, basis)[0]
     # brute-force oracle: composite trapezoid with 1e6 points
     from gibbslab._core import j0_array
     r = np.linspace(0.0, 1.0, 1000001)
@@ -137,22 +134,19 @@ def test_lp_norm_against_dense_trapezoid(table64):
 def test_grad_energy_matches_derivative_quadrature(table64):
     basis = radial_basis(table64, 64)
     dmat = basis.derivative_matrix()
-    for stream in range(20):
-        f = sample_radial(29, stream, 64, table64)
-        dv = dmat @ f.coeffs
-        quad = float(np.sum(basis.quad.area_weights * dv * dv))
-        spec = grad_l2_spectral_sq(f)
-        assert abs(quad - spec) < 1e-6 * spec
+    f = sample_radials(29, 20, 64, table64)
+    dv = f.coeffs @ dmat.T
+    quad = np.sum(basis.quad.area_weights * dv * dv, axis=-1)
+    spec = grad_l2_spectral_sq(f)
+    assert np.all(np.abs(quad - spec) < 1e-6 * spec)
 
 
 def test_block_energy_counts_modes(table64):
     # block j of a sampled field has E[grad^2] = number of modes in block
     n, j = 4000, 4
     keep = _window("block", j, 32)
-    vals = np.empty(n)
-    for s in range(n):
-        f = sample_radial(37, s, 32, table64)
-        vals[s] = np.sum(f.gaussians[keep] ** 2)
+    vals = np.sum(sample_radials(37, n, 32, table64).gaussians[:, keep] ** 2,
+                  axis=-1)
     n_in_block = 2 ** (j - 1)
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - n_in_block) < 3 * se
@@ -167,7 +161,9 @@ def test_undersampled_quadrature_rejected(table200):
 
 def test_short_table_rejected(table64):
     with pytest.raises(ValueError):
-        sample_radial(0, 0, 65, table64)
+        sample_radials(0, 1, 65, table64)
+    with pytest.raises(ValueError, match="fields, n_modes"):
+        RadialField2D(np.zeros(8), table64)
     with pytest.raises(ValueError):
         radial_basis(table64, 65)
 

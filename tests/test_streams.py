@@ -8,6 +8,9 @@ enough for several batches, and requires identical results. The disc block
 norms are pinned by every 500th of their 5000 values (all three batches); the
 worker test compares all of them. The one-pass tail levels and the row
 slices of the synthesis must leave every bit of these results in place.
+The field corpora share the estimators' layout, and property tests pin
+that: a corpus is a prefix of any larger one, is the same on one and two
+workers, and holds the Gaussian rows of a plain estimate.
 """
 import functools
 import os
@@ -21,8 +24,10 @@ from gibbslab import gibbs
 from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
                             constrained_tails, estimate_partition, tail_curve)
-from gibbslab.radial2d import block_l4_expectation, radial_basis
+from gibbslab.radial2d import (block_l4_expectation, radial_basis,
+                               sample_radials)
 from gibbslab.rng import rng_for, worker_count
+from gibbslab.spectral1d import sample_loops
 from gibbslab.tails import (bernstein_probe, block_norm_samples_2d,
                             block_tail_empirical_2d, chi2_tail_empirical,
                             gaussian_mgf_mc, high_freq_empirical_1d)
@@ -285,6 +290,62 @@ def test_synthesis_slices_do_not_change_results(dim, sampler, n_samples,
     # end on a short batch (907 and 808 rows)
     assert _sliced_run(dim, sampler, n_samples, rows, workers) \
         == _whole_batches(dim, sampler, n_samples)
+
+
+def _corpus(dim, seed, n_fields, workers=1):
+    """Gaussian rows of a field corpus of 6 modes."""
+    with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
+        if dim == 1:
+            return sample_loops(seed, n_fields, 6).gaussians
+        return sample_radials(seed, n_fields, 6, _table()).gaussians
+
+
+_DIMS = st.sampled_from([1, 2])
+_SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(dim=_DIMS, seed=_SEEDS, n=st.integers(1, 2 * BATCH_SIZE + 1),
+       extra=st.integers(0, BATCH_SIZE + 1))
+@example(dim=1, seed=0, n=BATCH_SIZE, extra=1)
+@example(dim=2, seed=0, n=BATCH_SIZE - 1, extra=2)
+def test_corpus_is_a_prefix_of_a_larger_one(dim, seed, n, extra):
+    assert np.array_equal(_corpus(dim, seed, n),
+                          _corpus(dim, seed, n + extra)[:n])
+
+
+@settings(max_examples=15, deadline=None)
+@given(dim=_DIMS, seed=_SEEDS, n=st.integers(1, 3 * BATCH_SIZE))
+@example(dim=1, seed=0, n=2 * BATCH_SIZE + 1)
+def test_corpus_is_the_same_on_one_and_two_workers(dim, seed, n):
+    assert np.array_equal(_corpus(dim, seed, n, workers=1),
+                          _corpus(dim, seed, n, workers=2))
+
+
+def _plain_estimator_rows(dim, seed, n_samples):
+    """The Gaussian rows estimate_partition draws, in stream order."""
+    cfg = EnsembleConfig(dim=dim, p=6 if dim == 1 else 4, cutoff=1.0,
+                         n_modes=6, n_samples=n_samples, seed=seed)
+    rows = []
+    apply_proposal = gibbs._apply_proposal
+
+    def spy(ens, g):
+        rows.append(g.copy())
+        return apply_proposal(ens, g)
+
+    with mock.patch.object(gibbs, "_apply_proposal", spy), \
+            mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": "1"}):
+        estimate_partition(cfg)
+    return np.concatenate(rows)
+
+
+@settings(max_examples=15, deadline=None)
+@given(dim=_DIMS, seed=_SEEDS, n=st.integers(1, 2 * BATCH_SIZE + 1))
+@example(dim=1, seed=7, n=BATCH_SIZE + 1)
+@example(dim=2, seed=7, n=2 * BATCH_SIZE + 1)
+def test_corpus_holds_the_plain_estimator_rows(dim, seed, n):
+    assert np.array_equal(_corpus(dim, seed, n),
+                          _plain_estimator_rows(dim, seed, n))
 
 
 @pytest.mark.parametrize("text", ["abc", "0", "-1", "1.5"])
