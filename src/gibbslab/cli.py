@@ -83,6 +83,12 @@ def _read_config_file(path):
     return vals
 
 
+# the lowest value of each integer option that has one; _resolve checks it on
+# values from a config file and from the command line alike
+_AT_LEAST = {"seed": 0, "samples": 1, "bernstein_trials": 1, "n_modes": 1,
+             "count": 1}
+
+
 def _resolve(args, options):
     """Effective options: CLI beats config file beats defaults."""
     parsers = {name: parse for name, parse, _ in options}
@@ -102,6 +108,9 @@ def _resolve(args, options):
         if v == []:
             item = "N" if k == "schedule" else "value"
             raise ValueError(f"{k} must list at least one {item}")
+        if k in _AT_LEAST and v < _AT_LEAST[k]:
+            raise ValueError(f"--{k.replace('_', '-')} must be >= "
+                             f"{_AT_LEAST[k]}, got {v}")
     return out
 
 
@@ -138,8 +147,8 @@ def _cmd_threshold_scan(opts, out):
         n_modes=opts["schedule"][0], n_samples=opts["samples"],
         seed=opts["seed"], sampler=opts["sampler"])
         for ratio in opts["ratios"]]              # every ratio checked first
-    rows = [(ratio, cfg.cutoff, gibbs.divergence_scan(cfg, opts["schedule"]))
-            for ratio, cfg in zip(opts["ratios"], cfgs)]
+    rows = list(zip(opts["ratios"], [cfg.cutoff for cfg in cfgs],
+                    gibbs.divergence_scan(cfgs, opts["schedule"])))
     out.mkdir(parents=True, exist_ok=True)
     for ratio, _, v in rows:
         with open(out / f"scan_ratio_{ratio:g}.csv", "w", newline="") as fh:

@@ -22,14 +22,17 @@ concentration channel whose growth with the truncation level is the
 observable signature of a divergent partition function.
 
 Each batch is drawn whole (one stream, BATCH_SIZE rows) but synthesized in
-row slices of about SYNTH_BUDGET grid values, so that the spectrum, the grid
-and the |u|^p chain of a slice stay in cache; a batch that fits the budget
-goes through whole. Every row is reduced on its own, so slicing changes no
-result bit. The rows of a slice are a power of two, at least 64: OpenBLAS
-computes the last rows of a 2D matrix product whose row count is not a
-multiple of its 4-row kernel with another kernel that rounds differently
-(slices of 7 or 626 rows moved power_mean by up to 4e-15 relative), and with
-power-of-two slices those rows are the same ones as in the whole batch.
+the row slices of rng.row_slices, which change no result bit.
+
+A threshold scan asks for the same estimate at several cutoffs with the same
+seed, so estimate_partitions scores them all from one pass over the draws:
+each batch is drawn once, and the plain and tilted proposals, which do not
+depend on the cutoff, are synthesized once, leaving each cutoff its inside
+test and log-sum-exp partial. The soliton shift scales with the cutoff, so
+only the synthesis slices wholly in the unshifted bottom half of a batch are
+shared and the others are redone per cutoff. divergence_scan runs every
+cutoff of a scan this way at each truncation level, and every report is
+bit-identical to its own estimate_partition call.
 """
 import json
 import math
@@ -49,7 +52,6 @@ from .tails import TailCurve
 
 SAMPLERS = ("plain", "tilted", "soliton")
 _LOG_HUGE = 700.0
-SYNTH_BUDGET = 1 << 19         # grid values per synthesis slice (4 MB)
 TILT_SCALE = 2.0               # tilted: standard deviation of the tilted modes
 TILT_MODES = 4                 # tilted: how many of the lowest modes
 SOLITON_MASS_FRACTION = 0.95   # soliton: shift mass as a fraction of K
@@ -210,10 +212,8 @@ class _Ensemble1D:
 
 
 class _Ensemble2D:
-    def __init__(self, cfg: EnsembleConfig, basis: RadialBasis | None):
+    def __init__(self, cfg: EnsembleConfig, basis: RadialBasis):
         self.cfg = cfg
-        if basis is None:
-            basis = radial_basis(bessel_zeros(cfg.n_modes), cfg.n_modes)
         if basis.n_modes < cfg.n_modes:
             raise ValueError(f"basis holds {basis.n_modes} modes, fewer than "
                              f"n_modes={cfg.n_modes}")
@@ -238,18 +238,25 @@ class _Ensemble2D:
 
 
 def _synthesize(ens, g):
-    """ens.synthesize(g) run over row slices of about SYNTH_BUDGET grid
-    values and joined per row; bit-identical to the whole batch at once."""
-    if len(g) * ens.width <= SYNTH_BUDGET:
-        return ens.synthesize(g)
-    rows = max(SYNTH_BUDGET // ens.width, 64)
-    rows = 1 << (rows.bit_length() - 1)        # a power of two, see above
-    parts = [ens.synthesize(g[i:i + rows]) for i in range(0, len(g), rows)]
+    """ens.synthesize(g) run over the rows of rng.row_slices and joined per
+    row; bit-identical to the whole batch at once."""
+    return _join([ens.synthesize(g[lo:hi])
+                  for lo, hi in rng.row_slices(len(g), ens.width)])
+
+
+def _join(parts):
+    """Per-row outputs of consecutive synthesis slices, joined."""
     return tuple(np.concatenate(col) for col in zip(*parts))
 
 
-def _make_ensemble(cfg, basis=None):
-    return _Ensemble1D(cfg) if cfg.dim == 1 else _Ensemble2D(cfg, basis)
+def _make_ensembles(cfgs, basis=None):
+    """One ensemble per config; in 2D all on one basis, by default the one
+    of the first config's n_modes."""
+    if cfgs[0].dim == 1:
+        return [_Ensemble1D(c) for c in cfgs]
+    if basis is None:
+        basis = radial_basis(bessel_zeros(cfgs[0].n_modes), cfgs[0].n_modes)
+    return [_Ensemble2D(c, basis) for c in cfgs]
 
 
 def _apply_proposal(ens, g):
@@ -259,24 +266,27 @@ def _apply_proposal(ens, g):
     half = b // 2
     if cfg.sampler == "plain":
         return g, np.zeros(b)
-    if cfg.sampler == "tilted":
-        k = min(TILT_MODES, cfg.n_modes)
-        sig = TILT_SCALE
-        g = g.copy()
-        g[half:, :k] *= sig
-        flat = g[:, :k].reshape(b, -1)
-        # per-coordinate density ratio of N(0, sig^2) to N(0, 1)
-        log_rho = 0.5 * (1.0 - 1.0 / (sig * sig)) * np.sum(flat * flat, axis=1) \
-            - flat.shape[1] * math.log(sig)
-    else:
-        theta = ens.theta
-        g = g.copy()
-        g[half:] += theta
-        dot = np.tensordot(g, theta, axes=(tuple(range(1, g.ndim)),
-                                           tuple(range(theta.ndim))))
-        log_rho = dot - 0.5 * float(np.sum(theta * theta))
-    log_w = math.log(2.0) - np.logaddexp(0.0, log_rho)
-    return g, log_w
+    if cfg.sampler == "soliton":
+        return _soliton_shift(ens.theta, g[half:], g.copy())
+    k = min(TILT_MODES, cfg.n_modes)
+    sig = TILT_SCALE
+    g = g.copy()
+    g[half:, :k] *= sig
+    flat = g[:, :k].reshape(b, -1)
+    # per-coordinate density ratio of N(0, sig^2) to N(0, 1)
+    log_rho = 0.5 * (1.0 - 1.0 / (sig * sig)) * np.sum(flat * flat, axis=1) \
+        - flat.shape[1] * math.log(sig)
+    return g, math.log(2.0) - np.logaddexp(0.0, log_rho)
+
+
+def _soliton_shift(theta, top, g):
+    """The soliton mixture made in place in the batch g: its top half is set
+    to the unshifted rows top plus theta. Returns (g, log_weight), w <= 2."""
+    np.add(top, theta, out=g[len(g) // 2:])
+    dot = np.tensordot(g, theta, axes=(tuple(range(1, g.ndim)),
+                                       tuple(range(theta.ndim))))
+    log_rho = dot - 0.5 * float(np.sum(theta * theta))
+    return g, math.log(2.0) - np.logaddexp(0.0, log_rho)
 
 
 def _batched(cfg, ens, fn, stream_offset=0):
@@ -300,26 +310,91 @@ def _combine_lse(partials):
     return m, s1, s2, inside
 
 
+def _shifted_rows(g, lo, hi, theta):
+    """Rows lo:hi of the soliton mixture of the batch g, as a new array."""
+    rows = g[lo:hi].copy()
+    rows[max(len(g) // 2 - lo, 0):] += theta
+    return rows
+
+
+def _lse_partial(expo, inside):
+    """One batch's (max, sum_exp, sum_exp_sq, n_inside) of the log-weights
+    expo over the rows inside the cutoff."""
+    lw = np.where(inside, expo, -math.inf)
+    m = float(np.max(lw)) if len(lw) else -math.inf
+    if not math.isfinite(m):
+        return (-math.inf, 0.0, 0.0, int(inside.sum()))
+    e = np.exp(lw - m)
+    return (m, float(e.sum()), float((e * e).sum()), int(inside.sum()))
+
+
+def _check_family(cfgs, free=("cutoff",)):
+    """Reject an empty list and configs that differ outside the free fields."""
+    if not cfgs:
+        raise ValueError("need at least one config")
+    for name in EnsembleConfig.__dataclass_fields__:
+        if name not in free and len({getattr(c, name) for c in cfgs}) > 1:
+            raise ValueError("configs must differ only in cutoff, got "
+                             f"different values of {name}")
+
+
 def estimate_partition(cfg: EnsembleConfig,
                        basis: RadialBasis | None = None) -> EstimatorReport:
     """Importance-weighted mean of the cutoff Gibbs weight."""
-    ens = _make_ensemble(cfg, basis)
-    ksq = cfg.cutoff * cfg.cutoff
+    return estimate_partitions([cfg], basis)[0]
+
+
+def estimate_partitions(cfgs, basis: RadialBasis | None = None
+                        ) -> list[EstimatorReport]:
+    """estimate_partition for configs that differ only in cutoff, from one
+    pass over the draws (see the module docstring).
+
+    The cutoffs share their draws, so their errors are correlated; each
+    report is bit-identical to the single-config call.
+    """
+    _check_family(cfgs)
+    cfg = cfgs[0]
+    ensembles = _make_ensembles(cfgs, basis)
+    ens = ensembles[0]
+    ksqs = [c.cutoff * c.cutoff for c in cfgs]
+
+    def exponent(log_w, power_mean):
+        return log_w if cfg.calibration else log_w + power_mean / cfg.p
 
     def batch(gen, start, b):
         g = ens.draw(gen, b)
-        g, log_w = _apply_proposal(ens, g)
-        power_mean, l2sq = _synthesize(ens, g)
-        inside = l2sq <= ksq
-        expo = log_w if cfg.calibration else log_w + power_mean / cfg.p
-        lw = np.where(inside, expo, -math.inf)
-        m = float(np.max(lw)) if len(lw) else -math.inf
-        if not math.isfinite(m):
-            return (-math.inf, 0.0, 0.0, int(inside.sum()))
-        e = np.exp(lw - m)
-        return (m, float(e.sum()), float((e * e).sum()), int(inside.sum()))
+        if cfg.sampler != "soliton":            # one proposal for all cutoffs
+            g, log_w = _apply_proposal(ens, g)
+            power_mean, l2sq = _synthesize(ens, g)
+            expo = exponent(log_w, power_mean)
+            return [_lse_partial(expo, l2sq <= ksq) for ksq in ksqs]
+        half = b // 2
+        bounds = rng.row_slices(b, ens.width)
+        n_low = sum(hi <= half for _, hi in bounds)     # unshifted slices
+        low = [ens.synthesize(g[lo:hi]) for lo, hi in bounds[:n_low]]
+        # each cutoff's log-weights shift g itself and its drawn top half is
+        # put back; the synthesis then shifts one slice at a time, so that
+        # no full proposal copy is held (it raised the 2D peak RSS)
+        top = g[half:].copy()
+        log_ws = [_soliton_shift(each.theta, top, g)[1] for each in ensembles]
+        g[half:] = top
+        del top
+        partials = []
+        for each, log_w, ksq in zip(ensembles, log_ws, ksqs):
+            power_mean, l2sq = _join(
+                low + [ens.synthesize(_shifted_rows(g, lo, hi, each.theta))
+                       for lo, hi in bounds[n_low:]])
+            partials.append(_lse_partial(exponent(log_w, power_mean),
+                                         l2sq <= ksq))
+        return partials
 
-    m, s1, s2, inside = _combine_lse(_batched(cfg, ens, batch))
+    parts = _batched(cfg, ens, batch)
+    return [_report(c, _combine_lse(col)) for c, col in zip(cfgs, zip(*parts))]
+
+
+def _report(cfg, merged):
+    """The EstimatorReport of a config from its merged partials."""
+    m, s1, s2, inside = merged
     n = cfg.n_samples
     if s1 <= 0.0 or not math.isfinite(m):
         return EstimatorReport(0.0, -math.inf, 0.0, 0.0, 0.0, inside / n,
@@ -354,7 +429,7 @@ def constrained_tails(cfg: EnsembleConfig, lams,
     for lam in lams:
         if not lam >= 0:
             raise ValueError(f"lam must be >= 0, got {lam!r}")
-    ens = _make_ensemble(cfg, basis)
+    ens, = _make_ensembles([cfg], basis)
     ksq = cfg.cutoff * cfg.cutoff
 
     def batch(gen, start, b):
@@ -447,22 +522,29 @@ def layer_cake_reconstruct(curve: TailCurve, p: float) -> LayerCakeResult:
     return LayerCakeResult(estimate, stderr, inconclusive)
 
 
-def divergence_scan(cfg: EnsembleConfig, n_schedule) -> DivergenceVerdict:
+def divergence_scan(cfgs, n_schedule) -> list[DivergenceVerdict]:
     """Partition estimates along a truncation schedule with matched seeds,
-    classified by the pre-registered drift-slope rule."""
+    classified by the pre-registered drift-slope rule: one verdict per config
+    of cfgs, which differ only in cutoff (their n_modes is the schedule's).
+    At each N every cutoff is scored from one pass over the draws."""
     n_schedule = [int(n) for n in n_schedule]
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("schedule must be increasing")
+    _check_family(cfgs, free=("cutoff", "n_modes", "grid_size"))
     basis = None
-    if cfg.dim == 2:
+    if cfgs[0].dim == 2:
         basis = radial_basis(bessel_zeros(max(n_schedule)), max(n_schedule))
-    logs, errs, fracs = [], [], []
-    for n in n_schedule:
-        cfg_n = replace(cfg, n_modes=n, grid_size=None)
-        rep = estimate_partition(cfg_n, basis)
-        logs.append(rep.log_estimate)
-        errs.append(max(rep.log_std_error, 1e-9))
-        fracs.append(rep.fraction_inside_cutoff)
+    by_n = [estimate_partitions([replace(c, n_modes=n, grid_size=None)
+                                 for c in cfgs], basis) for n in n_schedule]
+    return [_verdict(n_schedule, [reps[i] for reps in by_n])
+            for i in range(len(cfgs))]
+
+
+def _verdict(n_schedule, reps):
+    """The DivergenceVerdict of one cutoff's reports along the schedule."""
+    logs = [rep.log_estimate for rep in reps]
+    errs = [max(rep.log_std_error, 1e-9) for rep in reps]
+    fracs = [rep.fraction_inside_cutoff for rep in reps]
     slope, slope_err = _drift_slope(n_schedule, logs, errs)
     verdict = _classify(slope, slope_err)
     return DivergenceVerdict(tuple(n_schedule), tuple(logs), tuple(errs),

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln, xlogy
 
 from .radial2d import BesselTable, _disc_l4_norms
-from .rng import batches
+from .rng import batches, row_slices
 from .spectral1d import (GFF, SpectralField1D, evaluate_coeff_rows,
                          gaussian_coeffs, lp_norm, spectral_weights, _window)
 
@@ -286,10 +286,12 @@ def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
 
     def batch(rng, start, b):
         g = rng.standard_normal((b, n_modes, 2))
-        coeffs = np.where(keep, gaussian_coeffs(g, w), 0.0j)
-        vals = evaluate_coeff_rows(coeffs, grid_size)
-        norms = lp_norm(vals, p)
-        return (norms[:, None] > lams[None, :]).sum(axis=0)
+        counts = 0
+        for lo, hi in row_slices(b, grid_size):     # each row on its own
+            coeffs = np.where(keep, gaussian_coeffs(g[lo:hi], w), 0.0j)
+            norms = lp_norm(evaluate_coeff_rows(coeffs, grid_size), p)
+            counts = counts + (norms[:, None] > lams[None, :]).sum(axis=0)
+        return counts
 
     counts = sum(batches(seed, n_samples, 2048, batch))
     emp = counts / n_samples

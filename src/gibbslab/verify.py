@@ -277,11 +277,10 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         return same, "two runs bit-identical" if same else "reports differ"
 
     def estimator_monotone_in_cutoff():
-        ests = []
-        for cutoff in (0.2, 0.3, 0.5, 1.0, math.inf):
-            cfg = gibbs.EnsembleConfig(dim=1, p=6, cutoff=cutoff, n_modes=32,
-                                       n_samples=20000, seed=120)
-            ests.append(gibbs.estimate_partition(cfg).estimate)
+        ests = [rep.estimate for rep in gibbs.estimate_partitions(
+            [gibbs.EnsembleConfig(dim=1, p=6, cutoff=cutoff, n_modes=32,
+                                  n_samples=20000, seed=120)
+             for cutoff in (0.2, 0.3, 0.5, 1.0, math.inf)])]
         ok = all(b >= a for a, b in zip(ests, ests[1:]))
         return ok, f"estimates {['%.5f' % e for e in ests]}"
 

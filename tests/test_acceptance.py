@@ -177,11 +177,11 @@ def test_acceptance_08_threshold_scan_1d():
     t0 = time.perf_counter()
     gs = solve_ground_state(1, 6)
     schedule = [16, 32, 64, 128, 256, 512]
-    verdicts = {}
-    for ratio in (0.5, 1.5):
-        cfg = EnsembleConfig(dim=1, p=6, cutoff=ratio * gs.mass, n_modes=16,
-                             n_samples=10 ** 5, seed=71, sampler="soliton")
-        verdicts[ratio] = divergence_scan(cfg, schedule)
+    ratios = (0.5, 1.5)
+    cfgs = [EnsembleConfig(dim=1, p=6, cutoff=ratio * gs.mass, n_modes=16,
+                           n_samples=10 ** 5, seed=71, sampler="soliton")
+            for ratio in ratios]
+    verdicts = dict(zip(ratios, divergence_scan(cfgs, schedule)))
     dt = time.perf_counter() - t0
     assert verdicts[0.5].verdict == "stable"
     assert verdicts[1.5].verdict == "diverging"
@@ -195,11 +195,11 @@ def test_acceptance_09_threshold_scan_2d():
     t0 = time.perf_counter()
     gs = solve_ground_state(2, 4)
     schedule = [16, 32, 64, 128, 256, 512]
-    verdicts = {}
-    for ratio in (0.5, 1.5):
-        cfg = EnsembleConfig(dim=2, p=4, cutoff=ratio * gs.mass, n_modes=16,
-                             n_samples=10 ** 5, seed=72, sampler="soliton")
-        verdicts[ratio] = divergence_scan(cfg, schedule)
+    ratios = (0.5, 1.5)
+    cfgs = [EnsembleConfig(dim=2, p=4, cutoff=ratio * gs.mass, n_modes=16,
+                           n_samples=10 ** 5, seed=72, sampler="soliton")
+            for ratio in ratios]
+    verdicts = dict(zip(ratios, divergence_scan(cfgs, schedule)))
     dt = time.perf_counter() - t0
     assert verdicts[0.5].verdict == "stable"
     assert verdicts[1.5].verdict == "diverging"

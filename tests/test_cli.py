@@ -42,7 +42,8 @@ def test_malformed_p_exits_2():
 CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
            "unknown-key.cfg": "banana = 1\n", "dim-3.cfg": "dim = 3\n",
            "bad-sampler.cfg": "sampler = bogus\n",
-           "bad-bool.cfg": "calibration = ture\ncutoff = 1.0\n"}
+           "bad-bool.cfg": "calibration = ture\ncutoff = 1.0\n",
+           "neg-seed.cfg": "seed = -1\n", "no-samples.cfg": "samples = 0\n"}
 
 
 @pytest.mark.parametrize("args, workers, message", [
@@ -100,8 +101,8 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
      "k_list level 7 has an empty high-frequency window at n_modes 32"),
     (["tail-scan", "--dim", "1", "--n-modes", "16", "--k-list", "6"], "1",
      "k_list level 6 has an empty high-frequency window at n_modes 16"),
-    (["tail-scan", "--dim", "1", "--n-modes", "0"], "1",
-     "k_list level 3 has an empty high-frequency window at n_modes 0"),
+    (["tail-scan", "--dim", "1", "--n-modes", "2"], "1",
+     "k_list level 3 has an empty high-frequency window at n_modes 2"),
     (["threshold-scan", "--ratios", "-0.5"], "1",
      "ratios must be nonnegative, got -0.5"),
     (["threshold-scan", "--ratios", "0.5,nan"], "1",
@@ -123,6 +124,20 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
      "k_list levels must be >= 1 in dim 1, got -1"),
     (["tail-scan", "--dim", "2", "--p", "4", "--k-list=-1"], "1",
      "k_list levels must be >= 0 in dim 2, got -1"),
+    (["threshold-scan", "--seed=-1"], "1", "--seed must be >= 0, got -1"),
+    (["tail-scan", "--config", "neg-seed.cfg"], "1",
+     "--seed must be >= 0, got -1"),
+    (["partition", "--ratio", "0.5", "--samples", "0"], "1",
+     "--samples must be >= 1, got 0"),
+    (["threshold-scan", "--config", "no-samples.cfg"], "1",
+     "--samples must be >= 1, got 0"),
+    (["tail-scan", "--bernstein-trials", "0"], "1",
+     "--bernstein-trials must be >= 1, got 0"),
+    (["tail-scan", "--dim", "1", "--n-modes", "0"], "1",
+     "--n-modes must be >= 1, got 0"),
+    (["partition", "--ratio", "0.5", "--n-modes=-4"], "1",
+     "--n-modes must be >= 1, got -4"),
+    (["bessel-table", "--count=-3"], "1", "--count must be >= 1, got -3"),
 ])
 def test_domain_errors_exit_2_with_one_line(tmp_path, args, workers,
                                             message):

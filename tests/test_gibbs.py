@@ -9,9 +9,10 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from gibbslab.bessel import bessel_zeros
-from gibbslab.gibbs import (EnsembleConfig, _combine_lse, constrained_tail,
-                            constrained_tails, divergence_scan,
-                            estimate_partition, layer_cake_reconstruct,
+from gibbslab.gibbs import (EnsembleConfig, _combine_lse, _lse_partial,
+                            constrained_tail, constrained_tails,
+                            divergence_scan, estimate_partition,
+                            estimate_partitions, layer_cake_reconstruct,
                             tail_curve)
 from gibbslab.groundstate import solve_ground_state
 from gibbslab.radial2d import radial_basis
@@ -48,11 +49,10 @@ def test_low_dimensional_quadrature_oracle():
 
 
 def test_monotone_in_cutoff_on_matched_draws():
-    ests = []
-    for cutoff in (0.15, 0.25, 0.4, 1.0):
-        cfg = EnsembleConfig(dim=1, p=6, cutoff=cutoff, n_modes=16,
-                             n_samples=20000, seed=4)
-        ests.append(estimate_partition(cfg).estimate)
+    ests = [rep.estimate for rep in estimate_partitions(
+        [EnsembleConfig(dim=1, p=6, cutoff=cutoff, n_modes=16,
+                        n_samples=20000, seed=4)
+         for cutoff in (0.15, 0.25, 0.4, 1.0)])]
     assert all(b >= a for a, b in zip(ests, ests[1:]))
 
 
@@ -204,7 +204,7 @@ def test_constrained_tail_resolvable_window():
 def test_subcritical_scan_is_stable():
     cfg = EnsembleConfig(dim=1, p=4, cutoff=2.0, n_modes=16,
                          n_samples=20000, seed=12, sampler="soliton")
-    v = divergence_scan(cfg, [16, 32, 64, 128])
+    v, = divergence_scan([cfg], [16, 32, 64, 128])
     assert v.verdict == "stable"
 
 
@@ -212,7 +212,7 @@ def test_scan_rejects_unsorted_schedule():
     cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=16, n_samples=100,
                          seed=0)
     with pytest.raises(ValueError):
-        divergence_scan(cfg, [32, 16])
+        divergence_scan([cfg], [32, 16])
 
 
 def test_importance_sampler_consistency():
@@ -251,17 +251,6 @@ def test_overflowing_estimates_keep_finite_logs():
     assert rep.estimate == math.inf
 
 
-def _lse_partial(lw):
-    """One batch's (max, sum_exp, sum_exp_sq, n_inside), built as the batch
-    function of estimate_partition builds it; -inf marks a rejected draw."""
-    m = float(np.max(lw))
-    inside = int(np.isfinite(lw).sum())
-    if not math.isfinite(m):
-        return (-math.inf, 0.0, 0.0, inside)
-    e = np.exp(lw - m)
-    return (m, float(e.sum()), float((e * e).sum()), inside)
-
-
 # worst deviation from logsumexp seen over 20,000 random splits: 1.1e-13 for
 # the sum and 2.3e-13 for the sum of squares, about one ulp at 700 and 1400
 @settings(max_examples=200, deadline=None)
@@ -272,9 +261,10 @@ def _lse_partial(lw):
 @example([700.0, -700.0, 700.0], 1)
 def test_combine_lse_matches_logsumexp(weights, batch_size):
     lw = np.array(weights)
+    parts = [lw[i:i + batch_size] for i in range(0, len(lw), batch_size)]
+    # -inf marks a draw outside the cutoff
     m, s1, s2, inside = _combine_lse(
-        [_lse_partial(lw[i:i + batch_size])
-         for i in range(0, len(lw), batch_size)])
+        [_lse_partial(part, np.isfinite(part)) for part in parts])
     assert inside == int(np.isfinite(lw).sum())
     if not np.isfinite(lw).any():
         assert s1 == 0.0

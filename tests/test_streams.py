@@ -10,24 +10,30 @@ worker test compares all of them. The one-pass tail levels and the row
 slices of the synthesis must leave every bit of these results in place.
 The field corpora share the estimators' layout, and property tests pin
 that: a corpus is a prefix of any larger one, is the same on one and two
-workers, and holds the Gaussian rows of a plain estimate.
+workers, and holds the Gaussian rows of a plain estimate. Scoring several
+cutoffs from one pass over the draws must give each the report of its own
+call.
 """
+import contextlib
 import functools
+import math
 import os
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gibbslab import gibbs
+from gibbslab import gibbs, rng
 from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
-                            constrained_tails, estimate_partition, tail_curve)
+                            constrained_tails, estimate_partition,
+                            estimate_partitions, tail_curve)
 from gibbslab.radial2d import (block_l4_expectation, radial_basis,
                                sample_radials)
 from gibbslab.rng import rng_for, worker_count
-from gibbslab.spectral1d import sample_loops
+from gibbslab.spectral1d import PAPER_LITERAL, sample_loops
 from gibbslab.tails import (bernstein_probe, block_norm_samples_2d,
                             block_tail_empirical_2d, chi2_tail_empirical,
                             gaussian_mgf_mc, high_freq_empirical_1d)
@@ -247,24 +253,35 @@ def _wide_basis():
     return radial_basis(bessel_zeros(64), 64)
 
 
+def _sliced_config(dim, sampler, n_samples):
+    """A config of 37 modes and the basis to run it on."""
+    if dim == 1:
+        return EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=37,
+                              n_samples=n_samples, seed=41,
+                              sampler=sampler), None
+    return EnsembleConfig(dim=2, p=4, cutoff=2.0, n_modes=37,
+                          n_samples=n_samples, seed=42,
+                          sampler=sampler), _wide_basis()
+
+
+@contextlib.contextmanager
+def _budget(rows, width, workers):
+    """The synthesis slice budget set to `rows` rows of grid values (None:
+    each batch whole) and the worker count set to `workers`."""
+    budget = rows * width if rows else 1 << 62
+    with mock.patch.object(rng, "SYNTH_BUDGET", budget), \
+            mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
+        yield
+
+
 def _sliced_run(dim, sampler, n_samples, rows, workers):
     """The per-row synthesis of the last batch, then the partition and
-    two-level tail digests, with the synthesis slice budget set to `rows`
-    rows of grid values (None: each batch whole)."""
-    if dim == 1:
-        cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=37,
-                             n_samples=n_samples, seed=41, sampler=sampler)
-        basis = None
-    else:
-        cfg = EnsembleConfig(dim=2, p=4, cutoff=2.0, n_modes=37,
-                             n_samples=n_samples, seed=42, sampler=sampler)
-        basis = _wide_basis()
-    ens = gibbs._make_ensemble(cfg, basis)
+    two-level tail digests, under _budget(rows, ..., workers)."""
+    cfg, basis = _sliced_config(dim, sampler, n_samples)
+    ens, = gibbs._make_ensembles([cfg], basis)
     g = ens.draw(rng_for(cfg.seed, 0), n_samples % BATCH_SIZE or BATCH_SIZE)
     g, _ = gibbs._apply_proposal(ens, g)
-    budget = rows * ens.width if rows else 1 << 62
-    with mock.patch.object(gibbs, "SYNTH_BUDGET", budget), \
-            mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
+    with _budget(rows, ens.width, workers):
         per_row = np.concatenate(gibbs._synthesize(ens, g)).tobytes()
         tails = constrained_tails(cfg, [0.0, 0.4], basis, stream_offset=2)
         return [per_row, _report(estimate_partition(cfg, basis))] \
@@ -290,6 +307,65 @@ def test_synthesis_slices_do_not_change_results(dim, sampler, n_samples,
     # end on a short batch (907 and 808 rows)
     assert _sliced_run(dim, sampler, n_samples, rows, workers) \
         == _whole_batches(dim, sampler, n_samples)
+
+
+@pytest.mark.parametrize("rows", [64, 100, 1024])
+def test_high_freq_slices_do_not_change_counts(rows):
+    # 128 modes on a 512-point grid, in 2048- and 452-row batches
+    def run(budget):
+        with mock.patch.object(rng, "SYNTH_BUDGET", budget):
+            return _curve(high_freq_empirical_1d(3, [0.1, 0.13, 0.16], 128,
+                                                 2500, seed=25))
+
+    assert run(rows * 512) == run(1 << 62)
+
+
+def _full_report(rep):
+    return _hex([rep.estimate, rep.log_estimate, rep.standard_error,
+                 rep.log_std_error, rep.effective_sample_size,
+                 rep.fraction_inside_cutoff]) + [rep.config]
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]), sampler=st.sampled_from(gibbs.SAMPLERS),
+       n_samples=st.sampled_from([4096, 5003, 9000]),
+       rows=st.integers(0, 12).flatmap(
+           lambda k: st.integers(1 << k, (2 << k) - 1)),
+       workers=st.sampled_from([1, 2]))
+@example(dim=2, sampler="soliton", n_samples=5003, rows=99, workers=2)
+@example(dim=1, sampler="soliton", n_samples=9000, rows=300, workers=1)
+def test_one_pass_cutoffs_match_per_cutoff_calls(dim, sampler, n_samples,
+                                                 rows, workers):
+    # the slice budgets of the property above; under the soliton sampler a
+    # slice may straddle the half of a batch that is shifted
+    cfg, basis = _sliced_config(dim, sampler, n_samples)
+    cutoffs = [0.0, 0.5 * cfg.cutoff, cfg.cutoff, 3.0 * cfg.cutoff]
+    if sampler != "soliton":
+        cutoffs.append(math.inf)
+    cfgs = [replace(cfg, cutoff=k) for k in cutoffs]
+    ens, = gibbs._make_ensembles([cfg], basis)
+    with _budget(rows, ens.width, workers):
+        together = estimate_partitions(cfgs, basis)
+        alone = [estimate_partition(c, basis) for c in cfgs]
+    assert [_full_report(r) for r in together] \
+        == [_full_report(r) for r in alone]
+
+
+def test_one_pass_rejects_an_empty_list():
+    with pytest.raises(ValueError, match="^need at least one config$"):
+        estimate_partitions([])
+
+
+@pytest.mark.parametrize("name, value", [
+    ("dim", 2), ("p", 4), ("n_modes", 8), ("n_samples", 99), ("seed", 1),
+    ("sampler", "tilted"), ("normalization", PAPER_LITERAL),
+    ("grid_size", 128), ("calibration", True)])
+def test_one_pass_rejects_configs_differing_beyond_cutoff(name, value):
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=16, n_samples=100)
+    with pytest.raises(ValueError, match=rf"^configs must differ only in "
+                                         rf"cutoff, got different values "
+                                         rf"of {name}$"):
+        estimate_partitions([cfg, replace(cfg, cutoff=2.0, **{name: value})])
 
 
 def _corpus(dim, seed, n_fields, workers=1):
