@@ -10,7 +10,7 @@ from ._core import BACKEND
 from .bessel import BesselTable, bessel_j0, bessel_zeros
 from .gibbs import (DivergenceVerdict, EnsembleConfig, EstimatorReport,
                     LayerCakeResult, constrained_tail, divergence_scan,
-                    estimate_partition, layer_cake_reconstruct, tail_curve)
+                    estimate_partition, layer_cake, tail_curve)
 from .groundstate import (GroundState, disc_gns_check, gns_functional,
                           profile_function, solve_ground_state)
 from .radial2d import (DiscQuadrature, RadialBasis, RadialField2D,

@@ -2,8 +2,8 @@
 
     Z = E[ exp((1/p) int |u|^p) 1{ ||u||_2 <= K } ]
 
-for the 1D loop and 2D disc ensembles, with constrained tail curves, the
-layer-cake cross-check, and the truncation divergence scan.
+for the 1D loop and 2D disc ensembles, with constrained tail probabilities,
+the layer-cake cross-check, and the truncation divergence scan.
 
 All accumulation is in log space with an associative (max, sum-exp) merge in
 stream order, so reports are bit-identical for a given config regardless of
@@ -33,6 +33,13 @@ only the synthesis slices wholly in the unshifted bottom half of a batch are
 shared and the others are redone per cutoff. divergence_scan runs every
 cutoff of a scan this way at each truncation level, and every report is
 bit-identical to its own estimate_partition call.
+
+The layer-cake cross-check rebuilds the partition estimate from the tail
+probabilities P(||u||_p > lam, ||u||_2 <= K) at a grid of levels. It too
+makes one pass over the draws: each sample adds its own contribution to the
+whole quadrature sum, so the levels cost a search per sample rather than a
+pass each, and the sample variance of those contributions is the exact error
+of the rebuilt estimate.
 """
 import json
 import math
@@ -410,6 +417,15 @@ def _report(cfg, merged):
                            cfg.n_modes, n, cfg.seed, cfg.to_dict())
 
 
+def _tail_rows(ens, gen, b):
+    """(||u||_p, inside the cutoff, importance weight) of a batch's rows."""
+    cfg = ens.cfg
+    g, log_w = _apply_proposal(ens, ens.draw(gen, b))
+    power_mean, l2sq = _synthesize(ens, g)
+    return (power_mean ** (1.0 / cfg.p), l2sq <= cfg.cutoff * cfg.cutoff,
+            np.exp(log_w))
+
+
 def constrained_tail(cfg: EnsembleConfig, lam: float,
                      basis: RadialBasis | None = None,
                      stream_offset: int = 0) -> EstimatorReport:
@@ -430,15 +446,9 @@ def constrained_tails(cfg: EnsembleConfig, lams,
         if not lam >= 0:
             raise ValueError(f"lam must be >= 0, got {lam!r}")
     ens, = _make_ensembles([cfg], basis)
-    ksq = cfg.cutoff * cfg.cutoff
 
     def batch(gen, start, b):
-        g = ens.draw(gen, b)
-        g, log_w = _apply_proposal(ens, g)
-        power_mean, l2sq = _synthesize(ens, g)
-        lp = power_mean ** (1.0 / cfg.p)
-        inside = l2sq <= ksq
-        weight = np.exp(log_w)
+        lp, inside, weight = _tail_rows(ens, gen, b)
         sums = []
         for lam in lams:
             # a 1-D sum per level: summing a (b, levels) array along axis 0
@@ -467,10 +477,12 @@ def constrained_tails(cfg: EnsembleConfig, lams,
 
 def tail_curve(cfg: EnsembleConfig, lams,
                basis: RadialBasis | None = None) -> TailCurve:
-    """Constrained tail probabilities on a level grid.
+    """Constrained tail probabilities on a level grid, each level from its
+    own block of streams.
 
-    Each level consumes its own block of streams, so the per-level errors are
-    independent and combine in quadrature downstream.
+    Only the benchmark's tracer (perfbench/spans.py, which binds it by name)
+    and tests/test_streams.py still reach it; layer_cake scores the levels
+    in one pass. The next change to the benchmark deletes it.
     """
     lams = np.asarray(lams, dtype=float)
     n_batches = (cfg.n_samples + BATCH_SIZE - 1) // BATCH_SIZE
@@ -484,7 +496,7 @@ def tail_curve(cfg: EnsembleConfig, lams,
             rep.fraction_inside_cutoff
     return TailCurve(lams, emp, err, np.full(len(lams), math.nan),
                      np.zeros(len(lams), dtype=bool),
-                     {"kind": "constrained-tail", "independent_levels": True,
+                     {"kind": "constrained-tail",
                       "fraction_inside": float(frac[0]),
                       "config": cfg.to_dict(), "samples": cfg.n_samples})
 
@@ -496,30 +508,67 @@ class LayerCakeResult:
     inconclusive: bool
 
 
-def layer_cake_reconstruct(curve: TailCurve, p: float) -> LayerCakeResult:
-    """Rebuild the partition estimate from a constrained tail curve:
-    P(A) + int lam^(p-1) exp(lam^p / p) P(||u||_p > lam, A) d lam."""
-    lam = curve.levels
-    if lam[0] != 0.0:
-        raise ValueError("curve must start at level 0 (giving P(A))")
-    g_fac = lam ** (p - 1) * np.exp(lam ** p / p)
-    integrand = g_fac * curve.empirical
-    dl = np.diff(lam)
-    trap_w = np.zeros(len(lam))
+def layer_cake(cfg: EnsembleConfig, lams,
+               basis: RadialBasis | None = None) -> LayerCakeResult:
+    """The partition function rebuilt from its constrained tail,
+
+        Z = P(A) + int lam^(p-1) exp(lam^p / p) P(||u||_p > lam, A) d lam,
+
+    A the event ||u||_2 <= K (Lieb & Loss, Analysis, Thm 1.13), with the
+    integral the trapezoid rule on the levels lams, which start at 0 and
+    end where the integral is cut; from one pass over the draws.
+
+    Sample j scores h_j = w_j 1{A} (1{||u||_p > 0}
+    + sum_i c_i 1{||u||_p > lam_i}) with c_i = t_i lam_i^(p-1)
+    exp(lam_i^p / p), t_i the trapezoid weights, so the estimate is mean(h)
+    and its error sd(h) / sqrt(n) is exact however the levels correlate.
+    inconclusive flags a cut while the last bin still carries more than 1%
+    of the integral.
+    """
+    lams = np.asarray(lams, dtype=float)
+    if len(lams) < 2:
+        raise ValueError(f"layer cake needs at least two levels, "
+                         f"got {len(lams)}")
+    if not np.all(np.isfinite(lams)):
+        raise ValueError(f"layer cake levels must be finite, got "
+                         f"{float(lams[~np.isfinite(lams)][0])!r}")
+    if lams[0] != 0.0:
+        raise ValueError(f"layer cake levels must start at 0.0 (giving "
+                         f"P(A)), got {float(lams[0])!r}")
+    if np.any(np.diff(lams) <= 0):
+        raise ValueError("layer cake levels must be strictly increasing")
+    p = cfg.p
+    with np.errstate(over="ignore"):
+        g_fac = lams ** (p - 1) * np.exp(lams ** p / p)
+    if not np.all(np.isfinite(g_fac)):
+        raise ValueError(f"lam^(p-1) exp(lam^p/p) overflows at level "
+                         f"{float(lams[~np.isfinite(g_fac)][0])!r} "
+                         f"for p={p!r}")
+    dl = np.diff(lams)
+    trap_w = np.zeros(len(lams))
     trap_w[:-1] += dl / 2.0
     trap_w[1:] += dl / 2.0
-    integral = float(np.sum(trap_w * integrand))
-    estimate = float(curve.empirical[0]) + integral
-    per_level = trap_w * g_fac * curve.err
-    if curve.metadata.get("independent_levels"):
-        var = float(curve.err[0] ** 2 + np.sum(per_level ** 2))
-        stderr = math.sqrt(var)
-    else:
-        stderr = float(curve.err[0] + np.sum(per_level))
+    # a sample above exactly the first k levels scores w * score[k]
+    score = np.concatenate([[0.0], 1.0 + np.cumsum(trap_w * g_fac)])
+    ens, = _make_ensembles([cfg], basis)
+
+    def batch(gen, start, b):
+        lp, inside, weight = _tail_rows(ens, gen, b)
+        k = np.searchsorted(lams, lp)        # levels strictly below ||u||_p
+        w = np.where(inside, weight, 0.0)
+        h = w * score[k]
+        return (float(h.sum()), float((h * h).sum()),
+                float(w[k > 0].sum()), float(w[k == len(lams)].sum()))
+
+    parts = _batched(cfg, ens, batch)
+    n = cfg.n_samples
+    sh, sh2, head, last = (sum(col) / n for col in zip(*parts))
+    stderr = math.sqrt(max(sh2 - sh * sh, 0.0) / n)
     # truncated too early if the last bin still carries weight in the integral
-    last = float(integrand[-1] * dl[-1]) if len(dl) else 0.0
-    inconclusive = last > 1e-2 * max(integral, 1e-300) and integral > 0.0
-    return LayerCakeResult(estimate, stderr, inconclusive)
+    integral = sh - head
+    cut = float(g_fac[-1] * dl[-1]) * last
+    inconclusive = cut > 1e-2 * max(integral, 1e-300) and integral > 0.0
+    return LayerCakeResult(sh, stderr, inconclusive)
 
 
 def divergence_scan(cfgs, n_schedule) -> list[DivergenceVerdict]:

@@ -4,9 +4,10 @@ Every Monte Carlo draw in the package is a pure function of (seed, stream):
 stream k of seed s is the Philox generator keyed by SeedSequence(s, spawn_key=(k,)).
 Streams have one layout: every sampler goes through batches(), where batch i
 draws from stream offset + i (the offset lets one seed feed several
-independent runs, e.g. the levels of a tail curve). The field corpora and
-the partition estimators put BATCH_SIZE samples on each stream, so a corpus
-of n fields holds the Gaussian rows a plain estimate of n samples draws.
+independent runs, through the stream_offset of gibbs.constrained_tail).
+The field corpora and the partition estimators put BATCH_SIZE samples on
+each stream, so a corpus of n fields holds the Gaussian rows a plain
+estimate of n samples draws.
 
 GIBBSLAB_WORKERS sets how many threads run the batches. batches() returns
 the batch results in stream order and callers reduce them in that order, so

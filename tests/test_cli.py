@@ -46,7 +46,7 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
            "neg-seed.cfg": "seed = -1\n", "no-samples.cfg": "samples = 0\n"}
 
 
-@pytest.mark.parametrize("args, workers, message", [
+DOMAIN_ERRORS = [
     (["bessel-table", "--count", "0"], "1", "count must be >= 1"),
     (["partition", "--dim", "2", "--p", "6", "--ratio", "0.5",
       "--sampler", "soliton"], "1", "p <= 4"),
@@ -138,15 +138,40 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
     (["partition", "--ratio", "0.5", "--n-modes=-4"], "1",
      "--n-modes must be >= 1, got -4"),
     (["bessel-table", "--count=-3"], "1", "--count must be >= 1, got -3"),
-])
-def test_domain_errors_exit_2_with_one_line(tmp_path, args, workers,
-                                            message):
+]
+
+
+def _error_case_args(tmp_path, args):
+    """args with the config files written and named by path, and the
+    --out-dir that a failed run must not create."""
     for name, text in CONFIGS.items():
         (tmp_path / name).write_text(text)
-    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+    return [str(tmp_path / a) if a.endswith(".cfg") else a for a in args] \
+        + ["--out-dir", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("args, workers, message", DOMAIN_ERRORS)
+def test_domain_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
+                                            args, workers, message):
+    args = _error_case_args(tmp_path, args)
+    monkeypatch.setenv("GIBBSLAB_WORKERS", workers)
+    returncode = main(args)
+    stderr = capsys.readouterr().err
+    assert returncode == 2
+    assert len(stderr.splitlines()) == 1
+    assert message in stderr
+    assert not (tmp_path / "out").exists()      # a failed run writes nothing
+
+
+# the module entry point and the worker count read from the environment of
+# a fresh interpreter, on three of the cases above
+@pytest.mark.parametrize("args, workers, message",
+                         [DOMAIN_ERRORS[i] for i in (0, 2, 3)])
+def test_domain_errors_exit_2_from_the_module(tmp_path, args, workers,
+                                              message):
+    args = _error_case_args(tmp_path, args)
     proc = subprocess.run(
-        [sys.executable, "-m", "gibbslab.cli", *args,
-         "--out-dir", str(tmp_path / "out")],
+        [sys.executable, "-m", "gibbslab.cli", *args],
         capture_output=True, text=True,
         env={**os.environ, "GIBBSLAB_WORKERS": workers})
     assert proc.returncode == 2

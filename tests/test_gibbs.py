@@ -12,11 +12,9 @@ from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (EnsembleConfig, _combine_lse, _lse_partial,
                             constrained_tail, constrained_tails,
                             divergence_scan, estimate_partition,
-                            estimate_partitions, layer_cake_reconstruct,
-                            tail_curve)
+                            estimate_partitions, layer_cake)
 from gibbslab.groundstate import solve_ground_state
 from gibbslab.radial2d import radial_basis
-from gibbslab.tails import TailCurve
 
 
 def test_zero_cutoff_gives_zero():
@@ -129,7 +127,7 @@ def test_constrained_tail_rejects_bad_level(lam):
     with pytest.raises(ValueError, match="lam must be >= 0"):
         constrained_tail(cfg, lam)
     with pytest.raises(ValueError, match="lam must be >= 0"):
-        tail_curve(cfg, [0.0, lam])
+        constrained_tails(cfg, [0.0, lam])
 
 
 def test_constrained_tail_nonincreasing_in_level():
@@ -141,30 +139,89 @@ def test_constrained_tail_nonincreasing_in_level():
 
 
 def test_layer_cake_trivial_curve():
-    # a tail that is identically zero beyond level 0 reconstructs P(A)
-    q = 0.37
-    curve = TailCurve(np.array([0.0, 0.5, 1.0]), np.array([q, 0.0, 0.0]),
-                      np.zeros(3), np.full(3, math.nan),
-                      np.zeros(3, dtype=bool), {"independent_levels": True})
-    rec = layer_cake_reconstruct(curve, 4.0)
-    assert abs(rec.estimate - q) < q * 0.05 + 1e-12
-    assert rec.estimate >= q                      # nonnegative integrand
+    # no inside sample reaches the top level (||u||_4 <= ||u||_inf
+    # <= sqrt(2 N) ||u||_2 <= 1.2 < 3), so each scores exactly 1: the layer
+    # cake is the inside fraction of the same draws, and its error that of
+    # a Bernoulli mean
+    cfg = EnsembleConfig(dim=1, p=4, cutoff=0.3, n_modes=8, n_samples=9000,
+                         seed=5)
+    rec = layer_cake(cfg, [0.0, 3.0])
+    q = estimate_partition(replace(cfg, calibration=True)
+                           ).fraction_inside_cutoff
+    assert 0.0 < q < 1.0
+    assert rec.estimate == q
+    assert rec.stderr == math.sqrt((q - q * q) / cfg.n_samples)
+    assert not rec.inconclusive
+
+
+def _quadrature_weights(lams):
+    """Trapezoid weight times lam^3 exp(lam^4 / 4) at each level (p = 4)."""
+    dl = np.diff(lams)
+    trap_w = np.concatenate([dl, [0.0]]) / 2 + np.concatenate([[0.0], dl]) / 2
+    return trap_w * lams ** 3 * np.exp(lams ** 4 / 4)
+
+
+@pytest.mark.parametrize("sampler", ["plain", "tilted"])
+def test_layer_cake_is_the_quadrature_of_the_tails(sampler):
+    # the one-pass score sums to P(A) + sum_i c_i P(||u||_p > lam_i, A) over
+    # the tail probabilities of the same draws
+    cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=16, n_samples=9000,
+                         seed=6, sampler=sampler)
+    lams = np.concatenate([[0.0], np.linspace(0.05, 1.6, 32)])
+    emp = np.array([rep.estimate for rep in constrained_tails(cfg, lams)])
+    expected = emp[0] + float(np.sum(_quadrature_weights(lams) * emp))
+    assert abs(layer_cake(cfg, lams).estimate - expected) <= 1e-12 * expected
+
+
+def test_layer_cake_truncation_flag_follows_the_last_bin():
+    # the flag is set when lam^(p-1) exp(lam^p/p) P(||u||_p > lam, A) d lam
+    # at the last level exceeds 1% of the integral; sweeping the top level
+    # across that point must flip it exactly where the tails say
+    cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=16, n_samples=4096,
+                         seed=7)
+    flags = []
+    for top in np.linspace(0.5, 0.8, 16):
+        lams = np.concatenate([[0.0], np.linspace(0.05, top, 16)])
+        emp = np.array([rep.estimate for rep in constrained_tails(cfg, lams)])
+        c = _quadrature_weights(lams)
+        last = 2 * c[-1] * emp[-1]          # c[-1] has half the bin width
+        expected = last > 1e-2 * float(np.sum(c * emp))
+        assert layer_cake(cfg, lams).inconclusive == expected
+        flags.append(expected)
+    assert flags[0] and not flags[-1]
 
 
 def test_layer_cake_requires_zero_level():
-    curve = TailCurve(np.array([0.5, 1.0]), np.array([0.1, 0.0]),
-                      np.zeros(2), np.full(2, math.nan),
-                      np.zeros(2, dtype=bool))
-    with pytest.raises(ValueError):
-        layer_cake_reconstruct(curve, 4.0)
+    cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=8, n_samples=100)
+    with pytest.raises(ValueError, match=r"^layer cake levels must start at "
+                                         r"0\.0 \(giving P\(A\)\), got "
+                                         r"0\.5$"):
+        layer_cake(cfg, [0.5, 1.0])
+
+
+@pytest.mark.parametrize("lams, message", [
+    ([0.0], "layer cake needs at least two levels, got 1"),
+    ([0.0, 0.5, math.nan], "layer cake levels must be finite, got nan"),
+    ([0.0, math.inf], "layer cake levels must be finite, got inf"),
+    ([0.0, 0.5, 0.5], "layer cake levels must be strictly increasing"),
+    ([0.0, 0.8, 0.4], "layer cake levels must be strictly increasing"),
+    ([0.0, 1.0, 8.0],
+     "lam^(p-1) exp(lam^p/p) overflows at level 8.0 for p=4"),
+], ids=["one-level", "nan", "inf", "repeated", "decreasing", "overflow"])
+def test_layer_cake_rejects_bad_levels(lams, message):
+    cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=8, n_samples=100)
+    with pytest.raises(ValueError) as info:
+        layer_cake(cfg, lams)
+    assert str(info.value) == message
 
 
 def test_layer_cake_cross_validates_direct_estimate():
+    # five times the direct side's samples keeps the reconstruction's
+    # error below 1.60e-5, the level this test was set at
     cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=16,
-                         n_samples=50000, seed=9)
+                         n_samples=250000, seed=9)
     lams = np.concatenate([[0.0], np.linspace(0.05, 1.6, 32)])
-    curve = tail_curve(cfg, lams)
-    rec = layer_cake_reconstruct(curve, 4.0)
+    rec = layer_cake(cfg, lams)
     direct = estimate_partition(
         EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=16, n_samples=50000,
                        seed=10))
@@ -177,8 +234,7 @@ def test_layer_cake_flags_premature_truncation():
     cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=16,
                          n_samples=20000, seed=11)
     lams = np.concatenate([[0.0], np.linspace(0.05, 0.5, 8)])
-    curve = tail_curve(cfg, lams)      # stops where the tail is still heavy
-    rec = layer_cake_reconstruct(curve, 4.0)
+    rec = layer_cake(cfg, lams)        # stops where the tail is still heavy
     assert rec.inconclusive
 
 

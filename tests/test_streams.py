@@ -7,7 +7,8 @@ test runs every sampler with one and with two worker threads on inputs large
 enough for several batches, and requires identical results. The disc block
 norms are pinned by every 500th of their 5000 values (all three batches); the
 worker test compares all of them. The one-pass tail levels and the row
-slices of the synthesis must leave every bit of these results in place.
+slices of the synthesis must leave every bit of these results in place,
+and the one-pass layer cake is pinned the same way.
 The field corpora share the estimators' layout, and property tests pin
 that: a corpus is a prefix of any larger one, is the same on one and two
 workers, and holds the Gaussian rows of a plain estimate. Scoring several
@@ -29,7 +30,7 @@ from gibbslab import gibbs, rng
 from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
                             constrained_tails, estimate_partition,
-                            estimate_partitions, tail_curve)
+                            estimate_partitions, layer_cake, tail_curve)
 from gibbslab.radial2d import (block_l4_expectation, radial_basis,
                                sample_radials)
 from gibbslab.rng import rng_for, worker_count
@@ -60,6 +61,11 @@ def _curve(curve):
     return _hex(curve.empirical) + _hex(curve.err)
 
 
+def _layer_cake(cfg):
+    rec = layer_cake(cfg, [0.0, 0.3, 0.6, 0.9, 1.2, 1.5])
+    return _hex([rec.estimate, rec.stderr])
+
+
 def _table():
     return bessel_zeros(64)
 
@@ -86,6 +92,8 @@ SAME_LAYOUT = {
                                          stream_offset=3)),
     "constrained-tail-2d":
         lambda: _report(constrained_tail(_config(2, "plain", 18), 0.6)),
+    "layer-cake-1d":
+        lambda: _layer_cake(_config(1, "tilted", 19)),
     "chi2-tail":
         lambda: _curve(chi2_tail_empirical(2, [2.0, 3.0], 70000, seed=21)),
     "gaussian-mgf":
@@ -161,6 +169,10 @@ GOLDEN = {
         "0x1.89703d54fa9c9p-8",
         "0x1.044ed5a8167ddp-7",
     ],
+    "layer-cake-1d": [
+        "0x1.0158743392a42p+0",
+        "0x1.696fe492702eep-7",
+    ],
     "partition-1d-plain": [
         "0x1.00528f1d22495p+0",
         "0x1.4a073ffbe2000p-10",
@@ -220,6 +232,9 @@ def _tail_curve_1d():
 WORKER_SAMPLERS = {
     **SAME_LAYOUT,
     "tail-curve": _tail_curve_1d,
+    "layer-cake-2d":
+        lambda: _layer_cake(replace(_config(2, "soliton", 20),
+                                    n_samples=9000)),
     "block-norms-2d": lambda: _hex(_block_norms_2d()),
 }
 
