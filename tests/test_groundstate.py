@@ -5,6 +5,7 @@ from scaling algebra done inline (a, b, and the sech integrals), and the 2D
 mass from a locally coded fixed-step RK4 shooting solve of the
 standard-normalized equation, rescaled.
 """
+import hashlib
 import math
 
 import numpy as np
@@ -116,6 +117,64 @@ def test_ground_state_2d_p4_pinned():
     gs = solve_ground_state(2, 4)
     assert abs(gs.mass - 4.837539979069467) < 1e-12 * 4.837539979069467
     assert abs(gs.profile[0] - 5.40406639343504) < 1e-10
+
+
+# float.hex goldens taken while the 2D path ran scipy.integrate.simpson and
+# scipy.interpolate.CubicSpline; the NumPy Simpson rule and clamped spline
+# that replace them must reproduce every bit
+GROUND_STATE_2D_GOLDEN = {
+    "mass": "0x1.359a4148cc93ep+2",
+    "grad_norm": "0x1.0c1fa98ca03a2p+3",
+    "j_min": "0x1.766dbe8f25743p+2",
+    "residual_max": "0x1.106a000000000p-31",
+    "mass_error_bar": "0x1.0111fd999999ap-28",
+}
+GNS_FUNCTIONAL_2D_GOLDEN = "0x1.766dbe856e483p+2"
+DISC_SHIFT_2D_SHA256 = \
+    "3d0d48c8be0d0b9800bcf7eeda9d08c6dd6242fbf05a07e13aa5a8048d14e180"
+# profile_function at x[0], x[1], x[2000], x[-1], the midpoint of the first
+# interval, 1.2345, -1.2345, x[-1] - 1e-3 and x[-1] + 0.5, x the stored grid
+PROFILE_FUNCTION_GOLDEN = {
+    (1, 4): ["0x1.bb67ae8584caap+1", "0x1.bb6583a8b8eebp+1",
+             "0x1.f283da7371853p-16", "0x1.183cc0adadf69p-33",
+             "0x1.bb6723cdc12b3p+1", "0x1.9c5dc23bfbc2bp-1",
+             "0x1.9c5dc23bfbc2bp-1", "0x1.18720968685f1p-33", "0x0.0p+0"],
+    (1, 6): ["0x1.1b4f819c2ff81p+1", "0x1.1b4cd052301cdp+1",
+             "0x1.0bd83a81de2bfp-16", "0x1.661c84b5c3686p-34",
+             "0x1.1b4ed547c6d47p+1", "0x1.17871c57c35cdp-1",
+             "0x1.17871c57c35cdp-1", "0x1.664b9e2e47d3ap-34", "0x0.0p+0"],
+    (2, 4): ["0x1.59dc394a4dd6cp+2", "0x1.59d93a986a813p+2",
+             "0x1.2f0e7112bd970p-16", "-0x1.0000000000000p-96",
+             "0x1.59db799c5f64cp+2", "0x1.5048d4de9331bp-1",
+             "0x1.5048d4de9331bp-1", "-0x1.7010b8fbabfa8p-49", "0x0.0p+0"],
+}
+
+
+def test_ground_state_2d_p4_golden():
+    gs = solve_ground_state(2, 4)
+    assert {k: float(getattr(gs, k)).hex()
+            for k in GROUND_STATE_2D_GOLDEN} == GROUND_STATE_2D_GOLDEN
+    j = gns_functional(gs.grid, gs.profile, 2, 4)
+    assert float(j).hex() == GNS_FUNCTIONAL_2D_GOLDEN
+
+
+def test_disc_shift_2d_golden():
+    from gibbslab.bessel import bessel_zeros
+    from gibbslab.gibbs import _disc_shift_2d
+
+    basis = radial_basis(bessel_zeros(64), 64)
+    shift = _disc_shift_2d(64, 4, 3.0, 0.95, basis)
+    assert hashlib.sha256(shift.tobytes()).hexdigest() == DISC_SHIFT_2D_SHA256
+
+
+@pytest.mark.parametrize("dim, p", sorted(PROFILE_FUNCTION_GOLDEN))
+def test_profile_function_golden(dim, p):
+    gs = solve_ground_state(dim, p)
+    x = gs.grid
+    pts = np.array([x[0], x[1], x[2000], x[-1], 0.5 * (x[0] + x[1]), 1.2345,
+                    -1.2345, x[-1] - 1e-3, x[-1] + 0.5])
+    values = profile_function(gs)(pts)
+    assert [float(v).hex() for v in values] == PROFILE_FUNCTION_GOLDEN[dim, p]
 
 
 def test_profile_invariants_2d():
