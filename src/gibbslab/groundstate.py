@@ -7,10 +7,15 @@ all functionals are then analytic. In two dimensions the radial profile is
 one damped Newton solve of a fourth-order finite-difference discretization,
 started from the 1D closed-form profile of the same p (the 2D equation only
 adds the (p-2) phi'/r term); its converged max-norm residual certifies the
-profile. Masses are Richardson-extrapolated from two grids. Only the 2D
-solve, the spline of profile_function and the J functional need scipy beyond
-scipy.special, so they import scipy.linalg, scipy.integrate and
-scipy.interpolate when first called, and the 1D path never loads them.
+profile. Masses are Richardson-extrapolated from two grids.
+
+Integrals are the composite Simpson rule and profile_function is a clamped
+cubic spline, both written here in scipy.integrate.simpson's and
+scipy.interpolate.CubicSpline's own order of operations, so they agree with
+scipy bit for bit without loading those subpackages (each pulls in
+scipy.optimize). Beyond scipy.special the module needs only
+scipy.linalg.solve_banded, for the 2D Newton steps and the spline's slopes,
+imported when first called; the 1D closed form never loads it.
 
 Two constants are exposed per ground state:
 
@@ -28,7 +33,6 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.special import beta as beta_fn
-# imported where used: scipy.integrate and .interpolate pull in scipy.optimize
 
 from .radial2d import (RadialBasis, RadialField2D, grad_l2_spectral_sq,
                        radial_lp_norm)
@@ -229,8 +233,6 @@ def _fd_derivative(f, h):
 
 
 def _solve_2d(p: int) -> GroundState:
-    from scipy.integrate import simpson
-
     mu = math.sqrt((p + 2) / (p - 2))
     r_max = (math.log(1e10) + 3.0) / mu
     # the 2D equation adds only the (p-2) phi'/r term to the 1D one, so the
@@ -243,8 +245,8 @@ def _solve_2d(p: int) -> GroundState:
     for cells in (n_cells, 2 * n_cells):
         grid, prof, res = _newton_2d(p, r_max, cells, guess)
         h = grid[1] - grid[0]
-        masses[cells] = math.sqrt(2 * math.pi * simpson(prof * prof * grid,
-                                                        dx=h))
+        masses[cells] = math.sqrt(2 * math.pi * _simpson(prof * prof * grid,
+                                                         h))
         results[cells] = (grid, prof, res, h)
     m_h, m_h2 = masses[n_cells], masses[2 * n_cells]
     mass = (16 * m_h2 - m_h) / 15.0
@@ -258,8 +260,8 @@ def _solve_2d(p: int) -> GroundState:
         raise RuntimeError("2D profile is not positive decreasing")
 
     dprof = _fd_derivative(prof, h)
-    grad = math.sqrt(2 * math.pi * simpson(dprof * dprof * grid, dx=h))
-    lp_p = 2 * math.pi * simpson(prof ** p * grid, dx=h)
+    grad = math.sqrt(2 * math.pi * _simpson(dprof * dprof * grid, h))
+    lp_p = 2 * math.pi * _simpson(prof ** p * grid, h)
     j_min = _j_value(2, p, grad, mass, lp_p)
     return GroundState(
         dim=2, p=p, grid=grid, profile=prof, mass=mass, grad_norm=grad,
@@ -269,12 +271,54 @@ def _solve_2d(p: int) -> GroundState:
 
 # ---------------------------------------------------------------- functionals
 
+def _simpson(y: np.ndarray, dx: float) -> float:
+    """Composite Simpson rule on an odd number of points spaced dx apart, as
+    scipy.integrate.simpson(y, dx=dx) sums it."""
+    if len(y) < 3 or len(y) % 2 == 0:
+        raise ValueError(f"Simpson's rule needs an odd point count >= 3, "
+                         f"got {len(y)}")
+    r = np.sum(y[0:-2:2] + 4.0 * y[1:-1:2] + y[2::2])
+    r *= dx / 3.0
+    return r
+
+
+def _clamped_spline(x: np.ndarray, y: np.ndarray):
+    """Cubic spline through (x, y) with zero end slopes, built and evaluated
+    as scipy.interpolate.CubicSpline(x, y, bc_type=((1, 0.0), (1, 0.0))) and
+    its PPoly do it; beyond [x[0], x[-1]] it extends the end cubics."""
+    from scipy.linalg import solve_banded
+
+    n = len(x)
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    # knot slopes s: rows 1..n-2 make the second derivative continuous,
+    # rows 0 and n-1 clamp s to zero
+    ab = np.zeros((3, n))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[-1, :-2] = dx[1:]
+    ab[1, 0] = ab[1, -1] = 1
+    b = np.zeros(n)
+    b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    s = solve_banded((1, 1), ab, b, overwrite_ab=True, overwrite_b=True,
+                     check_finite=False)
+    # Hermite coefficients of u^3, u^2, u, 1 on each interval
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    c0, c1, c2, c3 = t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]
+
+    def spline(q):
+        q = np.asarray(q, dtype=float)
+        i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, n - 2)
+        u = q - x[i]
+        uu = u * u
+        return (0.0 + c3[i]) + c2[i] * u + c1[i] * uu + c0[i] * (uu * u)
+
+    return spline
+
+
 def profile_function(gs: GroundState):
     """Cubic-spline evaluator phi(|x|), zero beyond the stored grid."""
-    from scipy.interpolate import CubicSpline
-
-    spline = CubicSpline(gs.grid, gs.profile,
-                         bc_type=((1, 0.0), (1, 0.0)))
+    spline = _clamped_spline(gs.grid, gs.profile)
     edge = gs.grid[-1]
 
     def phi(x):
@@ -301,8 +345,6 @@ def _fd4(values: np.ndarray, h: float) -> np.ndarray:
 def gns_functional(grid: np.ndarray, values: np.ndarray, dim: int,
                    p: float) -> float:
     """J(f) for a gridded profile (full line for dim=1, radial for dim=2)."""
-    from scipy.integrate import simpson
-
     grid = np.asarray(grid, dtype=float)
     values = np.asarray(values, dtype=float)
     h = grid[1] - grid[0]
@@ -315,11 +357,11 @@ def gns_functional(grid: np.ndarray, values: np.ndarray, dim: int,
         w = 2.0 * np.pi * grid
     else:
         raise ValueError("dim must be 1 or 2")
-    lp_p = float(simpson(np.abs(values) ** p * w, dx=h))
+    lp_p = float(_simpson(np.abs(values) ** p * w, h))
     if lp_p <= 0.0:
         raise ValueError("function vanishes in L^p")
-    l2 = math.sqrt(float(simpson(values * values * w, dx=h)))
-    gr = math.sqrt(float(simpson(d * d * w, dx=h)))
+    l2 = math.sqrt(float(_simpson(values * values * w, h)))
+    gr = math.sqrt(float(_simpson(d * d * w, h)))
     return _j_value(dim, p, gr, l2, lp_p)
 
 

@@ -324,7 +324,8 @@ def test_commands_write_only_inside_out_dir(tmp_path, monkeypatch):
 
 
 # scipy subpackages that a 1D command never runs; scipy.integrate and
-# scipy.interpolate each pull in scipy.optimize, and scipy.stats all three
+# scipy.interpolate each pull in scipy.optimize, and scipy.stats all three.
+# A 2D command adds scipy.linalg only.
 UNUSED_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate",
                 "scipy.interpolate", "scipy.linalg")
 
@@ -343,6 +344,15 @@ assert gibbslab.cli.main([
     "--schedule", "16,32", "--samples", "500", "--seed", "1",
     "--out-dir", {str(tmp_path / "scan")!r}]) == 0
 assert loaded() == [], f"after a 1D scan: {{loaded()}}"
+assert gibbslab.cli.main([
+    "threshold-scan", "--dim", "2", "--p", "4", "--ratios", "0.5",
+    "--schedule", "16,32", "--samples", "500", "--seed", "1",
+    "--out-dir", {str(tmp_path / "scan2d")!r}]) == 0
+assert loaded() == ["scipy.linalg"], f"after a 2D scan: {{loaded()}}"
+assert gibbslab.cli.main([
+    "ground-state", "--dim", "2", "--p", "4",
+    "--out-dir", {str(tmp_path / "gs2d")!r}]) == 0
+assert loaded() == ["scipy.linalg"], f"after a 2D ground state: {{loaded()}}"
 from gibbslab import tails
 tails.gaussian_mgf_quadrature(0.3, 1)
 assert "scipy.stats" not in sys.modules, "after the MGF quadrature"

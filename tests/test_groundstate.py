@@ -10,9 +10,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import simpson
+from scipy.interpolate import CubicSpline
 
-from gibbslab.groundstate import (disc_gns_check, gns_functional,
-                                  profile_function, solve_ground_state)
+from gibbslab.groundstate import (_clamped_spline, _simpson, disc_gns_check,
+                                  gns_functional, profile_function,
+                                  solve_ground_state)
 from gibbslab.radial2d import RadialField2D, radial_basis, sample_radials
 from gibbslab.rng import rng_for
 
@@ -283,6 +287,46 @@ def test_functional_rejects_vanishing_input():
     grid = _grids(1)
     with pytest.raises(ValueError):
         gns_functional(grid, np.zeros_like(grid), 1, 6)
+
+
+# ------------------------------------------- Simpson and spline against scipy
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_FINITE, min_size=3, max_size=301), st.floats(1e-6, 1e3))
+def test_simpson_matches_scipy_bit_for_bit(values, dx):
+    y = np.array(values[:len(values) - 1 + len(values) % 2])   # odd count
+    assert float(_simpson(y, dx)).hex() == float(simpson(y, dx=dx)).hex()
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 4400])
+def test_simpson_rejects_even_or_short_counts(n):
+    with pytest.raises(ValueError) as exc:
+        _simpson(np.ones(n), 0.1)
+    assert str(exc.value) == \
+        f"Simpson's rule needs an odd point count >= 3, got {n}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-100.0, 100.0),
+       st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=40),
+       st.data())
+def test_clamped_spline_matches_scipy_bit_for_bit(start, gaps, data):
+    x = start + np.cumsum([0.0] + gaps)
+    y = np.array(data.draw(st.lists(_FINITE, min_size=len(x),
+                                    max_size=len(x))))
+    fractions = data.draw(st.lists(st.floats(0.0, 1.0), max_size=20))
+    q = np.concatenate([x, [x[0] - 1.0, x[-1] + 1.0, np.nan],
+                        x[0] + np.array(fractions) * (x[-1] - x[0])])
+    ours = _clamped_spline(x, y)(q)
+    theirs = CubicSpline(x, y, bc_type=((1, 0.0), (1, 0.0)))(q)
+    assert np.array_equal(np.isnan(ours), np.isnan(q))
+    assert np.array_equal(np.isnan(theirs), np.isnan(q))
+    finite = ~np.isnan(q)
+    assert np.array_equal(ours[finite].view(np.int64),
+                          theirs[finite].view(np.int64))
 
 
 # ---------------------------------------------------------------- disc check
