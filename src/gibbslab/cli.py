@@ -138,20 +138,34 @@ def _cmd_ground_state(opts, out):
 
 
 def _cmd_threshold_scan(opts, out):
-    for ratio in opts["ratios"]:
+    schedule = opts["schedule"]
+    for n in schedule:
+        if n < 1:
+            raise ValueError(f"--schedule values must be >= 1, got {n}")
+    for a, b in zip(schedule, schedule[1:]):
+        if b <= a:
+            raise ValueError(
+                f"--schedule must be increasing, got {b} after {a}")
+    files = [f"scan_ratio_{ratio:g}.csv" for ratio in opts["ratios"]]
+    seen = {}
+    for ratio, name in zip(opts["ratios"], files):
         if not ratio >= 0:
             raise ValueError(f"ratios must be nonnegative, got {ratio}")
+        if name in seen:
+            raise ValueError(f"--ratios {seen[name]!r} and {ratio!r} would "
+                             f"both write {name}")
+        seen[name] = ratio
     gs = solve_ground_state(opts["dim"], opts["p"])   # never hard-coded
     cfgs = [gibbs.EnsembleConfig(
         dim=opts["dim"], p=opts["p"], cutoff=ratio * gs.mass,
-        n_modes=opts["schedule"][0], n_samples=opts["samples"],
+        n_modes=schedule[0], n_samples=opts["samples"],
         seed=opts["seed"], sampler=opts["sampler"])
         for ratio in opts["ratios"]]              # every ratio checked first
     rows = list(zip(opts["ratios"], [cfg.cutoff for cfg in cfgs],
-                    gibbs.divergence_scan(cfgs, opts["schedule"])))
+                    gibbs.divergence_scan(cfgs, schedule)))
     out.mkdir(parents=True, exist_ok=True)
-    for ratio, _, v in rows:
-        with open(out / f"scan_ratio_{ratio:g}.csv", "w", newline="") as fh:
+    for name, (_, _, v) in zip(files, rows):
+        with open(out / name, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["N", "n_samples", "log_estimate", "stderr",
                         "fraction_inside_cutoff"])

@@ -138,6 +138,15 @@ DOMAIN_ERRORS = [
     (["partition", "--ratio", "0.5", "--n-modes=-4"], "1",
      "--n-modes must be >= 1, got -4"),
     (["bessel-table", "--count=-3"], "1", "--count must be >= 1, got -3"),
+    (["threshold-scan", "--ratios", "0.5,0.5000001", "--schedule", "16,32",
+      "--samples", "100"], "1",
+     "--ratios 0.5 and 0.5000001 would both write scan_ratio_0.5.csv"),
+    (["threshold-scan", "--ratios", "0.25,0.5,0.25"], "1",
+     "--ratios 0.25 and 0.25 would both write scan_ratio_0.25.csv"),
+    (["threshold-scan", "--schedule", "0,16"], "1",
+     "--schedule values must be >= 1, got 0"),
+    (["threshold-scan", "--schedule", "16,16,32"], "1",
+     "--schedule must be increasing, got 16 after 16"),
 ]
 
 
