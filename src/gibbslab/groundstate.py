@@ -311,6 +311,7 @@ def _clamped_spline(x: np.ndarray, y: np.ndarray):
         i = np.clip(np.searchsorted(x, q, side="right") - 1, 0, n - 2)
         u = q - x[i]
         uu = u * u
+        # PPoly's summation order, from 0.0 up through ascending powers
         return (0.0 + c3[i]) + c2[i] * u + c1[i] * uu + c0[i] * (uu * u)
 
     return spline
