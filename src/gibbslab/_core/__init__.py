@@ -9,15 +9,21 @@ BACKEND = "numpy"
 
 
 def _abs_power(v, p):
-    """|v|^p; an even integer p is multiplied out (v*v chained) instead of
-    going through the generic power."""
+    """|v|^p; an even integer p is multiplied out left to right,
+    ((w*w)*w)... with w = v*v, instead of going through the generic power.
+    After the first product the chain multiplies in place, so p=4 needs one
+    temporary and any larger p two; v itself is never written."""
     ip = int(round(p))
     if not (ip == p and ip % 2 == 0 and ip >= 2):
         return np.abs(v) ** p
     w = v * v
-    out = w
-    for _ in range(ip // 2 - 1):
-        out = out * w
+    if ip == 2:
+        return w
+    if ip == 4:
+        return np.multiply(w, w, out=w)
+    out = w * w
+    for _ in range(ip // 2 - 2):
+        np.multiply(out, w, out=out)
     return out
 
 

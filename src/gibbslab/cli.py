@@ -192,10 +192,22 @@ _C4_BLOCKS = (3, 4, 5)
 
 
 def _cmd_tail_scan(opts, out):
-    for lam in opts["lambdas"]:
+    lambdas = opts["lambdas"]
+    for lam in lambdas:
         if not 0 < lam < math.inf:
             raise ValueError(f"lambdas must be finite and positive, got {lam}")
-    for k in opts["k_list"]:
+    for a, b in zip(lambdas, lambdas[1:]):
+        if b <= a:
+            raise ValueError(
+                f"--lambdas must be increasing, got {b!r} after {a!r}")
+    stem = "high_freq_tail" if opts["dim"] == 1 else "block_tail"
+    files = [f"{stem}_k{k}.csv" for k in opts["k_list"]]
+    seen = {}
+    for k, name in zip(opts["k_list"], files):
+        if name in seen:
+            raise ValueError(f"--k-list {seen[name]} and {k} would both "
+                             f"write {name}")
+        seen[name] = k
         lowest = 1 if opts["dim"] == 1 else 0   # dim 1 probes block k >= 1
         if k < lowest:
             raise ValueError(f"k_list levels must be >= {lowest} in dim "
@@ -217,10 +229,10 @@ def _cmd_tail_scan(opts, out):
                                           opts["bernstein_trials"],
                                           seed=opts["seed"]).c_hat
                     for j in opts["k_list"])
-        curves = {f"high_freq_tail_k{k}.csv": tails.high_freq_empirical_1d(
-            k, opts["lambdas"], opts["n_modes"], opts["samples"],
+        curves = [tails.high_freq_empirical_1d(
+            k, lambdas, opts["n_modes"], opts["samples"],
             p=opts["p"], seed=opts["seed"], bernstein_c=c_hat)
-            for k in opts["k_list"]}
+            for k in opts["k_list"]]
         extra = {"bernstein_c_hat": c_hat}
     else:
         table = bessel_zeros(opts["n_modes"])
@@ -230,13 +242,13 @@ def _cmd_tail_scan(opts, out):
         c4 = max(block_l4_expectation(j, 2000, table,
                                       seed=opts["seed"] + 2)[0] * 2 ** (j / 2)
                  for j in _C4_BLOCKS)
-        curves = {f"block_tail_k{k}.csv": tails.block_tail_empirical_2d(
-            k, opts["lambdas"], opts["n_modes"], opts["samples"], table,
+        curves = [tails.block_tail_empirical_2d(
+            k, lambdas, opts["n_modes"], opts["samples"], table,
             seed=opts["seed"], c_prime=c_prime, c4=c4)
-            for k in opts["k_list"]}
+            for k in opts["k_list"]]
         extra = {"fernique_c_prime": c_prime, "block_l4_c4": c4}
     out.mkdir(parents=True, exist_ok=True)
-    for name, curve in curves.items():
+    for name, curve in zip(files, curves):
         curve.to_csv(out / name)
     _write_sidecar(out / "tail_scan.config.json", "tail-scan",
                    {**opts, **extra})

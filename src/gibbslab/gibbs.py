@@ -214,8 +214,10 @@ class _Ensemble1D:
         """(int |u|^p, ||u||_2^2) per row of Gaussians."""
         coeffs = gaussian_coeffs(g, self.weights)
         vals = evaluate_coeff_rows(coeffs, self.width)
+        modsq = np.abs(coeffs)
+        np.multiply(modsq, modsq, out=modsq)
         return (abs_power_mean(vals, self.cfg.p),
-                2.0 * np.sum(np.abs(coeffs) ** 2, axis=1))
+                2.0 * np.sum(modsq, axis=1))
 
 
 class _Ensemble2D:

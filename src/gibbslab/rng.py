@@ -16,12 +16,16 @@ every result is bit-identical for any worker count.
 A batch is drawn whole but synthesized in the row slices of row_slices(),
 of about SYNTH_BUDGET grid values each, so that the spectrum, the grid and
 the |u|^p chain of a slice stay in cache; a batch that fits the budget goes
-through whole. Every row is reduced on its own, so slicing changes no result
-bit. The rows of a slice are a power of two, at least 64: OpenBLAS computes
-the last rows of a 2D matrix product whose row count is not a multiple of its
-4-row kernel with another kernel that rounds differently (slices of 7 or 626
-rows moved power_mean by up to 4e-15 relative), and with power-of-two slices
-those rows are the same ones as in the whole batch.
+through whole. The budget of 2^16 values makes each slice array 512 KB of
+float64, so a slice and its temporaries fit a 2 MB per-core L2 cache; at
+2^19 they were 4 MB and spilled out of it, and fresh 1D threshold scans ran
+about 10% slower. Every row is reduced on its own, so
+slicing changes no result bit. The rows of a slice are a power
+of two, at least 64: OpenBLAS computes the last rows of a 2D matrix product
+whose row count is not a multiple of its 4-row kernel with another kernel
+that rounds differently (slices of 7 or 626 rows moved power_mean by up to
+4e-15 relative), and with power-of-two slices those rows are the same ones
+as in the whole batch.
 """
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -29,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 BATCH_SIZE = 4096       # samples per stream, for the fields and the estimators
-SYNTH_BUDGET = 1 << 19  # grid values per synthesis slice (4 MB)
+SYNTH_BUDGET = 1 << 16  # grid values per synthesis slice (512 KB, in L2)
 
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:

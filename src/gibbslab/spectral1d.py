@@ -112,7 +112,9 @@ def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int) -> np.ndarray:
     spec = np.zeros(coeff_rows.shape[:-1] + (grid_size // 2 + 1,),
                     dtype=complex)
     spec[..., 1:n_modes + 1] = coeff_rows
-    return grid_size * np.fft.irfft(spec, n=grid_size, axis=-1)
+    vals = np.fft.irfft(spec, n=grid_size, axis=-1)
+    vals *= grid_size
+    return vals
 
 
 def lp_norm(values: np.ndarray, p: float) -> np.ndarray:

@@ -147,6 +147,14 @@ DOMAIN_ERRORS = [
      "--schedule values must be >= 1, got 0"),
     (["threshold-scan", "--schedule", "16,16,32"], "1",
      "--schedule must be increasing, got 16 after 16"),
+    (["tail-scan", "--dim", "1", "--n-modes", "16", "--k-list", "3,3"], "1",
+     "--k-list 3 and 3 would both write high_freq_tail_k3.csv"),
+    (["tail-scan", "--dim", "2", "--p", "4", "--k-list", "4,3,4"], "1",
+     "--k-list 4 and 4 would both write block_tail_k4.csv"),
+    (["tail-scan", "--dim", "1", "--n-modes", "16", "--lambdas", "0.5,0.5"],
+     "1", "--lambdas must be increasing, got 0.5 after 0.5"),
+    (["tail-scan", "--dim", "2", "--p", "4", "--lambdas", "0.5,1,0.75"], "1",
+     "--lambdas must be increasing, got 0.75 after 1.0"),
 ]
 
 

@@ -1,5 +1,6 @@
-"""Argument checks of the Bessel wrappers and the power kernels against the
-generic power."""
+"""Argument checks of the Bessel wrappers, the power kernels against the
+generic power and, byte for byte, against the explicit left-to-right chain,
+and the FFT synthesis against its reference formula."""
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from gibbslab._core import BACKEND, j0_array, j1_array, j01_arrays, \
     abs_power_mean, weighted_abs_power_sum
 from gibbslab.bessel import bessel_j0
+from gibbslab.spectral1d import evaluate_coeff_rows
 
 
 def test_negative_argument_rejected():
@@ -50,6 +52,35 @@ def test_weighted_power_sum_matches_direct():
         direct = (np.abs(v) ** p) @ w
         assert np.allclose(weighted_abs_power_sum(v, w, p), direct,
                            rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+def test_even_power_kernels_equal_the_left_to_right_chain(p):
+    rng = np.random.default_rng(p)
+    v = rng.standard_normal((24, 97))
+    weights = rng.random(97)
+    before = v.copy()
+    w = v * v
+    chain = w
+    for _ in range(p // 2 - 1):
+        chain = chain * w           # ((w*w)*w)..., a fresh array each time
+    assert abs_power_mean(v, p).tobytes() == chain.mean(axis=-1).tobytes()
+    assert weighted_abs_power_sum(v, weights, p).tobytes() \
+        == (chain @ weights).tobytes()
+    assert v.tobytes() == before.tobytes()      # the input is never written
+
+
+@pytest.mark.parametrize("grid_size", [64, 48])
+def test_evaluate_coeff_rows_equals_scaled_irfft(grid_size):
+    rng = np.random.default_rng(grid_size)
+    n_modes = grid_size // 4
+    coeffs = rng.standard_normal((9, n_modes)) \
+        + 1j * rng.standard_normal((9, n_modes))
+    spec = np.zeros((9, grid_size // 2 + 1), dtype=complex)
+    spec[:, 1:n_modes + 1] = coeffs
+    reference = grid_size * np.fft.irfft(spec, n=grid_size, axis=-1)
+    assert evaluate_coeff_rows(coeffs, grid_size).tobytes() \
+        == reference.tobytes()
 
 
 def test_backend_is_reported():

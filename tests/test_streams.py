@@ -335,6 +335,29 @@ def test_high_freq_slices_do_not_change_counts(rows):
     assert run(rows * 512) == run(1 << 62)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n_rows=st.integers(1, 9000), width=st.integers(1, 1 << 13),
+       budget=st.one_of(st.none(), st.integers(1, 1 << 21)))
+@example(n_rows=BATCH_SIZE, width=2048, budget=None)   # 1D at N=512
+def test_row_slices_tile_the_batch(n_rows, width, budget):
+    # budget None is the default SYNTH_BUDGET
+    budget = rng.SYNTH_BUDGET if budget is None else budget
+    with mock.patch.object(rng, "SYNTH_BUDGET", budget):
+        bounds = rng.row_slices(n_rows, width)
+    starts = [lo for lo, _ in bounds]
+    stops = [hi for _, hi in bounds]
+    assert starts == [0] + stops[:-1] and stops[-1] == n_rows
+    assert all(lo < hi for lo, hi in bounds)
+    if n_rows * width <= budget:
+        assert bounds == [(0, n_rows)]      # the batch goes through whole
+    for lo, hi in bounds[:-1]:
+        rows = hi - lo
+        assert rows >= 64 and rows & (rows - 1) == 0
+        assert rows == stops[0]             # one slice size per batch
+    assert all((hi - lo) * width <= max(budget, 64 * width)
+               for lo, hi in bounds)
+
+
 def _full_report(rep):
     return _hex([rep.estimate, rep.log_estimate, rep.standard_error,
                  rep.log_std_error, rep.effective_sample_size,
