@@ -1,9 +1,9 @@
 """Hot numerical kernels: the |v|^p reductions and the J0/J1 wrappers.
 
-J0 and J1 come from scipy.special; the wrappers only add the argument check.
+J0 and J1 come from scipy.special, imported on the first call so that the
+1D paths never load it; the wrappers only add the argument check.
 """
 import numpy as np
-from scipy import special
 
 BACKEND = "numpy"
 
@@ -47,16 +47,22 @@ def _bessel_arg(x):
 
 def j0_array(x):
     """J0 of an array of finite nonnegative arguments."""
-    return special.j0(_bessel_arg(x))
+    from scipy.special import j0
+
+    return j0(_bessel_arg(x))
 
 
 def j1_array(x):
     """J1 of an array of finite nonnegative arguments."""
-    return special.j1(_bessel_arg(x))
+    from scipy.special import j1
+
+    return j1(_bessel_arg(x))
 
 
 def j01_arrays(x):
     """(J0(x), J1(x)); nothing in the package calls it, but the benchmark's
     tracer binds it by name, so it stays until that tracer drops it."""
+    from scipy.special import j0, j1
+
     x = _bessel_arg(x)
-    return special.j0(x), special.j1(x)
+    return j0(x), j1(x)

@@ -1,15 +1,15 @@
 """Zero-order Bessel machinery: J0 evaluation and certified J0 zeros.
 
 J0 and J1 are scipy.special's, and the zeros come from
-scipy.special.jn_zeros. Every table is certified against the table
-invariants before it is returned: |J0(z_n)| < 1e-12, spacing within 0.3 of
-pi, and J1 alternating in sign at consecutive zeros.
+scipy.special.jn_zeros, imported when a table is first built. Every table is
+certified against the table invariants before it is returned:
+|J0(z_n)| < 1e-12, spacing within 0.3 of pi, and J1 alternating in sign at
+consecutive zeros.
 """
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jn_zeros
 
 from ._core import j0_array, j1_array
 
@@ -66,6 +66,8 @@ def bessel_zeros(count: int) -> BesselTable:
         raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    from scipy.special import jn_zeros
+
     zs = jn_zeros(0, count)
     table = BesselTable(zeros=zs, j1_at_zeros=j1_array(zs))
     table.validate()

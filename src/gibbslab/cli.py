@@ -27,16 +27,23 @@ from .groundstate import solve_ground_state
 from .radial2d import block_l4_expectation
 
 
+def _int_or_none(text):
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 def _even_p(text):
-    v = int(text)
-    if v <= 2 or v % 2:
+    v = _int_or_none(text)
+    if v is None or v <= 2 or v % 2:
         raise argparse.ArgumentTypeError(
             f"p must be an even integer greater than 2, got {text}")
     return v
 
 
 def _dim(text):
-    v = int(text)
+    v = _int_or_none(text)
     if v not in (1, 2):
         raise argparse.ArgumentTypeError(f"dim must be 1 or 2, got {text}")
     return v
@@ -58,12 +65,20 @@ def _bool(text):
     return low in ("1", "true", "yes")
 
 
+def _list(text, convert, form):
+    try:
+        return [convert(t) for t in text.split(",") if t]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated {form}, got {text}") from None
+
+
 def _int_list(text):
-    return [int(t) for t in text.split(",") if t]
+    return _list(text, int, "integers")
 
 
 def _float_list(text):
-    return [float(t) for t in text.split(",") if t]
+    return _list(text, float, "numbers")
 
 
 def _read_config_file(path):
@@ -267,10 +282,13 @@ def _cmd_bessel_table(opts, out):
 
 def _cmd_partition(opts, out):
     cutoff = opts["cutoff"]
-    if not (math.isnan(cutoff) or math.isnan(opts["ratio"])):
+    for k in ("cutoff", "ratio"):
+        if opts[k] is not None and math.isnan(opts[k]):
+            raise ValueError(f"--{k} must be a number, got nan")
+    if cutoff is not None and opts["ratio"] is not None:
         raise ValueError("--cutoff and --ratio are mutually exclusive")
-    if math.isnan(cutoff):
-        if math.isnan(opts["ratio"]):
+    if cutoff is None:
+        if opts["ratio"] is None:
             raise ValueError("provide either --cutoff or --ratio")
         if opts["ratio"] < 0:
             raise ValueError(f"ratio must be nonnegative, got {opts['ratio']}")
@@ -329,7 +347,7 @@ _COMMANDS = {
     "partition": (
         _cmd_partition, "single partition-function estimate at --cutoff K, "
                         "or at --ratio r (K = r times the critical mass)",
-        _DIM_P + [("cutoff", float, math.nan), ("ratio", float, math.nan),
+        _DIM_P + [("cutoff", float, None), ("ratio", float, None),
                   ("n_modes", int, 64), ("samples", int, 100000),
                   ("seed", int, 0), ("sampler", _sampler, "plain"),
                   ("calibration", _bool, False)]),

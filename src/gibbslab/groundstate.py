@@ -13,9 +13,10 @@ Integrals are the composite Simpson rule and profile_function is a clamped
 cubic spline, both written here in scipy.integrate.simpson's and
 scipy.interpolate.CubicSpline's own order of operations, so they agree with
 scipy bit for bit without loading those subpackages (each pulls in
-scipy.optimize). Beyond scipy.special the module needs only
-scipy.linalg.solve_banded, for the 2D Newton steps and the spline's slopes,
-imported when first called; the 1D closed form never loads it.
+scipy.optimize). The 1D closed form takes its four Beta values from a table
+of scipy.special.beta's own results, so it loads no scipy at all; the module
+needs only scipy.linalg.solve_banded, for the 2D Newton steps and the
+spline's slopes, imported when first called.
 
 Two constants are exposed per ground state:
 
@@ -32,7 +33,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import beta as beta_fn
 
 from .radial2d import (RadialBasis, RadialField2D, grad_l2_spectral_sq,
                        radial_lp_norm)
@@ -92,6 +92,17 @@ def solve_ground_state(dim: int, p: int) -> GroundState:
 
 # ---------------------------------------------------------------- 1D, closed form
 
+# beta(a, 1/2) at the four a that _solve_1d asks for in the 1D range p in
+# {4, 6}, as scipy.special.beta computes them. The exact values pi, 2, pi/2
+# and 4/3 differ from three of these in the last bit, which would move the
+# critical mass and every cutoff scaled from it.
+_BETA_HALF = {
+    0.5: float.fromhex("0x1.921fb54442d17p+1"),
+    1.0: float.fromhex("0x1.fffffffffffffp+0"),
+    1.5: float.fromhex("0x1.921fb54442d17p+0"),
+    2.0: float.fromhex("0x1.5555555555555p+0"),
+}
+
 def _solve_1d(p: int) -> GroundState:
     s = 2.0 / (p - 2)         # sech power of the unit-normalized profile
     c = (p - 2) / 2.0
@@ -100,8 +111,8 @@ def _solve_1d(p: int) -> GroundState:
     amp = (p / 2.0) ** (1.0 / (p - 2))
 
     # closed-form line integrals of Q(y) = amp * sech^s(c y)
-    int_q2 = amp ** 2 * beta_fn(s, 0.5) / c
-    int_qp = amp ** p * beta_fn(p * s / 2.0, 0.5) / c
+    int_q2 = amp ** 2 * _BETA_HALF[s] / c
+    int_qp = amp ** p * _BETA_HALF[p * s / 2.0] / c
     int_dq2 = int_qp - int_q2             # from the equation, multiply by Q
 
     mass_sq = a * a / b * int_q2

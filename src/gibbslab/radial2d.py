@@ -16,7 +16,6 @@ roots_legendre) with the area measure 2 pi r dr applied through the weights.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from ._core import j0_array, j1_array, weighted_abs_power_sum
 from .bessel import BesselTable
@@ -42,6 +41,8 @@ class DiscQuadrature:
 
 
 def disc_quadrature(n_nodes: int) -> DiscQuadrature:
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(n_nodes)
     return DiscQuadrature(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 

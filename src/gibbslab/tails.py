@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, xlogy
 
 from .radial2d import BesselTable, _disc_l4_norms
 from .rng import batches, row_slices
@@ -103,6 +102,7 @@ def gaussian_mgf(c: float, m_dof: int) -> float:
 def gaussian_mgf_quadrature(c: float, m_dof: int) -> float:
     """Independent quadrature of the same Gaussian integral."""
     from scipy.integrate import quad
+    from scipy.special import gammaln, xlogy
 
     if c >= 0.5:
         return math.inf

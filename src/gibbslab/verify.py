@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from . import gibbs, tails
 from ._core import abs_power_mean
@@ -28,6 +27,8 @@ FAULTS = ("j1-normalization",)
 
 def normal_two_sided_tail(x):
     """P(|Z| > x) for a standard normal Z: the oracle of the tail checks."""
+    from scipy.special import ndtr
+
     return 2 * (1 - ndtr(x))
 
 

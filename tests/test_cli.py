@@ -43,7 +43,10 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
            "unknown-key.cfg": "banana = 1\n", "dim-3.cfg": "dim = 3\n",
            "bad-sampler.cfg": "sampler = bogus\n",
            "bad-bool.cfg": "calibration = ture\ncutoff = 1.0\n",
-           "neg-seed.cfg": "seed = -1\n", "no-samples.cfg": "samples = 0\n"}
+           "neg-seed.cfg": "seed = -1\n", "no-samples.cfg": "samples = 0\n",
+           "nan-cutoff.cfg": "cutoff = nan\n", "float-p.cfg": "p = 4.0\n",
+           "dim-x.cfg": "dim = x\n", "bad-schedule.cfg": "schedule = 16,a\n",
+           "bad-ratios.cfg": "ratios = 0.5,x\n"}
 
 
 DOMAIN_ERRORS = [
@@ -155,6 +158,22 @@ DOMAIN_ERRORS = [
      "1", "--lambdas must be increasing, got 0.5 after 0.5"),
     (["tail-scan", "--dim", "2", "--p", "4", "--lambdas", "0.5,1,0.75"], "1",
      "--lambdas must be increasing, got 0.75 after 1.0"),
+    (["partition", "--dim", "1", "--p", "6", "--cutoff", "nan",
+      "--ratio", "0.5"], "1", "--cutoff must be a number, got nan"),
+    (["partition", "--dim", "1", "--p", "6", "--ratio", "nan",
+      "--cutoff", "1.0"], "1", "--ratio must be a number, got nan"),
+    (["partition", "--config", "nan-cutoff.cfg", "--ratio", "0.5"], "1",
+     "--cutoff must be a number, got nan"),
+    (["partition", "--dim", "1", "--p", "6", "--cutoff", "nan"], "1",
+     "--cutoff must be a number, got nan"),
+    (["ground-state", "--config", "float-p.cfg"], "1",
+     "config key 'p': p must be an even integer greater than 2, got 4.0"),
+    (["ground-state", "--config", "dim-x.cfg"], "1",
+     "config key 'dim': dim must be 1 or 2, got x"),
+    (["threshold-scan", "--config", "bad-schedule.cfg"], "1",
+     "config key 'schedule': expected comma-separated integers, got 16,a"),
+    (["threshold-scan", "--config", "bad-ratios.cfg"], "1",
+     "config key 'ratios': expected comma-separated numbers, got 0.5,x"),
 ]
 
 
@@ -195,6 +214,34 @@ def test_domain_errors_exit_2_from_the_module(tmp_path, args, workers,
     assert len(proc.stderr.splitlines()) == 1
     assert message in proc.stderr
     assert not (tmp_path / "out").exists()      # a failed run writes nothing
+
+
+# a malformed typed flag is an argparse usage error: usage, then one error
+# line naming the flag and the expected form, and exit status 2
+TYPED_FLAG_ERRORS = [
+    (["ground-state", "--p", "4.0"],
+     "argument --p: p must be an even integer greater than 2, got 4.0"),
+    (["ground-state", "--dim", "x"],
+     "argument --dim: dim must be 1 or 2, got x"),
+    (["threshold-scan", "--schedule", "16,a"],
+     "argument --schedule: expected comma-separated integers, got 16,a"),
+    (["threshold-scan", "--ratios", "0.5,x"],
+     "argument --ratios: expected comma-separated numbers, got 0.5,x"),
+    (["tail-scan", "--k-list", "3,4.5"],
+     "argument --k-list: expected comma-separated integers, got 3,4.5"),
+]
+
+
+@pytest.mark.parametrize("args, message", TYPED_FLAG_ERRORS)
+def test_typed_flag_errors_name_the_expected_form(tmp_path, capsys, args,
+                                                  message):
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--out-dir", str(tmp_path / "out")])
+    stderr = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert stderr.splitlines()[-1].endswith(message)
+    assert "invalid" not in stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_bessel_table_command(tmp_path):
@@ -340,9 +387,10 @@ def test_commands_write_only_inside_out_dir(tmp_path, monkeypatch):
     assert (out / "summary.json").exists()
 
 
-# scipy subpackages that a 1D command never runs; scipy.integrate and
+# scipy subpackages beyond scipy.special; scipy.integrate and
 # scipy.interpolate each pull in scipy.optimize, and scipy.stats all three.
-# A 2D command adds scipy.linalg only.
+# A 1D command loads no scipy at all, and a 2D command scipy.special and
+# scipy.linalg only.
 UNUSED_SCIPY = ("scipy.stats", "scipy.optimize", "scipy.integrate",
                 "scipy.interpolate", "scipy.linalg")
 
@@ -354,13 +402,37 @@ import sys
 def loaded():
     return [m for m in {UNUSED_SCIPY!r} if m in sys.modules]
 
+def any_scipy():
+    return sorted(m for m in sys.modules
+                  if m == "scipy" or m.startswith("scipy."))
+
+import gibbslab
+assert any_scipy() == [], f"on import gibbslab: {{any_scipy()}}"
 import gibbslab.cli
-assert loaded() == [], f"on import: {{loaded()}}"
+assert any_scipy() == [], f"on import gibbslab.cli: {{any_scipy()}}"
 assert gibbslab.cli.main([
     "threshold-scan", "--dim", "1", "--p", "6", "--ratios", "0.5",
     "--schedule", "16,32", "--samples", "500", "--seed", "1",
     "--out-dir", {str(tmp_path / "scan")!r}]) == 0
-assert loaded() == [], f"after a 1D scan: {{loaded()}}"
+assert any_scipy() == [], f"after a 1D scan: {{any_scipy()}}"
+assert gibbslab.cli.main([
+    "ground-state", "--dim", "1", "--p", "4",
+    "--out-dir", {str(tmp_path / "gs1d")!r}]) == 0
+assert any_scipy() == [], f"after a 1D ground state: {{any_scipy()}}"
+assert gibbslab.cli.main([
+    "partition", "--dim", "1", "--p", "6", "--ratio", "0.5",
+    "--n-modes", "16", "--samples", "500", "--sampler", "soliton",
+    "--out-dir", {str(tmp_path / "part1d")!r}]) == 0
+assert any_scipy() == [], f"after a 1D partition: {{any_scipy()}}"
+assert gibbslab.cli.main([
+    "tail-scan", "--dim", "1", "--n-modes", "16", "--samples", "200",
+    "--bernstein-trials", "100", "--k-list", "3", "--lambdas", "0.5",
+    "--out-dir", {str(tmp_path / "tail1d")!r}]) == 0
+assert any_scipy() == [], f"after a 1D tail scan: {{any_scipy()}}"
+assert gibbslab.cli.main([
+    "partition", "--dim", "1", "--p", "6",
+    "--out-dir", {str(tmp_path / "error")!r}]) == 2
+assert any_scipy() == [], f"after a domain error: {{any_scipy()}}"
 assert gibbslab.cli.main([
     "threshold-scan", "--dim", "2", "--p", "4", "--ratios", "0.5",
     "--schedule", "16,32", "--samples", "500", "--seed", "1",

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
-from gibbslab.groundstate import (_clamped_spline, _simpson, disc_gns_check,
+from gibbslab.groundstate import (_BETA_HALF, _clamped_spline, _simpson,
+                                  _validate_dim_p, disc_gns_check,
                                   gns_functional, profile_function,
                                   solve_ground_state)
 from gibbslab.radial2d import RadialField2D, radial_basis, sample_radials
@@ -43,6 +44,53 @@ def test_profile_invariants_1d():
     assert gs.profile[0] > 0
     assert np.all(np.diff(gs.profile) < 0)
     assert gs.profile[-1] < 1e-8 * gs.profile[0]
+
+
+# float.hex goldens taken while _solve_1d called scipy.special.beta; the
+# table of scipy's values that replaces the call must reproduce every bit
+GROUND_STATE_1D_GOLDEN = {
+    4: {"mass": "0x1.dc783d76af359p+1", "grad_norm": "0x1.dc783d76af35bp+1",
+        "gns_constant": "0x1.279a74590331dp-3",
+        "j_min": "0x1.bb67ae8584cacp+0",
+        "residual_max": "0x1.8000000000000p-46",
+        "mass_error_bar": "0x1.4f4925fa23061p-45"},
+    6: {"mass": "0x1.2a9545e765aebp+1", "grad_norm": "0x1.2a9545e765aebp+1",
+        "gns_constant": "0x1.9f02f6222c729p-4",
+        "j_min": "0x1.3bd3cc9be45d9p+1",
+        "residual_max": "0x1.c000000000000p-45",
+        "mass_error_bar": "0x1.a437e5f557de0p-46"},
+}
+PROFILE_1D_SHA256 = {
+    4: "164b8f8a245a531f22f855322eb84f8d408d93b457d45c8243dd7afbfc8e2623",
+    6: "d7ad1d43e59115c6aa7274c593089c997b2a2c416e44c2bf35d7cd2d97e5587e",
+}
+
+
+@pytest.mark.parametrize("p", sorted(GROUND_STATE_1D_GOLDEN))
+def test_ground_state_1d_golden(p):
+    gs = solve_ground_state(1, p)
+    assert {k: float(getattr(gs, k)).hex()
+            for k in GROUND_STATE_1D_GOLDEN[p]} == GROUND_STATE_1D_GOLDEN[p]
+    assert hashlib.sha256(gs.profile.tobytes()).hexdigest() \
+        == PROFILE_1D_SHA256[p]
+
+
+def test_beta_table_matches_scipy_bit_for_bit():
+    from scipy.special import beta
+
+    def accepted(p):
+        try:
+            _validate_dim_p(1, p)
+        except ValueError:
+            return False
+        return True
+
+    ps = [p for p in range(3, 40) if accepted(p)]
+    assert ps == [4, 6]
+    for p in ps:
+        s = 2.0 / (p - 2)            # the two arguments _solve_1d asks for
+        for a in (s, p * s / 2.0):
+            assert float(_BETA_HALF[a]).hex() == float(beta(a, 0.5)).hex()
 
 
 def _rk4_townes_mass_sq():
