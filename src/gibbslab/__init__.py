@@ -18,9 +18,9 @@ from .radial2d import (DiscQuadrature, RadialBasis, RadialField2D,
                        grad_l2_spectral_sq, radial_basis, radial_lp_norm,
                        sample_radials)
 from .rng import rng_for
-from .spectral1d import (GFF, PAPER_LITERAL, SpectralField1D, dyadic_project,
-                         evaluate_coeff_rows, h1_seminorm_sq, l2_norm_spectral,
-                         lp_norm, sample_loops)
+from .spectral1d import (SpectralField1D, dyadic_project, evaluate_coeff_rows,
+                         h1_seminorm_sq, l2_norm_spectral, lp_norm,
+                         sample_loops)
 from .tails import (BernsteinProbe, Block2DBound, DyadicSchedule,
                     FerniqueProbe, HighFreqBound, TailCurve, bernstein_probe,
                     block_norm_samples_2d, block_tail_2d,

@@ -9,10 +9,10 @@ key=value lines whose keys are the option names, written with - or _, and
 a value from a file goes through the same parser as the same value given as
 a flag. GIBBSLAB_WORKERS sets the Monte Carlo worker count. A domain error
 (an out-of-range, empty, missing or conflicting option, an unreadable or
-malformed config file, or a bad GIBBSLAB_WORKERS) ends with a one-line
-message and exit status 2, as argparse's usage errors do. A command
-computes its results before it creates --out-dir, so a failed run writes
-nothing.
+malformed config file or one that sets a key twice, or a bad
+GIBBSLAB_WORKERS) ends with a one-line message and exit status 2, as
+argparse's usage errors do. A command computes its results before it
+creates --out-dir, so a failed run writes nothing.
 """
 import argparse
 import csv
@@ -65,20 +65,32 @@ def _bool(text):
     return low in ("1", "true", "yes")
 
 
-def _list(text, convert, form):
+def _parsed(convert, text, form):
+    """convert(text), or the error that names the expected form; a flag and
+    a config file value give the same text."""
     try:
-        return [convert(t) for t in text.split(",") if t]
+        return convert(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected comma-separated {form}, got {text}") from None
+            f"expected {form}, got {text}") from None
+
+
+def _int(text):
+    return _parsed(int, text, "an integer")
+
+
+def _float(text):
+    return _parsed(float, text, "a number")
 
 
 def _int_list(text):
-    return _list(text, int, "integers")
+    return _parsed(lambda t: [int(v) for v in t.split(",") if v], text,
+                   "comma-separated integers")
 
 
 def _float_list(text):
-    return _list(text, float, "numbers")
+    return _parsed(lambda t: [float(v) for v in t.split(",") if v], text,
+                   "comma-separated numbers")
 
 
 def _read_config_file(path):
@@ -94,7 +106,10 @@ def _read_config_file(path):
         if "=" not in line:
             raise ValueError(f"malformed config line: {line!r}")
         k, v = line.split("=", 1)
-        vals[k.strip().replace("-", "_")] = v.strip()
+        k = k.strip().replace("-", "_")
+        if k in vals:
+            raise ValueError(f"config key {k!r} is set more than once")
+        vals[k] = v.strip()
     return vals
 
 
@@ -333,23 +348,23 @@ _COMMANDS = {
         _cmd_threshold_scan, "divergence scans across cutoff ratios",
         _DIM_P + [("ratios", _float_list, [0.25, 0.5, 0.75, 0.9, 1.1, 1.5]),
                   ("schedule", _int_list, [16, 32, 64, 128, 256, 512]),
-                  ("samples", int, 100000), ("seed", int, 0),
+                  ("samples", _int, 100000), ("seed", _int, 0),
                   ("sampler", _sampler, "soliton")]),
     "tail-scan": (
         _cmd_tail_scan, "tail curves against their bounds",
-        _DIM_P + [("n_modes", int, 128), ("samples", int, 100000),
-                  ("seed", int, 0), ("k_list", _int_list, [3, 4, 5]),
+        _DIM_P + [("n_modes", _int, 128), ("samples", _int, 100000),
+                  ("seed", _int, 0), ("k_list", _int_list, [3, 4, 5]),
                   ("lambdas", _float_list,
                    [round(0.25 * i, 4) for i in range(1, 13)]),
-                  ("bernstein_trials", int, 5000)]),
+                  ("bernstein_trials", _int, 5000)]),
     "bessel-table": (_cmd_bessel_table, "export the J0 zero table",
-                     [("count", int, 100)]),
+                     [("count", _int, 100)]),
     "partition": (
         _cmd_partition, "single partition-function estimate at --cutoff K, "
                         "or at --ratio r (K = r times the critical mass)",
-        _DIM_P + [("cutoff", float, None), ("ratio", float, None),
-                  ("n_modes", int, 64), ("samples", int, 100000),
-                  ("seed", int, 0), ("sampler", _sampler, "plain"),
+        _DIM_P + [("cutoff", _float, None), ("ratio", _float, None),
+                  ("n_modes", _int, 64), ("samples", _int, 100000),
+                  ("seed", _int, 0), ("sampler", _sampler, "plain"),
                   ("calibration", _bool, False)]),
 }
 

@@ -53,8 +53,7 @@ from .groundstate import profile_function, solve_ground_state
 from .radial2d import RadialBasis, radial_basis
 from . import rng
 from .rng import BATCH_SIZE
-from .spectral1d import (GFF, evaluate_coeff_rows, gaussian_coeffs,
-                         spectral_weights)
+from .spectral1d import evaluate_coeff_rows, gaussian_coeffs, spectral_weights
 from .tails import TailCurve
 
 SAMPLERS = ("plain", "tilted", "soliton")
@@ -73,7 +72,6 @@ class EnsembleConfig:
     n_samples: int
     seed: int = 0
     sampler: str = "plain"
-    normalization: str = GFF       # 1D spectral weight convention
     grid_size: int | None = None   # 1D; defaults to 4 * n_modes
     calibration: bool = False      # replace the Gibbs exponent by 0
 
@@ -157,8 +155,7 @@ class DivergenceVerdict:
 
 # ------------------------------------------------------------- tilt profiles
 
-def _sech_shift_1d(n_modes: int, cutoff: float, frac: float,
-                   normalization: str) -> np.ndarray:
+def _sech_shift_1d(n_modes: int, cutoff: float, frac: float) -> np.ndarray:
     """Mean shift, in standard-normal coordinates, onto a mass frac*cutoff
     concentration bump of width ~ 4/n_modes (mean-zero, wrapped)."""
     w = max(4.0 / n_modes, 0.001)
@@ -170,7 +167,7 @@ def _sech_shift_1d(n_modes: int, cutoff: float, frac: float,
     c = ch[1:n_modes + 1]
     mass = math.sqrt(2.0 * float(np.sum(np.abs(c) ** 2)))
     c = c * (frac * cutoff / mass)
-    wn = spectral_weights(n_modes, normalization)
+    wn = spectral_weights(n_modes)
     g_target = np.sqrt(2.0) * c / wn
     return np.stack([g_target.real, g_target.imag], axis=-1)
 
@@ -199,13 +196,12 @@ def _disc_shift_2d(n_modes: int, p: float, cutoff: float, frac: float,
 class _Ensemble1D:
     def __init__(self, cfg: EnsembleConfig):
         self.cfg = cfg
-        self.weights = spectral_weights(cfg.n_modes, cfg.normalization)
+        self.weights = spectral_weights(cfg.n_modes)
         self.width = cfg.resolved_grid_size()       # grid points per row
         self.theta = None
         if cfg.sampler == "soliton":
             self.theta = _sech_shift_1d(cfg.n_modes, cfg.cutoff,
-                                        SOLITON_MASS_FRACTION,
-                                        cfg.normalization)
+                                        SOLITON_MASS_FRACTION)
 
     def draw(self, gen, b):
         return gen.standard_normal((b, self.cfg.n_modes, 2))
@@ -581,12 +577,16 @@ def divergence_scan(cfgs, n_schedule) -> list[DivergenceVerdict]:
     n_schedule = [int(n) for n in n_schedule]
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("schedule must be increasing")
-    _check_family(cfgs, free=("cutoff", "n_modes", "grid_size"))
+    for c in cfgs:
+        if c.grid_size is not None:
+            raise ValueError("divergence_scan puts 4 N grid points at each N "
+                             f"of the schedule, got grid_size={c.grid_size}")
+    _check_family(cfgs, free=("cutoff", "n_modes"))
     basis = None
     if cfgs[0].dim == 2:
         basis = radial_basis(bessel_zeros(max(n_schedule)), max(n_schedule))
-    by_n = [estimate_partitions([replace(c, n_modes=n, grid_size=None)
-                                 for c in cfgs], basis) for n in n_schedule]
+    by_n = [estimate_partitions([replace(c, n_modes=n) for c in cfgs], basis)
+            for n in n_schedule]
     return [_verdict(n_schedule, [reps[i] for reps in by_n])
             for i in range(len(cfgs))]
 

@@ -47,13 +47,9 @@ def disc_quadrature(n_nodes: int) -> DiscQuadrature:
     return DiscQuadrature(nodes=0.5 * (x + 1.0), weights=0.5 * w)
 
 
-def min_node_count(table: BesselTable, n_modes: int) -> int:
-    """Oscillation floor for resolving mode n_modes."""
-    return max(64, int(np.ceil(2.0 * table.zeros[n_modes - 1] / np.pi)))
-
-
 def default_node_count(table: BesselTable, n_modes: int) -> int:
-    """Generous default: about pi nodes per half wavelength of the top mode."""
+    """About pi nodes per half wavelength of the top mode, at least 64;
+    always above the 2 z_N / pi nodes that resolve its oscillation."""
     return max(64, int(np.ceil(table.zeros[n_modes - 1])) + 33)
 
 
@@ -65,44 +61,33 @@ class RadialBasis:
     n_modes: int
     quad: DiscQuadrature
     matrix: np.ndarray              # (Q, N): e_n(r_q)
-    normalized: bool = True
 
     def derivative_matrix(self) -> np.ndarray:
         """(Q, N) radial derivatives e_n'(r_q) = -z_n J1(z_n r)/norm."""
         z = self.table.zeros[:self.n_modes]
         arg = np.outer(self.quad.nodes, z)
-        scale = _mode_scales(self.table, self.n_modes, self.normalized)
+        scale = _mode_scales(self.table, self.n_modes)
         return -j1_array(arg) * z[None, :] * scale[None, :]
 
     def project(self, values_at_nodes: np.ndarray) -> np.ndarray:
         """L2(disc) projection of a radial profile onto the modes."""
-        if not self.normalized:
-            raise ValueError("projection requires the normalized basis")
         return self.matrix.T @ (self.quad.area_weights * values_at_nodes)
 
 
-def _mode_scales(table: BesselTable, n_modes: int, normalized: bool):
-    if normalized:
-        return 1.0 / (np.sqrt(np.pi) * np.abs(table.j1_at_zeros[:n_modes]))
-    return np.full(n_modes, 1.0 / np.sqrt(np.pi))
+def _mode_scales(table: BesselTable, n_modes: int):
+    """The L2 norms' inverses 1/(sqrt(pi) |J1(z_n)|)."""
+    return 1.0 / (np.sqrt(np.pi) * np.abs(table.j1_at_zeros[:n_modes]))
 
 
-def radial_basis(table: BesselTable, n_modes: int,
-                 quad: DiscQuadrature | None = None,
-                 normalized: bool = True) -> RadialBasis:
+def radial_basis(table: BesselTable, n_modes: int) -> RadialBasis:
+    """The first n_modes modes on default_node_count Gauss-Legendre nodes."""
     if table.count < n_modes:
         raise ValueError("Bessel table too short for requested n_modes")
-    if quad is None:
-        quad = disc_quadrature(default_node_count(table, n_modes))
-    if quad.count < min_node_count(table, n_modes):
-        raise ValueError(
-            f"{quad.count} nodes undersample mode {n_modes} "
-            f"(need >= {min_node_count(table, n_modes)})")
+    quad = disc_quadrature(default_node_count(table, n_modes))
     z = table.zeros[:n_modes]
     arg = np.outer(quad.nodes, z)
-    scale = _mode_scales(table, n_modes, normalized)
-    return RadialBasis(table, n_modes, quad, j0_array(arg) * scale[None, :],
-                       normalized)
+    scale = _mode_scales(table, n_modes)
+    return RadialBasis(table, n_modes, quad, j0_array(arg) * scale[None, :])
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,10 @@
 
 A field is stored through its positive-frequency coefficients c_n, n = 1..N;
 negative frequencies are the conjugates (the field is real). Sampling draws
-c_n = w_n * g_n with independent standard complex Gaussians g_n and a spectral
-weight w_n set by the normalization:
-
-  gff:           w_n = 1/(2 pi n); the Dirichlet energy int |u'|^2 is then
-                 exactly the sum of squares of the 2N underlying standard
-                 normals, which the sampler stores alongside the coefficients.
-  paper-literal: w_n = 1/n, kept for side-by-side comparison.
+c_n = w_n * g_n with independent standard complex Gaussians g_n and the
+free-field (gff) weight w_n = 1/(2 pi n): the Dirichlet energy int |u'|^2 is
+then exactly the sum of squares of the 2N underlying standard normals, which
+the sampler stores alongside the coefficients.
 
 Dyadic windows are indexed so that consecutive low/high projections tile the
 spectrum exactly: low(k) keeps 1 <= |n| <= 2^k, high(k) keeps |n| > 2^(k-1),
@@ -22,18 +19,10 @@ import numpy as np
 from ._core import abs_power_mean
 from .rng import BATCH_SIZE, batches
 
-GFF = "gff"
-PAPER_LITERAL = "paper-literal"
-_NORMALIZATIONS = (GFF, PAPER_LITERAL)
 
-
-def spectral_weights(n_modes: int, normalization: str) -> np.ndarray:
-    n = np.arange(1, n_modes + 1, dtype=float)
-    if normalization == GFF:
-        return 1.0 / (2.0 * np.pi * n)
-    if normalization == PAPER_LITERAL:
-        return 1.0 / n
-    raise ValueError(f"unknown normalization {normalization!r}")
+def spectral_weights(n_modes: int) -> np.ndarray:
+    """The gff weights w_n = 1/(2 pi n), n = 1..N."""
+    return 1.0 / (2.0 * np.pi * np.arange(1, n_modes + 1, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -42,15 +31,12 @@ class SpectralField1D:
     a stack of one. Row entries are c_n for frequencies n = 1..N."""
 
     coeffs_pos: np.ndarray          # (fields, N); c_{-n} = conj(c_n)
-    normalization: str
     gaussians: np.ndarray | None = None   # (fields, N, 2), sampled fields
 
     def __post_init__(self):
         if self.coeffs_pos.ndim != 2 or self.coeffs_pos.shape[1] < 1:
             raise ValueError("coefficients must be (fields, n_modes) with "
                              "n_modes >= 1")
-        if self.normalization not in _NORMALIZATIONS:
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if not np.all(np.isfinite(self.coeffs_pos.view(float))):
             raise ValueError("non-finite coefficient")
 
@@ -60,11 +46,10 @@ def gaussian_coeffs(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return weights * (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
 
 
-def sample_loops(seed: int, n_fields: int, n_modes: int,
-                 normalization: str = GFF) -> SpectralField1D:
+def sample_loops(seed: int, n_fields: int, n_modes: int) -> SpectralField1D:
     """n_fields loops through rng.batches: BATCH_SIZE fields per stream, the
     Gaussian rows a plain estimate of n_fields samples draws."""
-    w = spectral_weights(n_modes, normalization)
+    w = spectral_weights(n_modes)
     g = np.empty((n_fields, n_modes, 2))
     coeffs = np.empty((n_fields, n_modes), dtype=complex)
 
@@ -73,7 +58,7 @@ def sample_loops(seed: int, n_fields: int, n_modes: int,
         coeffs[start:start + b] = gaussian_coeffs(g[start:start + b], w)
 
     batches(seed, n_fields, BATCH_SIZE, batch)
-    return SpectralField1D(coeffs, normalization, gaussians=g)
+    return SpectralField1D(coeffs, gaussians=g)
 
 
 def _window(kind: str, k: int, n_modes: int) -> np.ndarray:
@@ -99,7 +84,7 @@ def dyadic_project(field: SpectralField1D, kind: str, k: int) -> SpectralField1D
     g = None
     if field.gaussians is not None:
         g = np.where(keep[:, None], field.gaussians, 0.0)
-    return SpectralField1D(coeffs, field.normalization, g)
+    return SpectralField1D(coeffs, g)
 
 
 def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int) -> np.ndarray:
@@ -133,11 +118,11 @@ def l2_norm_spectral(field: SpectralField1D) -> np.ndarray:
 def h1_seminorm_sq(field: SpectralField1D) -> np.ndarray:
     """Squared Dirichlet energy int_0^1 |u'|^2 of each field.
 
-    For gff-sampled fields this is taken directly from the stored standard
+    For sampled fields this is taken directly from the stored standard
     normals, making the chi-square law exact in floating point; otherwise the
     spectral formula sum (2 pi n)^2 |c_n|^2 over both signs is used.
     """
-    if field.normalization == GFF and field.gaussians is not None:
+    if field.gaussians is not None:
         return np.sum(field.gaussians * field.gaussians, axis=(-2, -1))
     n = np.arange(1, field.coeffs_pos.shape[-1] + 1, dtype=float)
     return 2.0 * np.sum((2.0 * np.pi * n) ** 2

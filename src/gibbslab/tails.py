@@ -16,7 +16,7 @@ import numpy as np
 
 from .radial2d import BesselTable, _disc_l4_norms
 from .rng import batches, row_slices
-from .spectral1d import (GFF, SpectralField1D, evaluate_coeff_rows,
+from .spectral1d import (SpectralField1D, evaluate_coeff_rows,
                          gaussian_coeffs, lp_norm, spectral_weights, _window)
 
 
@@ -82,10 +82,10 @@ def chi2_tail_empirical(m_dof: int, levels, n_samples: int,
                       "seed": seed})
 
 
-def resolvable(curve: TailCurve, min_hits: int = 25) -> np.ndarray:
-    """Levels whose empirical count is large enough to test against a bound."""
-    n = curve.metadata.get("samples", 0)
-    return curve.empirical * n >= min_hits
+def resolvable(curve: TailCurve) -> np.ndarray:
+    """Levels whose empirical count, 25 hits or more, is large enough to test
+    against a bound."""
+    return curve.empirical * curve.metadata.get("samples", 0) >= 25
 
 
 # ------------------------------------------------------------------- MGF
@@ -158,7 +158,7 @@ def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> BernsteinPr
     n_modes = 2 ** j
     grid_size = max(4, int(p) + 2) * n_modes
     keep = _window("block", j, n_modes)
-    w = spectral_weights(n_modes, GFF)
+    w = spectral_weights(n_modes)
     freqs = np.arange(1, n_modes + 1)
     size = 512
 
@@ -183,8 +183,8 @@ def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> BernsteinPr
     for ratio, coeffs in batches(seed, trials, size, batch):
         if ratio > best:
             best, best_coeffs = ratio, coeffs
-    return BernsteinProbe(best, SpectralField1D(best_coeffs[None], GFF), j,
-                          p, trials)
+    return BernsteinProbe(best, SpectralField1D(best_coeffs[None]), j, p,
+                          trials)
 
 
 # ------------------------------------------------------------ dyadic schedule
@@ -196,7 +196,7 @@ class DyadicSchedule:
     r: float
     p: float
     bernstein_c: float
-    values: np.ndarray           # lambda_j for j = k .. k + len - 1
+    values: np.ndarray           # lambda_j for j = k .. k + 47
     valid: np.ndarray            # per-j applicability of the chi-square step
     minimal_valid_k: int
 
@@ -209,14 +209,14 @@ class DyadicSchedule:
 
 
 def dyadic_schedule(lam: float, k: int, r: float, p: float,
-                    bernstein_c: float = 1.0,
-                    j_count: int = 48) -> DyadicSchedule:
-    """Geometric level split lambda_j = lam (1-2^-r) 2^(kr) 2^(-jr), j >= k."""
+                    bernstein_c: float = 1.0) -> DyadicSchedule:
+    """Geometric level split lambda_j = lam (1-2^-r) 2^(kr) 2^(-jr) at the 48
+    levels j = k .. k + 47."""
     if lam <= 0:
         raise ValueError("lam must be positive")
     if not 0.0 < r < 1.0 / p:
         raise ValueError("r must lie in (0, 1/p)")
-    j = np.arange(k, k + j_count)
+    j = np.arange(k, k + 48)
     vals = lam * (1 - 2.0 ** -r) * 2.0 ** (k * r) * 2.0 ** (-j * r)
     # chi-square step needs lambda_j 2^(j/p) >= (3/2) C; lhs increases in j
     valid = vals * 2.0 ** (j / p) >= 1.5 * bernstein_c
@@ -274,14 +274,13 @@ def high_freq_tail_bound(k: int, lam: float, r: float, p: float,
 
 def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
                            p: float = 6.0, seed: int = 0,
-                           bernstein_c: float | None = None,
-                           r: float | None = None) -> TailCurve:
-    """Empirical P(||u_(high k)||_p > lam) against the summed dyadic bound."""
+                           bernstein_c: float | None = None) -> TailCurve:
+    """Empirical P(||u_(high k)||_p > lam) against the summed dyadic bound,
+    whose level split has the rate r = 1/(2p), halfway into (0, 1/p)."""
     lams = np.asarray(lams, dtype=float)
-    if r is None:
-        r = 0.5 / p
+    r = 0.5 / p
     keep = _window("high", k, n_modes)
-    w = spectral_weights(n_modes, GFF)
+    w = spectral_weights(n_modes)
     grid_size = 4 * n_modes
 
     def batch(rng, start, b):
@@ -357,19 +356,14 @@ class Block2DBound:
     valid: bool                  # every summed term had t_j > 1
 
 
-def block_tail_2d(k: int, lam: float, c_prime: float, c4: float,
-                  s: float = 0.25, eps=None, j_count: int = 60) -> Block2DBound:
-    """Chained disc tail bound: split lam over blocks with weights eps_j,
+def block_tail_2d(k: int, lam: float, c_prime: float,
+                  c4: float) -> Block2DBound:
+    """Chained disc tail bound: split lam over the 60 blocks j = k .. k + 59
+    with the geometric weights eps_j = (1-2^-s) 2^(ks) 2^(-js), s = 1/4,
     apply the Fernique rate to each block, and close the geometric sum."""
-    if eps is not None:
-        eps = np.asarray(eps, dtype=float)
-        if abs(eps.sum() - 1.0) > 1e-9 or np.any(eps <= 0):
-            raise ValueError("eps schedule must be positive and sum to 1")
-    else:
-        if not 0.0 < s < 0.5:
-            raise ValueError("s must lie in (0, 1/2) for a decaying chain")
-        j = np.arange(k, k + j_count)
-        eps = (1 - 2.0 ** -s) * 2.0 ** (k * s) * 2.0 ** (-j * s)
+    s = 0.25
+    j = np.arange(k, k + 60)
+    eps = (1 - 2.0 ** -s) * 2.0 ** (k * s) * 2.0 ** (-j * s)
     total = 0.0
     valid = True
     for i, e in enumerate(eps):

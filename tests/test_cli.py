@@ -46,7 +46,10 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
            "neg-seed.cfg": "seed = -1\n", "no-samples.cfg": "samples = 0\n",
            "nan-cutoff.cfg": "cutoff = nan\n", "float-p.cfg": "p = 4.0\n",
            "dim-x.cfg": "dim = x\n", "bad-schedule.cfg": "schedule = 16,a\n",
-           "bad-ratios.cfg": "ratios = 0.5,x\n"}
+           "bad-ratios.cfg": "ratios = 0.5,x\n",
+           "float-samples.cfg": "samples = 1.5\n",
+           "count-twice.cfg": "count = 5\ncount = 7\n",
+           "n-modes-twice.cfg": "n-modes = 8\nn_modes = 16\n"}
 
 
 DOMAIN_ERRORS = [
@@ -174,6 +177,12 @@ DOMAIN_ERRORS = [
      "config key 'schedule': expected comma-separated integers, got 16,a"),
     (["threshold-scan", "--config", "bad-ratios.cfg"], "1",
      "config key 'ratios': expected comma-separated numbers, got 0.5,x"),
+    (["threshold-scan", "--config", "float-samples.cfg"], "1",
+     "config key 'samples': expected an integer, got 1.5"),
+    (["bessel-table", "--config", "count-twice.cfg"], "1",
+     "config key 'count' is set more than once"),
+    (["partition", "--config", "n-modes-twice.cfg"], "1",
+     "config key 'n_modes' is set more than once"),
 ]
 
 
@@ -229,6 +238,10 @@ TYPED_FLAG_ERRORS = [
      "argument --ratios: expected comma-separated numbers, got 0.5,x"),
     (["tail-scan", "--k-list", "3,4.5"],
      "argument --k-list: expected comma-separated integers, got 3,4.5"),
+    (["threshold-scan", "--samples", "1.5"],
+     "argument --samples: expected an integer, got 1.5"),
+    (["partition", "--cutoff", "x"],
+     "argument --cutoff: expected a number, got x"),
 ]
 
 
@@ -464,3 +477,26 @@ def test_benchmark_tracer_binds(tmp_path):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["calls"]["bessel.zeros"] == 1
+
+
+def test_benchmark_tracer_targets_exist():
+    # every function the tracer binds by name, read from perfbench/spans.py
+    # without running it; the traced benchmark is the only other caller that
+    # would notice one go
+    import importlib
+    import importlib.util
+
+    import gibbslab
+    from gibbslab import gibbs
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = [f"{mod}.{name}" for mod, names in spans._PUBLIC.items()
+               for name in names
+               if not callable(getattr(
+                   importlib.import_module(f"gibbslab.{mod}"), name, None))]
+    assert missing == []
+    assert callable(gibbs._batched)
+    assert isinstance(gibbslab.BACKEND, str)      # perfbench's setup probe

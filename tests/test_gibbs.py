@@ -271,6 +271,14 @@ def test_scan_rejects_unsorted_schedule():
         divergence_scan([cfg], [32, 16])
 
 
+def test_scan_rejects_a_set_grid_size():
+    # the scan grids each N with 4 N points, so it refuses a grid of its own
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=16, n_samples=100,
+                         seed=0, grid_size=64)
+    with pytest.raises(ValueError, match="got grid_size=64$"):
+        divergence_scan([cfg], [16, 32])
+
+
 def test_importance_sampler_consistency():
     gs = solve_ground_state(1, 6)
     reports = []

@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gibbslab.spectral1d import (GFF, PAPER_LITERAL, SpectralField1D,
-                                 dyadic_project, evaluate_coeff_rows,
-                                 h1_seminorm_sq, l2_norm_spectral, lp_norm,
-                                 sample_loops)
+from gibbslab.spectral1d import (SpectralField1D, dyadic_project,
+                                 evaluate_coeff_rows, h1_seminorm_sq,
+                                 l2_norm_spectral, lp_norm, sample_loops)
 
 
 def _cosine_field(n=1, amp=0.5, n_modes=8):
     """c_n = c_{-n} = amp: the field amp*2*cos(2 pi n x), a stack of one."""
     coeffs = np.zeros((1, n_modes), dtype=complex)
     coeffs[0, n - 1] = amp
-    return SpectralField1D(coeffs, GFF)
+    return SpectralField1D(coeffs)
 
 
 def _grid(field, grid_size):
@@ -47,7 +46,7 @@ def test_h1_chi_square_moments():
 
 
 def test_zero_field_norms_and_projections():
-    z = SpectralField1D(np.zeros((1, 8), complex), GFF)
+    z = SpectralField1D(np.zeros((1, 8), complex))
     assert l2_norm_spectral(z) == [0.0]
     assert lp_norm(_grid(z, 32), 6.0) == [0.0]
     assert h1_seminorm_sq(z) == [0.0]
@@ -65,7 +64,7 @@ def test_sampling_rejects_empty_field():
 
 def test_field_needs_a_field_axis():
     with pytest.raises(ValueError, match="fields, n_modes"):
-        SpectralField1D(np.zeros(8, complex), GFF)
+        SpectralField1D(np.zeros(8, complex))
 
 
 @settings(max_examples=30, deadline=None)
@@ -159,14 +158,15 @@ def test_stack_gives_each_field_its_own_values():
     f = sample_loops(36, 5, 32)
     grid = _grid(f, 128)
     for i in range(5):
-        one = SpectralField1D(f.coeffs_pos[i:i + 1], GFF, f.gaussians[i:i + 1])
+        one = SpectralField1D(f.coeffs_pos[i:i + 1], f.gaussians[i:i + 1])
         assert l2_norm_spectral(one)[0] == l2_norm_spectral(f)[i]
         assert h1_seminorm_sq(one)[0] == h1_seminorm_sq(f)[i]
         assert lp_norm(_grid(one, 128), 6.0)[0] == lp_norm(grid, 6.0)[i]
 
 
 def test_h1_paper_literal_closed_form():
-    f = SpectralField1D(np.array([[0.5, 0.0]], dtype=complex), PAPER_LITERAL)
+    # a field without stored Gaussians takes the spectral formula
+    f = SpectralField1D(np.array([[0.5, 0.0]], dtype=complex))
     assert abs(h1_seminorm_sq(f)[0] - 2 * math.pi ** 2) < 1e-12
 
 

@@ -34,7 +34,7 @@ from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
 from gibbslab.radial2d import (block_l4_expectation, radial_basis,
                                sample_radials)
 from gibbslab.rng import rng_for, worker_count
-from gibbslab.spectral1d import PAPER_LITERAL, sample_loops
+from gibbslab.spectral1d import sample_loops
 from gibbslab.tails import (bernstein_probe, block_norm_samples_2d,
                             block_tail_empirical_2d, chi2_tail_empirical,
                             gaussian_mgf_mc, high_freq_empirical_1d)
@@ -396,8 +396,7 @@ def test_one_pass_rejects_an_empty_list():
 
 @pytest.mark.parametrize("name, value", [
     ("dim", 2), ("p", 4), ("n_modes", 8), ("n_samples", 99), ("seed", 1),
-    ("sampler", "tilted"), ("normalization", PAPER_LITERAL),
-    ("grid_size", 128), ("calibration", True)])
+    ("sampler", "tilted"), ("grid_size", 128), ("calibration", True)])
 def test_one_pass_rejects_configs_differing_beyond_cutoff(name, value):
     cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=16, n_samples=100)
     with pytest.raises(ValueError, match=rf"^configs must differ only in "

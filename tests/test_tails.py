@@ -217,11 +217,6 @@ def test_eps_schedule_sums_to_one():
     assert abs(eps.sum() - 1.0) < 1e-12
 
 
-def test_block_tail_rejects_bad_eps():
-    with pytest.raises(ValueError):
-        block_tail_2d(3, 1.0, 1.0, 0.4, eps=[0.3, 0.3])
-
-
 def test_block_tail_bound_decreasing_in_k():
     vals = [block_tail_2d(k, 2.0, 0.7, 0.45).value for k in (3, 4, 5)]
     assert vals[0] > vals[1] > vals[2]
