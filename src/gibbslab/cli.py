@@ -38,21 +38,22 @@ def _even_p(text):
     v = _int_or_none(text)
     if v is None or v <= 2 or v % 2:
         raise argparse.ArgumentTypeError(
-            f"p must be an even integer greater than 2, got {text}")
+            f"p must be an even integer greater than 2, got {text!r}")
     return v
 
 
 def _dim(text):
     v = _int_or_none(text)
     if v not in (1, 2):
-        raise argparse.ArgumentTypeError(f"dim must be 1 or 2, got {text}")
+        raise argparse.ArgumentTypeError(f"dim must be 1 or 2, got {text!r}")
     return v
 
 
 def _sampler(text):
     if text not in gibbs.SAMPLERS:
         raise argparse.ArgumentTypeError(
-            f"sampler must be one of {', '.join(gibbs.SAMPLERS)}, got {text}")
+            f"sampler must be one of {', '.join(gibbs.SAMPLERS)}, "
+            f"got {text!r}")
     return text
 
 
@@ -61,7 +62,7 @@ def _bool(text):
     low = text.lower()
     if low not in ("1", "true", "yes", "0", "false", "no"):
         raise argparse.ArgumentTypeError(
-            f"expected 1/true/yes or 0/false/no, got {text}")
+            f"expected 1/true/yes or 0/false/no, got {text!r}")
     return low in ("1", "true", "yes")
 
 
@@ -72,7 +73,7 @@ def _parsed(convert, text, form):
         return convert(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected {form}, got {text}") from None
+            f"expected {form}, got {text!r}") from None
 
 
 def _int(text):

@@ -24,15 +24,26 @@ observable signature of a divergent partition function.
 Each batch is drawn whole (one stream, BATCH_SIZE rows) but synthesized in
 the row slices of rng.row_slices, which change no result bit.
 
+The indicator gives a row outside every cutoff no weight, so the partition
+estimators compute each slice's ||u||_2^2 first and synthesize int |u|^p
+only on the rows at or below the largest cutoff that reads them, and on no
+row under calibration, whose exponent is the proposal weight alone. In 1D
+those rows are packed together: each row's inverse FFT and grid mean are
+its own, so they change no bit. In 2D a matrix product rounds its last rows
+by the row count (see rng), so a slice keeps every row and is skipped only
+when none of its rows is needed. The tail estimators synthesize every row:
+dropping rows would regroup the pairwise sums of their weights.
+
 A threshold scan asks for the same estimate at several cutoffs with the same
 seed, so estimate_partitions scores them all from one pass over the draws:
 each batch is drawn once, and the plain and tilted proposals, which do not
-depend on the cutoff, are synthesized once, leaving each cutoff its inside
-test and log-sum-exp partial. The soliton shift scales with the cutoff, so
-only the synthesis slices wholly in the unshifted bottom half of a batch are
-shared and the others are redone per cutoff. divergence_scan runs every
-cutoff of a scan this way at each truncation level, and every report is
-bit-identical to its own estimate_partition call.
+depend on the cutoff, are synthesized once, up to the largest cutoff,
+leaving each cutoff its inside test and log-sum-exp partial. The soliton
+shift scales with the cutoff, so only the synthesis slices wholly in the
+unshifted bottom half of a batch are shared, up to the largest cutoff, and
+the others are redone per cutoff, up to that cutoff. divergence_scan runs
+every cutoff of a scan this way at each truncation level, and every report
+is bit-identical to its own estimate_partition call.
 
 The layer-cake cross-check rebuilds the partition estimate from the tail
 probabilities P(||u||_p > lam, ||u||_2 <= K) at a grid of levels. It too
@@ -72,7 +83,7 @@ class EnsembleConfig:
     n_samples: int
     seed: int = 0
     sampler: str = "plain"
-    grid_size: int | None = None   # 1D; defaults to 4 * n_modes
+    grid_size: int | None = None   # 1D only; defaults to 4 * n_modes
     calibration: bool = False      # replace the Gibbs exponent by 0
 
     def __post_init__(self):
@@ -87,6 +98,10 @@ class EnsembleConfig:
             raise ValueError("n_modes and n_samples must be positive")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}")
+        if self.dim == 2 and self.grid_size is not None:
+            # the disc's quadrature nodes follow from n_modes alone
+            raise ValueError("grid_size sets the 1D grid and has no meaning "
+                             f"with dim=2, got grid_size={self.grid_size!r}")
         if self.sampler == "soliton" and math.isinf(self.cutoff):
             # its shift is scaled to a fraction of the cutoff mass
             raise ValueError("the soliton sampler needs a finite cutoff, "
@@ -206,14 +221,21 @@ class _Ensemble1D:
     def draw(self, gen, b):
         return gen.standard_normal((b, self.cfg.n_modes, 2))
 
-    def synthesize(self, g):
-        """(int |u|^p, ||u||_2^2) per row of Gaussians."""
+    def synthesize(self, g, ksq):
+        """(int |u|^p, ||u||_2^2) per row of Gaussians, int |u|^p on the rows
+        with ||u||_2^2 <= ksq only and NaN on the others. Those rows are
+        packed together: each row's transform and mean are its own."""
         coeffs = gaussian_coeffs(g, self.weights)
-        vals = evaluate_coeff_rows(coeffs, self.width)
         modsq = np.abs(coeffs)
         np.multiply(modsq, modsq, out=modsq)
-        return (abs_power_mean(vals, self.cfg.p),
-                2.0 * np.sum(modsq, axis=1))
+        l2sq = 2.0 * np.sum(modsq, axis=1)
+        keep = l2sq <= ksq
+        power = np.full(len(g), math.nan)
+        if keep.any():
+            rows = coeffs if keep.all() else coeffs[keep]
+            power[keep] = abs_power_mean(
+                evaluate_coeff_rows(rows, self.width), self.cfg.p)
+        return power, l2sq
 
 
 class _Ensemble2D:
@@ -234,18 +256,22 @@ class _Ensemble2D:
     def draw(self, gen, b):
         return gen.standard_normal((b, self.cfg.n_modes))
 
-    def synthesize(self, g):
-        """(int |v|^p, ||v||_2^2) per row of Gaussians."""
+    def synthesize(self, g, ksq):
+        """(int |v|^p, ||v||_2^2) per row of Gaussians, int |v|^p NaN on
+        every row when no row has ||v||_2^2 <= ksq. Rows are never dropped
+        from the product: its last rows round by the row count (rng.py)."""
         coeffs = g * self.inv_z
+        l2sq = np.sum(coeffs * coeffs, axis=1)
+        if not np.any(l2sq <= ksq):
+            return np.full(len(g), math.nan), l2sq
         vals = coeffs @ self.matrix_t
-        return (weighted_abs_power_sum(vals, self.area_w, self.cfg.p),
-                np.sum(coeffs * coeffs, axis=1))
+        return weighted_abs_power_sum(vals, self.area_w, self.cfg.p), l2sq
 
 
-def _synthesize(ens, g):
-    """ens.synthesize(g) run over the rows of rng.row_slices and joined per
-    row; bit-identical to the whole batch at once."""
-    return _join([ens.synthesize(g[lo:hi])
+def _synthesize(ens, g, ksq=math.inf):
+    """ens.synthesize(g, ksq) run over the rows of rng.row_slices and joined
+    per row; bit-identical to the whole batch at once."""
+    return _join([ens.synthesize(g[lo:hi], ksq)
                   for lo, hi in rng.row_slices(len(g), ens.width)])
 
 
@@ -366,17 +392,23 @@ def estimate_partitions(cfgs, basis: RadialBasis | None = None
     def exponent(log_w, power_mean):
         return log_w if cfg.calibration else log_w + power_mean / cfg.p
 
+    def needed(ksq):
+        """The squared L2 norm up to which rows need int |u|^p: none under
+        calibration, whose exponent does not read it."""
+        return -math.inf if cfg.calibration else ksq
+
     def batch(gen, start, b):
         g = ens.draw(gen, b)
         if cfg.sampler != "soliton":            # one proposal for all cutoffs
             g, log_w = _apply_proposal(ens, g)
-            power_mean, l2sq = _synthesize(ens, g)
+            power_mean, l2sq = _synthesize(ens, g, needed(max(ksqs)))
             expo = exponent(log_w, power_mean)
             return [_lse_partial(expo, l2sq <= ksq) for ksq in ksqs]
         half = b // 2
         bounds = rng.row_slices(b, ens.width)
         n_low = sum(hi <= half for _, hi in bounds)     # unshifted slices
-        low = [ens.synthesize(g[lo:hi]) for lo, hi in bounds[:n_low]]
+        low = [ens.synthesize(g[lo:hi], needed(max(ksqs)))
+               for lo, hi in bounds[:n_low]]
         # each cutoff's log-weights shift g itself and its drawn top half is
         # put back; the synthesis then shifts one slice at a time, so that
         # no full proposal copy is held (it raised the 2D peak RSS)
@@ -387,7 +419,8 @@ def estimate_partitions(cfgs, basis: RadialBasis | None = None
         partials = []
         for each, log_w, ksq in zip(ensembles, log_ws, ksqs):
             power_mean, l2sq = _join(
-                low + [ens.synthesize(_shifted_rows(g, lo, hi, each.theta))
+                low + [ens.synthesize(_shifted_rows(g, lo, hi, each.theta),
+                                      needed(ksq))
                        for lo, hi in bounds[n_low:]])
             partials.append(_lse_partial(exponent(log_w, power_mean),
                                          l2sq <= ksq))

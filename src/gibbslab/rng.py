@@ -26,6 +26,12 @@ whose row count is not a multiple of its 4-row kernel with another kernel
 that rounds differently (slices of 7 or 626 rows moved power_mean by up to
 4e-15 relative), and with power-of-two slices those rows are the same ones
 as in the whole batch.
+
+The partition estimators synthesize |u|^p only on the rows of a slice that
+lie inside a cutoff (gibbs). In 1D they pack those rows together, since an
+inverse FFT and a grid mean treat each row alone. In 2D that would change
+the row count of the product, and with it the kernel of its last rows, so a
+2D slice is synthesized whole or, when no row of it is needed, not at all.
 """
 import os
 from concurrent.futures import ThreadPoolExecutor

@@ -42,8 +42,17 @@ class SpectralField1D:
 
 
 def gaussian_coeffs(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """c_n = w_n (g_n0 + i g_n1) / sqrt(2) for normals of shape (..., N, 2)."""
-    return weights * (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
+    """c_n = w_n (g_n0 + i g_n1) / sqrt(2) for normals of shape (..., N, 2).
+
+    Computed in real arithmetic on the (..., 2N) view of g: a multiply by
+    each weight twice over, then by 1/sqrt(2), viewed as complex. This is
+    bit for bit the complex expression w_n * (g_n0 + 1j * g_n1) / sqrt(2):
+    the zero parts of w_n + 0j and of 1j only add zeros to the products,
+    and numpy divides a complex a by b + 0j as a * (1 / b).
+    """
+    c = g.reshape(g.shape[:-2] + (2 * g.shape[-2],)) * np.repeat(weights, 2)
+    c *= 1.0 / math.sqrt(2.0)
+    return c.view(complex)
 
 
 def sample_loops(seed: int, n_fields: int, n_modes: int) -> SpectralField1D:

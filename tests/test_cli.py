@@ -49,7 +49,8 @@ CONFIGS = {"bad-p.cfg": "p = 5\n", "malformed.cfg": "count 25\n",
            "bad-ratios.cfg": "ratios = 0.5,x\n",
            "float-samples.cfg": "samples = 1.5\n",
            "count-twice.cfg": "count = 5\ncount = 7\n",
-           "n-modes-twice.cfg": "n-modes = 8\nn_modes = 16\n"}
+           "n-modes-twice.cfg": "n-modes = 8\nn_modes = 16\n",
+           "empty-samples.cfg": "samples =\n"}
 
 
 DOMAIN_ERRORS = [
@@ -81,7 +82,7 @@ DOMAIN_ERRORS = [
     (["threshold-scan", "--schedule", "32,16", "--samples", "100"], "1",
      "schedule must be increasing"),
     (["ground-state", "--config", "dim-3.cfg"], "1",
-     "config key 'dim': dim must be 1 or 2, got 3"),
+     "config key 'dim': dim must be 1 or 2, got '3'"),
     (["threshold-scan", "--config", "bad-sampler.cfg"], "1",
      "config key 'sampler': sampler must be one of"),
     (["partition", "--config", "bad-bool.cfg"], "1",
@@ -170,19 +171,21 @@ DOMAIN_ERRORS = [
     (["partition", "--dim", "1", "--p", "6", "--cutoff", "nan"], "1",
      "--cutoff must be a number, got nan"),
     (["ground-state", "--config", "float-p.cfg"], "1",
-     "config key 'p': p must be an even integer greater than 2, got 4.0"),
+     "config key 'p': p must be an even integer greater than 2, got '4.0'"),
     (["ground-state", "--config", "dim-x.cfg"], "1",
-     "config key 'dim': dim must be 1 or 2, got x"),
+     "config key 'dim': dim must be 1 or 2, got 'x'"),
     (["threshold-scan", "--config", "bad-schedule.cfg"], "1",
-     "config key 'schedule': expected comma-separated integers, got 16,a"),
+     "config key 'schedule': expected comma-separated integers, got '16,a'"),
     (["threshold-scan", "--config", "bad-ratios.cfg"], "1",
-     "config key 'ratios': expected comma-separated numbers, got 0.5,x"),
+     "config key 'ratios': expected comma-separated numbers, got '0.5,x'"),
     (["threshold-scan", "--config", "float-samples.cfg"], "1",
-     "config key 'samples': expected an integer, got 1.5"),
+     "config key 'samples': expected an integer, got '1.5'"),
     (["bessel-table", "--config", "count-twice.cfg"], "1",
      "config key 'count' is set more than once"),
     (["partition", "--config", "n-modes-twice.cfg"], "1",
      "config key 'n_modes' is set more than once"),
+    (["threshold-scan", "--config", "empty-samples.cfg"], "1",
+     "config key 'samples': expected an integer, got ''"),
 ]
 
 
@@ -229,19 +232,19 @@ def test_domain_errors_exit_2_from_the_module(tmp_path, args, workers,
 # line naming the flag and the expected form, and exit status 2
 TYPED_FLAG_ERRORS = [
     (["ground-state", "--p", "4.0"],
-     "argument --p: p must be an even integer greater than 2, got 4.0"),
+     "argument --p: p must be an even integer greater than 2, got '4.0'"),
     (["ground-state", "--dim", "x"],
-     "argument --dim: dim must be 1 or 2, got x"),
+     "argument --dim: dim must be 1 or 2, got 'x'"),
     (["threshold-scan", "--schedule", "16,a"],
-     "argument --schedule: expected comma-separated integers, got 16,a"),
+     "argument --schedule: expected comma-separated integers, got '16,a'"),
     (["threshold-scan", "--ratios", "0.5,x"],
-     "argument --ratios: expected comma-separated numbers, got 0.5,x"),
+     "argument --ratios: expected comma-separated numbers, got '0.5,x'"),
     (["tail-scan", "--k-list", "3,4.5"],
-     "argument --k-list: expected comma-separated integers, got 3,4.5"),
+     "argument --k-list: expected comma-separated integers, got '3,4.5'"),
     (["threshold-scan", "--samples", "1.5"],
-     "argument --samples: expected an integer, got 1.5"),
+     "argument --samples: expected an integer, got '1.5'"),
     (["partition", "--cutoff", "x"],
-     "argument --cutoff: expected a number, got x"),
+     "argument --cutoff: expected a number, got 'x'"),
 ]
 
 
@@ -500,3 +503,44 @@ def test_benchmark_tracer_targets_exist():
     assert missing == []
     assert callable(gibbs._batched)
     assert isinstance(gibbslab.BACKEND, str)      # perfbench's setup probe
+
+
+# the worker pool and BLAS thread settings of the thread table: one worker
+# with BLAS threads unset, two workers with one BLAS thread, two workers
+# with BLAS threads unset
+THREAD_SETTINGS = {"1-worker": ("1", None), "2-workers-1-blas": ("2", "1"),
+                   "2-workers": ("2", None)}
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS")
+
+
+def test_scans_are_byte_identical_across_thread_settings(tmp_path):
+    # toy 1D and 2D soliton scans, two batches per N so that two workers
+    # share them, each thread setting in a fresh interpreter
+    root = Path(__file__).resolve().parents[1]
+    code = """
+import sys
+from gibbslab.cli import main
+for dim, p in ((1, 6), (2, 4)):
+    assert main(["threshold-scan", "--dim", str(dim), "--p", str(p),
+                 "--ratios", "0.5,1.5", "--schedule", "16,32",
+                 "--samples", "8192", "--seed", "3",
+                 "--out-dir", f"{sys.argv[1]}/{dim}d"]) == 0
+"""
+    outputs = {}
+    for name, (workers, blas) in THREAD_SETTINGS.items():
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
+        env.update(GIBBSLAB_WORKERS=workers, PYTHONPATH=str(root / "src"))
+        if blas is not None:
+            env.update(OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / name)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs[name] = {str(f.relative_to(tmp_path / name)): f.read_bytes()
+                         for f in sorted((tmp_path / name).rglob("*"))
+                         if f.is_file()}
+    # per dim two scan files, the verdicts and the sidecar
+    assert len(outputs["1-worker"]) == 2 * 4
+    for name in THREAD_SETTINGS:
+        assert outputs[name] == outputs["1-worker"], name

@@ -84,6 +84,16 @@ def test_resolution_validation_rejected_before_sampling():
         EnsembleConfig(dim=1, p=6, cutoff=-1.0, n_modes=8, n_samples=10)
 
 
+def test_2d_config_rejects_a_grid_size():
+    # the disc's quadrature nodes follow from n_modes; a grid_size there
+    # would be recorded in the report's config and change nothing
+    with pytest.raises(ValueError) as info:
+        EnsembleConfig(dim=2, p=4, cutoff=1.0, n_modes=8, n_samples=500,
+                       grid_size=64)
+    assert str(info.value) == ("grid_size sets the 1D grid and has no "
+                               "meaning with dim=2, got grid_size=64")
+
+
 def test_basis_with_too_few_modes_rejected():
     basis = radial_basis(bessel_zeros(8), 8)
     cfg = EnsembleConfig(dim=2, p=4, cutoff=1.0, n_modes=16, n_samples=100)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gibbslab.rng import rng_for
 from gibbslab.spectral1d import (SpectralField1D, dyadic_project,
-                                 evaluate_coeff_rows, h1_seminorm_sq,
-                                 l2_norm_spectral, lp_norm, sample_loops)
+                                 evaluate_coeff_rows, gaussian_coeffs,
+                                 h1_seminorm_sq, l2_norm_spectral, lp_norm,
+                                 sample_loops, spectral_weights)
 
 
 def _cosine_field(n=1, amp=0.5, n_modes=8):
@@ -197,3 +199,25 @@ def test_realness_of_sampled_fields():
     spec[:, -40:] = np.conj(f.coeffs_pos[:, ::-1])
     vals = spec.shape[1] * np.fft.ifft(spec, axis=-1)
     assert np.max(np.abs(vals.imag)) < 1e-12
+
+
+def _complex_coeffs(g, weights):
+    """The complex expression gaussian_coeffs replaces, as the reference."""
+    return weights * (g[..., 0] + 1j * g[..., 1]) / math.sqrt(2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n_modes=st.integers(1, 600),
+       rows=st.sampled_from([1, 2, 7, 64, 300]),
+       start=st.integers(0, 3), step=st.integers(1, 3))
+def test_gaussian_coeffs_match_the_complex_expression(seed, n_modes, rows,
+                                                      start, step):
+    # byte for byte, on a whole batch, on a strided row slice of it and on
+    # a single row without a row axis
+    g = rng_for(seed, 0).standard_normal((rows, n_modes, 2))
+    w = spectral_weights(n_modes)
+    for part in (g, g[start::step], g[0]):
+        got = gaussian_coeffs(part, w)
+        want = _complex_coeffs(part, w)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -13,7 +13,9 @@ The field corpora share the estimators' layout, and property tests pin
 that: a corpus is a prefix of any larger one, is the same on one and two
 workers, and holds the Gaussian rows of a plain estimate. Scoring several
 cutoffs from one pass over the draws must give each the report of its own
-call.
+call. The partition estimators synthesize only the rows inside a cutoff;
+tests count those rows and require each kept row bit-identical to a
+synthesis of every row.
 """
 import contextlib
 import functools
@@ -34,7 +36,8 @@ from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
 from gibbslab.radial2d import (block_l4_expectation, radial_basis,
                                sample_radials)
 from gibbslab.rng import rng_for, worker_count
-from gibbslab.spectral1d import sample_loops
+from gibbslab.spectral1d import gaussian_coeffs, sample_loops, \
+    spectral_weights
 from gibbslab.tails import (bernstein_probe, block_norm_samples_2d,
                             block_tail_empirical_2d, chi2_tail_empirical,
                             gaussian_mgf_mc, high_freq_empirical_1d)
@@ -387,6 +390,92 @@ def test_one_pass_cutoffs_match_per_cutoff_calls(dim, sampler, n_samples,
         alone = [estimate_partition(c, basis) for c in cfgs]
     assert [_full_report(r) for r in together] \
         == [_full_report(r) for r in alone]
+
+
+def _synthesis_counts(cfgs, basis=None):
+    """(rows given to evaluate_coeff_rows, calls of weighted_abs_power_sum)
+    while estimate_partitions(cfgs, basis) runs in 1024-row slices."""
+    rows, calls = [], []
+    evaluate, power_sum = gibbs.evaluate_coeff_rows, \
+        gibbs.weighted_abs_power_sum
+
+    def count_rows(coeffs, width):
+        rows.append(len(coeffs))
+        return evaluate(coeffs, width)
+
+    def count_calls(vals, weights, p):
+        calls.append(len(vals))
+        return power_sum(vals, weights, p)
+
+    width = gibbs._make_ensembles(cfgs[:1], basis)[0].width
+    with mock.patch.object(gibbs, "evaluate_coeff_rows", count_rows), \
+            mock.patch.object(gibbs, "weighted_abs_power_sum", count_calls), \
+            _budget(1024, width, 1):
+        estimate_partitions(cfgs, basis)
+    return sum(rows), len(calls)
+
+
+def _l2sq_1d(g):
+    """||u||_2^2 of rows of 1D Gaussians, as the estimator computes it."""
+    c = gaussian_coeffs(g, spectral_weights(g.shape[1]))
+    return 2.0 * np.sum(np.abs(c) ** 2, axis=1)
+
+
+@pytest.mark.parametrize("sampler", gibbs.SAMPLERS)
+def test_only_rows_inside_a_cutoff_are_synthesized(sampler):
+    # two full batches in 1024-row slices, so the shifted half of a soliton
+    # batch is two whole slices: the unshifted rows are synthesized once,
+    # up to the largest cutoff, and each cutoff's shifted rows up to its own;
+    # at these cutoffs every half holds rows inside and rows outside
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=0.3, n_modes=16,
+                         n_samples=2 * BATCH_SIZE, seed=51, sampler=sampler)
+    cfgs = [cfg, replace(cfg, cutoff=0.5)]
+    ksqs = [c.cutoff * c.cutoff for c in cfgs]
+    ensembles = gibbs._make_ensembles(cfgs)
+    half = BATCH_SIZE // 2
+    expected = everything = 0
+    for stream in range(2):
+        g = ensembles[0].draw(rng_for(cfg.seed, stream), BATCH_SIZE)
+        if sampler == "soliton":
+            expected += np.sum(_l2sq_1d(g[:half]) <= max(ksqs))
+            for ens, ksq in zip(ensembles, ksqs):
+                expected += np.sum(_l2sq_1d(g[half:] + ens.theta) <= ksq)
+            everything += half + len(cfgs) * half
+        else:
+            g, _ = gibbs._apply_proposal(ensembles[0], g)
+            expected += np.sum(_l2sq_1d(g) <= max(ksqs))
+            everything += BATCH_SIZE
+    assert 0 < expected < everything
+    assert _synthesis_counts(cfgs) == (expected, 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]), sampler=st.sampled_from(gibbs.SAMPLERS),
+       n_rows=st.sampled_from([907, BATCH_SIZE]),
+       rows=st.sampled_from([64, 100, 1024, None]),
+       share=st.floats(0.0, 1.0))
+def test_rows_kept_are_bit_identical_to_a_full_synthesis(dim, sampler,
+                                                         n_rows, rows, share):
+    # int |u|^p of a row inside the bound does not depend on which other
+    # rows are synthesized: packed 1D rows, or whole 2D slices only
+    cfg, basis = _sliced_config(dim, sampler, BATCH_SIZE)
+    ens, = gibbs._make_ensembles([cfg], basis)
+    g, _ = gibbs._apply_proposal(ens, ens.draw(rng_for(cfg.seed, 0), n_rows))
+    with _budget(rows, ens.width, 1):
+        full, l2sq = gibbs._synthesize(ens, g)
+        ksq = float(np.quantile(l2sq, share))
+        kept, l2sq_kept = gibbs._synthesize(ens, g, ksq)
+    inside = l2sq <= ksq
+    assert l2sq_kept.tobytes() == l2sq.tobytes()
+    assert kept[inside].tobytes() == full[inside].tobytes()
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("change", [{"calibration": True}, {"cutoff": 0.0}])
+def test_no_row_is_synthesized_when_none_can_weigh(dim, change):
+    # the calibration exponent reads no |u|^p, and a zero cutoff keeps no row
+    cfg, basis = _sliced_config(dim, "soliton", BATCH_SIZE + 5)
+    assert _synthesis_counts([replace(cfg, **change)], basis) == (0, 0)
 
 
 def test_one_pass_rejects_an_empty_list():
