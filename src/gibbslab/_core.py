@@ -8,33 +8,40 @@ import numpy as np
 BACKEND = "numpy"
 
 
-def _abs_power(v, p):
+def _abs_power(v, p, out=None):
     """|v|^p; an even integer p is multiplied out left to right,
     ((w*w)*w)... with w = v*v, instead of going through the generic power.
     After the first product the chain multiplies in place, so p=4 needs one
-    temporary and any larger p two; v itself is never written."""
+    temporary and any larger p two; v itself is never written.
+
+    With out, an array of v's shape, |v|^p is left in out and nothing is
+    allocated; for an even p >= 6, v (then a float64 array) is overwritten
+    with w, which the chain reads after out holds w*w."""
     ip = int(round(p))
     if not (ip == p and ip % 2 == 0 and ip >= 2):
-        return np.abs(v) ** p
-    w = v * v
-    if ip == 2:
-        return w
-    if ip == 4:
-        return np.multiply(w, w, out=w)
-    out = w * w
+        if out is None:
+            return np.abs(v) ** p
+        return np.power(np.abs(v, out=out), p, out=out)
+    if ip <= 4:
+        w = np.multiply(v, v, out=out)
+        return w if ip == 2 else np.multiply(w, w, out=w)
+    w = v * v if out is None else np.multiply(v, v, out=v)
+    out = np.multiply(w, w, out=out)
     for _ in range(ip // 2 - 2):
         np.multiply(out, w, out=out)
     return out
 
 
-def abs_power_mean(values, p):
-    """Mean of |v|^p along the last axis (even integer p short-circuits)."""
-    return _abs_power(np.asarray(values, dtype=float), p).mean(axis=-1)
+def abs_power_mean(values, p, out=None):
+    """Mean of |v|^p along the last axis (even integer p short-circuits);
+    out is the optional buffer of _abs_power."""
+    return _abs_power(np.asarray(values, dtype=float), p, out).mean(axis=-1)
 
 
-def weighted_abs_power_sum(values, weights, p):
-    """Sum of weights[q]*|v[..., q]|^p along the last axis."""
-    return _abs_power(np.asarray(values, dtype=float), p) \
+def weighted_abs_power_sum(values, weights, p, out=None):
+    """Sum of weights[q]*|v[..., q]|^p along the last axis; out is the
+    optional buffer of _abs_power."""
+    return _abs_power(np.asarray(values, dtype=float), p, out) \
         @ np.asarray(weights, dtype=float)
 
 

@@ -145,6 +145,16 @@ def _resolve(args, options):
     return out
 
 
+def _cutoff(flag, ratio, mass):
+    """The cutoff ratio * mass of a --ratio(s) value; a finite ratio whose
+    cutoff overflows would silently run without a cutoff."""
+    cutoff = ratio * mass
+    if math.isinf(cutoff) and not math.isinf(ratio):
+        raise ValueError(f"{flag} {ratio!r} times the critical mass "
+                         f"{mass:.6g} overflows to an infinite cutoff")
+    return cutoff
+
+
 def _write_sidecar(path: Path, command: str, options: dict):
     rec = {"command": command, "version": __version__,
            "options": {k: (repr(v) if isinstance(v, float) and math.isinf(v)
@@ -188,7 +198,8 @@ def _cmd_threshold_scan(opts, out):
         seen[name] = ratio
     gs = solve_ground_state(opts["dim"], opts["p"])   # never hard-coded
     cfgs = [gibbs.EnsembleConfig(
-        dim=opts["dim"], p=opts["p"], cutoff=ratio * gs.mass,
+        dim=opts["dim"], p=opts["p"],
+        cutoff=_cutoff("--ratios", ratio, gs.mass),
         n_modes=schedule[0], n_samples=opts["samples"],
         seed=opts["seed"], sampler=opts["sampler"])
         for ratio in opts["ratios"]]              # every ratio checked first
@@ -309,7 +320,7 @@ def _cmd_partition(opts, out):
         if opts["ratio"] < 0:
             raise ValueError(f"ratio must be nonnegative, got {opts['ratio']}")
         gs = solve_ground_state(opts["dim"], opts["p"])
-        cutoff = opts["ratio"] * gs.mass
+        cutoff = _cutoff("--ratio", opts["ratio"], gs.mass)
     cfg = gibbs.EnsembleConfig(
         dim=opts["dim"], p=opts["p"], cutoff=cutoff, n_modes=opts["n_modes"],
         n_samples=opts["samples"], seed=opts["seed"], sampler=opts["sampler"],

@@ -21,8 +21,11 @@ weights bounded by two while letting the estimator actually visit the
 concentration channel whose growth with the truncation level is the
 observable signature of a divergent partition function.
 
-Each batch is drawn whole (one stream, BATCH_SIZE rows) but synthesized in
-the row slices of rng.row_slices, which change no result bit.
+Each batch is read once, front to back, from its stream through an
+rng.Tape, in the row slices of rng.row_slices, and every slice-sized array
+comes from one workspace per batch; none of this changes a result bit (see
+rng). What a batch holds whole are its per-row log-weights, |u|^p integrals
+and norms, since its sums run over them in one piece.
 
 The indicator gives a row outside every cutoff no weight, so the partition
 estimators compute each slice's ||u||_2^2 first and synthesize int |u|^p
@@ -31,19 +34,21 @@ row under calibration, whose exponent is the proposal weight alone. In 1D
 those rows are packed together: each row's inverse FFT and grid mean are
 its own, so they change no bit. In 2D a matrix product rounds its last rows
 by the row count (see rng), so a slice keeps every row and is skipped only
-when none of its rows is needed. The tail estimators synthesize every row:
-dropping rows would regroup the pairwise sums of their weights.
+when none of its rows is needed. The tail estimators synthesize every row.
 
-A threshold scan asks for the same estimate at several cutoffs with the same
-seed, so estimate_partitions scores them all from one pass over the draws:
-each batch is drawn once, and the plain and tilted proposals, which do not
-depend on the cutoff, are synthesized once, up to the largest cutoff,
+A threshold scan asks for the same estimate at several cutoffs and
+truncation levels with the same seed. A batch at one level is a prefix of
+its stream at every larger one (see rng), so divergence_scan makes one pass
+over the draws for the whole schedule: each batch is read once, and every
+level and every cutoff scores its row slices in the order of their first
+value on the stream. The plain and tilted proposals do not depend on the
+cutoff, so each level synthesizes them once, up to its largest cutoff,
 leaving each cutoff its inside test and log-sum-exp partial. The soliton
-shift scales with the cutoff, so only the synthesis slices wholly in the
-unshifted bottom half of a batch are shared, up to the largest cutoff, and
-the others are redone per cutoff, up to that cutoff. divergence_scan runs
-every cutoff of a scan this way at each truncation level, and every report
-is bit-identical to its own estimate_partition call.
+shift scales with the cutoff, so only the slices wholly in the unshifted
+bottom half of a batch are shared, up to the largest cutoff, and the others
+are redone per cutoff, up to that cutoff. estimate_partitions is the pass
+of one level, and every report is bit-identical to its own
+estimate_partition call.
 
 The layer-cake cross-check rebuilds the partition estimate from the tail
 probabilities P(||u||_p > lam, ||u||_2 <= K) at a grid of levels. It too
@@ -208,34 +213,62 @@ def _disc_shift_2d(n_modes: int, p: float, cutoff: float, frac: float,
 
 # ------------------------------------------------------------- batch machinery
 
+class _Workspace:
+    """The slice-sized arrays of one batch. Each name holds one buffer,
+    grown to the largest request, that every slice views at its own shape:
+    allocating such arrays afresh for every slice made the heap shrink after
+    each one and fault its pages in again for the next."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name, shape, dtype=float):
+        size = math.prod(shape) * np.dtype(dtype).itemsize // 8
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].view(dtype).reshape(shape)
+
+
 class _Ensemble1D:
     def __init__(self, cfg: EnsembleConfig):
         self.cfg = cfg
         self.weights = spectral_weights(cfg.n_modes)
         self.width = cfg.resolved_grid_size()       # grid points per row
+        self.row_shape = (cfg.n_modes, 2)           # normals per row
         self.theta = None
         if cfg.sampler == "soliton":
             self.theta = _sech_shift_1d(cfg.n_modes, cfg.cutoff,
                                         SOLITON_MASS_FRACTION)
+            self.theta_energy = 0.5 * float(np.sum(self.theta * self.theta))
 
-    def draw(self, gen, b):
-        return gen.standard_normal((b, self.cfg.n_modes, 2))
-
-    def synthesize(self, g, ksq):
-        """(int |u|^p, ||u||_2^2) per row of Gaussians, int |u|^p on the rows
-        with ||u||_2^2 <= ksq only and NaN on the others. Those rows are
-        packed together: each row's transform and mean are its own."""
-        coeffs = gaussian_coeffs(g, self.weights)
-        modsq = np.abs(coeffs)
+    def synthesize(self, g, ksq, ws, power, l2sq):
+        """Fill l2sq with ||u||_2^2 of each row of Gaussians g, and power
+        with int |u|^p on the rows with ||u||_2^2 <= ksq and NaN on the
+        others. Those rows are packed together: each row's transform and
+        mean are its own."""
+        rows, n_modes = g.shape[:-1]
+        coeffs = gaussian_coeffs(g, self.weights,
+                                 out=ws("coeffs", (rows, n_modes), complex))
+        modsq = np.abs(coeffs, out=ws("modsq", (rows, n_modes)))
         np.multiply(modsq, modsq, out=modsq)
-        l2sq = 2.0 * np.sum(modsq, axis=1)
+        np.sum(modsq, axis=1, out=l2sq)
+        l2sq *= 2.0
         keep = l2sq <= ksq
-        power = np.full(len(g), math.nan)
-        if keep.any():
-            rows = coeffs if keep.all() else coeffs[keep]
-            power[keep] = abs_power_mean(
-                evaluate_coeff_rows(rows, self.width), self.cfg.p)
-        return power, l2sq
+        kept = int(np.count_nonzero(keep))
+        power.fill(math.nan)
+        if kept == 0:
+            return
+        if kept < rows:
+            coeffs = np.take(coeffs, np.flatnonzero(keep), axis=0,
+                             out=ws("packed", (kept, n_modes), complex),
+                             mode="clip")
+        vals = evaluate_coeff_rows(
+            coeffs, self.width,
+            spectrum=ws("spectrum", (kept, n_modes + 1), complex),
+            out=ws("vals", (kept, self.width)))
+        power[keep] = abs_power_mean(vals, self.cfg.p,
+                                     out=ws("power", vals.shape))
 
 
 class _Ensemble2D:
@@ -248,36 +281,28 @@ class _Ensemble2D:
         self.inv_z = 1.0 / basis.table.zeros[:cfg.n_modes]
         self.area_w = basis.quad.area_weights
         self.width = basis.quad.count               # quadrature nodes per row
+        self.row_shape = (cfg.n_modes,)             # normals per row
         self.theta = None
         if cfg.sampler == "soliton":
             self.theta = _disc_shift_2d(cfg.n_modes, cfg.p, cfg.cutoff,
                                         SOLITON_MASS_FRACTION, basis)
+            self.theta_energy = 0.5 * float(np.sum(self.theta * self.theta))
 
-    def draw(self, gen, b):
-        return gen.standard_normal((b, self.cfg.n_modes))
-
-    def synthesize(self, g, ksq):
-        """(int |v|^p, ||v||_2^2) per row of Gaussians, int |v|^p NaN on
-        every row when no row has ||v||_2^2 <= ksq. Rows are never dropped
-        from the product: its last rows round by the row count (rng.py)."""
-        coeffs = g * self.inv_z
-        l2sq = np.sum(coeffs * coeffs, axis=1)
+    def synthesize(self, g, ksq, ws, power, l2sq):
+        """Fill l2sq with ||v||_2^2 of each row of Gaussians g, and power
+        with int |v|^p, NaN on every row when no row has ||v||_2^2 <= ksq.
+        Rows are never dropped from the product: its last rows round by the
+        row count (rng.py)."""
+        coeffs = np.multiply(g, self.inv_z, out=ws("coeffs", g.shape))
+        np.sum(np.multiply(coeffs, coeffs, out=ws("modsq", g.shape)), axis=1,
+               out=l2sq)
         if not np.any(l2sq <= ksq):
-            return np.full(len(g), math.nan), l2sq
-        vals = coeffs @ self.matrix_t
-        return weighted_abs_power_sum(vals, self.area_w, self.cfg.p), l2sq
-
-
-def _synthesize(ens, g, ksq=math.inf):
-    """ens.synthesize(g, ksq) run over the rows of rng.row_slices and joined
-    per row; bit-identical to the whole batch at once."""
-    return _join([ens.synthesize(g[lo:hi], ksq)
-                  for lo, hi in rng.row_slices(len(g), ens.width)])
-
-
-def _join(parts):
-    """Per-row outputs of consecutive synthesis slices, joined."""
-    return tuple(np.concatenate(col) for col in zip(*parts))
+            power.fill(math.nan)
+            return
+        vals = np.matmul(coeffs, self.matrix_t,
+                         out=ws("vals", (len(g), self.width)))
+        power[:] = weighted_abs_power_sum(vals, self.area_w, self.cfg.p,
+                                          out=ws("power", vals.shape))
 
 
 def _make_ensembles(cfgs, basis=None):
@@ -290,34 +315,88 @@ def _make_ensembles(cfgs, basis=None):
     return [_Ensemble2D(c, basis) for c in cfgs]
 
 
-def _apply_proposal(ens, g):
-    """Stratified half/half mixture; returns (g, log_weight) with w <= 2."""
+def _proposal_rows(ens, g, lo, half, ws):
+    """Rows lo: of the stratified half/half mixture of a batch, made from its
+    drawn rows g: the rows from half on are tilted or shifted onto the
+    soliton in a workspace copy, and a slice below half is g itself."""
+    top = max(half - lo, 0)             # the first row of g in the top half
+    if ens.cfg.sampler == "plain" or top >= len(g):
+        return g
+    rows = ws("rows", g.shape)
+    rows[...] = g
+    if ens.theta is not None:
+        rows[top:] += ens.theta
+    else:
+        rows[top:, :min(TILT_MODES, ens.cfg.n_modes)] *= TILT_SCALE
+    return rows
+
+
+def _log_weights(ens, rows):
+    """Log importance weights of rows of the mixture, each at most log 2."""
     cfg = ens.cfg
-    b = g.shape[0]
-    half = b // 2
     if cfg.sampler == "plain":
-        return g, np.zeros(b)
+        return np.zeros(len(rows))
     if cfg.sampler == "soliton":
-        return _soliton_shift(ens.theta, g[half:], g.copy())
-    k = min(TILT_MODES, cfg.n_modes)
-    sig = TILT_SCALE
-    g = g.copy()
-    g[half:, :k] *= sig
-    flat = g[:, :k].reshape(b, -1)
-    # per-coordinate density ratio of N(0, sig^2) to N(0, 1)
-    log_rho = 0.5 * (1.0 - 1.0 / (sig * sig)) * np.sum(flat * flat, axis=1) \
-        - flat.shape[1] * math.log(sig)
-    return g, math.log(2.0) - np.logaddexp(0.0, log_rho)
+        # one matrix-vector product per slice: with slices of at least 64
+        # rows each row gets the bits of one product over the batch (rng)
+        log_rho = rows.reshape(len(rows), -1) @ ens.theta.reshape(-1) \
+            - ens.theta_energy
+    else:
+        k = min(TILT_MODES, cfg.n_modes)
+        sig = TILT_SCALE
+        flat = rows[:, :k].reshape(len(rows), -1)
+        # per-coordinate density ratio of N(0, sig^2) to N(0, 1)
+        log_rho = 0.5 * (1.0 - 1.0 / (sig * sig)) \
+            * np.sum(flat * flat, axis=1) - flat.shape[1] * math.log(sig)
+    return math.log(2.0) - np.logaddexp(0.0, log_rho)
 
 
-def _soliton_shift(theta, top, g):
-    """The soliton mixture made in place in the batch g: its top half is set
-    to the unshifted rows top plus theta. Returns (g, log_weight), w <= 2."""
-    np.add(top, theta, out=g[len(g) // 2:])
-    dot = np.tensordot(g, theta, axes=(tuple(range(1, g.ndim)),
-                                       tuple(range(theta.ndim))))
-    log_rho = dot - 0.5 * float(np.sum(theta * theta))
-    return g, math.log(2.0) - np.logaddexp(0.0, log_rho)
+def _slices(ensembles, gen, b):
+    """(i, lo, hi, g) for the row slices of every ensemble of a batch of b
+    rows: rows lo:hi of ensemble i's Gaussians g, read from the stream of
+    gen through one rng.Tape, in the order of their first value on the
+    stream. g is valid until the next slice."""
+    sizes = [math.prod(ens.row_shape) for ens in ensembles]
+    tape = rng.Tape(gen, [b * size for size in sizes])
+    for _, i, lo, hi in sorted(
+            (lo * size, i, lo, hi)
+            for i, (ens, size) in enumerate(zip(ensembles, sizes))
+            for lo, hi in rng.row_slices(b, ens.width)):
+        yield i, lo, hi, tape.read(i, (hi - lo) * sizes[i]).reshape(
+            (hi - lo,) + ensembles[i].row_shape)
+
+
+def _batch_rows(levels, gen, b, bounds):
+    """Per-row (log weight, int |u|^p, ||u||_2^2) of a batch of b rows drawn
+    from gen, for every cutoff of every level: one (3, cutoffs, b) array per
+    level. levels[i] holds the ensembles of a level, one per cutoff, and
+    bounds[i] the squared L2 norm up to which each needs int |u|^p (NaN
+    above it).
+
+    Cutoffs whose proposal rows are the same share their synthesis, up to
+    the largest bound: always under the plain and tilted proposals, and
+    under the soliton on the slices wholly in the unshifted bottom half.
+    """
+    half = b // 2
+    ws = _Workspace()
+    per_level = [np.empty((3, len(ensembles), b)) for ensembles in levels]
+    for i, lo, hi, g in _slices([ens[0] for ens in levels], gen, b):
+        log_w, power, l2sq = per_level[i]
+        ensembles = levels[i]
+        if ensembles[0].theta is None or hi <= half:
+            rows = _proposal_rows(ensembles[0], g, lo, half, ws)
+            ensembles[0].synthesize(rows, max(bounds[i]), ws,
+                                    power[0, lo:hi], l2sq[0, lo:hi])
+            power[1:, lo:hi] = power[0, lo:hi]
+            l2sq[1:, lo:hi] = l2sq[0, lo:hi]
+            for c, ens in enumerate(ensembles):
+                log_w[c, lo:hi] = _log_weights(ens, rows)
+            continue
+        for c, (ens, ksq) in enumerate(zip(ensembles, bounds[i])):
+            rows = _proposal_rows(ens, g, lo, half, ws)
+            ens.synthesize(rows, ksq, ws, power[c, lo:hi], l2sq[c, lo:hi])
+            log_w[c, lo:hi] = _log_weights(ens, rows)
+    return per_level
 
 
 def _batched(cfg, ens, fn, stream_offset=0):
@@ -339,13 +418,6 @@ def _combine_lse(partials):
             s2 += ps2 * math.exp(2.0 * (pm - m))
         inside += pin
     return m, s1, s2, inside
-
-
-def _shifted_rows(g, lo, hi, theta):
-    """Rows lo:hi of the soliton mixture of the batch g, as a new array."""
-    rows = g[lo:hi].copy()
-    rows[max(len(g) // 2 - lo, 0):] += theta
-    return rows
 
 
 def _lse_partial(expo, inside):
@@ -384,50 +456,35 @@ def estimate_partitions(cfgs, basis: RadialBasis | None = None
     report is bit-identical to the single-config call.
     """
     _check_family(cfgs)
-    cfg = cfgs[0]
-    ensembles = _make_ensembles(cfgs, basis)
-    ens = ensembles[0]
-    ksqs = [c.cutoff * c.cutoff for c in cfgs]
+    return _estimate_levels([cfgs], basis)[0]
 
-    def exponent(log_w, power_mean):
-        return log_w if cfg.calibration else log_w + power_mean / cfg.p
 
-    def needed(ksq):
-        """The squared L2 norm up to which rows need int |u|^p: none under
-        calibration, whose exponent does not read it."""
-        return -math.inf if cfg.calibration else ksq
+def _estimate_levels(levels, basis=None):
+    """The reports of every config of levels, lists of configs that differ
+    only in cutoff within a list and only in n_modes between lists, from one
+    pass over the draws; in 2D every level runs on basis."""
+    ensembles = [_make_ensembles(cfgs, basis) for cfgs in levels]
+    # the squared norm up to which rows need int |u|^p: none under
+    # calibration, whose exponent does not read it
+    bounds = [[-math.inf if c.calibration else c.cutoff * c.cutoff
+               for c in cfgs] for cfgs in levels]
 
     def batch(gen, start, b):
-        g = ens.draw(gen, b)
-        if cfg.sampler != "soliton":            # one proposal for all cutoffs
-            g, log_w = _apply_proposal(ens, g)
-            power_mean, l2sq = _synthesize(ens, g, needed(max(ksqs)))
-            expo = exponent(log_w, power_mean)
-            return [_lse_partial(expo, l2sq <= ksq) for ksq in ksqs]
-        half = b // 2
-        bounds = rng.row_slices(b, ens.width)
-        n_low = sum(hi <= half for _, hi in bounds)     # unshifted slices
-        low = [ens.synthesize(g[lo:hi], needed(max(ksqs)))
-               for lo, hi in bounds[:n_low]]
-        # each cutoff's log-weights shift g itself and its drawn top half is
-        # put back; the synthesis then shifts one slice at a time, so that
-        # no full proposal copy is held (it raised the 2D peak RSS)
-        top = g[half:].copy()
-        log_ws = [_soliton_shift(each.theta, top, g)[1] for each in ensembles]
-        g[half:] = top
-        del top
         partials = []
-        for each, log_w, ksq in zip(ensembles, log_ws, ksqs):
-            power_mean, l2sq = _join(
-                low + [ens.synthesize(_shifted_rows(g, lo, hi, each.theta),
-                                      needed(ksq))
-                       for lo, hi in bounds[n_low:]])
-            partials.append(_lse_partial(exponent(log_w, power_mean),
-                                         l2sq <= ksq))
+        for cfgs, (log_w, power, l2sq) in zip(
+                levels, _batch_rows(ensembles, gen, b, bounds)):
+            # the exponent of the Gibbs weight; calibration keeps the
+            # proposal weight alone
+            partials.append([
+                _lse_partial(w if c.calibration else w + pw / c.p,
+                             l2 <= c.cutoff * c.cutoff)
+                for c, w, pw, l2 in zip(cfgs, log_w, power, l2sq)])
         return partials
 
-    parts = _batched(cfg, ens, batch)
-    return [_report(c, _combine_lse(col)) for c, col in zip(cfgs, zip(*parts))]
+    parts = _batched(levels[0][0], ensembles[0][0], batch)
+    return [[_report(c, _combine_lse(col))
+             for c, col in zip(cfgs, zip(*per_batch))]
+            for cfgs, per_batch in zip(levels, zip(*parts))]
 
 
 def _report(cfg, merged):
@@ -449,12 +506,12 @@ def _report(cfg, merged):
 
 
 def _tail_rows(ens, gen, b):
-    """(||u||_p, inside the cutoff, importance weight) of a batch's rows."""
+    """(||u||_p, inside the cutoff, importance weight) of a batch's rows,
+    every row synthesized."""
     cfg = ens.cfg
-    g, log_w = _apply_proposal(ens, ens.draw(gen, b))
-    power_mean, l2sq = _synthesize(ens, g)
-    return (power_mean ** (1.0 / cfg.p), l2sq <= cfg.cutoff * cfg.cutoff,
-            np.exp(log_w))
+    (log_w, power, l2sq), = _batch_rows([[ens]], gen, b, [[math.inf]])
+    return (power[0] ** (1.0 / cfg.p), l2sq[0] <= cfg.cutoff * cfg.cutoff,
+            np.exp(log_w[0]))
 
 
 def constrained_tail(cfg: EnsembleConfig, lam: float,
@@ -618,8 +675,8 @@ def divergence_scan(cfgs, n_schedule) -> list[DivergenceVerdict]:
     basis = None
     if cfgs[0].dim == 2:
         basis = radial_basis(bessel_zeros(max(n_schedule)), max(n_schedule))
-    by_n = [estimate_partitions([replace(c, n_modes=n) for c in cfgs], basis)
-            for n in n_schedule]
+    by_n = _estimate_levels([[replace(c, n_modes=n) for c in cfgs]
+                             for n in n_schedule], basis)
     return [_verdict(n_schedule, [reps[i] for reps in by_n])
             for i in range(len(cfgs))]
 

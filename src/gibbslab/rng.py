@@ -13,19 +13,28 @@ GIBBSLAB_WORKERS sets how many threads run the batches. batches() returns
 the batch results in stream order and callers reduce them in that order, so
 every result is bit-identical for any worker count.
 
-A batch is drawn whole but synthesized in the row slices of row_slices(),
-of about SYNTH_BUDGET grid values each, so that the spectrum, the grid and
-the |u|^p chain of a slice stay in cache; a batch that fits the budget goes
-through whole. The budget of 2^16 values makes each slice array 512 KB of
-float64, so a slice and its temporaries fit a 2 MB per-core L2 cache; at
-2^19 they were 4 MB and spilled out of it, and fresh 1D threshold scans ran
-about 10% slower. Every row is reduced on its own, so
-slicing changes no result bit. The rows of a slice are a power
-of two, at least 64: OpenBLAS computes the last rows of a 2D matrix product
-whose row count is not a multiple of its 4-row kernel with another kernel
-that rounds differently (slices of 7 or 626 rows moved power_mean by up to
-4e-15 relative), and with power-of-two slices those rows are the same ones
-as in the whole batch.
+The estimators of gibbs read a batch from its stream through a Tape, in the
+row slices of row_slices(), of about SYNTH_BUDGET grid values each, so that
+the draws, the spectrum, the grid and the |u|^p chain of a slice stay in
+cache; a batch that fits the budget goes through whole. The budget of 2^16
+values makes each slice array 512 KB of float64, so a slice and its
+temporaries fit a 2 MB per-core L2 cache; at 2^19 they were 4 MB and spilled
+out of it, and fresh 1D threshold scans ran about 10% slower. Every row is
+reduced on its own, so slicing changes no result bit. The rows of a slice
+are a power of two, at least 64: OpenBLAS computes the last rows of a 2D
+matrix product whose row count is not a multiple of its 4-row kernel with
+another kernel that rounds differently (slices of 7 or 626 rows moved
+power_mean by up to 4e-15 relative), and with power-of-two slices those rows
+are the same ones as in the whole batch. The soliton weights' matrix-vector
+products keep their bits the same way; single rows do not.
+
+A batch of n rows of m normals each is the first n * m values of its
+stream, so a batch at a smaller truncation level is a prefix of the batch at
+a larger one. A Tape lets several readers share one pass over a stream: a
+threshold scan reads every level of a batch from one draw, and a worker
+holds the values between its slowest and its furthest reader rather than a
+whole batch. Consecutive standard_normal(out=...) draws continue one
+another, so every read is bit for bit that slice of one whole draw.
 
 The partition estimators synthesize |u|^p only on the rows of a slice that
 lie inside a cutoff (gibbs). In 1D they pack those rows together, since an
@@ -91,3 +100,46 @@ def row_slices(n_rows: int, width: int) -> list:
     rows = max(SYNTH_BUDGET // width, 64)
     rows = 1 << (rows.bit_length() - 1)        # a power of two
     return [(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows)]
+
+
+class Tape:
+    """One random stream read front to back by several readers, reader i
+    from the start of the stream up to lengths[i] values.
+
+    The stream is drawn forward only as far as the furthest read, and a
+    value is dropped once every reader that has not reached its length is
+    past it, so the tape holds the values between the slowest reader and the
+    furthest draw."""
+
+    def __init__(self, gen: np.random.Generator, lengths):
+        self._gen = gen
+        self._lengths = list(lengths)
+        self._pos = [0] * len(self._lengths)
+        self._buf = np.empty(0)
+        self._start = 0         # stream position of self._buf[0]
+        self._end = 0           # stream position drawn up to
+
+    def read(self, reader: int, n: int) -> np.ndarray:
+        """The next n values of the stream for reader, as a view that is
+        valid until the next read."""
+        lo = self._pos[reader]
+        hi = lo + n
+        if n < 1 or hi > self._lengths[reader]:
+            raise ValueError(f"reader {reader} at {lo} of "
+                             f"{self._lengths[reader]} cannot read {n}")
+        keep = min(pos for pos, length in zip(self._pos, self._lengths)
+                   if pos < length)
+        self._pos[reader] = hi
+        if hi > self._end:
+            if hi - self._start > len(self._buf):
+                # move the values still to be read to the front, into a
+                # larger buffer if they and the new draw do not fit
+                live = self._buf[keep - self._start:self._end - self._start]
+                if hi - keep > len(self._buf):
+                    self._buf = np.empty(max(hi - keep, 2 * len(self._buf)))
+                self._buf[:len(live)] = live
+                self._start = keep
+            self._gen.standard_normal(
+                out=self._buf[self._end - self._start:hi - self._start])
+            self._end = hi
+        return self._buf[lo - self._start:hi - self._start]

@@ -41,8 +41,10 @@ class SpectralField1D:
             raise ValueError("non-finite coefficient")
 
 
-def gaussian_coeffs(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """c_n = w_n (g_n0 + i g_n1) / sqrt(2) for normals of shape (..., N, 2).
+def gaussian_coeffs(g: np.ndarray, weights: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """c_n = w_n (g_n0 + i g_n1) / sqrt(2) for normals of shape (..., N, 2),
+    into out (complex, of shape (..., N)) if given.
 
     Computed in real arithmetic on the (..., 2N) view of g: a multiply by
     each weight twice over, then by 1/sqrt(2), viewed as complex. This is
@@ -50,7 +52,9 @@ def gaussian_coeffs(g: np.ndarray, weights: np.ndarray) -> np.ndarray:
     the zero parts of w_n + 0j and of 1j only add zeros to the products,
     and numpy divides a complex a by b + 0j as a * (1 / b).
     """
-    c = g.reshape(g.shape[:-2] + (2 * g.shape[-2],)) * np.repeat(weights, 2)
+    shape = g.shape[:-2] + (2 * g.shape[-2],)
+    c = np.multiply(g.reshape(shape), np.repeat(weights, 2),
+                    out=None if out is None else out.view(float))
     c *= 1.0 / math.sqrt(2.0)
     return c.view(complex)
 
@@ -96,17 +100,26 @@ def dyadic_project(field: SpectralField1D, kind: str, k: int) -> SpectralField1D
     return SpectralField1D(coeffs, g)
 
 
-def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int) -> np.ndarray:
+def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int,
+                        spectrum: np.ndarray | None = None,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Field values on the uniform M-point grid x_m = m/M by the inverse FFT:
-    rows of c_n (n=1..N) -> rows of field values."""
+    rows of c_n (n=1..N) -> rows of field values.
+
+    The transform reads the spectrum c_0 = 0, c_1..c_N and pads it with
+    zeros to M/2 + 1 frequencies itself. spectrum, complex of shape
+    (..., N + 1), and out, float of shape (..., M), are optional buffers
+    for the spectrum and the values; out is returned."""
     n_modes = coeff_rows.shape[-1]
     if grid_size < 4 * n_modes:
         raise ValueError(
             f"grid_size {grid_size} < 4*n_modes = {4 * n_modes}: aliasing")
-    spec = np.zeros(coeff_rows.shape[:-1] + (grid_size // 2 + 1,),
-                    dtype=complex)
-    spec[..., 1:n_modes + 1] = coeff_rows
-    vals = np.fft.irfft(spec, n=grid_size, axis=-1)
+    if spectrum is None:
+        spectrum = np.empty(coeff_rows.shape[:-1] + (n_modes + 1,),
+                            dtype=complex)
+    spectrum[..., 0] = 0.0
+    spectrum[..., 1:] = coeff_rows
+    vals = np.fft.irfft(spectrum, n=grid_size, axis=-1, out=out)
     vals *= grid_size
     return vals
 

@@ -80,3 +80,82 @@ def bisect_series_zero(lo, hi):
         else:
             lo, flo = mid, series_j0(mid)
     return 0.5 * (lo + hi)
+
+
+# ------------------------------------------------ whole-batch Monte Carlo rows
+#
+# The partition and tail estimators read each batch through row slices of
+# one random stream. These are the whole-batch forms they replaced: a batch
+# drawn at once, its mixture proposal made in one array, and its rows
+# synthesized in the slices of rng.row_slices. They read only the ensemble's
+# fixed data (cfg, weights, width, theta, inv_z, matrix_t, area_w) and the
+# package's numerical kernels, and the tests hold the estimators to them.
+
+def draw_batch(ens, gen, b):
+    """A batch of b rows of Gaussians drawn whole from gen."""
+    cfg = ens.cfg
+    shape = (b, cfg.n_modes, 2) if cfg.dim == 1 else (b, cfg.n_modes)
+    return gen.standard_normal(shape)
+
+
+def apply_proposal(ens, g):
+    """The half/half mixture of the batch g as a new array, with its log
+    importance weights (w <= 2)."""
+    from gibbslab.gibbs import TILT_MODES, TILT_SCALE
+
+    cfg = ens.cfg
+    b = g.shape[0]
+    half = b // 2
+    if cfg.sampler == "plain":
+        return g, np.zeros(b)
+    g = g.copy()
+    if cfg.sampler == "soliton":
+        g[half:] += ens.theta
+        dot = np.tensordot(g, ens.theta, axes=(tuple(range(1, g.ndim)),
+                                               tuple(range(ens.theta.ndim))))
+        log_rho = dot - 0.5 * float(np.sum(ens.theta * ens.theta))
+        return g, math.log(2.0) - np.logaddexp(0.0, log_rho)
+    k = min(TILT_MODES, cfg.n_modes)
+    sig = TILT_SCALE
+    g[half:, :k] *= sig
+    flat = g[:, :k].reshape(b, -1)
+    log_rho = 0.5 * (1.0 - 1.0 / (sig * sig)) * np.sum(flat * flat, axis=1) \
+        - flat.shape[1] * math.log(sig)
+    return g, math.log(2.0) - np.logaddexp(0.0, log_rho)
+
+
+def _synthesize_slice(ens, g, ksq):
+    """(int |u|^p, ||u||_2^2) of rows of Gaussians, int |u|^p NaN above
+    ksq: 1D rows are packed, a 2D slice is synthesized whole or not at
+    all."""
+    from gibbslab._core import abs_power_mean, weighted_abs_power_sum
+    from gibbslab.spectral1d import evaluate_coeff_rows, gaussian_coeffs
+
+    if ens.cfg.dim == 1:
+        coeffs = gaussian_coeffs(g, ens.weights)
+        modsq = np.abs(coeffs)
+        np.multiply(modsq, modsq, out=modsq)
+        l2sq = 2.0 * np.sum(modsq, axis=1)
+        keep = l2sq <= ksq
+        power = np.full(len(g), math.nan)
+        if keep.any():
+            rows = coeffs if keep.all() else coeffs[keep]
+            power[keep] = abs_power_mean(
+                evaluate_coeff_rows(rows, ens.width), ens.cfg.p)
+        return power, l2sq
+    coeffs = g * ens.inv_z
+    l2sq = np.sum(coeffs * coeffs, axis=1)
+    if not np.any(l2sq <= ksq):
+        return np.full(len(g), math.nan), l2sq
+    vals = coeffs @ ens.matrix_t
+    return weighted_abs_power_sum(vals, ens.area_w, ens.cfg.p), l2sq
+
+
+def synthesize(ens, g, ksq=math.inf):
+    """(int |u|^p, ||u||_2^2) per row of the batch g, synthesized in the
+    slices of rng.row_slices and joined."""
+    from gibbslab import rng
+
+    parts = [_synthesize_slice(ens, g[lo:hi], ksq)
+             for lo, hi in rng.row_slices(len(g), ens.width)]
+    return tuple(np.concatenate(col) for col in zip(*parts))

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -186,6 +187,18 @@ DOMAIN_ERRORS = [
      "config key 'n_modes' is set more than once"),
     (["threshold-scan", "--config", "empty-samples.cfg"], "1",
      "config key 'samples': expected an integer, got ''"),
+    (["threshold-scan", "--sampler", "plain", "--ratios", "1e308",
+      "--schedule", "16,32", "--samples", "100"], "1",
+     "--ratios 1e+308 times the critical mass"),
+    (["threshold-scan", "--ratios", "0.5,1e308", "--schedule", "16,32",
+      "--samples", "100"], "1",
+     "--ratios 1e+308 times the critical mass"),
+    (["partition", "--dim", "1", "--p", "6", "--ratio", "1e308",
+      "--samples", "100"], "1",
+     "--ratio 1e+308 times the critical mass"),
+    (["partition", "--dim", "2", "--p", "4", "--ratio", "1e308",
+      "--sampler", "soliton", "--samples", "100"], "1",
+     "--ratio 1e+308 times the critical mass"),
 ]
 
 
@@ -516,16 +529,20 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
 
 def test_scans_are_byte_identical_across_thread_settings(tmp_path):
     # toy 1D and 2D soliton scans, two batches per N so that two workers
-    # share them, each thread setting in a fresh interpreter
+    # share them, and verify, each thread setting in a fresh interpreter;
+    # the schedule 16,24,40 puts the levels' slices across each other's in
+    # the one pass of a scan
     root = Path(__file__).resolve().parents[1]
     code = """
 import sys
 from gibbslab.cli import main
 for dim, p in ((1, 6), (2, 4)):
-    assert main(["threshold-scan", "--dim", str(dim), "--p", str(p),
-                 "--ratios", "0.5,1.5", "--schedule", "16,32",
-                 "--samples", "8192", "--seed", "3",
-                 "--out-dir", f"{sys.argv[1]}/{dim}d"]) == 0
+    for schedule in ("16,32", "16,24,40"):
+        assert main(["threshold-scan", "--dim", str(dim), "--p", str(p),
+                     "--ratios", "0.5,1.5", "--schedule", schedule,
+                     "--samples", "8192", "--seed", "3",
+                     "--out-dir", f"{sys.argv[1]}/{dim}d-{schedule}"]) == 0
+assert main(["verify"]) == 0
 """
     outputs = {}
     for name, (workers, blas) in THREAD_SETTINGS.items():
@@ -540,7 +557,12 @@ for dim, p in ((1, 6), (2, 4)):
         outputs[name] = {str(f.relative_to(tmp_path / name)): f.read_bytes()
                          for f in sorted((tmp_path / name).rglob("*"))
                          if f.is_file()}
-    # per dim two scan files, the verdicts and the sidecar
-    assert len(outputs["1-worker"]) == 2 * 4
+        # the scans print their verdicts, and ground-state-1d of verify
+        # its own run time, which is masked
+        outputs[name]["stdout"] = re.sub(r"\d+\.\d+s$", "<t>", proc.stdout,
+                                         flags=re.M)
+    # per dim and schedule two scan files, the verdicts and the sidecar
+    assert len(outputs["1-worker"]) == 2 * 2 * 4 + 1
+    assert "24/24 checks passed" in outputs["1-worker"]["stdout"]
     for name in THREAD_SETTINGS:
         assert outputs[name] == outputs["1-worker"], name

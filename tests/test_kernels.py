@@ -54,6 +54,19 @@ def test_weighted_power_sum_matches_direct():
                            rtol=1e-12)
 
 
+@pytest.mark.parametrize("p", [2, 4, 6, 8, 3.0])
+def test_power_kernels_with_a_buffer_keep_their_bits(p):
+    # out= takes the chain's temporaries (and, for p >= 6, the input)
+    rng = np.random.default_rng(int(p))
+    v = rng.standard_normal((24, 97))
+    weights = rng.random(97)
+    assert abs_power_mean(v.copy(), p, out=np.empty_like(v)).tobytes() \
+        == abs_power_mean(v, p).tobytes()
+    assert weighted_abs_power_sum(v.copy(), weights, p,
+                                  out=np.empty_like(v)).tobytes() \
+        == weighted_abs_power_sum(v, weights, p).tobytes()
+
+
 @pytest.mark.parametrize("p", [2, 4, 6, 8])
 def test_even_power_kernels_equal_the_left_to_right_chain(p):
     rng = np.random.default_rng(p)
@@ -81,6 +94,23 @@ def test_evaluate_coeff_rows_equals_scaled_irfft(grid_size):
     reference = grid_size * np.fft.irfft(spec, n=grid_size, axis=-1)
     assert evaluate_coeff_rows(coeffs, grid_size).tobytes() \
         == reference.tobytes()
+    # the same bits in caller-owned buffers
+    spectrum = np.full((9, n_modes + 1), np.nan, dtype=complex)
+    out = np.empty((9, grid_size))
+    assert evaluate_coeff_rows(coeffs, grid_size, spectrum=spectrum,
+                               out=out) is out
+    assert out.tobytes() == reference.tobytes()
+
+
+def test_evaluate_coeff_rows_pads_its_spectrum_like_zeros():
+    # the transform is given N + 1 frequencies and pads them to M/2 + 1
+    # itself, here eight points per period of the top mode
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal((5, 32)) + 1j * rng.standard_normal((5, 32))
+    spec = np.zeros((5, 129), dtype=complex)
+    spec[:, 1:33] = coeffs
+    assert evaluate_coeff_rows(coeffs, 256).tobytes() \
+        == (256 * np.fft.irfft(spec, n=256, axis=-1)).tobytes()
 
 
 def test_backend_is_reported():

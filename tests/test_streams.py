@@ -16,11 +16,20 @@ cutoffs from one pass over the draws must give each the report of its own
 call. The partition estimators synthesize only the rows inside a cutoff;
 tests count those rows and require each kept row bit-identical to a
 synthesis of every row.
+The estimators read each batch in slices from one pass over its stream;
+tests/_oracles.py keeps the whole-batch draw, proposal and synthesis as
+their reference, and sha256 goldens pin every row of the partition configs
+above. A scan reads each stream once for its whole schedule, so a property
+requires each of its levels to match its own estimate, another that the
+reads of a Tape under any interleaving are slices of one whole draw, and a
+tracemalloc bound that a batch holds slices rather than the whole batch.
 """
 import contextlib
 import functools
+import hashlib
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -28,11 +37,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import _oracles
 from gibbslab import gibbs, rng
 from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
-                            constrained_tails, estimate_partition,
-                            estimate_partitions, layer_cake, tail_curve)
+                            constrained_tails, divergence_scan,
+                            estimate_partition, estimate_partitions,
+                            layer_cake, tail_curve)
 from gibbslab.radial2d import (block_l4_expectation, radial_basis,
                                sample_radials)
 from gibbslab.rng import rng_for, worker_count
@@ -226,6 +237,60 @@ def test_same_layout_results_are_golden(name):
     assert SAME_LAYOUT[name]() == GOLDEN[name]
 
 
+# sha256 of the per-row (log weight, int |u|^p, ||u||_2^2) of both batches
+# of each partition config of SAME_LAYOUT, every row synthesized: the
+# reports above sum the rows, and a 1-ulp change of one row can leave them
+# in place
+ROW_GOLDEN = {
+    "partition-1d-plain":
+        "55a3a74a4d6118eec95bb071468ffbb663170da887a0c702bb654f70f03c449b",
+    "partition-1d-tilted":
+        "01fc826c4335329c816a1ecdf6f595733e03caae1e0ea207780dd90278443069",
+    "partition-1d-soliton":
+        "72dd60986aadef01181094210fb3a0cce41e03556c6afd842e85e06ac691bc8d",
+    "partition-2d-plain":
+        "8df764186b7c35f5debca3ed1f9a4ad0e6690299b1ea733cbfe79bafecd85448",
+    "partition-2d-tilted":
+        "77a8f4af0c7ee407ae232f76228b5361264819b7d2350abc7949df17cec419a3",
+    "partition-2d-soliton":
+        "5f6e49bfb4a9aa0eb6cb08125897fe221ad33c15566a121b2b96c9cdddcbd469",
+}
+
+
+def _row_digest(cfg, rows_of_batch):
+    """sha256 of rows_of_batch(ens, gen, b), the per-row arrays of a
+    batch, over the batches of cfg."""
+    ens, = gibbs._make_ensembles([cfg])
+    h = hashlib.sha256()
+    for stream, start in enumerate(range(0, cfg.n_samples, BATCH_SIZE)):
+        b = min(BATCH_SIZE, cfg.n_samples - start)
+        for values in rows_of_batch(ens, rng_for(cfg.seed, stream), b):
+            h.update(values.tobytes())
+    return h.hexdigest()
+
+
+def _pipeline_rows(ens, gen, b, ksq=math.inf):
+    (log_w, power, l2sq), = gibbs._batch_rows([[ens]], gen, b, [[ksq]])
+    return log_w[0], power[0], l2sq[0]
+
+
+def _oracle_rows(ens, gen, b):
+    g, log_w = _oracles.apply_proposal(ens, _oracles.draw_batch(ens, gen, b))
+    return (log_w, *_oracles.synthesize(ens, g))
+
+
+@pytest.mark.parametrize("name, seed", [
+    ("partition-1d-plain", 11), ("partition-1d-tilted", 12),
+    ("partition-1d-soliton", 13), ("partition-2d-plain", 14),
+    ("partition-2d-tilted", 15), ("partition-2d-soliton", 16)])
+def test_rows_of_each_batch_are_golden(name, seed):
+    # the configs and seeds of the partition entries of SAME_LAYOUT
+    _, dim, sampler = name.split("-")
+    cfg = _config(int(dim[0]), sampler, seed)
+    assert _row_digest(cfg, _pipeline_rows) == ROW_GOLDEN[name]
+    assert _row_digest(cfg, _oracle_rows) == ROW_GOLDEN[name]
+
+
 def _tail_curve_1d():
     cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=8, n_samples=5000,
                          seed=31)
@@ -292,15 +357,16 @@ def _budget(rows, width, workers):
         yield
 
 
-def _sliced_run(dim, sampler, n_samples, rows, workers):
-    """The per-row synthesis of the last batch, then the partition and
+def _sliced_run(dim, sampler, n_samples, rows, workers, rows_of_batch):
+    """The per-row synthesis of rows_of_batch (every row synthesized) on
+    stream 0 in a batch of the last batch's size, then the partition and
     two-level tail digests, under _budget(rows, ..., workers)."""
     cfg, basis = _sliced_config(dim, sampler, n_samples)
     ens, = gibbs._make_ensembles([cfg], basis)
-    g = ens.draw(rng_for(cfg.seed, 0), n_samples % BATCH_SIZE or BATCH_SIZE)
-    g, _ = gibbs._apply_proposal(ens, g)
+    b = n_samples % BATCH_SIZE or BATCH_SIZE
     with _budget(rows, ens.width, workers):
-        per_row = np.concatenate(gibbs._synthesize(ens, g)).tobytes()
+        per_row = np.concatenate(
+            rows_of_batch(ens, rng_for(cfg.seed, 0), b)).tobytes()
         tails = constrained_tails(cfg, [0.0, 0.4], basis, stream_offset=2)
         return [per_row, _report(estimate_partition(cfg, basis))] \
             + [_report(r) for r in tails]
@@ -308,7 +374,8 @@ def _sliced_run(dim, sampler, n_samples, rows, workers):
 
 @functools.cache
 def _whole_batches(dim, sampler, n_samples):
-    return _sliced_run(dim, sampler, n_samples, None, 1)
+    """_sliced_run with each batch whole, its rows from the oracle."""
+    return _sliced_run(dim, sampler, n_samples, None, 1, _oracle_rows)
 
 
 @settings(max_examples=30, deadline=None)
@@ -323,7 +390,8 @@ def test_synthesis_slices_do_not_change_results(dim, sampler, n_samples,
     # a budget of `rows` rows, log-uniform from 1 to 8191, gives slices from
     # the 64-row floor up to a whole 4096-row batch; 5003 and 9000 samples
     # end on a short batch (907 and 808 rows)
-    assert _sliced_run(dim, sampler, n_samples, rows, workers) \
+    assert _sliced_run(dim, sampler, n_samples, rows, workers,
+                       _pipeline_rows) \
         == _whole_batches(dim, sampler, n_samples)
 
 
@@ -392,6 +460,75 @@ def test_one_pass_cutoffs_match_per_cutoff_calls(dim, sampler, n_samples,
         == [_full_report(r) for r in alone]
 
 
+def _verdict_hex(v):
+    return (_hex(v.log_estimates) + _hex(v.log_errors)
+            + _hex(v.fractions_inside) + _hex([v.slope, v.slope_error])
+            + [v.verdict])
+
+
+@settings(max_examples=20, deadline=None)
+@given(dim=st.sampled_from([1, 2]), sampler=st.sampled_from(gibbs.SAMPLERS),
+       schedule=st.sampled_from([(16, 24, 40), (8, 16), (12, 20, 36, 64)]),
+       n_samples=st.sampled_from([700, BATCH_SIZE, 5003]),
+       workers=st.sampled_from([1, 2]))
+@example(dim=1, sampler="soliton", schedule=(16, 24, 40), n_samples=5003,
+         workers=2)
+@example(dim=2, sampler="soliton", schedule=(12, 20, 36, 64), n_samples=5003,
+         workers=1)
+def test_each_scan_level_matches_its_own_estimate(dim, sampler, schedule,
+                                                  n_samples, workers):
+    # a scan reads each stream once for the whole schedule; levels that are
+    # not powers of two put their slices across each other's, and 700 and
+    # 5003 samples end on a short batch
+    cfg, _ = _sliced_config(dim, sampler, n_samples)
+    cfgs = [replace(cfg, n_modes=schedule[0], cutoff=k)
+            for k in (0.5 * cfg.cutoff, cfg.cutoff)]
+    basis = None
+    if dim == 2:
+        basis = radial_basis(bessel_zeros(max(schedule)), max(schedule))
+    with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
+        verdicts = divergence_scan(cfgs, schedule)
+        by_n = [estimate_partitions([replace(c, n_modes=n) for c in cfgs],
+                                    basis) for n in schedule]
+    for i, v in enumerate(verdicts):
+        alone = gibbs._verdict(list(schedule), [reps[i] for reps in by_n])
+        assert _verdict_hex(v) == _verdict_hex(alone)
+
+
+@settings(max_examples=60, deadline=None)
+@given(lengths=st.lists(st.integers(1, 600), min_size=1, max_size=4),
+       data=st.data())
+def test_tape_reads_are_slices_of_one_whole_draw(lengths, data):
+    whole = rng_for(5, 2).standard_normal(max(lengths))
+    tape = rng.Tape(rng_for(5, 2), lengths)
+    pos = [0] * len(lengths)
+    while any(at < n for at, n in zip(pos, lengths)):
+        i = data.draw(st.sampled_from(
+            [i for i, (at, n) in enumerate(zip(pos, lengths)) if at < n]))
+        n = data.draw(st.integers(1, lengths[i] - pos[i]))
+        assert tape.read(i, n).tobytes() \
+            == whole[pos[i]:pos[i] + n].tobytes()
+        pos[i] += n
+    with pytest.raises(ValueError, match="cannot read 1"):
+        tape.read(0, 1)
+
+
+def test_a_batch_holds_slices_not_the_whole_batch():
+    # one 1D soliton estimate at N=512: the draws of its 4096-row batch
+    # alone are 32 MiB, and holding the batch whole peaks at 48 MiB
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=512,
+                         n_samples=BATCH_SIZE, seed=71, sampler="soliton")
+    cfgs = [cfg, replace(cfg, cutoff=1.5)]
+    with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": "1"}):
+        tracemalloc.start()
+        try:
+            estimate_partitions(cfgs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 def _synthesis_counts(cfgs, basis=None):
     """(rows given to evaluate_coeff_rows, calls of weighted_abs_power_sum)
     while estimate_partitions(cfgs, basis) runs in 1024-row slices."""
@@ -399,13 +536,13 @@ def _synthesis_counts(cfgs, basis=None):
     evaluate, power_sum = gibbs.evaluate_coeff_rows, \
         gibbs.weighted_abs_power_sum
 
-    def count_rows(coeffs, width):
+    def count_rows(coeffs, width, **buffers):
         rows.append(len(coeffs))
-        return evaluate(coeffs, width)
+        return evaluate(coeffs, width, **buffers)
 
-    def count_calls(vals, weights, p):
+    def count_calls(vals, weights, p, **buffers):
         calls.append(len(vals))
-        return power_sum(vals, weights, p)
+        return power_sum(vals, weights, p, **buffers)
 
     width = gibbs._make_ensembles(cfgs[:1], basis)[0].width
     with mock.patch.object(gibbs, "evaluate_coeff_rows", count_rows), \
@@ -435,14 +572,15 @@ def test_only_rows_inside_a_cutoff_are_synthesized(sampler):
     half = BATCH_SIZE // 2
     expected = everything = 0
     for stream in range(2):
-        g = ensembles[0].draw(rng_for(cfg.seed, stream), BATCH_SIZE)
+        g = _oracles.draw_batch(ensembles[0], rng_for(cfg.seed, stream),
+                                BATCH_SIZE)
         if sampler == "soliton":
             expected += np.sum(_l2sq_1d(g[:half]) <= max(ksqs))
             for ens, ksq in zip(ensembles, ksqs):
                 expected += np.sum(_l2sq_1d(g[half:] + ens.theta) <= ksq)
             everything += half + len(cfgs) * half
         else:
-            g, _ = gibbs._apply_proposal(ensembles[0], g)
+            g, _ = _oracles.apply_proposal(ensembles[0], g)
             expected += np.sum(_l2sq_1d(g) <= max(ksqs))
             everything += BATCH_SIZE
     assert 0 < expected < everything
@@ -460,11 +598,11 @@ def test_rows_kept_are_bit_identical_to_a_full_synthesis(dim, sampler,
     # rows are synthesized: packed 1D rows, or whole 2D slices only
     cfg, basis = _sliced_config(dim, sampler, BATCH_SIZE)
     ens, = gibbs._make_ensembles([cfg], basis)
-    g, _ = gibbs._apply_proposal(ens, ens.draw(rng_for(cfg.seed, 0), n_rows))
     with _budget(rows, ens.width, 1):
-        full, l2sq = gibbs._synthesize(ens, g)
+        _, full, l2sq = _oracle_rows(ens, rng_for(cfg.seed, 0), n_rows)
         ksq = float(np.quantile(l2sq, share))
-        kept, l2sq_kept = gibbs._synthesize(ens, g, ksq)
+        _, kept, l2sq_kept = _pipeline_rows(ens, rng_for(cfg.seed, 0),
+                                            n_rows, ksq)
     inside = l2sq <= ksq
     assert l2sq_kept.tobytes() == l2sq.tobytes()
     assert kept[inside].tobytes() == full[inside].tobytes()
@@ -524,21 +662,34 @@ def test_corpus_is_the_same_on_one_and_two_workers(dim, seed, n):
                           _corpus(dim, seed, n, workers=2))
 
 
+class _RecordingGenerator:
+    """A Generator whose standard_normal draws are appended to draws."""
+
+    def __init__(self, gen, draws):
+        self._gen = gen
+        self._draws = draws
+
+    def standard_normal(self, *args, **kwargs):
+        out = self._gen.standard_normal(*args, **kwargs)
+        self._draws.append(out.copy())
+        return out
+
+
 def _plain_estimator_rows(dim, seed, n_samples):
     """The Gaussian rows estimate_partition draws, in stream order."""
     cfg = EnsembleConfig(dim=dim, p=6 if dim == 1 else 4, cutoff=1.0,
                          n_modes=6, n_samples=n_samples, seed=seed)
-    rows = []
-    apply_proposal = gibbs._apply_proposal
+    draws = []
+    rng_for_stream = rng.rng_for
 
-    def spy(ens, g):
-        rows.append(g.copy())
-        return apply_proposal(ens, g)
+    def spy(seed, stream):
+        return _RecordingGenerator(rng_for_stream(seed, stream), draws)
 
-    with mock.patch.object(gibbs, "_apply_proposal", spy), \
+    with mock.patch.object(rng, "rng_for", spy), \
             mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": "1"}):
         estimate_partition(cfg)
-    return np.concatenate(rows)
+    return np.concatenate(draws).reshape(
+        (n_samples, 6, 2) if dim == 1 else (n_samples, 6))
 
 
 @settings(max_examples=15, deadline=None)
