@@ -1,4 +1,5 @@
 """Command-line behavior: files, determinism, config precedence, verify."""
+import hashlib
 import json
 import math
 import os
@@ -341,6 +342,38 @@ def test_tail_scan_2d_takes_level_zero(tmp_path):
                     "--samples", "500", "--k-list", "0", "--lambdas", "0.5",
                     "--out-dir", str(out)]) == 0
     assert (out / "block_tail_k0.csv").is_file()
+
+
+# sha256 of every file of two toy tail scans, taken while the bound
+# functions still returned their whole records; the levels run from clamped
+# through invalid to valid bounds
+TAIL_SCAN_GOLDEN = {
+    "1d": (["--dim", "1", "--n-modes", "32", "--samples", "2000",
+            "--bernstein-trials", "500", "--k-list", "3,4",
+            "--lambdas", "0.1,0.2,5,20,50", "--seed", "3"], {
+        "high_freq_tail_k3.csv":
+            "033380b2079e6cdff417df46ea46fd4757bb6c77c2f18c63f9e7f93d9128340a",
+        "high_freq_tail_k4.csv":
+            "f86045d5827d2b58c50c097bad3656bab43cc455779a193a1f17cc9e354eb61d",
+        "tail_scan.config.json":
+            "a637fa88981afd071f68b9f88ed13c8ae380b5bdce2d8cb8ee941ec3329c6cea"}),
+    "2d": (["--dim", "2", "--p", "4", "--n-modes", "32", "--samples", "2000",
+            "--k-list", "2,3", "--lambdas", "0.25,0.5,1,2,4", "--seed", "3"], {
+        "block_tail_k2.csv":
+            "27697f92bf130facfb7089b85682d4fcccdd5f3852a1a5cd7bd45a318f2ebff9",
+        "block_tail_k3.csv":
+            "2cadadcc31d13e1d6dfc38c2761627015b8fd5008e2d11a7485d7bce2a36f3dc",
+        "tail_scan.config.json":
+            "11e5cea856632baa012cb0827d926fa46012f15073061c98024176185e17a86b"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_SCAN_GOLDEN))
+def test_tail_scan_outputs_golden(tmp_path, name):
+    args, digests = TAIL_SCAN_GOLDEN[name]
+    assert run_cli(["tail-scan", *args, "--out-dir", str(tmp_path)]) == 0
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()} == digests
 
 
 def test_config_file_precedence(tmp_path):

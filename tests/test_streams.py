@@ -116,11 +116,12 @@ SAME_LAYOUT = {
         lambda: _hex([bernstein_probe(3, 6.0, 700, seed=23).c_hat]),
     "high-freq-1d":
         lambda: _curve(high_freq_empirical_1d(3, [0.12, 0.16], 32, 3000,
-                                              seed=24)),
+                                              seed=24, bernstein_c=1.0)),
     "block-norms-2d": lambda: _hex(_block_norms_2d()[::500]),
     "block-tail-2d":
         lambda: _curve(block_tail_empirical_2d(2, [0.25, 0.5, 1.0], 32, 5000,
-                                               _table(), seed=33)),
+                                               _table(), seed=33, c_prime=0.7,
+                                               c4=0.45)),
     "block-l4-2d":
         lambda: _hex(block_l4_expectation(3, 5000, _table(), seed=34)),
 }
@@ -401,7 +402,8 @@ def test_high_freq_slices_do_not_change_counts(rows):
     def run(budget):
         with mock.patch.object(rng, "SYNTH_BUDGET", budget):
             return _curve(high_freq_empirical_1d(3, [0.1, 0.13, 0.16], 128,
-                                                 2500, seed=25))
+                                                 2500, seed=25,
+                                                 bernstein_c=1.0))
 
     assert run(rows * 512) == run(1 << 62)
 

@@ -236,6 +236,69 @@ def test_block_tail_empirical_dominated(table64):
                       <= curve.theoretical[mask] + 3 * curve.err[mask])
 
 
+# --------------------------------------------------------------- bound goldens
+
+def _bounds(curve):
+    return [float(v).hex() for v in curve.theoretical], \
+        [int(v) for v in curve.valid]
+
+
+# float.hex of the bound columns of small curves, taken while the bound
+# functions still returned their whole records; the levels run from clamped
+# (1.0) through invalid to valid bounds, and 0x1.aea15ebd61239p-1 is the
+# probed Bernstein constant of the "bernstein" golden of test_streams.py
+HIGH_FREQ_LEVELS = [0.12, 0.16, 2.0, 5.0, 10.0, 15.0, 20.0, 30.0, 50.0]
+HIGH_FREQ_BOUND_GOLDEN = {
+    (3, "0x1.0000000000000p+0"): (
+        ["0x1.0000000000000p+0"] * 4
+        + ["0x1.60bf9a81bfb5fp-2", "0x1.ef16fd7c467a8p-5",
+           "0x1.a8ffe5735b2dfp-8", "0x1.8ec12f3089a43p-17",
+           "0x1.77c93af2ac2b7p-46"], [0, 0, 0, 0, 0, 0, 1, 1, 1]),
+    (4, "0x1.0000000000000p+0"): (
+        ["0x1.0000000000000p+0"] * 3
+        + ["0x1.471afd1579e77p-1", "0x1.5ceb6346ab788p-5",
+           "0x1.9e0b1f6a55cebp-11", "0x1.995c3eb37dc68p-19",
+           "0x1.b5b050a31dd02p-42", "0x1.65b7486e4a834p-115"],
+        [0, 0, 0, 0, 0, 0, 1, 1, 1]),
+    (3, "0x1.aea15ebd61239p-1"): (
+        ["0x1.0000000000000p+0"] * 4
+        + ["0x1.7ec61f5e17d9ap-3", "0x1.2bce5deff6252p-6",
+           "0x1.a60bec8ee9266p-11", "0x1.d4a7137665771p-24",
+           "0x1.b0832e65ac85ep-65"], [0, 0, 0, 0, 0, 0, 1, 1, 1]),
+    (4, "0x1.aea15ebd61239p-1"): (
+        ["0x1.0000000000000p+0"] * 3
+        + ["0x1.a379206b8365ap-2", "0x1.71a966dd5812cp-7",
+           "0x1.5903c8623fea7p-15", "0x1.121faafe66ce0p-26",
+           "0x1.a646465cfb201p-59", "0x1.159500d5eee6ep-162"],
+        [0, 0, 0, 0, 0, 1, 1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("k, c", sorted(HIGH_FREQ_BOUND_GOLDEN))
+def test_high_freq_bound_columns_golden(k, c):
+    curve = high_freq_empirical_1d(k, HIGH_FREQ_LEVELS, 32, 200, seed=24,
+                                   bernstein_c=float.fromhex(c))
+    assert _bounds(curve) == HIGH_FREQ_BOUND_GOLDEN[k, c]
+
+
+BLOCK_TAIL_LEVELS = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
+BLOCK_TAIL_BOUND_GOLDEN = {
+    2: (["0x1.0000000000000p+0"] * 3
+        + ["0x1.dfd3d4279a737p-2", "0x1.0afc03208e602p-8",
+           "0x1.9ab13380c7ac3p-33"], [0, 0, 0, 1, 1, 1]),
+    3: (["0x1.0000000000000p+0"] * 3
+        + ["0x1.57ce1e237a6e7p-4", "0x1.cef8f7958d4bep-17",
+           "0x1.495e4ad51c0aep-65"], [0, 0, 1, 1, 1, 1]),
+}
+
+
+@pytest.mark.parametrize("k", sorted(BLOCK_TAIL_BOUND_GOLDEN))
+def test_block_tail_bound_columns_golden(k, table64):
+    curve = block_tail_empirical_2d(k, BLOCK_TAIL_LEVELS, 32, 200, table64,
+                                    seed=33, c_prime=0.7, c4=0.45)
+    assert _bounds(curve) == BLOCK_TAIL_BOUND_GOLDEN[k]
+
+
 # ---------------------------------------------------------------- TailCurve
 
 def test_curve_validation_and_csv(tmp_path):
