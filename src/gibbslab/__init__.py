@@ -21,9 +21,8 @@ from .rng import rng_for
 from .spectral1d import (SpectralField1D, dyadic_project, evaluate_coeff_rows,
                          h1_seminorm_sq, l2_norm_spectral, lp_norm,
                          sample_loops)
-from .tails import (BernsteinProbe, Block2DBound, DyadicSchedule,
-                    FerniqueProbe, HighFreqBound, TailCurve, bernstein_probe,
-                    block_norm_samples_2d, block_tail_2d,
+from .tails import (DyadicSchedule, FerniqueProbe, TailCurve,
+                    bernstein_probe, block_norm_samples_2d, block_tail_2d,
                     block_tail_empirical_2d, chi2_tail_bound,
                     chi2_tail_empirical, dyadic_schedule, fernique_probe,
                     gaussian_mgf, gaussian_mgf_mc, gaussian_mgf_quadrature,

@@ -269,7 +269,7 @@ def _cmd_tail_scan(opts, out):
     if opts["dim"] == 1:
         c_hat = max(tails.bernstein_probe(j, opts["p"],
                                           opts["bernstein_trials"],
-                                          seed=opts["seed"]).c_hat
+                                          seed=opts["seed"])
                     for j in opts["k_list"])
         curves = [tails.high_freq_empirical_1d(
             k, lambdas, opts["n_modes"], opts["samples"],

@@ -23,9 +23,10 @@ observable signature of a divergent partition function.
 
 Each batch is read once, front to back, from its stream through an
 rng.Tape, in the row slices of rng.row_slices, and every slice-sized array
-comes from one workspace per batch; none of this changes a result bit (see
-rng). What a batch holds whole are its per-row log-weights, |u|^p integrals
-and norms, since its sums run over them in one piece.
+comes from one workspace per worker thread, made for one pass; none of this
+changes a result bit (see rng). What a batch holds whole are its per-row
+log-weights, |u|^p integrals and norms, since its sums run over them in one
+piece.
 
 The indicator gives a row outside every cutoff no weight, so the partition
 estimators compute each slice's ||u||_2^2 first and synthesize int |u|^p
@@ -50,6 +51,10 @@ are redone per cutoff, up to that cutoff. estimate_partitions is the pass
 of one level, and every report is bit-identical to its own
 estimate_partition call.
 
+A weight that overflows is not a weight of zero: a NaN or +inf Gibbs
+exponent on a sample inside the cutoff raises, and a soliton shift whose
+energy is not finite fails before any sampling.
+
 The layer-cake cross-check rebuilds the partition estimate from the tail
 probabilities P(||u||_p > lam, ||u||_2 <= K) at a grid of levels. It too
 makes one pass over the draws: each sample adds its own contribution to the
@@ -59,6 +64,7 @@ of the rebuilt estimate.
 """
 import json
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -206,18 +212,33 @@ def _disc_shift_2d(n_modes: int, p: float, cutoff: float, frac: float,
     target = (frac * cutoff / gs.mass) * phi(r / w) / w
     a = basis.project(target)[:n_modes]
     mass = math.sqrt(float(np.sum(a * a)))
-    if mass > 0:
+    if 0 < mass < math.inf:     # an overflowed mass leaves the shift as it is
         a *= min(1.0, frac * cutoff / mass)
     return z * a
 
 
+def _soliton_shift(cutoff, make_shift):
+    """(theta, |theta|^2 / 2) of the shift make_shift() builds; a shift whose
+    energy is not finite, at a cutoff near the float range, fails here,
+    before any sampling, rather than as NaN weights."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        theta = make_shift()
+        energy = 0.5 * float(np.sum(theta * theta))
+    if not math.isfinite(energy):
+        raise ValueError(f"the soliton shift at the cutoff {cutoff!r} has "
+                         f"energy {energy}, not a finite number")
+    return theta, energy
+
+
 # ------------------------------------------------------------- batch machinery
 
-class _Workspace:
-    """The slice-sized arrays of one batch. Each name holds one buffer,
-    grown to the largest request, that every slice views at its own shape:
-    allocating such arrays afresh for every slice made the heap shrink after
-    each one and fault its pages in again for the next."""
+class _Workspace(threading.local):
+    """The slice-sized arrays of one pass, a set for each thread that runs
+    its batches. Each name holds one buffer, grown to the largest request,
+    that every slice views at its own shape: allocating such arrays afresh
+    for every slice, or for every batch, made the heap shrink after each and
+    fault its pages in again for the next. A pass makes its own workspace,
+    so no buffer outlives the call that made it."""
 
     def __init__(self):
         self._buffers = {}
@@ -238,9 +259,9 @@ class _Ensemble1D:
         self.row_shape = (cfg.n_modes, 2)           # normals per row
         self.theta = None
         if cfg.sampler == "soliton":
-            self.theta = _sech_shift_1d(cfg.n_modes, cfg.cutoff,
-                                        SOLITON_MASS_FRACTION)
-            self.theta_energy = 0.5 * float(np.sum(self.theta * self.theta))
+            self.theta, self.theta_energy = _soliton_shift(
+                cfg.cutoff, lambda: _sech_shift_1d(cfg.n_modes, cfg.cutoff,
+                                                   SOLITON_MASS_FRACTION))
 
     def synthesize(self, g, ksq, ws, power, l2sq):
         """Fill l2sq with ||u||_2^2 of each row of Gaussians g, and power
@@ -284,9 +305,10 @@ class _Ensemble2D:
         self.row_shape = (cfg.n_modes,)             # normals per row
         self.theta = None
         if cfg.sampler == "soliton":
-            self.theta = _disc_shift_2d(cfg.n_modes, cfg.p, cfg.cutoff,
-                                        SOLITON_MASS_FRACTION, basis)
-            self.theta_energy = 0.5 * float(np.sum(self.theta * self.theta))
+            self.theta, self.theta_energy = _soliton_shift(
+                cfg.cutoff, lambda: _disc_shift_2d(
+                    cfg.n_modes, cfg.p, cfg.cutoff, SOLITON_MASS_FRACTION,
+                    basis))
 
     def synthesize(self, g, ksq, ws, power, l2sq):
         """Fill l2sq with ||v||_2^2 of each row of Gaussians g, and power
@@ -366,19 +388,18 @@ def _slices(ensembles, gen, b):
             (hi - lo,) + ensembles[i].row_shape)
 
 
-def _batch_rows(levels, gen, b, bounds):
+def _batch_rows(levels, gen, b, bounds, ws):
     """Per-row (log weight, int |u|^p, ||u||_2^2) of a batch of b rows drawn
     from gen, for every cutoff of every level: one (3, cutoffs, b) array per
     level. levels[i] holds the ensembles of a level, one per cutoff, and
     bounds[i] the squared L2 norm up to which each needs int |u|^p (NaN
-    above it).
+    above it); ws is the pass's _Workspace.
 
     Cutoffs whose proposal rows are the same share their synthesis, up to
     the largest bound: always under the plain and tilted proposals, and
     under the soliton on the slices wholly in the unshifted bottom half.
     """
     half = b // 2
-    ws = _Workspace()
     per_level = [np.empty((3, len(ensembles), b)) for ensembles in levels]
     for i, lo, hi, g in _slices([ens[0] for ens in levels], gen, b):
         log_w, power, l2sq = per_level[i]
@@ -420,13 +441,17 @@ def _combine_lse(partials):
     return m, s1, s2, inside
 
 
-def _lse_partial(expo, inside):
+def _lse_partial(expo, inside, cutoff):
     """One batch's (max, sum_exp, sum_exp_sq, n_inside) of the log-weights
-    expo over the rows inside the cutoff."""
+    expo over the rows inside the cutoff. A NaN or +inf among them is a
+    weight that overflowed, not a weight of zero, and raises."""
     lw = np.where(inside, expo, -math.inf)
     m = float(np.max(lw)) if len(lw) else -math.inf
-    if not math.isfinite(m):
+    if m == -math.inf:
         return (-math.inf, 0.0, 0.0, int(inside.sum()))
+    if not math.isfinite(m):
+        raise ValueError(f"a sample inside the cutoff {cutoff!r} has the "
+                         f"Gibbs exponent {m}, not a finite number")
     e = np.exp(lw - m)
     return (m, float(e.sum()), float((e * e).sum()), int(inside.sum()))
 
@@ -468,17 +493,21 @@ def _estimate_levels(levels, basis=None):
     # calibration, whose exponent does not read it
     bounds = [[-math.inf if c.calibration else c.cutoff * c.cutoff
                for c in cfgs] for cfgs in levels]
+    ws = _Workspace()
 
     def batch(gen, start, b):
-        partials = []
-        for cfgs, (log_w, power, l2sq) in zip(
-                levels, _batch_rows(ensembles, gen, b, bounds)):
-            # the exponent of the Gibbs weight; calibration keeps the
-            # proposal weight alone
-            partials.append([
-                _lse_partial(w if c.calibration else w + pw / c.p,
-                             l2 <= c.cutoff * c.cutoff)
-                for c, w, pw, l2 in zip(cfgs, log_w, power, l2sq)])
+        # a value that overflows is inf or NaN, and _lse_partial raises on
+        # it inside a cutoff; outside every cutoff a row carries no weight
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = _batch_rows(ensembles, gen, b, bounds, ws)
+            partials = []
+            for cfgs, (log_w, power, l2sq) in zip(levels, rows):
+                # the exponent of the Gibbs weight; calibration keeps the
+                # proposal weight alone
+                partials.append([
+                    _lse_partial(w if c.calibration else w + pw / c.p,
+                                 l2 <= c.cutoff * c.cutoff, c.cutoff)
+                    for c, w, pw, l2 in zip(cfgs, log_w, power, l2sq)])
         return partials
 
     parts = _batched(levels[0][0], ensembles[0][0], batch)
@@ -505,11 +534,11 @@ def _report(cfg, merged):
                            cfg.n_modes, n, cfg.seed, cfg.to_dict())
 
 
-def _tail_rows(ens, gen, b):
+def _tail_rows(ens, gen, b, ws):
     """(||u||_p, inside the cutoff, importance weight) of a batch's rows,
-    every row synthesized."""
+    every row synthesized in the pass's _Workspace ws."""
     cfg = ens.cfg
-    (log_w, power, l2sq), = _batch_rows([[ens]], gen, b, [[math.inf]])
+    (log_w, power, l2sq), = _batch_rows([[ens]], gen, b, [[math.inf]], ws)
     return (power[0] ** (1.0 / cfg.p), l2sq[0] <= cfg.cutoff * cfg.cutoff,
             np.exp(log_w[0]))
 
@@ -534,9 +563,10 @@ def constrained_tails(cfg: EnsembleConfig, lams,
         if not lam >= 0:
             raise ValueError(f"lam must be >= 0, got {lam!r}")
     ens, = _make_ensembles([cfg], basis)
+    ws = _Workspace()
 
     def batch(gen, start, b):
-        lp, inside, weight = _tail_rows(ens, gen, b)
+        lp, inside, weight = _tail_rows(ens, gen, b, ws)
         sums = []
         for lam in lams:
             # a 1-D sum per level: summing a (b, levels) array along axis 0
@@ -574,19 +604,13 @@ def tail_curve(cfg: EnsembleConfig, lams,
     """
     lams = np.asarray(lams, dtype=float)
     n_batches = (cfg.n_samples + BATCH_SIZE - 1) // BATCH_SIZE
-    emp = np.empty(len(lams))
-    err = np.empty(len(lams))
-    frac = np.empty(len(lams))
-    for i, lam in enumerate(lams):
-        rep = constrained_tail(cfg, float(lam), basis,
-                               stream_offset=i * n_batches)
-        emp[i], err[i], frac[i] = rep.estimate, rep.standard_error, \
-            rep.fraction_inside_cutoff
-    return TailCurve(lams, emp, err, np.full(len(lams), math.nan),
-                     np.zeros(len(lams), dtype=bool),
-                     {"kind": "constrained-tail",
-                      "fraction_inside": float(frac[0]),
-                      "config": cfg.to_dict(), "samples": cfg.n_samples})
+    reps = [constrained_tail(cfg, float(lam), basis,
+                             stream_offset=i * n_batches)
+            for i, lam in enumerate(lams)]
+    return TailCurve(lams, np.array([rep.estimate for rep in reps]),
+                     np.array([rep.standard_error for rep in reps]),
+                     np.full(len(lams), math.nan),
+                     np.zeros(len(lams), dtype=bool), cfg.n_samples)
 
 
 @dataclass(frozen=True)
@@ -639,9 +663,10 @@ def layer_cake(cfg: EnsembleConfig, lams,
     # a sample above exactly the first k levels scores w * score[k]
     score = np.concatenate([[0.0], 1.0 + np.cumsum(trap_w * g_fac)])
     ens, = _make_ensembles([cfg], basis)
+    ws = _Workspace()
 
     def batch(gen, start, b):
-        lp, inside, weight = _tail_rows(ens, gen, b)
+        lp, inside, weight = _tail_rows(ens, gen, b, ws)
         k = np.searchsorted(lams, lp)        # levels strictly below ||u||_p
         w = np.where(inside, weight, 0.0)
         h = w * score[k]

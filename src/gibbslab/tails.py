@@ -1,23 +1,28 @@
 """Concentration-inequality laboratory.
 
-Every bound carries its validity condition and every Monte Carlo probe
-reports resolvability: a level whose empirical probability cannot be
-distinguished from zero at the given sample count is marked unresolvable
-rather than counted as a confirmation.
+Every bound is a pair (value, valid): the number, and whether the
+derivation's precondition holds there. A bound is evaluated even where its
+precondition fails, and the flag says so. Every Monte Carlo curve reports
+resolvability: a level whose empirical probability cannot be distinguished
+from zero at the given sample count is marked unresolvable rather than
+counted as a confirmation.
 
 Unspecified constants are treated as measurable artifacts: the Bernstein
-constant and the Fernique rate come from probes, and geometric-tail
-prefactors are evaluated by explicit summation rather than quoted.
+constant (bernstein_probe, a float) and the Fernique rate (the c_hat of
+fernique_probe) come from probes, and geometric-tail prefactors are
+evaluated by explicit summation rather than quoted. A level so large that
+its square overflows gets the smallest bound exp(-745), not an undefined
+one.
 """
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .radial2d import BesselTable, _disc_l4_norms
 from .rng import batches, row_slices
-from .spectral1d import (SpectralField1D, evaluate_coeff_rows,
-                         gaussian_coeffs, lp_norm, spectral_weights, _window)
+from .spectral1d import (evaluate_coeff_rows, gaussian_coeffs, lp_norm,
+                         spectral_weights, _window)
 
 
 @dataclass(frozen=True)
@@ -27,9 +32,9 @@ class TailCurve:
     levels: np.ndarray
     empirical: np.ndarray
     err: np.ndarray
-    theoretical: np.ndarray          # NaN where no bound is defined
+    theoretical: np.ndarray          # the matched bound at each level
     valid: np.ndarray                # bound validity flags
-    metadata: dict = field(default_factory=dict)
+    samples: int                     # Monte Carlo samples behind empirical
 
     def __post_init__(self):
         if np.any(np.diff(self.levels) <= 0):
@@ -45,11 +50,10 @@ class TailCurve:
             w.writerow(["level", "empirical", "err", "theoretical",
                         "valid_flag"])
             for i in range(len(self.levels)):
-                t = self.theoretical[i]
                 w.writerow([f"{self.levels[i]:.12g}",
                             f"{self.empirical[i]:.12g}",
                             f"{self.err[i]:.12g}",
-                            "" if math.isnan(t) else f"{t:.12g}",
+                            f"{self.theoretical[i]:.12g}",
                             int(self.valid[i])])
 
 
@@ -77,15 +81,13 @@ def chi2_tail_empirical(m_dof: int, levels, n_samples: int,
     err = np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples) / n_samples)
     theo = np.array([chi2_tail_bound(m_dof, r)[0] for r in levels])
     valid = np.array([chi2_tail_bound(m_dof, r)[1] for r in levels])
-    return TailCurve(levels, p, err, theo, valid,
-                     {"kind": "chi2", "M": m_dof, "samples": n_samples,
-                      "seed": seed})
+    return TailCurve(levels, p, err, theo, valid, n_samples)
 
 
 def resolvable(curve: TailCurve) -> np.ndarray:
     """Levels whose empirical count, 25 hits or more, is large enough to test
     against a bound."""
-    return curve.empirical * curve.metadata.get("samples", 0) >= 25
+    return curve.empirical * curve.samples >= 25
 
 
 # ------------------------------------------------------------------- MGF
@@ -136,16 +138,7 @@ def gaussian_mgf_mc(c: float, m_dof: int, n_samples: int, seed: int = 0):
 
 # ------------------------------------------------------------- Bernstein probe
 
-@dataclass(frozen=True)
-class BernsteinProbe:
-    c_hat: float
-    best_field: SpectralField1D
-    block: int
-    p: float
-    trials: int
-
-
-def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> BernsteinProbe:
+def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> float:
     """Empirical Bernstein constant: max norm ratio over random block fields.
 
     Half of the corpus are Gaussian block draws, half are flat-amplitude
@@ -174,17 +167,9 @@ def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> BernsteinPr
         vals = evaluate_coeff_rows(coeffs, grid_size)
         nums = lp_norm(vals, p)
         l2 = np.sqrt(2.0 * np.sum(np.abs(coeffs) ** 2, axis=1))
-        ratios = nums / (2.0 ** (j * (0.5 - 1.0 / p)) * l2)
-        i = int(np.argmax(ratios))
-        return float(ratios[i]), coeffs[i].copy()   # not a view of the batch
+        return float(np.max(nums / (2.0 ** (j * (0.5 - 1.0 / p)) * l2)))
 
-    best = -math.inf
-    best_coeffs = None
-    for ratio, coeffs in batches(seed, trials, size, batch):
-        if ratio > best:
-            best, best_coeffs = ratio, coeffs
-    return BernsteinProbe(best, SpectralField1D(best_coeffs[None]), j, p,
-                          trials)
+    return max(batches(seed, trials, size, batch))
 
 
 # ------------------------------------------------------------ dyadic schedule
@@ -194,8 +179,6 @@ class DyadicSchedule:
     lam: float
     k: int
     r: float
-    p: float
-    bernstein_c: float
     values: np.ndarray           # lambda_j for j = k .. k + 47
     valid: np.ndarray            # per-j applicability of the chi-square step
     minimal_valid_k: int
@@ -218,63 +201,41 @@ def dyadic_schedule(lam: float, k: int, r: float, p: float,
         raise ValueError("r must lie in (0, 1/p)")
     j = np.arange(k, k + 48)
     vals = lam * (1 - 2.0 ** -r) * 2.0 ** (k * r) * 2.0 ** (-j * r)
-    # chi-square step needs lambda_j 2^(j/p) >= (3/2) C; lhs increases in j
-    valid = vals * 2.0 ** (j / p) >= 1.5 * bernstein_c
+    # chi-square step needs lambda_j 2^(j/p) >= (3/2) C; lhs increases in j,
+    # and past the float range it is inf, which meets it
+    with np.errstate(over="ignore"):
+        valid = vals * 2.0 ** (j / p) >= 1.5 * bernstein_c
     kmin = math.ceil(p * math.log2(1.5 * bernstein_c
                                    / (lam * (1 - 2.0 ** -r))))
-    return DyadicSchedule(lam, k, r, p, bernstein_c, vals, valid,
-                          max(0, kmin))
-
-
-@dataclass(frozen=True)
-class HighFreqBound:
-    """Summed dyadic tail bound for P(||u_(>k-ish)||_p > lam)."""
-
-    k: int
-    lam: float
-    r: float
-    p: float
-    bernstein_c: float
-    value: float                 # explicit sum over blocks
-    closed_form: float           # leading-term closure
-    prefactor: float             # value / closed_form, the geometric-tail sum
-    valid: bool
+    return DyadicSchedule(lam, k, r, vals, valid, max(0, kmin))
 
 
 def high_freq_tail_bound(k: int, lam: float, r: float, p: float,
-                         bernstein_c: float,
-                         require_valid: bool = True) -> HighFreqBound:
-    """Sum of per-block chi-square bounds over blocks j >= k.
-
-    The chi-square step is only justified once the level split clears the
-    applicability condition, which at desk levels can demand a large k; with
-    require_valid=False the formula is still evaluated and the flag records
-    that the derivation's precondition failed (the curves report it as-is).
+                         bernstein_c: float) -> tuple[float, bool]:
+    """(value, valid): the sum of per-block chi-square bounds over blocks
+    j >= k for P(||u_(>k-ish)||_p > lam), the closure exp(-a) of its
+    leading term times the geometric-tail sum, and whether the level split
+    clears the chi-square step's applicability condition, which at desk
+    levels can demand a large k.
     """
-    sched = dyadic_schedule(lam, k, r, p, bernstein_c)
-    valid = bool(sched.valid[0])
-    if require_valid and not valid:
-        raise ValueError(
-            f"schedule invalid at k={k}; minimal valid k is "
-            f"{sched.minimal_valid_k}")
+    valid = bool(dyadic_schedule(lam, k, r, p, bernstein_c).valid[0])
+    # a Python float, whose square past the float range is inf, silently
+    lam = float(lam)
     a = lam * lam * (1 - 2.0 ** -r) ** 2 * 2.0 ** ((1 + 2.0 / p) * k) \
         / (4.0 * bernstein_c ** 2)
     rho = 2.0 ** (1 + 2.0 / p - 2 * r)
-    pref = 0.0
-    for i in range(200):
+    pref = 1.0                  # the i = 0 term, exactly, even at a = inf
+    for i in range(1, 200):
         t = math.exp(-min(a * (rho ** i - 1.0), 745.0))
         pref += t
         if t < 1e-18:
             break
-    closed = math.exp(-min(a, 745.0))
-    return HighFreqBound(k, lam, r, p, bernstein_c,
-                         value=closed * pref, closed_form=closed,
-                         prefactor=pref, valid=valid)
+    return math.exp(-min(a, 745.0)) * pref, valid
 
 
 def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
-                           p: float = 6.0, seed: int = 0,
-                           bernstein_c: float | None = None) -> TailCurve:
+                           bernstein_c: float, p: float = 6.0,
+                           seed: int = 0) -> TailCurve:
     """Empirical P(||u_(high k)||_p > lam) against the summed dyadic bound,
     whose level split has the rate r = 1/(2p), halfway into (0, 1/p)."""
     lams = np.asarray(lams, dtype=float)
@@ -295,25 +256,19 @@ def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
     counts = sum(batches(seed, n_samples, 2048, batch))
     emp = counts / n_samples
     err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
-    cb = 1.0 if bernstein_c is None else bernstein_c
     theo = np.empty(len(lams))
     valid = np.zeros(len(lams), dtype=bool)
     for i, lam in enumerate(lams):
-        hb = high_freq_tail_bound(k, lam, r, p, cb, require_valid=False)
-        theo[i], valid[i] = min(hb.value, 1.0), hb.valid
-    return TailCurve(lams, emp, err, theo, valid,
-                     {"kind": "high-freq-1d", "k": k, "p": p,
-                      "n_modes": n_modes, "samples": n_samples, "seed": seed,
-                      "bernstein_c": cb, "r": r})
+        value, valid[i] = high_freq_tail_bound(k, lam, r, p, bernstein_c)
+        theo[i] = min(value, 1.0)
+    return TailCurve(lams, emp, err, theo, valid, n_samples)
 
 
 # ----------------------------------------------------------------- Fernique
 
 @dataclass(frozen=True)
 class FerniqueProbe:
-    ts: np.ndarray
     empirical: np.ndarray
-    err: np.ndarray
     c_hat: float                 # largest admissible rate; inf if all zero
 
 
@@ -327,13 +282,11 @@ def fernique_probe(norm_samples, ts) -> FerniqueProbe:
     if np.any(ts <= 1.0):
         raise ValueError("t must exceed 1")
     mean = x.mean()
-    n = len(x)
     emp = np.array([(x >= t * mean).mean() for t in ts])
-    err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n) / n)
     with np.errstate(divide="ignore"):
         rates = np.where(emp > 0, -np.log(np.maximum(emp, 1e-300)) / ts ** 2,
                          np.inf)
-    return FerniqueProbe(ts, emp, err, float(np.min(rates)))
+    return FerniqueProbe(emp, float(np.min(rates)))
 
 
 def block_norm_samples_2d(j: int, n_samples: int, table: BesselTable,
@@ -342,59 +295,40 @@ def block_norm_samples_2d(j: int, n_samples: int, table: BesselTable,
     return _disc_l4_norms(_window("block", j, 2 ** j), n_samples, table, seed)
 
 
-@dataclass(frozen=True)
-class Block2DBound:
-    k: int
-    lam: float
-    s: float
-    c_prime: float
-    c4: float
-    value: float                 # explicit sum over blocks j >= k
-    closed_form: float           # C'' closure exp(-c'' lam^2 2^k)
-    prefactor: float
-    c_double_prime: float
-    valid: bool                  # every summed term had t_j > 1
-
-
 def block_tail_2d(k: int, lam: float, c_prime: float,
-                  c4: float) -> Block2DBound:
-    """Chained disc tail bound: split lam over the 60 blocks j = k .. k + 59
-    with the geometric weights eps_j = (1-2^-s) 2^(ks) 2^(-js), s = 1/4,
-    apply the Fernique rate to each block, and close the geometric sum."""
+                  c4: float) -> tuple[float, bool]:
+    """(value, valid) of the chained disc tail bound: split lam over the 60
+    blocks j = k .. k + 59 with the geometric weights
+    eps_j = (1-2^-s) 2^(ks) 2^(-js), s = 1/4, apply the Fernique rate to
+    each block and sum, capped at 1; valid if every block's tail level
+    exceeds 1."""
     s = 0.25
     j = np.arange(k, k + 60)
     eps = (1 - 2.0 ** -s) * 2.0 ** (k * s) * 2.0 ** (-j * s)
     total = 0.0
     valid = True
-    for i, e in enumerate(eps):
-        jj = k + i
-        tail_level = e * lam / (c4 * 2.0 ** (-jj / 2.0))
-        if tail_level <= 1.0:
-            valid = False
-        total += math.exp(-min(c_prime * tail_level ** 2, 745.0))
-    cdd = c_prime * (1 - 2.0 ** -s) ** 2 / (c4 * c4)
-    closed = math.exp(-min(cdd * lam * lam * 2.0 ** k, 745.0))
-    pref = total / closed if closed > 0 else math.inf
-    return Block2DBound(k, lam, s, c_prime, c4, value=min(total, 1.0),
-                        closed_form=closed, prefactor=pref,
-                        c_double_prime=cdd, valid=valid)
+    # a tail level or its square past the float range is inf, and its term
+    # exp(-745); the square stays the scalar power, which x * x would move
+    # by an ulp now and then
+    with np.errstate(over="ignore"):
+        for i, e in enumerate(eps):
+            tail_level = e * lam / (c4 * 2.0 ** (-(k + i) / 2.0))
+            if tail_level <= 1.0:
+                valid = False
+            total += math.exp(-min(c_prime * tail_level ** 2, 745.0))
+    return min(total, 1.0), valid
 
 
 def block_tail_empirical_2d(k: int, lams, n_modes: int, n_samples: int,
-                            table: BesselTable, seed: int = 0,
-                            c_prime: float | None = None,
-                            c4: float | None = None) -> TailCurve:
+                            table: BesselTable, c_prime: float, c4: float,
+                            seed: int = 0) -> TailCurve:
     """Empirical P(||v_(high k)||_4 >= lam) against the chained bound."""
     lams = np.asarray(lams, dtype=float)
     norms = _disc_l4_norms(_window("high", k, n_modes), n_samples, table, seed)
     emp = (norms[:, None] >= lams[None, :]).sum(axis=0) / n_samples
     err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
-    theo = np.full(len(lams), math.nan)
+    theo = np.empty(len(lams))
     valid = np.zeros(len(lams), dtype=bool)
-    if c_prime is not None and c4 is not None:
-        for i, lam in enumerate(lams):
-            bb = block_tail_2d(k, lam, c_prime, c4)
-            theo[i], valid[i] = bb.value, bb.valid
-    return TailCurve(lams, emp, err, theo, valid,
-                     {"kind": "block-tail-2d", "k": k, "n_modes": n_modes,
-                      "samples": n_samples, "seed": seed})
+    for i, lam in enumerate(lams):
+        theo[i], valid[i] = block_tail_2d(k, lam, c_prime, c4)
+    return TailCurve(lams, emp, err, theo, valid, n_samples)

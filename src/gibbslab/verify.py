@@ -1,7 +1,8 @@
 """One-shot invariant suite at pinned desk-scale parameters.
 
-Each check is small enough that the whole suite runs in a few minutes; the
-heavier statistical versions of the same statements live in the test suite.
+Each check is small enough that the whole suite runs in about two seconds
+on two workers; the heavier statistical versions of the same statements
+live in the test suite.
 The optional fault injection strips the 1/|J1(z_n)| normalization from the
 disc modes' derivatives, which must break the gradient-Parseval check: a
 verify run that still passes under the injected fault would indicate a
@@ -213,7 +214,7 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
             f"sum defect {d:.1e}, doubling defect {lin:.1e}")
 
     def high_freq_domination():
-        c_hat = max(tails.bernstein_probe(j, 6.0, 2000, seed=111).c_hat
+        c_hat = max(tails.bernstein_probe(j, 6.0, 2000, seed=111)
                     for j in (3, 4, 5))
         for k in (3, 4):
             curve = tails.high_freq_empirical_1d(

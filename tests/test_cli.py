@@ -18,6 +18,16 @@ def run_cli(args):
     return main(args)
 
 
+def run_python(args, env=None, **kwargs):
+    """subprocess.run of a fresh interpreter with args (text output
+    captured) and RuntimeWarnings as errors, as pyproject's filterwarnings
+    makes them in this process; env is os.environ by default."""
+    env = {**(os.environ if env is None else env),
+           "PYTHONWARNINGS": "error::RuntimeWarning"}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, **kwargs)
+
+
 def test_ground_state_outputs(tmp_path):
     out = tmp_path / "gs"
     assert run_cli(["ground-state", "--dim", "1", "--p", "6",
@@ -32,10 +42,8 @@ def test_ground_state_outputs(tmp_path):
 
 
 def test_malformed_p_exits_2():
-    proc = subprocess.run(
-        [sys.executable, "-m", "gibbslab.cli", "ground-state",
-         "--dim", "1", "--p", "5"],
-        capture_output=True, text=True)
+    proc = run_python(["-m", "gibbslab.cli", "ground-state",
+                       "--dim", "1", "--p", "5"])
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
 
@@ -200,6 +208,18 @@ DOMAIN_ERRORS = [
     (["partition", "--dim", "2", "--p", "4", "--ratio", "1e308",
       "--sampler", "soliton", "--samples", "100"], "1",
      "--ratio 1e+308 times the critical mass"),
+    (["partition", "--dim", "1", "--cutoff", "1e150", "--sampler", "soliton",
+      "--samples", "100", "--n-modes", "8"], "1",
+     "a sample inside the cutoff 1e+150 has the Gibbs exponent inf"),
+    (["threshold-scan", "--dim", "1", "--ratios", "0.5,1e100", "--schedule",
+      "16,32,64", "--samples", "2000"], "1",
+     "a sample inside the cutoff 2.33268"),
+    (["partition", "--dim", "1", "--cutoff", "1e200", "--sampler", "soliton",
+      "--samples", "100", "--n-modes", "8"], "1",
+     "the soliton shift at the cutoff 1e+200 has energy inf"),
+    (["partition", "--dim", "2", "--p", "4", "--cutoff", "1e200",
+      "--sampler", "soliton", "--samples", "100", "--n-modes", "8"], "1",
+     "the soliton shift at the cutoff 1e+200 has energy inf"),
 ]
 
 
@@ -232,10 +252,8 @@ def test_domain_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
 def test_domain_errors_exit_2_from_the_module(tmp_path, args, workers,
                                               message):
     args = _error_case_args(tmp_path, args)
-    proc = subprocess.run(
-        [sys.executable, "-m", "gibbslab.cli", *args],
-        capture_output=True, text=True,
-        env={**os.environ, "GIBBSLAB_WORKERS": workers})
+    proc = run_python(["-m", "gibbslab.cli", *args],
+                      env={**os.environ, "GIBBSLAB_WORKERS": workers})
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert message in proc.stderr
@@ -342,6 +360,20 @@ def test_tail_scan_2d_takes_level_zero(tmp_path):
                     "--samples", "500", "--k-list", "0", "--lambdas", "0.5",
                     "--out-dir", str(out)]) == 0
     assert (out / "block_tail_k0.csv").is_file()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--dim", "1", "--bernstein-trials", "500"], "high_freq_tail_k3.csv"),
+    (["--dim", "2", "--p", "4"], "block_tail_k3.csv")])
+def test_tail_scan_bounds_a_level_whose_square_overflows(tmp_path, args,
+                                                         name):
+    # the smallest bound, exp(-745) per summed term, and valid
+    assert run_cli(["tail-scan", *args, "--lambdas", "0.5,1e200", "--k-list",
+                    "3", "--n-modes", "32", "--samples", "2000",
+                    "--out-dir", str(tmp_path)]) == 0
+    level, _, _, bound, valid = \
+        (tmp_path / name).read_text().splitlines()[-1].split(",")
+    assert level == "1e+200" and 0 < float(bound) < 1e-320 and valid == "1"
 
 
 # sha256 of every file of two toy tail scans, taken while the bound
@@ -508,8 +540,7 @@ from gibbslab import tails
 tails.gaussian_mgf_quadrature(0.3, 1)
 assert "scipy.stats" not in sys.modules, "after the MGF quadrature"
 """
-    proc = subprocess.run([sys.executable, "-c", code],
-                          capture_output=True, text=True)
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
 
 
@@ -517,12 +548,10 @@ def test_benchmark_tracer_binds(tmp_path):
     # perfbench/spans.py rebinds package functions by name (and the private
     # gibbs._batched); a deleted or renamed one fails it before the run
     root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "spans.py"),
-         str(tmp_path / "trace.json"), "bessel-table", "--count", "5",
-         "--out-dir", str(tmp_path / "out")],
-        cwd=tmp_path, capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(root / "src")})
+    proc = run_python(
+        [str(root / "perfbench" / "spans.py"), str(tmp_path / "trace.json"),
+         "bessel-table", "--count", "5", "--out-dir", str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": str(root / "src")}, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["calls"]["bessel.zeros"] == 1
@@ -583,9 +612,7 @@ assert main(["verify"]) == 0
         env.update(GIBBSLAB_WORKERS=workers, PYTHONPATH=str(root / "src"))
         if blas is not None:
             env.update(OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
-        proc = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / name)],
-            capture_output=True, text=True, env=env)
+        proc = run_python(["-c", code, str(tmp_path / name)], env=env)
         assert proc.returncode == 0, proc.stderr
         outputs[name] = {str(f.relative_to(tmp_path / name)): f.read_bytes()
                          for f in sorted((tmp_path / name).rglob("*"))

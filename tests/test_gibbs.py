@@ -1,6 +1,7 @@
 """Partition estimators, tails, layer cake, and the divergence scan."""
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -338,10 +339,42 @@ def test_combine_lse_matches_logsumexp(weights, batch_size):
     parts = [lw[i:i + batch_size] for i in range(0, len(lw), batch_size)]
     # -inf marks a draw outside the cutoff
     m, s1, s2, inside = _combine_lse(
-        [_lse_partial(part, np.isfinite(part)) for part in parts])
+        [_lse_partial(part, np.isfinite(part), 1.0) for part in parts])
     assert inside == int(np.isfinite(lw).sum())
     if not np.isfinite(lw).any():
         assert s1 == 0.0
         return
     assert abs(m + math.log(s1) - logsumexp(lw)) <= 1e-12
     assert abs(2 * m + math.log(s2) - logsumexp(2 * lw)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_lse_partial_rejects_an_overflowed_exponent_inside(bad):
+    expo = np.array([0.0, bad])
+    with pytest.raises(ValueError, match="inside the cutoff 2.0 has the "
+                                         "Gibbs exponent"):
+        _lse_partial(expo, np.array([True, True]), 2.0)
+    # outside the cutoff the sample carries no weight
+    assert _lse_partial(expo, np.array([True, False]), 2.0) \
+        == (0.0, 1.0, 1.0, 1)
+
+
+@pytest.mark.parametrize("dim, p", [(1, 6), (2, 4)])
+def test_overflowing_gibbs_weight_raises(dim, p):
+    # the soliton rows sit at 0.95 of the cutoff, where |u|^p overflows
+    cfg = EnsembleConfig(dim=dim, p=p, cutoff=1e150, n_modes=8,
+                         n_samples=100, sampler="soliton")
+    with pytest.raises(ValueError, match=r"inside the cutoff 1e\+150 has "
+                                         "the Gibbs exponent inf"):
+        estimate_partition(cfg)
+
+
+@pytest.mark.parametrize("dim, p", [(1, 6), (2, 4)])
+def test_soliton_shift_of_infinite_energy_fails_before_sampling(dim, p):
+    cfg = EnsembleConfig(dim=dim, p=p, cutoff=1e200, n_modes=8,
+                         n_samples=100, sampler="soliton")
+    with mock.patch("gibbslab.gibbs._batched",
+                    side_effect=AssertionError("sampled")):
+        with pytest.raises(ValueError, match=r"soliton shift at the cutoff "
+                                             r"1e\+200 has energy inf"):
+            estimate_partition(cfg)

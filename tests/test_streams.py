@@ -113,7 +113,7 @@ SAME_LAYOUT = {
     "gaussian-mgf":
         lambda: _hex(gaussian_mgf_mc(0.1, 4, 70000, seed=22)),
     "bernstein":
-        lambda: _hex([bernstein_probe(3, 6.0, 700, seed=23).c_hat]),
+        lambda: _hex([bernstein_probe(3, 6.0, 700, seed=23)]),
     "high-freq-1d":
         lambda: _curve(high_freq_empirical_1d(3, [0.12, 0.16], 32, 3000,
                                               seed=24, bernstein_c=1.0)),
@@ -271,7 +271,8 @@ def _row_digest(cfg, rows_of_batch):
 
 
 def _pipeline_rows(ens, gen, b, ksq=math.inf):
-    (log_w, power, l2sq), = gibbs._batch_rows([[ens]], gen, b, [[ksq]])
+    (log_w, power, l2sq), = gibbs._batch_rows([[ens]], gen, b, [[ksq]],
+                                              gibbs._Workspace())
     return log_w[0], power[0], l2sq[0]
 
 

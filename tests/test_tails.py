@@ -100,11 +100,11 @@ def test_mgf_monte_carlo_finite_variance_regime():
 def test_probe_monotone_in_corpus():
     small = bernstein_probe(4, 6.0, 500, seed=9)
     large = bernstein_probe(4, 6.0, 2000, seed=9)   # superset of trials
-    assert large.c_hat >= small.c_hat
+    assert large >= small
 
 
 def test_probe_stabilizes_across_blocks():
-    cs = [bernstein_probe(j, 6.0, 10000, seed=10).c_hat for j in range(3, 9)]
+    cs = [bernstein_probe(j, 6.0, 10000, seed=10) for j in range(3, 9)]
     assert max(cs) / min(cs) < 1.3
 
 
@@ -140,34 +140,41 @@ def test_schedule_rejects_bad_exponent():
 # ------------------------------------------------------------ summed bounds
 
 def test_high_freq_bound_log_scaling_in_k():
-    # at a level deep in the validity regime, the log of the closure scales
-    # by 2^(1+2/p) per unit increase of k
+    # at a level deep in the validity regime, the log of the bound scales
+    # by 2^(1+2/p) per unit increase of k: there the geometric-tail
+    # prefactor is exactly 1, so the bound is its leading-term closure
     p, r, c = 6.0, 1.0 / 12.0, 1.0
-    b3 = high_freq_tail_bound(3, 50.0, r, p, c)
-    b4 = high_freq_tail_bound(4, 50.0, r, p, c)
-    ratio = math.log(b4.closed_form) / math.log(b3.closed_form)
+    b3, _ = high_freq_tail_bound(3, 50.0, r, p, c)
+    b4, _ = high_freq_tail_bound(4, 50.0, r, p, c)
+    ratio = math.log(b4) / math.log(b3)
     assert abs(ratio - 2.0 ** (1 + 2.0 / p)) < 0.01
 
 
 def test_high_freq_bound_vanishes_at_large_level():
-    vals = [high_freq_tail_bound(3, lam, 1.0 / 12.0, 6.0, 1.0,
-                                 require_valid=False).value
+    vals = [high_freq_tail_bound(3, lam, 1.0 / 12.0, 6.0, 1.0)[0]
             for lam in (10.0, 50.0, 100.0)]
     assert vals[0] > vals[1] > vals[2]
     assert vals[2] < 1e-40
 
 
 def test_high_freq_bound_rejects_invalid_schedule():
-    # the chi-square step's precondition fails at small k and tiny levels
-    with pytest.raises(ValueError):
-        high_freq_tail_bound(0, 1e-3, 1.0 / 12.0, 6.0, 5.0)
-    b = high_freq_tail_bound(0, 1e-3, 1.0 / 12.0, 6.0, 5.0,
-                             require_valid=False)
-    assert not b.valid
+    # the chi-square step's precondition fails at small k and tiny levels,
+    # and the bound says so in its flag
+    _, valid = high_freq_tail_bound(0, 1e-3, 1.0 / 12.0, 6.0, 5.0)
+    assert not valid
+
+
+def test_bounds_at_a_level_whose_square_overflows():
+    # lam * lam is inf: every summed term is the smallest, exp(-745), and the
+    # levels clear every precondition
+    value, valid = high_freq_tail_bound(3, 1e200, 1.0 / 12.0, 6.0, 1.0)
+    assert value == math.exp(-745.0) and valid
+    value, valid = block_tail_2d(3, 1e200, 0.7, 0.45)
+    assert value == 60 * math.exp(-745.0) and valid
 
 
 def test_high_freq_empirical_dominated(table64):
-    c_hat = max(bernstein_probe(j, 6.0, 3000, seed=11).c_hat
+    c_hat = max(bernstein_probe(j, 6.0, 3000, seed=11)
                 for j in (3, 4, 5))
     for k in (3, 4, 5):
         curve = high_freq_empirical_1d(k, [1.0], 128, 10 ** 5, seed=12,
@@ -218,7 +225,7 @@ def test_eps_schedule_sums_to_one():
 
 
 def test_block_tail_bound_decreasing_in_k():
-    vals = [block_tail_2d(k, 2.0, 0.7, 0.45).value for k in (3, 4, 5)]
+    vals = [block_tail_2d(k, 2.0, 0.7, 0.45)[0] for k in (3, 4, 5)]
     assert vals[0] > vals[1] > vals[2]
 
 
@@ -304,7 +311,7 @@ def test_block_tail_bound_columns_golden(k, table64):
 def test_curve_validation_and_csv(tmp_path):
     with pytest.raises(ValueError):
         TailCurve(np.array([1.0, 1.0]), np.zeros(2), np.zeros(2),
-                  np.zeros(2), np.zeros(2, dtype=bool))
+                  np.zeros(2), np.zeros(2, dtype=bool), 100)
     c = chi2_tail_empirical(1, [2.0, 3.0], 10 ** 4, seed=17)
     path = tmp_path / "curve.csv"
     c.to_csv(path)
