@@ -181,7 +181,6 @@ class DyadicSchedule:
     r: float
     values: np.ndarray           # lambda_j for j = k .. k + 47
     valid: np.ndarray            # per-j applicability of the chi-square step
-    minimal_valid_k: int
 
     def partial_sum_defect(self) -> float:
         """|closed-form tail sum - lam| for the listed plus remaining terms."""
@@ -205,9 +204,7 @@ def dyadic_schedule(lam: float, k: int, r: float, p: float,
     # and past the float range it is inf, which meets it
     with np.errstate(over="ignore"):
         valid = vals * 2.0 ** (j / p) >= 1.5 * bernstein_c
-    kmin = math.ceil(p * math.log2(1.5 * bernstein_c
-                                   / (lam * (1 - 2.0 ** -r))))
-    return DyadicSchedule(lam, k, r, vals, valid, max(0, kmin))
+    return DyadicSchedule(lam, k, r, vals, valid)
 
 
 def high_freq_tail_bound(k: int, lam: float, r: float, p: float,

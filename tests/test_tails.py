@@ -123,13 +123,6 @@ def test_schedule_linearity_in_level():
     assert np.max(np.abs(b.values - 2.0 * a.values)) < 1e-12
 
 
-def test_schedule_reports_minimal_valid_k():
-    s = dyadic_schedule(1.0, 1, 1.0 / 12.0, 6.0, bernstein_c=1.0)
-    assert s.minimal_valid_k >= 0
-    probe = dyadic_schedule(1.0, max(s.minimal_valid_k, 1), 1.0 / 12.0, 6.0)
-    assert bool(probe.valid[0]) or s.minimal_valid_k == 0
-
-
 def test_schedule_rejects_bad_exponent():
     with pytest.raises(ValueError):
         dyadic_schedule(1.0, 2, 0.5, 6.0)    # r >= 1/p
