@@ -15,6 +15,7 @@ its square overflows gets the smallest bound exp(-745), not an undefined
 one.
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,38 +93,80 @@ def resolvable(curve: TailCurve) -> np.ndarray:
 
 # ------------------------------------------------------------------- MGF
 
+def _check_mgf_args(c: float, m_dof: int) -> None:
+    """The boundary check of the three MGF helpers."""
+    if math.isnan(c):
+        raise ValueError("c must be a number, got NaN")
+    if (isinstance(m_dof, bool) or not isinstance(m_dof, numbers.Integral)
+            or m_dof < 1):
+        raise ValueError(f"M must be an integer >= 1, got {m_dof!r}")
+
+
 def gaussian_mgf(c: float, m_dof: int) -> float:
     """E exp(c chi2_M) = (1-2c)^(-M/2); +inf signals the divergence regime."""
-    if m_dof < 1:
-        raise ValueError("M must be >= 1")
+    _check_mgf_args(c, m_dof)
     if c >= 0.5:
         return math.inf
     return (1.0 - 2.0 * c) ** (-m_dof / 2.0)
 
 
 def gaussian_mgf_quadrature(c: float, m_dof: int) -> float:
-    """Independent quadrature of the same Gaussian integral."""
-    from scipy.integrate import quad
+    """Independent quadrature of the same Gaussian integral.
+
+    The exp-sinh rule of Takahasi and Mori (Publ. RIMS 9, 1974) over the
+    chi-square(M) log density: t = exp(pi/2 sinh x), dt = pi/2 cosh x t dx,
+    and the trapezoid rule in x on [-5, 5] with step 1/32, 321 nodes that
+    reach t from 2e-51 to 4e50. Against (1-2c)^(-M/2) its relative error is
+    at most 3e-13 over c in {0.1, 0.25, 0.3, 0.49} and M in {1, 2, 4, 8}
+    (the largest at c = 0.49, M = 8, whose mass sits near t = 300), and
+    3e-10 at c = 0.49, M = 16; with step 1/16 it is 5e-6 at c = 0.49, M = 8.
+    For c down to -1e4 it is within 4e-16; below that the mass moves towards
+    the smallest node and digits go (2e-9 at c = -1e6, M = 8).
+    """
     from scipy.special import gammaln, xlogy
 
+    _check_mgf_args(c, m_dof)
     if c >= 0.5:
         return math.inf
+    x = np.arange(-160, 161) / 32.0
+    t = np.exp(np.pi / 2 * np.sinh(x))
+    # the chi-square(M) log density, written as scipy.stats.chi2 does
+    logpdf = (xlogy(m_dof / 2. - 1, t) - t / 2. - gammaln(m_dof / 2.)
+              - (np.log(2) * m_dof) / 2.)
+    # a c t past the float range is -inf, whose term is 0
+    with np.errstate(over="ignore"):
+        f = np.exp(c * t + logpdf)
+    return float(np.sum(f * (np.pi / 2 * np.cosh(x) * t)) / 32.0)
 
-    def integrand(t):
-        # the chi-square(M) log density, written as scipy.stats.chi2 does
-        logpdf = (xlogy(m_dof / 2. - 1, t) - t / 2. - gammaln(m_dof / 2.)
-                  - (np.log(2) * m_dof) / 2.)
-        return math.exp(c * t + logpdf)
 
-    val, _ = quad(integrand, 0.0, np.inf, limit=400)
-    return val
+def _square_sums(rng, rows: int, shape, weights=None) -> np.ndarray:
+    """The sum over each row g of g * g, or of weights * g * g, for the next
+    rows rows of standard normals of the given row shape from rng.
+
+    The rows are drawn in the slices of row_slices, which continue one
+    another's stream, and each row is reduced on its own, so the sums are bit
+    for bit those of one whole draw while the temporaries stay slice-sized.
+    """
+    bounds = row_slices(rows, math.prod(shape))
+    buf = np.empty((bounds[0][1], *shape))
+    axes = tuple(range(1, buf.ndim))
+    sums = np.empty(rows)
+    for lo, hi in bounds:
+        g = rng.standard_normal(out=buf[:hi - lo])
+        if weights is None:
+            g *= g
+        else:
+            g = weights * g * g
+        np.sum(g, axis=axes, out=sums[lo:hi])
+    return sums
 
 
 def gaussian_mgf_mc(c: float, m_dof: int, n_samples: int, seed: int = 0):
     """Monte Carlo mean of exp(c chi2_M) with its empirical standard error."""
+    _check_mgf_args(c, m_dof)
+
     def batch(rng, start, b):
-        z = rng.standard_normal((b, m_dof))
-        w = np.exp(c * np.sum(z * z, axis=1))
+        w = np.exp(c * _square_sums(rng, b, (m_dof,)))
         return w.sum(), (w * w).sum()
 
     total = 0.0

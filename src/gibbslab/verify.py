@@ -2,7 +2,10 @@
 
 Each check is small enough that the whole suite runs in about two seconds
 on two workers; the heavier statistical versions of the same statements
-live in the test suite.
+live in the test suite. No check holds a corpus it only reduces: the
+chi-square law sums the squares of each batch's normals a row slice at a
+time (_dirichlet_energies), bit for bit the energies of sample_loops. The
+suite loads scipy.special and scipy.linalg only.
 The optional fault injection strips the 1/|J1(z_n)| normalization from the
 disc modes' derivatives, which must break the gradient-Parseval check: a
 verify run that still passes under the injected fault would indicate a
@@ -20,8 +23,8 @@ from .bessel import bessel_zeros
 from .groundstate import (disc_gns_check, gns_functional, profile_function,
                           solve_ground_state)
 from .radial2d import grad_l2_spectral_sq, radial_basis, sample_radials
-from .rng import batches, rng_for
-from .spectral1d import (dyadic_project, evaluate_coeff_rows, h1_seminorm_sq,
+from .rng import BATCH_SIZE, batches, rng_for
+from .spectral1d import (dyadic_project, evaluate_coeff_rows,
                          l2_norm_spectral, lp_norm, sample_loops)
 
 FAULTS = ("j1-normalization",)
@@ -93,7 +96,7 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
 
     def chi_square_law():
         n, n_modes = 20000, 64
-        vals = h1_seminorm_sq(sample_loops(105, n, n_modes))
+        vals = _dirichlet_energies(105, n, n_modes)
         dof = 2 * n_modes
         mean_tol = 3 * math.sqrt(2 * dof / n)
         m_ok = abs(vals.mean() - dof) < mean_tol
@@ -261,8 +264,7 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         w = 1.0 / (2 * np.pi * np.arange(1, 33)) ** 2
 
         def batch(rng, start, b):
-            g = rng.standard_normal((b, 32, 2))
-            l2 = np.sum(w[None, :, None] * g * g, axis=(1, 2))
+            l2 = tails._square_sums(rng, b, (32, 2), w[:, None])
             return int(np.sum(l2 <= cutoff ** 2))
 
         direct = sum(batches(118, n, 10000, batch)) / n
@@ -351,6 +353,15 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
     _check("layer-cake-consistency", layer_cake, results)
     _check("kernel-backend-parity", kernel_parity, results)
     return results
+
+
+def _dirichlet_energies(seed: int, n_fields: int, n_modes: int) -> np.ndarray:
+    """h1_seminorm_sq(sample_loops(seed, n_fields, n_modes)), bit for bit,
+    from the same streams but without the corpus: each batch's normals are
+    squared and summed a slice at a time."""
+    return np.concatenate(batches(
+        seed, n_fields, BATCH_SIZE,
+        lambda rng, start, b: tails._square_sums(rng, b, (n_modes, 2))))
 
 
 def _random_bump(rng, grid, dim):

@@ -1,5 +1,8 @@
 """Concentration bounds, probes, and schedules."""
 import math
+import os
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from scipy.stats import norm as normal_dist
 
 from gibbslab import verify
 from gibbslab.rng import rng_for
+from gibbslab.spectral1d import h1_seminorm_sq, sample_loops
 from gibbslab.tails import (TailCurve, bernstein_probe,
                             block_norm_samples_2d, block_tail_2d,
                             block_tail_empirical_2d, chi2_tail_bound,
@@ -68,14 +72,47 @@ def test_mgf_quadrature_grid():
             assert abs(gaussian_mgf_quadrature(c, m) - exact) < 1e-10 * exact
 
 
-# float.hex of the quadrature, taken while it still called scipy.stats.chi2
-MGF_QUADRATURE_GOLDEN = {(0.3, 1): "0x1.94c583ada5f41p+0",
-                         (0.2, 4): "0x1.638e38e38e38ep+1"}
+def test_mgf_quadrature_negative_c():
+    for c in (-100.0, -1e4):
+        for m in (1, 8):
+            exact = gaussian_mgf(c, m)
+            assert abs(gaussian_mgf_quadrature(c, m) - exact) < 1e-12 * exact
+    # c t past the float range is a zero term, without an overflow warning
+    assert 0.0 <= gaussian_mgf_quadrature(-1e300, 1) < 1e-100
+
+
+# float.hex of the quadrature, taken from its exp-sinh rule (step 1/32)
+MGF_QUADRATURE_GOLDEN = {(0.3, 1): "0x1.94c583ada5b53p+0",
+                         (0.2, 4): "0x1.638e38e38e38fp+1"}
+# and of scipy.integrate.quad(limit=400), which the rule replaced
+MGF_QUAD_REFERENCE = {(0.3, 1): "0x1.94c583ada5f41p+0",
+                      (0.2, 4): "0x1.638e38e38e38ep+1"}
 
 
 @pytest.mark.parametrize("c, m", sorted(MGF_QUADRATURE_GOLDEN))
 def test_mgf_quadrature_golden(c, m):
-    assert gaussian_mgf_quadrature(c, m).hex() == MGF_QUADRATURE_GOLDEN[c, m]
+    got = gaussian_mgf_quadrature(c, m)
+    assert got.hex() == MGF_QUADRATURE_GOLDEN[c, m]
+    ref = float.fromhex(MGF_QUAD_REFERENCE[c, m])
+    assert abs(got - ref) < 1e-12 * ref
+
+
+MGF_HELPERS = (gaussian_mgf, gaussian_mgf_quadrature,
+               lambda c, m: gaussian_mgf_mc(c, m, 1000)[0])
+
+
+@pytest.mark.parametrize("mgf", MGF_HELPERS)
+@pytest.mark.parametrize("c, m", [(math.nan, 1), (math.nan, 8), (0.1, 0),
+                                  (0.1, -2), (0.1, 2.0), (0.1, 1.5),
+                                  (0.1, True)])
+def test_mgf_helpers_reject_bad_arguments(mgf, c, m):
+    with pytest.raises(ValueError, match="NaN|integer >= 1"):
+        mgf(c, m)
+
+
+@pytest.mark.parametrize("mgf", MGF_HELPERS)
+def test_mgf_helpers_accept_numpy_integers(mgf):
+    assert math.isfinite(mgf(0.1, np.int64(4)))
 
 
 def test_verify_normal_oracles_golden():
@@ -93,6 +130,37 @@ def test_mgf_monte_carlo_finite_variance_regime():
     for c, m in ((0.1, 4), (0.2, 8)):
         mc, se = gaussian_mgf_mc(c, m, 300000, seed=5)
         assert abs(mc - gaussian_mgf(c, m)) < 3 * se
+
+
+def _traced_peak(fn):
+    with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": "1"}):
+        tracemalloc.start()
+        try:
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    return peak
+
+
+def test_mgf_monte_carlo_holds_slices_not_batches():
+    # a whole 65,536-row batch of 8 normals is 4 MiB, and its squares 4 more
+    assert _traced_peak(lambda: gaussian_mgf_mc(0.1, 8, 200000)) < 4 << 20
+
+
+def test_streamed_energies_hold_no_corpus():
+    # the corpus of 20,000 fields of 64 modes peaked at 59 MiB
+    assert _traced_peak(
+        lambda: verify._dirichlet_energies(105, 20000, 64)) < 8 << 20
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("n", [1, 4095, 4097, 20000])
+def test_streamed_energies_are_the_corpus_energies(n, workers):
+    with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
+        got = verify._dirichlet_energies(105, n, 64)
+        want = h1_seminorm_sq(sample_loops(105, n, 64))
+    assert got.tobytes() == want.tobytes()
 
 
 # -------------------------------------------------------------- Bernstein
