@@ -6,7 +6,9 @@ refactor of the sampling code must reproduce them bit for bit. The worker
 test runs every sampler with one and with two worker threads on inputs large
 enough for several batches, and requires identical results. The disc block
 norms are pinned by every 500th of their 5000 values (all three batches); the
-worker test compares all of them. The one-pass tail levels and the row
+worker test compares all of them, and sha256 goldens pin every value of the
+disc norms and chi-square counts of the tail laboratory on one and two
+workers. The one-pass tail levels and the row
 slices of the synthesis must leave every bit of these results in place,
 and the one-pass layer cake is pinned the same way.
 The field corpora share the estimators' layout, and property tests pin
@@ -38,7 +40,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import _oracles
-from gibbslab import gibbs, rng
+from gibbslab import gibbs, radial2d, rng
 from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
                             constrained_tails, divergence_scan,
@@ -47,7 +49,7 @@ from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
 from gibbslab.radial2d import (block_l4_expectation, radial_basis,
                                sample_radials)
 from gibbslab.rng import rng_for, worker_count
-from gibbslab.spectral1d import gaussian_coeffs, sample_loops, \
+from gibbslab.spectral1d import _window, gaussian_coeffs, sample_loops, \
     spectral_weights
 from gibbslab.tails import (bernstein_probe, block_norm_samples_2d,
                             block_tail_empirical_2d, chi2_tail_empirical,
@@ -316,6 +318,57 @@ def test_worker_count_does_not_change_samplers(name, monkeypatch):
     monkeypatch.setenv("GIBBSLAB_WORKERS", "2")
     two = WORKER_SAMPLERS[name]()
     assert one == two
+
+
+def _sha(values):
+    return hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest()
+
+
+def _chi2_full():
+    curve = chi2_tail_empirical(16, [6.0, 12.0], 200003, seed=2)
+    return _sha(np.concatenate([curve.empirical, curve.err]))
+
+
+# The tail samplers' full outputs, each with the row width its row slices
+# see: the disc norms at 16 and 64 modes on 83 and 234 quadrature nodes
+# (3001 and 4097 samples end on batches of 953 and 1 rows), the probe on its
+# 8 * 2^j-point grid and the chi-square on its 16 degrees of freedom
+TAIL_SAMPLERS = {
+    "block-norms-2d": (
+        lambda: _sha(block_norm_samples_2d(4, 3001, _table(), seed=113)),
+        83),
+    "disc-l4-high": (
+        lambda: _sha(radial2d._disc_l4_norms(_window("high", 3, 64), 4097,
+                                             _table(), 7)), 234),
+    **{f"bernstein-{j}": (
+        functools.partial(lambda j: bernstein_probe(j, 6.0, 1300,
+                                                    seed=4).hex(), j),
+        8 * 2 ** j) for j in (3, 5, 7)},
+    "chi2-tail-full": (_chi2_full, 16),
+}
+
+# sha256 of every value of the disc norms and of the chi-square curve's
+# empirical and err columns, and float.hex of the probes, taken while these
+# samplers drew and synthesized whole batches; a sparse golden such as
+# block-norms-2d above misses a last-bit change of one product row
+TAIL_GOLDEN = {
+    "bernstein-3": "0x1.aea15ebd6123ap-1",
+    "bernstein-5": "0x1.aca72c2d86f87p-1",
+    "bernstein-7": "0x1.ac88a9158e90dp-1",
+    "block-norms-2d":
+        "22f75d21303ab59268f4ff91856a1bc489e54f6a6dc00c2decbb4bfc3d2e7956",
+    "chi2-tail-full":
+        "c4dbaf9b0879229902525d430f7b5b02f513a0ff060567c97dcdbd5ba09279bb",
+    "disc-l4-high":
+        "a4b55e65ff81f5c4ee82ff1fc34f146e59e14538a837449861a930357e0ddd66",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(TAIL_SAMPLERS))
+def test_tail_sampler_outputs_are_golden(name, workers):
+    with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
+        assert TAIL_SAMPLERS[name][0]() == TAIL_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name, cfg, lam, offset", [
