@@ -19,7 +19,7 @@ import numpy as np
 
 from ._core import j0_array, j1_array, weighted_abs_power_sum
 from .bessel import BesselTable
-from .rng import BATCH_SIZE, batches
+from .rng import BATCH_SIZE, batches, row_slices
 from .spectral1d import _window
 
 
@@ -157,8 +157,12 @@ def _disc_l4_norms(keep: np.ndarray, n_samples: int, table: BesselTable,
     aw = basis.quad.area_weights
 
     def batch(rng, start, b):
-        coeffs = np.where(keep, rng.standard_normal((b, n_modes)) / z, 0.0)
-        return weighted_abs_power_sum(coeffs @ basis.matrix.T, aw, 4.0) ** 0.25
+        norms = np.empty(b)
+        for lo, hi in row_slices(b, basis.quad.count):
+            g = rng.standard_normal((hi - lo, n_modes))
+            v = np.where(keep, g / z, 0.0) @ basis.matrix.T
+            norms[lo:hi] = weighted_abs_power_sum(v, aw, 4.0) ** 0.25
+        return norms
 
     return np.concatenate(batches(seed, n_samples, 2048, batch))
 
@@ -168,6 +172,8 @@ def block_l4_expectation(j: int, n_samples: int, table: BesselTable,
     """Monte Carlo estimate of E ||v_j||_{L^4(disc)} with its standard error."""
     if j < 1:
         raise ValueError("block index must be >= 1")
+    if n_samples == 1:              # below 1, rng.batches rejects it
+        raise ValueError("a standard error needs n_samples >= 2, got 1")
     norms = _disc_l4_norms(_window("block", j, 2 ** j), n_samples, table, seed)
     mean = float(norms.mean())
     stderr = float(norms.std(ddof=1) / np.sqrt(n_samples))

@@ -16,17 +16,21 @@ every result is bit-identical for any worker count.
 The estimators of gibbs read a batch from its stream through a Tape, in the
 row slices of row_slices(), of about SYNTH_BUDGET grid values each, so that
 the draws, the spectrum, the grid and the |u|^p chain of a slice stay in
-cache; a batch that fits the budget goes through whole. The budget of 2^16
-values makes each slice array 512 KB of float64, so a slice and its
-temporaries fit a 2 MB per-core L2 cache; at 2^19 they were 4 MB and spilled
-out of it, and fresh 1D threshold scans ran about 10% slower. Every row is
-reduced on its own, so slicing changes no result bit. The rows of a slice
-are a power of two, at least 64: OpenBLAS computes the last rows of a 2D
-matrix product whose row count is not a multiple of its 4-row kernel with
-another kernel that rounds differently (slices of 7 or 626 rows moved
-power_mean by up to 4e-15 relative), and with power-of-two slices those rows
-are the same ones as in the whole batch. The soliton weights' matrix-vector
-products keep their bits the same way; single rows do not.
+cache; a batch that fits the budget goes through whole. The samplers of the
+tail laboratory (tails, and the disc L4 norms of radial2d) work in the same
+slices, and all but the Bernstein probe, whose 512-row draw is whole, draw
+in them too; only the field corpora (sample_loops, sample_radials), which
+their callers hold whole, draw whole batches. The budget of 2^16 values
+makes each slice array 512 KB of float64, so a slice and its temporaries fit
+a 2 MB per-core L2 cache; at 2^19 they were 4 MB and spilled out of it, and
+fresh 1D threshold scans ran about 10% slower. Every row is reduced on its
+own, so slicing changes no result bit. The rows of a slice are a power of
+two, at least 64: OpenBLAS computes the last rows of a 2D matrix product
+whose row count is not a multiple of its 4-row kernel with another kernel
+that rounds differently (slices of 7 or 626 rows moved power_mean by up to
+4e-15 relative), and with power-of-two slices those rows are the same ones
+as in the whole batch. The soliton weights' matrix-vector products keep
+their bits the same way; single rows do not.
 
 A batch of n rows of m normals each is the first n * m values of its
 stream, so a batch at a smaller truncation level is a prefix of the batch at

@@ -124,12 +124,12 @@ def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int,
     return vals
 
 
-def lp_norm(values: np.ndarray, p: float) -> np.ndarray:
+def lp_norm(values: np.ndarray, p: float, out=None) -> np.ndarray:
     """Rectangle-rule L^p norm on the unit circle of each row of uniform
-    grid values."""
+    grid values; out is the optional buffer of abs_power_mean."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    return abs_power_mean(values, p) ** (1.0 / p)
+    return abs_power_mean(values, p, out) ** (1.0 / p)
 
 
 def l2_norm_spectral(field: SpectralField1D) -> np.ndarray:

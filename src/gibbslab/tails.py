@@ -38,6 +38,8 @@ class TailCurve:
     samples: int                     # Monte Carlo samples behind empirical
 
     def __post_init__(self):
+        if np.any(np.isnan(self.levels)):
+            raise ValueError("levels must be numbers, got NaN")
         if np.any(np.diff(self.levels) <= 0):
             raise ValueError("levels must be strictly increasing")
         if np.any((self.empirical < 0) | (self.empirical > 1)):
@@ -73,8 +75,7 @@ def chi2_tail_empirical(m_dof: int, levels, n_samples: int,
     levels = np.asarray(levels, dtype=float)
 
     def batch(rng, start, b):
-        z = rng.standard_normal((b, m_dof))
-        s = np.sum(z * z, axis=1)
+        s = _square_sums(rng, b, (m_dof,))
         return (s[:, None] >= levels[None, :] ** 2).sum(axis=0)
 
     counts = sum(batches(seed, n_samples, 1 << 16, batch))
@@ -207,10 +208,14 @@ def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> float:
                            np.exp(-2j * np.pi * np.outer(centers, freqs)),
                            0.0j)
         coeffs[1::2] = packets[1::2]     # parity split keeps prefixes nested
-        vals = evaluate_coeff_rows(coeffs, grid_size)
-        nums = lp_norm(vals, p)
-        l2 = np.sqrt(2.0 * np.sum(np.abs(coeffs) ** 2, axis=1))
-        return float(np.max(nums / (2.0 ** (j * (0.5 - 1.0 / p)) * l2)))
+        ratio = 0.0
+        for lo, hi in row_slices(b, grid_size):     # each row on its own
+            c = coeffs[lo:hi]
+            nums = lp_norm(evaluate_coeff_rows(c, grid_size), p)
+            l2 = np.sqrt(2.0 * np.sum(np.abs(c) ** 2, axis=1))
+            ratio = max(ratio, float(np.max(
+                nums / (2.0 ** (j * (0.5 - 1.0 / p)) * l2))))
+        return ratio
 
     return max(batches(seed, trials, size, batch))
 
@@ -241,6 +246,8 @@ def dyadic_schedule(lam: float, k: int, r: float, p: float,
         raise ValueError("lam must be positive")
     if not 0.0 < r < 1.0 / p:
         raise ValueError("r must lie in (0, 1/p)")
+    if not bernstein_c > 0:
+        raise ValueError(f"bernstein_c must be positive, got {bernstein_c}")
     j = np.arange(k, k + 48)
     vals = lam * (1 - 2.0 ** -r) * 2.0 ** (k * r) * 2.0 ** (-j * r)
     # chi-square step needs lambda_j 2^(j/p) >= (3/2) C; lhs increases in j,
@@ -273,6 +280,16 @@ def high_freq_tail_bound(k: int, lam: float, r: float, p: float,
     return math.exp(-min(a, 745.0)) * pref, valid
 
 
+def _high_window(k: int, n_modes: int) -> np.ndarray:
+    """The keep-mask of the modes above block k - 1; an empty one would
+    sample the zero field, which sits under every bound."""
+    keep = _window("high", k, n_modes)
+    if not keep.any():
+        raise ValueError(f"the high window of k={k} holds no mode at "
+                         f"n_modes={n_modes}")
+    return keep
+
+
 def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
                            bernstein_c: float, p: float = 6.0,
                            seed: int = 0) -> TailCurve:
@@ -280,27 +297,35 @@ def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
     whose level split has the rate r = 1/(2p), halfway into (0, 1/p)."""
     lams = np.asarray(lams, dtype=float)
     r = 0.5 / p
-    keep = _window("high", k, n_modes)
+    keep = _high_window(k, n_modes)
     w = spectral_weights(n_modes)
     grid_size = 4 * n_modes
+    theo = np.empty(len(lams))
+    valid = np.zeros(len(lams), dtype=bool)
+    for i, lam in enumerate(lams):
+        value, valid[i] = high_freq_tail_bound(k, lam, r, p, bernstein_c)
+        theo[i] = min(value, 1.0)
 
     def batch(rng, start, b):
-        g = rng.standard_normal((b, n_modes, 2))
+        bounds = row_slices(b, grid_size)
+        # one set of slice buffers per batch: arrays made afresh for each
+        # slice made the heap shrink after it and fault its pages in again
+        g = np.empty((bounds[0][1], n_modes, 2))
+        vals = np.empty((bounds[0][1], grid_size))
+        powers = np.empty((bounds[0][1], grid_size))
         counts = 0
-        for lo, hi in row_slices(b, grid_size):     # each row on its own
-            coeffs = np.where(keep, gaussian_coeffs(g[lo:hi], w), 0.0j)
-            norms = lp_norm(evaluate_coeff_rows(coeffs, grid_size), p)
+        for lo, hi in bounds:                       # each row on its own
+            n = hi - lo
+            coeffs = np.where(keep, gaussian_coeffs(
+                rng.standard_normal(out=g[:n]), w), 0.0j)
+            v = evaluate_coeff_rows(coeffs, grid_size, out=vals[:n])
+            norms = lp_norm(v, p, out=powers[:n])
             counts = counts + (norms[:, None] > lams[None, :]).sum(axis=0)
         return counts
 
     counts = sum(batches(seed, n_samples, 2048, batch))
     emp = counts / n_samples
     err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
-    theo = np.empty(len(lams))
-    valid = np.zeros(len(lams), dtype=bool)
-    for i, lam in enumerate(lams):
-        value, valid[i] = high_freq_tail_bound(k, lam, r, p, bernstein_c)
-        theo[i] = min(value, 1.0)
     return TailCurve(lams, emp, err, theo, valid, n_samples)
 
 
@@ -342,6 +367,9 @@ def block_tail_2d(k: int, lam: float, c_prime: float,
     eps_j = (1-2^-s) 2^(ks) 2^(-js), s = 1/4, apply the Fernique rate to
     each block and sum, capped at 1; valid if every block's tail level
     exceeds 1."""
+    if not (c_prime > 0 and c4 > 0):
+        raise ValueError(f"c_prime and c4 must be positive, got {c_prime} "
+                         f"and {c4}")
     s = 0.25
     j = np.arange(k, k + 60)
     eps = (1 - 2.0 ** -s) * 2.0 ** (k * s) * 2.0 ** (-j * s)
@@ -364,11 +392,11 @@ def block_tail_empirical_2d(k: int, lams, n_modes: int, n_samples: int,
                             seed: int = 0) -> TailCurve:
     """Empirical P(||v_(high k)||_4 >= lam) against the chained bound."""
     lams = np.asarray(lams, dtype=float)
-    norms = _disc_l4_norms(_window("high", k, n_modes), n_samples, table, seed)
-    emp = (norms[:, None] >= lams[None, :]).sum(axis=0) / n_samples
-    err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
     theo = np.empty(len(lams))
     valid = np.zeros(len(lams), dtype=bool)
     for i, lam in enumerate(lams):
         theo[i], valid[i] = block_tail_2d(k, lam, c_prime, c4)
+    norms = _disc_l4_norms(_high_window(k, n_modes), n_samples, table, seed)
+    emp = (norms[:, None] >= lams[None, :]).sum(axis=0) / n_samples
+    err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
     return TailCurve(lams, emp, err, theo, valid, n_samples)

@@ -2,10 +2,12 @@
 
 Each check is small enough that the whole suite runs in about two seconds
 on two workers; the heavier statistical versions of the same statements
-live in the test suite. No check holds a corpus it only reduces: the
-chi-square law sums the squares of each batch's normals a row slice at a
-time (_dirichlet_energies), bit for bit the energies of sample_loops. The
-suite loads scipy.special and scipy.linalg only.
+live in the test suite. No check holds a corpus it only reduces, nor a
+whole batch: the chi-square law sums the squares of each batch's normals a
+row slice at a time (_dirichlet_energies), bit for bit the energies of
+sample_loops, and the tail checks' samplers work in the row slices of
+rng.row_slices as the estimators do. The suite loads scipy.special and
+scipy.linalg only.
 The optional fault injection strips the 1/|J1(z_n)| normalization from the
 disc modes' derivatives, which must break the gradient-Parseval check: a
 verify run that still passes under the injected fault would indicate a

@@ -8,9 +8,10 @@ enough for several batches, and requires identical results. The disc block
 norms are pinned by every 500th of their 5000 values (all three batches); the
 worker test compares all of them, and sha256 goldens pin every value of the
 disc norms and chi-square counts of the tail laboratory on one and two
-workers. The one-pass tail levels and the row
-slices of the synthesis must leave every bit of these results in place,
-and the one-pass layer cake is pinned the same way.
+workers, which row slices of 64 to 1024 rows must leave in place. The
+one-pass tail levels and the row slices of the synthesis must leave every
+bit of these results in place, and the one-pass layer cake is pinned the
+same way.
 The field corpora share the estimators' layout, and property tests pin
 that: a corpus is a prefix of any larger one, is the same on one and two
 workers, and holds the Gaussian rows of a plain estimate. Scoring several
@@ -460,6 +461,22 @@ def test_high_freq_slices_do_not_change_counts(rows):
                                                  bernstein_c=1.0))
 
     assert run(rows * 512) == run(1 << 62)
+
+
+@functools.cache
+def _unsliced(name):
+    with _budget(None, 1, 1):
+        return TAIL_SAMPLERS[name][0]()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rows", [64, 128, 1024])
+@pytest.mark.parametrize("name", sorted(TAIL_SAMPLERS))
+def test_tail_sampler_slices_do_not_change_results(name, rows, workers):
+    # slices of `rows` rows against each batch whole on one worker
+    sampler, width = TAIL_SAMPLERS[name]
+    with _budget(rows, width, workers):
+        assert sampler() == _unsliced(name)
 
 
 @settings(max_examples=300, deadline=None)

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm as normal_dist
 
 from gibbslab import verify
+from gibbslab.radial2d import block_l4_expectation
 from gibbslab.rng import rng_for
 from gibbslab.spectral1d import h1_seminorm_sq, sample_loops
 from gibbslab.tails import (TailCurve, bernstein_probe,
@@ -154,6 +155,26 @@ def test_streamed_energies_hold_no_corpus():
         lambda: verify._dirichlet_energies(105, 20000, 64)) < 8 << 20
 
 
+# each tail sampler's traced peak, which whole-batch draws and syntheses set
+# at 8.5, 5.8, 3.8 and 16.5 MiB, against its bound
+TAIL_SAMPLER_PEAKS = {
+    "block-tail-2d": (lambda t: block_tail_empirical_2d(
+        3, [1.0, 2.0], 64, 10 ** 4, t, c_prime=0.7, c4=0.45), 2 << 20),
+    "high-freq-1d": (lambda t: high_freq_empirical_1d(
+        3, [1.0, 2.0], 128, 10 ** 4, bernstein_c=1.0), 3 << 20),
+    "bernstein": (lambda t: bernstein_probe(5, 6.0, 2000), 3 << 20),
+    "chi2-tail": (lambda t: chi2_tail_empirical(16, [12.0], 10 ** 5),
+                  2 << 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_SAMPLER_PEAKS))
+def test_tail_samplers_hold_slices_not_batches(name, table64):
+    sampler, bound = TAIL_SAMPLER_PEAKS[name]
+    sampler(table64)        # the scipy.special import is not the sampler's
+    assert _traced_peak(lambda: sampler(table64)) < bound
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("n", [1, 4095, 4097, 20000])
 def test_streamed_energies_are_the_corpus_energies(n, workers):
@@ -293,7 +314,6 @@ def test_block_tail_bound_decreasing_in_k():
 def test_block_tail_empirical_dominated(table64):
     norms = block_norm_samples_2d(4, 5000, table64, seed=14)
     c_prime = fernique_probe(norms, [1.5, 2.0, 3.0]).c_hat
-    from gibbslab.radial2d import block_l4_expectation
     c4 = max(block_l4_expectation(j, 3000, table64, seed=15)[0] * 2 ** (j / 2)
              for j in (3, 4, 5))
     for k in (3, 4):
@@ -379,3 +399,61 @@ def test_curve_validation_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "level,empirical,err,theoretical,valid_flag"
     assert len(lines) == 3
+
+
+# ------------------------------------------------------------ bad arguments
+
+NAN = math.nan
+BAD_TAIL_ARGUMENTS = [
+    # an empty high window samples the zero field, under every bound
+    ("empty-window-1d", lambda t: high_freq_empirical_1d(9, [1.0], 32, 100,
+                                                         1.0),
+     "k=9 holds no mode at n_modes=32"),
+    ("empty-window-2d", lambda t: block_tail_empirical_2d(
+        9, [1.0], 32, 100, t, 0.7, 0.45), "k=9 holds no mode at n_modes=32"),
+    ("nan-level-curve", lambda t: TailCurve(
+        np.array([NAN]), np.zeros(1), np.zeros(1), np.zeros(1),
+        np.zeros(1, dtype=bool), 100), "NaN"),
+    ("nan-level-chi2", lambda t: chi2_tail_empirical(1, [NAN], 100), "NaN"),
+    ("nan-level-1d", lambda t: high_freq_empirical_1d(3, [NAN], 32, 100,
+                                                      1.0), "NaN"),
+    ("nan-level-2d", lambda t: block_tail_empirical_2d(
+        3, [1.0, NAN], 32, 100, t, 0.7, 0.45), "NaN"),
+    ("bernstein-c-zero",
+     lambda t: high_freq_tail_bound(3, 1.0, 1.0 / 12.0, 6.0, 0.0),
+     "bernstein_c must be positive"),
+    ("bernstein-c-negative",
+     lambda t: high_freq_empirical_1d(3, [1.0], 32, 100, -1.0),
+     "bernstein_c must be positive"),
+    ("bernstein-c-nan",
+     lambda t: high_freq_empirical_1d(3, [1.0], 32, 100, NAN),
+     "bernstein_c must be positive"),
+    ("bernstein-c-schedule",
+     lambda t: dyadic_schedule(1.0, 3, 1.0 / 12.0, 6.0, bernstein_c=0.0),
+     "bernstein_c must be positive"),
+    ("c4-zero", lambda t: block_tail_2d(3, 1.0, 0.7, 0.0),
+     "c_prime and c4 must be positive"),
+    ("c4-nan", lambda t: block_tail_empirical_2d(3, [1.0], 32, 100, t, 0.7,
+                                                 NAN),
+     "c_prime and c4 must be positive"),
+    ("c-prime-negative", lambda t: block_tail_2d(3, 1.0, -0.7, 0.45),
+     "c_prime and c4 must be positive"),
+    ("c-prime-nan", lambda t: block_tail_2d(3, 1.0, NAN, 0.45),
+     "c_prime and c4 must be positive"),
+    ("one-sample-l4", lambda t: block_l4_expectation(3, 1, t),
+     "n_samples >= 2, got 1"),
+]
+
+
+@pytest.mark.parametrize("call, message",
+                         [pytest.param(call, message, id=name)
+                          for name, call, message in BAD_TAIL_ARGUMENTS])
+def test_tail_laboratory_rejects_bad_arguments(call, message, table64):
+    with pytest.raises(ValueError, match=message):
+        call(table64)
+
+
+def test_an_infinite_fernique_rate_is_legal():
+    # fernique_probe returns c_hat = inf when no norm reaches a level
+    value, valid = block_tail_2d(3, 2.0, math.inf, 0.45)
+    assert value == 60 * math.exp(-745.0) and valid
