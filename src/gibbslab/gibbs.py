@@ -21,12 +21,11 @@ weights bounded by two while letting the estimator actually visit the
 concentration channel whose growth with the truncation level is the
 observable signature of a divergent partition function.
 
-Each batch is read once, front to back, from its stream through an
-rng.Tape, in the row slices of rng.row_slices, and every slice-sized array
-comes from one workspace per worker thread, made for one pass; none of this
-changes a result bit (see rng). What a batch holds whole are its per-row
-log-weights, |u|^p integrals and norms, since its sums run over them in one
-piece.
+Each batch is read once, front to back, from its stream through
+rng.slices, and every slice-sized array comes from the pass's rng.Workspace,
+a set per worker thread; none of this changes a result bit (see rng). What
+a batch holds whole are its per-row log-weights, |u|^p integrals and norms,
+since its sums run over them in one piece.
 
 The indicator gives a row outside every cutoff no weight, so the partition
 estimators compute each slice's ||u||_2^2 first and synthesize int |u|^p
@@ -64,7 +63,6 @@ of the rebuilt estimate.
 """
 import json
 import math
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -232,25 +230,6 @@ def _soliton_shift(cutoff, make_shift):
 
 # ------------------------------------------------------------- batch machinery
 
-class _Workspace(threading.local):
-    """The slice-sized arrays of one pass, a set for each thread that runs
-    its batches. Each name holds one buffer, grown to the largest request,
-    that every slice views at its own shape: allocating such arrays afresh
-    for every slice, or for every batch, made the heap shrink after each and
-    fault its pages in again for the next. A pass makes its own workspace,
-    so no buffer outlives the call that made it."""
-
-    def __init__(self):
-        self._buffers = {}
-
-    def __call__(self, name, shape, dtype=float):
-        size = math.prod(shape) * np.dtype(dtype).itemsize // 8
-        buf = self._buffers.get(name)
-        if buf is None or len(buf) < size:
-            buf = self._buffers[name] = np.empty(size)
-        return buf[:size].view(dtype).reshape(shape)
-
-
 class _Ensemble1D:
     def __init__(self, cfg: EnsembleConfig):
         self.cfg = cfg
@@ -373,27 +352,12 @@ def _log_weights(ens, rows):
     return math.log(2.0) - np.logaddexp(0.0, log_rho)
 
 
-def _slices(ensembles, gen, b):
-    """(i, lo, hi, g) for the row slices of every ensemble of a batch of b
-    rows: rows lo:hi of ensemble i's Gaussians g, read from the stream of
-    gen through one rng.Tape, in the order of their first value on the
-    stream. g is valid until the next slice."""
-    sizes = [math.prod(ens.row_shape) for ens in ensembles]
-    tape = rng.Tape(gen, [b * size for size in sizes])
-    for _, i, lo, hi in sorted(
-            (lo * size, i, lo, hi)
-            for i, (ens, size) in enumerate(zip(ensembles, sizes))
-            for lo, hi in rng.row_slices(b, ens.width)):
-        yield i, lo, hi, tape.read(i, (hi - lo) * sizes[i]).reshape(
-            (hi - lo,) + ensembles[i].row_shape)
-
-
 def _batch_rows(levels, gen, b, bounds, ws):
     """Per-row (log weight, int |u|^p, ||u||_2^2) of a batch of b rows drawn
     from gen, for every cutoff of every level: one (3, cutoffs, b) array per
     level. levels[i] holds the ensembles of a level, one per cutoff, and
     bounds[i] the squared L2 norm up to which each needs int |u|^p (NaN
-    above it); ws is the pass's _Workspace.
+    above it); ws is the pass's rng.Workspace.
 
     Cutoffs whose proposal rows are the same share their synthesis, up to
     the largest bound: always under the plain and tilted proposals, and
@@ -401,7 +365,8 @@ def _batch_rows(levels, gen, b, bounds, ws):
     """
     half = b // 2
     per_level = [np.empty((3, len(ensembles), b)) for ensembles in levels]
-    for i, lo, hi, g in _slices([ens[0] for ens in levels], gen, b):
+    for i, lo, hi, g in rng.slices(
+            gen, b, [(ens[0].row_shape, ens[0].width) for ens in levels]):
         log_w, power, l2sq = per_level[i]
         ensembles = levels[i]
         if ensembles[0].theta is None or hi <= half:
@@ -493,7 +458,7 @@ def _estimate_levels(levels, basis=None):
     # calibration, whose exponent does not read it
     bounds = [[-math.inf if c.calibration else c.cutoff * c.cutoff
                for c in cfgs] for cfgs in levels]
-    ws = _Workspace()
+    ws = rng.Workspace()
 
     def batch(gen, start, b):
         # a value that overflows is inf or NaN, and _lse_partial raises on
@@ -536,7 +501,7 @@ def _report(cfg, merged):
 
 def _tail_rows(ens, gen, b, ws):
     """(||u||_p, inside the cutoff, importance weight) of a batch's rows,
-    every row synthesized in the pass's _Workspace ws."""
+    every row synthesized in the pass's rng.Workspace ws."""
     cfg = ens.cfg
     (log_w, power, l2sq), = _batch_rows([[ens]], gen, b, [[math.inf]], ws)
     return (power[0] ** (1.0 / cfg.p), l2sq[0] <= cfg.cutoff * cfg.cutoff,
@@ -563,7 +528,7 @@ def constrained_tails(cfg: EnsembleConfig, lams,
         if not lam >= 0:
             raise ValueError(f"lam must be >= 0, got {lam!r}")
     ens, = _make_ensembles([cfg], basis)
-    ws = _Workspace()
+    ws = rng.Workspace()
 
     def batch(gen, start, b):
         lp, inside, weight = _tail_rows(ens, gen, b, ws)
@@ -663,7 +628,7 @@ def layer_cake(cfg: EnsembleConfig, lams,
     # a sample above exactly the first k levels scores w * score[k]
     score = np.concatenate([[0.0], 1.0 + np.cumsum(trap_w * g_fac)])
     ens, = _make_ensembles([cfg], basis)
-    ws = _Workspace()
+    ws = rng.Workspace()
 
     def batch(gen, start, b):
         lp, inside, weight = _tail_rows(ens, gen, b, ws)
@@ -690,6 +655,8 @@ def divergence_scan(cfgs, n_schedule) -> list[DivergenceVerdict]:
     of cfgs, which differ only in cutoff (their n_modes is the schedule's).
     At each N every cutoff is scored from one pass over the draws."""
     n_schedule = [int(n) for n in n_schedule]
+    if not n_schedule:
+        raise ValueError("the schedule n_schedule is empty; it needs an N")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("schedule must be increasing")
     for c in cfgs:

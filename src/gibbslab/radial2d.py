@@ -19,7 +19,7 @@ import numpy as np
 
 from ._core import j0_array, j1_array, weighted_abs_power_sum
 from .bessel import BesselTable
-from .rng import BATCH_SIZE, batches, row_slices
+from .rng import BATCH_SIZE, batches, slices
 from .spectral1d import _window
 
 
@@ -158,8 +158,7 @@ def _disc_l4_norms(keep: np.ndarray, n_samples: int, table: BesselTable,
 
     def batch(rng, start, b):
         norms = np.empty(b)
-        for lo, hi in row_slices(b, basis.quad.count):
-            g = rng.standard_normal((hi - lo, n_modes))
+        for _, lo, hi, g in slices(rng, b, [((n_modes,), basis.quad.count)]):
             v = np.where(keep, g / z, 0.0) @ basis.matrix.T
             norms[lo:hi] = weighted_abs_power_sum(v, aw, 4.0) ** 0.25
         return norms

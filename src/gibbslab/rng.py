@@ -13,24 +13,22 @@ GIBBSLAB_WORKERS sets how many threads run the batches. batches() returns
 the batch results in stream order and callers reduce them in that order, so
 every result is bit-identical for any worker count.
 
-The estimators of gibbs read a batch from its stream through a Tape, in the
-row slices of row_slices(), of about SYNTH_BUDGET grid values each, so that
-the draws, the spectrum, the grid and the |u|^p chain of a slice stay in
-cache; a batch that fits the budget goes through whole. The samplers of the
-tail laboratory (tails, and the disc L4 norms of radial2d) work in the same
-slices, and all but the Bernstein probe, whose 512-row draw is whole, draw
-in them too; only the field corpora (sample_loops, sample_radials), which
-their callers hold whole, draw whole batches. The budget of 2^16 values
-makes each slice array 512 KB of float64, so a slice and its temporaries fit
-a 2 MB per-core L2 cache; at 2^19 they were 4 MB and spilled out of it, and
-fresh 1D threshold scans ran about 10% slower. Every row is reduced on its
-own, so slicing changes no result bit. The rows of a slice are a power of
-two, at least 64: OpenBLAS computes the last rows of a 2D matrix product
-whose row count is not a multiple of its 4-row kernel with another kernel
-that rounds differently (slices of 7 or 626 rows moved power_mean by up to
-4e-15 relative), and with power-of-two slices those rows are the same ones
-as in the whole batch. The soliton weights' matrix-vector products keep
-their bits the same way; single rows do not.
+Every sampler reads a batch from its stream with slices(), in the row
+slices of row_slices(), of about SYNTH_BUDGET grid values each, so that the
+draws, the spectrum, the grid and the |u|^p chain of a slice stay in cache,
+and keeps its slice-sized arrays in a Workspace; a batch that fits the budget
+goes through whole. Only the field corpora, which their callers hold whole,
+and the Bernstein probe, whose two draws fix its stream, draw whole batches.
+The budget of 2^16 values makes each slice array 512 KB of float64, so a
+slice and its temporaries fit a 2 MB per-core L2 cache; at 2^19 they were
+4 MB and spilled out of it, and fresh 1D threshold scans ran about 10%
+slower. Every row is reduced on its own, so slicing changes no result bit.
+The rows of a slice are a power of two, at least 64: OpenBLAS computes the
+last rows of a 2D matrix product whose row count is not a multiple of its
+4-row kernel with another kernel that rounds differently (slices of 7 or 626
+rows moved power_mean by up to 4e-15 relative), and with power-of-two slices
+those rows are the same ones as in the whole batch. The soliton weights'
+matrix-vector products keep their bits the same way; single rows do not.
 
 A batch of n rows of m normals each is the first n * m values of its
 stream, so a batch at a smaller truncation level is a prefix of the batch at
@@ -46,7 +44,9 @@ inverse FFT and a grid mean treat each row alone. In 2D that would change
 the row count of the product, and with it the kernel of its last rows, so a
 2D slice is synthesized whole or, when no row of it is needed, not at all.
 """
+import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -147,3 +147,39 @@ class Tape:
                 out=self._buf[self._end - self._start:hi - self._start])
             self._end = hi
         return self._buf[lo - self._start:hi - self._start]
+
+
+def slices(gen: np.random.Generator, b: int, readers):
+    """(i, lo, hi, g) for the row slices of a batch of b rows of every reader
+    of readers, a (row_shape, width) pair: rows lo:hi of reader i's normals
+    g, of shape (hi - lo, *row_shape), read from the stream of gen through
+    one Tape in the slices of row_slices(b, width), in the order of their
+    first value on the stream. g is valid until the next slice, and a reader
+    alone on its stream may overwrite it."""
+    sizes = [math.prod(shape) for shape, _ in readers]
+    tape = Tape(gen, [b * size for size in sizes])
+    for _, i, lo, hi in sorted(
+            (lo * size, i, lo, hi)
+            for i, ((_, width), size) in enumerate(zip(readers, sizes))
+            for lo, hi in row_slices(b, width)):
+        yield i, lo, hi, tape.read(i, (hi - lo) * sizes[i]).reshape(
+            (hi - lo, *readers[i][0]))
+
+
+class Workspace(threading.local):
+    """The slice-sized arrays of one pass, a set for each thread that runs
+    its batches. Each name holds one buffer, grown to the largest request,
+    that every slice views at its own shape: allocating such arrays afresh
+    for every slice, or for every batch, made the heap shrink after each and
+    fault its pages in again for the next. A pass makes its own workspace,
+    so no buffer outlives the call that made it."""
+
+    def __init__(self):
+        self._buffers = {}
+
+    def __call__(self, name, shape, dtype=float):
+        size = math.prod(shape) * np.dtype(dtype).itemsize // 8
+        buf = self._buffers.get(name)
+        if buf is None or len(buf) < size:
+            buf = self._buffers[name] = np.empty(size)
+        return buf[:size].view(dtype).reshape(shape)

@@ -12,7 +12,11 @@ constant (bernstein_probe, a float) and the Fernique rate (the c_hat of
 fernique_probe) come from probes, and geometric-tail prefactors are
 evaluated by explicit summation rather than quoted. A level so large that
 its square overflows gets the smallest bound exp(-745), not an undefined
-one.
+one; a level that is not positive, NaN among them, is refused.
+
+The samplers read their streams through rng.slices, as the estimators of
+gibbs do, all but the Bernstein probe, whose two whole 512-row draws fix its
+stream. The curves evaluate their bounds before any sampling.
 """
 import math
 import numbers
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .radial2d import BesselTable, _disc_l4_norms
-from .rng import batches, row_slices
+from .rng import Workspace, batches, row_slices, slices
 from .spectral1d import (evaluate_coeff_rows, gaussian_coeffs, lp_norm,
                          spectral_weights, _window)
 
@@ -64,8 +68,9 @@ class TailCurve:
 
 def chi2_tail_bound(m_dof: int, level: float):
     """Bound exp(-R^2/4) for P(chi2_M >= R^2), valid once R >= 3 sqrt(M)."""
-    if m_dof < 1 or level <= 0:
-        raise ValueError("need M >= 1 and R > 0")
+    if m_dof < 1 or not level > 0:
+        raise ValueError(f"need M >= 1 and R > 0, not NaN, got M={m_dof!r} "
+                         f"and R={level}")
     return math.exp(-level * level / 4.0), level >= 3.0 * math.sqrt(m_dof)
 
 
@@ -73,16 +78,23 @@ def chi2_tail_empirical(m_dof: int, levels, n_samples: int,
                         seed: int = 0) -> TailCurve:
     """Monte Carlo tail of a chi-square with the matching analytic bound."""
     levels = np.asarray(levels, dtype=float)
+    bounds = [chi2_tail_bound(m_dof, r) for r in levels]
 
     def batch(rng, start, b):
         s = _square_sums(rng, b, (m_dof,))
         return (s[:, None] >= levels[None, :] ** 2).sum(axis=0)
 
     counts = sum(batches(seed, n_samples, 1 << 16, batch))
+    return _curve(levels, bounds, counts, n_samples)
+
+
+def _curve(levels, bounds, counts, n_samples: int) -> TailCurve:
+    """The TailCurve of counts[i] hits of levels[i] among n_samples samples,
+    with its binomial error, against bounds[i] = (value, valid) capped at 1."""
     p = counts / n_samples
     err = np.sqrt(np.maximum(p * (1 - p), 1.0 / n_samples) / n_samples)
-    theo = np.array([chi2_tail_bound(m_dof, r)[0] for r in levels])
-    valid = np.array([chi2_tail_bound(m_dof, r)[1] for r in levels])
+    theo = np.minimum([value for value, _ in bounds], 1.0)
+    valid = np.array([ok for _, ok in bounds], dtype=bool)
     return TailCurve(levels, p, err, theo, valid, n_samples)
 
 
@@ -142,18 +154,12 @@ def gaussian_mgf_quadrature(c: float, m_dof: int) -> float:
 
 def _square_sums(rng, rows: int, shape, weights=None) -> np.ndarray:
     """The sum over each row g of g * g, or of weights * g * g, for the next
-    rows rows of standard normals of the given row shape from rng.
-
-    The rows are drawn in the slices of row_slices, which continue one
-    another's stream, and each row is reduced on its own, so the sums are bit
-    for bit those of one whole draw while the temporaries stay slice-sized.
-    """
-    bounds = row_slices(rows, math.prod(shape))
-    buf = np.empty((bounds[0][1], *shape))
-    axes = tuple(range(1, buf.ndim))
+    rows rows of standard normals of the given row shape from rng, read in
+    the row slices of slices(); each row is reduced on its own, so the sums
+    are bit for bit those of one whole draw."""
+    axes = tuple(range(1, len(shape) + 1))
     sums = np.empty(rows)
-    for lo, hi in bounds:
-        g = rng.standard_normal(out=buf[:hi - lo])
+    for _, lo, hi, g in slices(rng, rows, [(shape, math.prod(shape))]):
         if weights is None:
             g *= g
         else:
@@ -242,8 +248,8 @@ def dyadic_schedule(lam: float, k: int, r: float, p: float,
                     bernstein_c: float = 1.0) -> DyadicSchedule:
     """Geometric level split lambda_j = lam (1-2^-r) 2^(kr) 2^(-jr) at the 48
     levels j = k .. k + 47."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not lam > 0:
+        raise ValueError(f"lam must be > 0 and not NaN, got {lam}")
     if not 0.0 < r < 1.0 / p:
         raise ValueError("r must lie in (0, 1/p)")
     if not bernstein_c > 0:
@@ -300,33 +306,21 @@ def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
     keep = _high_window(k, n_modes)
     w = spectral_weights(n_modes)
     grid_size = 4 * n_modes
-    theo = np.empty(len(lams))
-    valid = np.zeros(len(lams), dtype=bool)
-    for i, lam in enumerate(lams):
-        value, valid[i] = high_freq_tail_bound(k, lam, r, p, bernstein_c)
-        theo[i] = min(value, 1.0)
+    bounds = [high_freq_tail_bound(k, lam, r, p, bernstein_c) for lam in lams]
+    ws = Workspace()
 
     def batch(rng, start, b):
-        bounds = row_slices(b, grid_size)
-        # one set of slice buffers per batch: arrays made afresh for each
-        # slice made the heap shrink after it and fault its pages in again
-        g = np.empty((bounds[0][1], n_modes, 2))
-        vals = np.empty((bounds[0][1], grid_size))
-        powers = np.empty((bounds[0][1], grid_size))
         counts = 0
-        for lo, hi in bounds:                       # each row on its own
-            n = hi - lo
-            coeffs = np.where(keep, gaussian_coeffs(
-                rng.standard_normal(out=g[:n]), w), 0.0j)
-            v = evaluate_coeff_rows(coeffs, grid_size, out=vals[:n])
-            norms = lp_norm(v, p, out=powers[:n])
+        for _, lo, hi, g in slices(rng, b, [((n_modes, 2), grid_size)]):
+            coeffs = np.where(keep, gaussian_coeffs(g, w), 0.0j)
+            v = evaluate_coeff_rows(coeffs, grid_size,
+                                    out=ws("vals", (hi - lo, grid_size)))
+            norms = lp_norm(v, p, out=ws("powers", v.shape))
             counts = counts + (norms[:, None] > lams[None, :]).sum(axis=0)
         return counts
 
     counts = sum(batches(seed, n_samples, 2048, batch))
-    emp = counts / n_samples
-    err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
-    return TailCurve(lams, emp, err, theo, valid, n_samples)
+    return _curve(lams, bounds, counts, n_samples)
 
 
 # ----------------------------------------------------------------- Fernique
@@ -344,9 +338,11 @@ def fernique_probe(norm_samples, ts) -> FerniqueProbe:
     if len(x) < 1000:
         raise ValueError("need at least 1e3 norm samples")
     ts = np.asarray(ts, dtype=float)
-    if np.any(ts <= 1.0):
-        raise ValueError("t must exceed 1")
+    if not np.all(ts > 1.0):
+        raise ValueError(f"every t must exceed 1 and not be NaN, got {ts}")
     mean = x.mean()
+    if not mean > 0:
+        raise ValueError(f"the mean norm must be positive, got {mean}")
     emp = np.array([(x >= t * mean).mean() for t in ts])
     with np.errstate(divide="ignore"):
         rates = np.where(emp > 0, -np.log(np.maximum(emp, 1e-300)) / ts ** 2,
@@ -367,6 +363,8 @@ def block_tail_2d(k: int, lam: float, c_prime: float,
     eps_j = (1-2^-s) 2^(ks) 2^(-js), s = 1/4, apply the Fernique rate to
     each block and sum, capped at 1; valid if every block's tail level
     exceeds 1."""
+    if not lam > 0:
+        raise ValueError(f"lam must be > 0 and not NaN, got {lam}")
     if not (c_prime > 0 and c4 > 0):
         raise ValueError(f"c_prime and c4 must be positive, got {c_prime} "
                          f"and {c4}")
@@ -392,11 +390,7 @@ def block_tail_empirical_2d(k: int, lams, n_modes: int, n_samples: int,
                             seed: int = 0) -> TailCurve:
     """Empirical P(||v_(high k)||_4 >= lam) against the chained bound."""
     lams = np.asarray(lams, dtype=float)
-    theo = np.empty(len(lams))
-    valid = np.zeros(len(lams), dtype=bool)
-    for i, lam in enumerate(lams):
-        theo[i], valid[i] = block_tail_2d(k, lam, c_prime, c4)
+    bounds = [block_tail_2d(k, lam, c_prime, c4) for lam in lams]
     norms = _disc_l4_norms(_high_window(k, n_modes), n_samples, table, seed)
-    emp = (norms[:, None] >= lams[None, :]).sum(axis=0) / n_samples
-    err = np.sqrt(np.maximum(emp * (1 - emp), 1.0 / n_samples) / n_samples)
-    return TailCurve(lams, emp, err, theo, valid, n_samples)
+    return _curve(lams, bounds, (norms[:, None] >= lams[None, :]).sum(axis=0),
+                  n_samples)

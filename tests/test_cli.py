@@ -18,12 +18,18 @@ def run_cli(args):
     return main(args)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def run_python(args, env=None, **kwargs):
     """subprocess.run of a fresh interpreter with args (text output
-    captured) and RuntimeWarnings as errors, as pyproject's filterwarnings
-    makes them in this process; env is os.environ by default."""
+    captured), the repository's src first on its PYTHONPATH and
+    RuntimeWarnings as errors, as pyproject's pythonpath and filterwarnings
+    make them in this process; env is os.environ by default."""
     env = {**(os.environ if env is None else env),
            "PYTHONWARNINGS": "error::RuntimeWarning"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], capture_output=True,
                           text=True, env=env, **kwargs)
 
@@ -571,11 +577,10 @@ assert loaded() == ["scipy.linalg"], f"after the MGF quadrature: {{loaded()}}"
 def test_benchmark_tracer_binds(tmp_path):
     # perfbench/spans.py rebinds package functions by name (and the private
     # gibbs._batched); a deleted or renamed one fails it before the run
-    root = Path(__file__).resolve().parents[1]
     proc = run_python(
-        [str(root / "perfbench" / "spans.py"), str(tmp_path / "trace.json"),
+        [str(ROOT / "perfbench" / "spans.py"), str(tmp_path / "trace.json"),
          "bessel-table", "--count", "5", "--out-dir", str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": str(root / "src")}, cwd=tmp_path)
+        cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["calls"]["bessel.zeros"] == 1
@@ -591,7 +596,7 @@ def test_benchmark_tracer_targets_exist():
     import gibbslab
     from gibbslab import gibbs
 
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    path = ROOT / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
@@ -618,7 +623,6 @@ def test_scans_are_byte_identical_across_thread_settings(tmp_path):
     # share them, and verify, each thread setting in a fresh interpreter;
     # the schedule 16,24,40 puts the levels' slices across each other's in
     # the one pass of a scan
-    root = Path(__file__).resolve().parents[1]
     code = """
 import sys
 from gibbslab.cli import main
@@ -633,7 +637,7 @@ assert main(["verify"]) == 0
     outputs = {}
     for name, (workers, blas) in THREAD_SETTINGS.items():
         env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREADS}
-        env.update(GIBBSLAB_WORKERS=workers, PYTHONPATH=str(root / "src"))
+        env.update(GIBBSLAB_WORKERS=workers)
         if blas is not None:
             env.update(OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas)
         proc = run_python(["-c", code, str(tmp_path / name)], env=env)

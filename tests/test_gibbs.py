@@ -282,6 +282,15 @@ def test_scan_rejects_unsorted_schedule():
         divergence_scan([cfg], [32, 16])
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_scan_rejects_an_empty_schedule(dim):
+    # it raised IndexError in 1D and max()'s ValueError in 2D
+    cfg = EnsembleConfig(dim=dim, p=4, cutoff=1.0, n_modes=16, n_samples=100,
+                         seed=0)
+    with pytest.raises(ValueError, match="schedule n_schedule is empty"):
+        divergence_scan([cfg], [])
+
+
 def test_scan_rejects_a_set_grid_size():
     # the scan grids each N with 4 N points, so it refuses a grid of its own
     cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=16, n_samples=100,

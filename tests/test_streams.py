@@ -24,8 +24,10 @@ tests/_oracles.py keeps the whole-batch draw, proposal and synthesis as
 their reference, and sha256 goldens pin every row of the partition configs
 above. A scan reads each stream once for its whole schedule, so a property
 requires each of its levels to match its own estimate, another that the
-reads of a Tape under any interleaving are slices of one whole draw, and a
-tracemalloc bound that a batch holds slices rather than the whole batch.
+reads of a Tape under any interleaving are slices of one whole draw, a third
+that rng.slices hands every reader its row slices of one whole draw in the
+order of their first value on the stream, and a tracemalloc bound that a
+batch holds slices rather than the whole batch.
 """
 import contextlib
 import functools
@@ -275,7 +277,7 @@ def _row_digest(cfg, rows_of_batch):
 
 def _pipeline_rows(ens, gen, b, ksq=math.inf):
     (log_w, power, l2sq), = gibbs._batch_rows([[ens]], gen, b, [[ksq]],
-                                              gibbs._Workspace())
+                                              rng.Workspace())
     return log_w[0], power[0], l2sq[0]
 
 
@@ -584,6 +586,31 @@ def test_tape_reads_are_slices_of_one_whole_draw(lengths, data):
         pos[i] += n
     with pytest.raises(ValueError, match="cannot read 1"):
         tape.read(0, 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(readers=st.lists(st.tuples(
+           st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
+           st.integers(1, 300)), min_size=1, max_size=3),
+       b=st.integers(1, 700), budget=st.integers(1, 1 << 12))
+@example(readers=[((4, 2), 64), ((3,), 100)], b=700, budget=4096)
+def test_slices_read_each_reader_from_one_whole_draw(readers, b, budget):
+    # row shapes of 1 to 25 normals, widths that give slices of 64 rows and
+    # more, and batches that end on a short slice
+    with mock.patch.object(rng, "SYNTH_BUDGET", budget):
+        got = [(i, lo, hi, g.copy())        # g is valid until the next slice
+               for i, lo, hi, g in rng.slices(rng_for(5, 3), b, readers)]
+        bounds = [rng.row_slices(b, width) for _, width in readers]
+    sizes = [math.prod(shape) for shape, _ in readers]
+    whole = rng_for(5, 3).standard_normal(b * max(sizes))
+    for i, (shape, _) in enumerate(readers):
+        mine = [(lo, hi, g) for j, lo, hi, g in got if j == i]
+        assert [(lo, hi) for lo, hi, _ in mine] == bounds[i]
+        assert all(g.shape == (hi - lo, *shape) for lo, hi, g in mine)
+        assert np.concatenate([g.ravel() for _, _, g in mine]).tobytes() \
+            == whole[:b * sizes[i]].tobytes()
+    firsts = [lo * sizes[i] for i, lo, _, _ in got]
+    assert firsts == sorted(firsts)
 
 
 def test_a_batch_holds_slices_not_the_whole_batch():

@@ -442,6 +442,26 @@ BAD_TAIL_ARGUMENTS = [
      "c_prime and c4 must be positive"),
     ("one-sample-l4", lambda t: block_l4_expectation(3, 1, t),
      "n_samples >= 2, got 1"),
+    # a NaN level passes a "level <= 0" check and makes NaN bounds
+    ("nan-level-block-bound", lambda t: block_tail_2d(3, NAN, 1.0, 0.5),
+     "lam must be > 0 and not NaN, got nan"),
+    ("nan-level-schedule",
+     lambda t: dyadic_schedule(NAN, 3, 1.0 / 12.0, 6.0),
+     "lam must be > 0 and not NaN, got nan"),
+    ("nan-level-high-freq-bound",
+     lambda t: high_freq_tail_bound(3, NAN, 1.0 / 12.0, 6.0, 1.0),
+     "lam must be > 0 and not NaN, got nan"),
+    ("nan-level-chi2-bound", lambda t: chi2_tail_bound(1, NAN),
+     "R > 0, not NaN, got M=1 and R=nan"),
+    # a mean that is not positive made c_hat -0.0, and a NaN one inf
+    ("fernique-zero-mean", lambda t: fernique_probe(np.zeros(2000),
+                                                    [1.5, 2.0]),
+     "the mean norm must be positive, got 0.0"),
+    ("fernique-nan-sample", lambda t: fernique_probe(
+        np.r_[np.ones(1999), NAN], [1.5, 2.0]),
+     "the mean norm must be positive, got nan"),
+    ("fernique-nan-t", lambda t: fernique_probe(np.ones(2000), [1.5, NAN]),
+     "every t must exceed 1 and not be NaN"),
 ]
 
 
