@@ -414,6 +414,80 @@ def test_tail_scan_outputs_golden(tmp_path, name):
             for f in tmp_path.iterdir()} == digests
 
 
+# sha256 of every file each command writes, taken before the result
+# classes lost their own writers: both ground-state dimensions, the zero
+# table, a partition estimate with a finite, an infinite and a calibration
+# cutoff and one whose estimate and error are inf, and toy 1D and 2D
+# threshold scans, one with ratio 0 (a -inf log estimate and a nan slope)
+_PARTITION = ["partition", "--dim", "1", "--p", "6", "--n-modes", "16",
+              "--samples", "5000", "--seed", "7"]
+OUTPUT_GOLDEN = {
+    "ground-state-1d": (["ground-state", "--dim", "1", "--p", "6"], {
+        "profile.csv":
+            "03b9e130fbc84172848d857368d70031830cfaa546ae296c2ddab1d8fa4baff4",
+        "summary.json":
+            "2f13080b5a061d4916a635408d8a6310f518810b762fd5ca2ecc3edc741091a9"}),
+    "ground-state-2d": (["ground-state", "--dim", "2", "--p", "4"], {
+        "profile.csv":
+            "d32064a2a0eed281f0844ab95fda12ebe950238fa701725cf431901ffa1a200f",
+        "summary.json":
+            "084de6984a4fe16f2c5b6dca1d4af4bd2a5d6fa392332827f384987a08b85872"}),
+    "bessel-table": (["bessel-table", "--count", "40"], {
+        "bessel_table.config.json":
+            "62e935665786363429159d999ec9f4be42972b7fdf618daf9d08a7775dacaebe",
+        "bessel_zeros.csv":
+            "9e1b16b9f17003ca87f4acea90c4954cb5b9564b21dc211161165035b48f107f"}),
+    "partition-cutoff": (_PARTITION + ["--cutoff", "1.0"], {
+        "partition.json":
+            "a930e4f2f494c56b7ef5df60137d0de347a894af339e7750f1f0640ad63a6a6d"}),
+    "partition-no-cutoff": (_PARTITION + ["--cutoff", "inf"], {
+        "partition.json":
+            "4edb252c72251ba6d5e56c23db1beb25ff02c120248aeaf45da27b4635ed2560"}),
+    "partition-calibration": (_PARTITION + ["--cutoff", "1.0",
+                                            "--calibration"], {
+        "partition.json":
+            "ce96d843627cb5365dcff9d375cad89bedade13d6237bc850760a00f0cd6465e"}),
+    "partition-infinite-estimate": (["partition", "--dim", "1", "--p", "6",
+                                     "--ratio", "3", "--n-modes", "64",
+                                     "--samples", "8192", "--sampler",
+                                     "soliton", "--seed", "2"], {
+        "partition.json":
+            "c7d45f6a9930e987853a2472bcc2077682ab5330a52daee287560b3e7b174024"}),
+    "threshold-scan-1d": (["threshold-scan", "--dim", "1", "--p", "6",
+                           "--ratios", "0,0.5,1.5", "--schedule", "16,32",
+                           "--samples", "4096", "--seed", "3"], {
+        "scan_ratio_0.csv":
+            "9322808cf518747792428e81c4da2ed657846e3e507afc6486e7937f5f48ad61",
+        "scan_ratio_0.5.csv":
+            "aabae84c775eef295c8d62cc9e9434f4c6d64773000973b34504a44ec27736b1",
+        "scan_ratio_1.5.csv":
+            "cff9d74b08340604ad267d84e58d0c2a6c339011abf2705c23c762139891fa56",
+        "threshold_scan.config.json":
+            "3e1f227c2f7d76fce1d1f07075d16a25002e6437a69d1285c51249e9572ef084",
+        "verdicts.csv":
+            "ed16eb424cd99e781cc39dfaec69eb0e3e06c2441a050eace79aa3be04ffde17"}),
+    "threshold-scan-2d": (["threshold-scan", "--dim", "2", "--p", "4",
+                           "--ratios", "0.5,1.5", "--schedule", "16,32",
+                           "--samples", "2048", "--seed", "3"], {
+        "scan_ratio_0.5.csv":
+            "7fc16dbcbcb81be23f9d48b5d488bd398f76743a66b8e14fc27a5dd736105ba9",
+        "scan_ratio_1.5.csv":
+            "c41fb39b0f04b803db84960f0bbeee400292a723e36f7cb988ad89fa3ae49eef",
+        "threshold_scan.config.json":
+            "2ace4ac54e136af25aa38287c393a93da974c62633c3d2f29d98710ee2eac99e",
+        "verdicts.csv":
+            "7a13d17f7c4041fe4337c9534c50abd7400942cde22cc47e7a37ab2623337b38"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUT_GOLDEN))
+def test_command_outputs_golden(tmp_path, name):
+    args, digests = OUTPUT_GOLDEN[name]
+    assert run_cli([*args, "--out-dir", str(tmp_path)]) == 0
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()} == digests
+
+
 def test_config_file_precedence(tmp_path):
     cfgfile = tmp_path / "opts.cfg"
     cfgfile.write_text("count = 25\n")
