@@ -49,16 +49,6 @@ class BesselTable:
         if np.any(signs[1:] * signs[:-1] != -1.0):
             raise RuntimeError("J1 signs at consecutive zeros do not alternate")
 
-    def to_csv(self, path) -> None:
-        """Write (n, z_n, J1(z_n)) rows with 15 significant digits."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["n", "z_n", "j1_at_z_n"])
-            for i, (z, j1) in enumerate(zip(self.zeros, self.j1_at_zeros), 1):
-                w.writerow([i, f"{z:.15g}", f"{j1:.15g}"])
-
 
 def bessel_zeros(count: int) -> BesselTable:
     """First `count` positive zeros of J0, certified by validate()."""

@@ -3,8 +3,12 @@
 Commands: ground-state, threshold-scan, tail-scan, bessel-table, partition,
 verify. Every run writes its outputs under --out-dir only, embeds the
 resolved configuration and the package version in a JSON sidecar, and is
-reproducible byte-for-byte from that sidecar. Options resolve with the
-precedence CLI > config file > built-in defaults. Config files are flat
+reproducible byte-for-byte from that sidecar. This is the only module that
+writes files: every CSV goes through _write_csv and every JSON file through
+_write_json, which writes a non-finite float as its repr ("inf", "nan"),
+and each makes the directory it writes into. The result classes of the
+other modules hold data only. Options resolve with the precedence
+CLI > config file > built-in defaults. Config files are flat
 key=value lines whose keys are the option names, written with - or _, and
 a value from a file goes through the same parser as the same value given as
 a flag. GIBBSLAB_WORKERS sets the Monte Carlo worker count. A domain error
@@ -19,12 +23,12 @@ import csv
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import __version__, gibbs, rng, spectral1d, tails, verify
 from .bessel import bessel_zeros
 from .groundstate import solve_ground_state
-from .radial2d import block_l4_expectation
 
 
 def _int_or_none(text):
@@ -155,24 +159,49 @@ def _cutoff(flag, ratio, mass):
     return cutoff
 
 
+def _write_csv(path: Path, header, rows):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _json_ready(value):
+    """value with every non-finite float in it, at any depth, replaced by
+    its repr ("inf", "-inf", "nan"), which JSON has no number for."""
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_ready(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
+
+
+def _write_json(path: Path, record: dict):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(_json_ready(record), indent=2))
+
+
 def _write_sidecar(path: Path, command: str, options: dict):
-    rec = {"command": command, "version": __version__,
-           "options": {k: (repr(v) if isinstance(v, float) and math.isinf(v)
-                           else v) for k, v in options.items()}}
-    path.write_text(json.dumps(rec, indent=2, default=str))
+    _write_json(path, {"command": command, "version": __version__,
+                       "options": options})
 
 
 # ------------------------------------------------------------------ commands
 
 def _cmd_ground_state(opts, out):
     gs = solve_ground_state(opts["dim"], opts["p"])
-    out.mkdir(parents=True, exist_ok=True)
-    gs.to_csv(out / "profile.csv")
-    summary = gs.summary()
-    summary.update({"j_min": gs.j_min, "sharp_constant": gs.sharp_constant,
-                    "mass_error_bar": gs.mass_error_bar,
-                    "version": __version__, "options": opts})
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    _write_csv(out / "profile.csv", ["x", "phi"],
+               ([f"{x:.12g}", f"{v:.15g}"]
+                for x, v in zip(gs.grid, gs.profile)))
+    _write_json(out / "summary.json", {
+        "dim": gs.dim, "p": gs.p, "mass": gs.mass, "grad_norm": gs.grad_norm,
+        "gns_constant": gs.gns_constant, "residual_max": gs.residual_max,
+        "j_min": gs.j_min, "sharp_constant": gs.sharp_constant,
+        "mass_error_bar": gs.mass_error_bar, "version": __version__,
+        "options": opts})
     print(f"dim={gs.dim} p={gs.p}  mass={gs.mass:.12g}  "
           f"gns_constant={gs.gns_constant:.12g}")
     return 0
@@ -205,32 +234,24 @@ def _cmd_threshold_scan(opts, out):
         for ratio in opts["ratios"]]              # every ratio checked first
     rows = list(zip(opts["ratios"], [cfg.cutoff for cfg in cfgs],
                     gibbs.divergence_scan(cfgs, schedule)))
-    out.mkdir(parents=True, exist_ok=True)
     for name, (_, _, v) in zip(files, rows):
-        with open(out / name, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["N", "n_samples", "log_estimate", "stderr",
-                        "fraction_inside_cutoff"])
-            for (n, le, err, frac) in v.scan_rows():
-                w.writerow([n, opts["samples"], f"{le:.12g}", f"{err:.12g}",
-                            f"{frac:.12g}"])
-    with open(out / "verdicts.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["ratio", "cutoff", "verdict", "slope", "slope_error"])
-        for ratio, cutoff, v in rows:
-            w.writerow([f"{ratio:g}", f"{cutoff:.12g}", v.verdict,
-                        f"{v.slope:.6g}", f"{v.slope_error:.6g}"])
+        _write_csv(out / name, ["N", "n_samples", "log_estimate", "stderr",
+                                "fraction_inside_cutoff"],
+                   ([n, opts["samples"], f"{le:.12g}", f"{err:.12g}",
+                     f"{frac:.12g}"]
+                    for n, le, err, frac in zip(
+                        v.n_schedule, v.log_estimates, v.log_errors,
+                        v.fractions_inside)))
+    _write_csv(out / "verdicts.csv",
+               ["ratio", "cutoff", "verdict", "slope", "slope_error"],
+               ([f"{ratio:g}", f"{cutoff:.12g}", v.verdict, f"{v.slope:.6g}",
+                 f"{v.slope_error:.6g}"] for ratio, cutoff, v in rows))
     _write_sidecar(out / "threshold_scan.config.json", "threshold-scan",
                    {**opts, "critical_mass": gs.mass})
     for ratio, cutoff, v in rows:
         print(f"ratio {ratio:<5g} K={cutoff:.6g}  verdict={v.verdict} "
               f"(slope {v.slope:.4g} +- {v.slope_error:.2g})")
     return 0
-
-
-# dyadic blocks whose L4 expectation sets the 2D tail constant C4; block j
-# spans modes 2^(j-1)+1 .. 2^j, so --n-modes must reach 2^5 in dim 2
-_C4_BLOCKS = (3, 4, 5)
 
 
 def _cmd_tail_scan(opts, out):
@@ -261,11 +282,11 @@ def _cmd_tail_scan(opts, out):
     if opts["dim"] == 2 and opts["p"] != 4:
         raise ValueError(f"the 2D block tails are L4 norms: p must be 4 in "
                          f"dim 2, got {opts['p']}")
-    if opts["dim"] == 2 and opts["n_modes"] < 2 ** _C4_BLOCKS[-1]:
+    top = tails._C4_BLOCKS[-1]
+    if opts["dim"] == 2 and opts["n_modes"] < 2 ** top:
         raise ValueError(
-            f"n_modes must be at least {2 ** _C4_BLOCKS[-1]} in dim 2, the "
-            f"top mode of the block-{_C4_BLOCKS[-1]} L4 probe, "
-            f"got {opts['n_modes']}")
+            f"n_modes must be at least {2 ** top} in dim 2, the top mode of "
+            f"the block-{top} L4 probe, got {opts['n_modes']}")
     if opts["dim"] == 1:
         c_hat = max(tails.bernstein_probe(j, opts["p"],
                                           opts["bernstein_trials"],
@@ -278,20 +299,19 @@ def _cmd_tail_scan(opts, out):
         extra = {"bernstein_c_hat": c_hat}
     else:
         table = bessel_zeros(opts["n_modes"])
-        norms = tails.block_norm_samples_2d(4, 3000, table,
-                                            seed=opts["seed"] + 1)
-        c_prime = tails.fernique_probe(norms, [1.5, 2.0, 3.0]).c_hat
-        c4 = max(block_l4_expectation(j, 2000, table,
-                                      seed=opts["seed"] + 2)[0] * 2 ** (j / 2)
-                 for j in _C4_BLOCKS)
+        c_prime, c4 = tails.disc_tail_constants(table, opts["seed"] + 1)
         curves = [tails.block_tail_empirical_2d(
             k, lambdas, opts["n_modes"], opts["samples"], table,
             seed=opts["seed"], c_prime=c_prime, c4=c4)
             for k in opts["k_list"]]
         extra = {"fernique_c_prime": c_prime, "block_l4_c4": c4}
-    out.mkdir(parents=True, exist_ok=True)
-    for name, curve in zip(files, curves):
-        curve.to_csv(out / name)
+    for name, c in zip(files, curves):
+        _write_csv(out / name,
+                   ["level", "empirical", "err", "theoretical", "valid_flag"],
+                   ([f"{lam:.12g}", f"{e:.12g}", f"{err:.12g}", f"{t:.12g}",
+                     int(ok)] for lam, e, err, t, ok in zip(
+                         c.levels, c.empirical, c.err, c.theoretical,
+                         c.valid)))
     _write_sidecar(out / "tail_scan.config.json", "tail-scan",
                    {**opts, **extra})
     print(f"tail curves written to {out}")
@@ -300,8 +320,9 @@ def _cmd_tail_scan(opts, out):
 
 def _cmd_bessel_table(opts, out):
     table = bessel_zeros(opts["count"])
-    out.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out / "bessel_zeros.csv")
+    _write_csv(out / "bessel_zeros.csv", ["n", "z_n", "j1_at_z_n"],
+               ([n, f"{z:.15g}", f"{j1:.15g}"] for n, (z, j1) in enumerate(
+                   zip(table.zeros, table.j1_at_zeros), 1)))
     _write_sidecar(out / "bessel_table.config.json", "bessel-table", opts)
     print(f"{table.count} zeros written; z_1 = {table.zeros[0]:.15g}")
     return 0
@@ -326,8 +347,7 @@ def _cmd_partition(opts, out):
         n_samples=opts["samples"], seed=opts["seed"], sampler=opts["sampler"],
         calibration=opts["calibration"])
     rep = gibbs.estimate_partition(cfg)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "partition.json").write_text(rep.to_json())
+    _write_json(out / "partition.json", {**asdict(rep), "config": asdict(cfg)})
     print(f"log_estimate={rep.log_estimate:.6g}  "
           f"stderr(rel)={rep.log_std_error:.3g}  "
           f"ess={rep.effective_sample_size:.1f}  "

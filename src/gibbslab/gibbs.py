@@ -61,9 +61,8 @@ whole quadrature sum, so the levels cost a search per sample rather than a
 pass each, and the sample variance of those contributions is the exact error
 of the rebuilt estimate.
 """
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,12 +123,6 @@ class EnsembleConfig:
                 f"{4 * self.n_modes}")
         return g
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["cutoff"] = repr(self.cutoff) if math.isinf(self.cutoff) \
-            else self.cutoff
-        return d
-
 
 @dataclass(frozen=True)
 class EstimatorReport:
@@ -142,24 +135,12 @@ class EstimatorReport:
     n_modes: int
     n_samples: int
     seed: int
-    config: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.estimate < 0 or self.standard_error < 0:
             raise ValueError("negative estimate or error")
         if not 0.0 <= self.fraction_inside_cutoff <= 1.0:
             raise ValueError("fraction_inside_cutoff outside [0, 1]")
-
-    def to_json(self) -> str:
-        def enc(v):
-            if isinstance(v, float) and (math.isinf(v) or math.isnan(v)):
-                return repr(v)
-            return v
-
-        d = {k: enc(getattr(self, k)) for k in self.__dataclass_fields__
-             if k != "config"}
-        d["config"] = self.config
-        return json.dumps(d, indent=2)
 
 
 @dataclass(frozen=True)
@@ -171,10 +152,6 @@ class DivergenceVerdict:
     slope: float
     slope_error: float
     verdict: str                   # stable | diverging | inconclusive
-
-    def scan_rows(self):
-        return list(zip(self.n_schedule, self.log_estimates, self.log_errors,
-                        self.fractions_inside))
 
 
 # ------------------------------------------------------------- tilt profiles
@@ -487,7 +464,7 @@ def _report(cfg, merged):
     n = cfg.n_samples
     if s1 <= 0.0 or not math.isfinite(m):
         return EstimatorReport(0.0, -math.inf, 0.0, 0.0, 0.0, inside / n,
-                               cfg.n_modes, n, cfg.seed, cfg.to_dict())
+                               cfg.n_modes, n, cfg.seed)
     log_mean = m + math.log(s1) - math.log(n)
     log_mean2 = 2 * m + math.log(s2) - math.log(n)
     ess = s1 * s1 / s2
@@ -496,7 +473,7 @@ def _report(cfg, merged):
     estimate = math.exp(log_mean) if log_mean < _LOG_HUGE else math.inf
     se = rel * estimate if math.isfinite(estimate) else math.inf
     return EstimatorReport(estimate, log_mean, se, rel, ess, inside / n,
-                           cfg.n_modes, n, cfg.seed, cfg.to_dict())
+                           cfg.n_modes, n, cfg.seed)
 
 
 def _tail_rows(ens, gen, b, ws):
@@ -554,7 +531,7 @@ def constrained_tails(cfg: EnsembleConfig, lams,
         reports.append(EstimatorReport(
             mean, math.log(mean) if mean > 0 else -math.inf, se,
             se / mean if mean > 0 else 0.0, ess, inside / n, cfg.n_modes, n,
-            cfg.seed, cfg.to_dict()))
+            cfg.seed))
     return reports
 
 

@@ -58,20 +58,6 @@ class GroundState:
         """Sharp constant of the interpolation inequality, 1 / j_min."""
         return 1.0 / self.j_min
 
-    def summary(self) -> dict:
-        return {"dim": self.dim, "p": self.p, "mass": self.mass,
-                "grad_norm": self.grad_norm, "gns_constant": self.gns_constant,
-                "residual_max": self.residual_max}
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "phi"])
-            for x, v in zip(self.grid, self.profile):
-                w.writerow([f"{x:.12g}", f"{v:.15g}"])
-
 
 def _validate_dim_p(dim: int, p: int) -> None:
     if dim not in (1, 2):

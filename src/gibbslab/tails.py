@@ -16,7 +16,8 @@ one; a level that is not positive, NaN among them, is refused.
 
 The samplers read their streams through rng.slices, as the estimators of
 gibbs do, all but the Bernstein probe, whose two whole 512-row draws fix its
-stream. The curves evaluate their bounds before any sampling.
+stream. The curves check their levels (_levels) and evaluate their bounds
+before any sampling.
 """
 import math
 import numbers
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radial2d import BesselTable, _disc_l4_norms
+from .radial2d import BesselTable, _disc_l4_norms, block_l4_expectation
 from .rng import Workspace, batches, row_slices, slices
 from .spectral1d import (evaluate_coeff_rows, gaussian_coeffs, lp_norm,
                          spectral_weights, _window)
@@ -42,26 +43,20 @@ class TailCurve:
     samples: int                     # Monte Carlo samples behind empirical
 
     def __post_init__(self):
-        if np.any(np.isnan(self.levels)):
-            raise ValueError("levels must be numbers, got NaN")
-        if np.any(np.diff(self.levels) <= 0):
-            raise ValueError("levels must be strictly increasing")
+        _levels(self.levels)
         if np.any((self.empirical < 0) | (self.empirical > 1)):
             raise ValueError("empirical probabilities outside [0, 1]")
 
-    def to_csv(self, path) -> None:
-        import csv
 
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["level", "empirical", "err", "theoretical",
-                        "valid_flag"])
-            for i in range(len(self.levels)):
-                w.writerow([f"{self.levels[i]:.12g}",
-                            f"{self.empirical[i]:.12g}",
-                            f"{self.err[i]:.12g}",
-                            f"{self.theoretical[i]:.12g}",
-                            int(self.valid[i])])
+def _levels(levels) -> np.ndarray:
+    """levels as a float array, refused unless they are numbers in strictly
+    increasing order; the curves call it before any draw."""
+    levels = np.asarray(levels, dtype=float)
+    if np.any(np.isnan(levels)):
+        raise ValueError("levels must be numbers, got NaN")
+    if np.any(np.diff(levels) <= 0):
+        raise ValueError("levels must be strictly increasing")
+    return levels
 
 
 # ------------------------------------------------------------ chi-square tail
@@ -77,7 +72,7 @@ def chi2_tail_bound(m_dof: int, level: float):
 def chi2_tail_empirical(m_dof: int, levels, n_samples: int,
                         seed: int = 0) -> TailCurve:
     """Monte Carlo tail of a chi-square with the matching analytic bound."""
-    levels = np.asarray(levels, dtype=float)
+    levels = _levels(levels)
     bounds = [chi2_tail_bound(m_dof, r) for r in levels]
 
     def batch(rng, start, b):
@@ -301,7 +296,7 @@ def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
                            seed: int = 0) -> TailCurve:
     """Empirical P(||u_(high k)||_p > lam) against the summed dyadic bound,
     whose level split has the rate r = 1/(2p), halfway into (0, 1/p)."""
-    lams = np.asarray(lams, dtype=float)
+    lams = _levels(lams)
     r = 0.5 / p
     keep = _high_window(k, n_modes)
     w = spectral_weights(n_modes)
@@ -343,6 +338,8 @@ def fernique_probe(norm_samples, ts) -> FerniqueProbe:
     mean = x.mean()
     if not mean > 0:
         raise ValueError(f"the mean norm must be positive, got {mean}")
+    if not math.isfinite(mean):
+        raise ValueError(f"norm samples must be finite, got a mean of {mean}")
     emp = np.array([(x >= t * mean).mean() for t in ts])
     with np.errstate(divide="ignore"):
         rates = np.where(emp > 0, -np.log(np.maximum(emp, 1e-300)) / ts ** 2,
@@ -354,6 +351,23 @@ def block_norm_samples_2d(j: int, n_samples: int, table: BesselTable,
                           seed: int = 0) -> np.ndarray:
     """L4 norms of dyadic block fields on the disc, for Fernique probes."""
     return _disc_l4_norms(_window("block", j, 2 ** j), n_samples, table, seed)
+
+
+# dyadic blocks whose L4 expectation sets the 2D tail constant C4; block j
+# spans modes 2^(j-1)+1 .. 2^j, so the table must hold 2^5 zeros
+_C4_BLOCKS = (3, 4, 5)
+
+
+def disc_tail_constants(table: BesselTable, seed: int) -> tuple[float, float]:
+    """(c_prime, c4) of block_tail_2d, measured: the Fernique rate of 3000
+    block-4 L4 norms (stream seed) at t = 1.5, 2, 3, and the largest
+    E||v_j||_4 2^(j/2) over the blocks j of _C4_BLOCKS, each from 2000
+    samples (stream seed + 1)."""
+    norms = block_norm_samples_2d(4, 3000, table, seed=seed)
+    c_prime = fernique_probe(norms, [1.5, 2.0, 3.0]).c_hat
+    c4 = max(block_l4_expectation(j, 2000, table, seed=seed + 1)[0]
+             * 2 ** (j / 2) for j in _C4_BLOCKS)
+    return c_prime, c4
 
 
 def block_tail_2d(k: int, lam: float, c_prime: float,
@@ -389,7 +403,7 @@ def block_tail_empirical_2d(k: int, lams, n_modes: int, n_samples: int,
                             table: BesselTable, c_prime: float, c4: float,
                             seed: int = 0) -> TailCurve:
     """Empirical P(||v_(high k)||_4 >= lam) against the chained bound."""
-    lams = np.asarray(lams, dtype=float)
+    lams = _levels(lams)
     bounds = [block_tail_2d(k, lam, c_prime, c4) for lam in lams]
     norms = _disc_l4_norms(_high_window(k, n_modes), n_samples, table, seed)
     return _curve(lams, bounds, (norms[:, None] >= lams[None, :]).sum(axis=0),

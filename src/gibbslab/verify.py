@@ -230,14 +230,9 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         return True, f"empirical under bound for k in (3,4), C_hat={c_hat:.3f}"
 
     def block_tail_domination():
-        from .radial2d import block_l4_expectation
-
         t = bessel_zeros(64)
-        norms = tails.block_norm_samples_2d(4, 3000, t, seed=113)
-        fp = tails.fernique_probe(norms, [1.5, 2.0, 3.0])
-        c_prime = min(fp.c_hat, 5.0)
-        c4 = max(block_l4_expectation(j, 2000, t, seed=114)[0] * 2 ** (j / 2)
-                 for j in (3, 4, 5))
+        c_prime, c4 = tails.disc_tail_constants(t, 113)
+        c_prime = min(c_prime, 5.0)
         curve = tails.block_tail_empirical_2d(
             3, [1.0, 2.0], 64, 10 ** 4, t, seed=115, c_prime=c_prime, c4=c4)
         ok = np.all(curve.empirical <= curve.theoretical + 3 * curve.err)

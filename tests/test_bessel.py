@@ -92,17 +92,3 @@ def test_corrupt_table_fails_validation(table200):
                       j1_at_zeros=table200.j1_at_zeros[:10])
     with pytest.raises(RuntimeError):
         bad.validate()
-
-
-def test_csv_export(tmp_path, table200):
-    path = tmp_path / "zeros.csv"
-    table = BesselTable(zeros=table200.zeros[:5],
-                        j1_at_zeros=table200.j1_at_zeros[:5])
-    table.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "n,z_n,j1_at_z_n"
-    assert len(lines) == 6
-    n, z, j1 = lines[1].split(",")
-    assert n == "1"
-    assert abs(float(z) - 2.404825557695773) < 1e-14
-    assert len(z.replace(".", "").replace("-", "").lstrip("0")) >= 15

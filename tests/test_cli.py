@@ -304,6 +304,11 @@ def test_bessel_table_command(tmp_path):
                     "--out-dir", str(out)]) == 0
     lines = (out / "bessel_zeros.csv").read_text().splitlines()
     assert len(lines) == 31
+    assert lines[0] == "n,z_n,j1_at_z_n"
+    n, z, _ = lines[1].split(",")
+    assert n == "1"
+    assert abs(float(z) - 2.404825557695773) < 1e-14
+    assert len(z.replace(".", "").replace("-", "").lstrip("0")) >= 15
     sidecar = json.loads((out / "bessel_table.config.json").read_text())
     assert sidecar["options"]["count"] == 30
     assert sidecar["command"] == "bessel-table"
@@ -318,6 +323,9 @@ def test_partition_command_and_reproducibility(tmp_path):
     ra = json.loads((a / "partition.json").read_text())
     rb = json.loads((b / "partition.json").read_text())
     assert ra == rb
+    assert ra["config"]["n_modes"] == 16
+    assert ra["config"]["seed"] == 7
+    assert ra["n_samples"] == 5000
 
 
 def test_threshold_scan_acceptance_pattern(tmp_path):
@@ -349,7 +357,9 @@ def test_tail_scan_outputs_sorted_and_rerunnable(tmp_path):
     c1 = (out1 / "high_freq_tail_k3.csv").read_bytes()
     c2 = (out2 / "high_freq_tail_k3.csv").read_bytes()
     assert c1 == c2                       # identical bytes on rerun
-    lines = c1.decode().splitlines()[1:]
+    header, *lines = c1.decode().splitlines()
+    assert header == "level,empirical,err,theoretical,valid_flag"
+    assert len(lines) == 3                # one row per level
     levels = [float(l.split(",")[0]) for l in lines]
     assert levels == sorted(levels)
     # theoretical column dominates the empirical one wherever it is defined
@@ -583,6 +593,34 @@ def test_commands_write_only_inside_out_dir(tmp_path, monkeypatch):
     run_cli(["ground-state", "--dim", "1", "--p", "4", "--out-dir", str(out)])
     assert list(workdir.iterdir()) == []
     assert (out / "summary.json").exists()
+
+
+def test_only_the_cli_writes_files():
+    # every output file's format lives in cli.py: no other module of the
+    # package imports csv or json, opens a file or makes a directory
+    import ast
+
+    found = []
+    for path in sorted((ROOT / "src" / "gibbslab").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            found += [f"{where} imports {m}" for m in modules
+                      if m.split(".")[0] in ("csv", "json")]
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if name in ("open", "write_text", "write_bytes", "mkdir"):
+                    found.append(f"{where} calls {name}")
+    assert found == []
 
 
 # scipy subpackages beyond scipy.special; scipy.integrate and

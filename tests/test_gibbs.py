@@ -313,18 +313,6 @@ def test_importance_sampler_consistency():
         assert dev < 3.0
 
 
-def test_report_json_embeds_config():
-    import json
-
-    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=1000,
-                         seed=16)
-    rep = estimate_partition(cfg)
-    rec = json.loads(rep.to_json())
-    assert rec["config"]["n_modes"] == 8
-    assert rec["config"]["seed"] == 16
-    assert rec["n_samples"] == 1000
-
-
 def test_overflowing_estimates_keep_finite_logs():
     gs = solve_ground_state(1, 6)
     cfg = EnsembleConfig(dim=1, p=6, cutoff=1.5 * gs.mass, n_modes=64,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import norm as normal_dist
 
-from gibbslab import verify
+from gibbslab import radial2d, tails, verify
 from gibbslab.radial2d import block_l4_expectation
 from gibbslab.rng import rng_for
 from gibbslab.spectral1d import h1_seminorm_sq, sample_loops
@@ -389,16 +389,10 @@ def test_block_tail_bound_columns_golden(k, table64):
 
 # ---------------------------------------------------------------- TailCurve
 
-def test_curve_validation_and_csv(tmp_path):
+def test_curve_rejects_repeated_levels():
     with pytest.raises(ValueError):
         TailCurve(np.array([1.0, 1.0]), np.zeros(2), np.zeros(2),
                   np.zeros(2), np.zeros(2, dtype=bool), 100)
-    c = chi2_tail_empirical(1, [2.0, 3.0], 10 ** 4, seed=17)
-    path = tmp_path / "curve.csv"
-    c.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "level,empirical,err,theoretical,valid_flag"
-    assert len(lines) == 3
 
 
 # ------------------------------------------------------------ bad arguments
@@ -462,6 +456,10 @@ BAD_TAIL_ARGUMENTS = [
      "the mean norm must be positive, got nan"),
     ("fernique-nan-t", lambda t: fernique_probe(np.ones(2000), [1.5, NAN]),
      "every t must exceed 1 and not be NaN"),
+    # only the inf sample meets x >= t * mean, which made c_hat 3.378
+    ("fernique-inf-sample", lambda t: fernique_probe(
+        np.r_[np.ones(1999), np.inf], [1.5]),
+     "norm samples must be finite, got a mean of inf"),
 ]
 
 
@@ -471,6 +469,28 @@ BAD_TAIL_ARGUMENTS = [
 def test_tail_laboratory_rejects_bad_arguments(call, message, table64):
     with pytest.raises(ValueError, match=message):
         call(table64)
+
+
+# decreasing levels, with the sizes at which each curve sampled for 2.75,
+# 1.74 and 0.15 s before TailCurve refused them
+DECREASING_LEVELS = {
+    "high-freq-1d": lambda t: high_freq_empirical_1d(3, [2.0, 1.0], 128,
+                                                     200_000, 1.0),
+    "block-2d": lambda t: block_tail_empirical_2d(3, [2.0, 1.0], 64, 100_000,
+                                                  t, 0.7, 0.45),
+    "chi2": lambda t: chi2_tail_empirical(1, [3.0, 2.0], 2_000_000),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECREASING_LEVELS))
+def test_tail_curves_check_levels_before_sampling(name, table64):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before checking the levels")
+
+    with mock.patch.object(tails, "batches", no_draws), \
+            mock.patch.object(radial2d, "batches", no_draws), \
+            pytest.raises(ValueError, match="strictly increasing"):
+        DECREASING_LEVELS[name](table64)
 
 
 def test_an_infinite_fernique_rate_is_legal():
