@@ -498,6 +498,21 @@ def test_command_outputs_golden(tmp_path, name):
             for f in tmp_path.iterdir()} == digests
 
 
+def test_json_outputs_write_non_finite_floats_as_strings(tmp_path):
+    # an infinite ratio inside the sidecar's list was written as the
+    # non-standard JSON token Infinity
+    assert run_cli(["threshold-scan", "--ratios", "0.5,inf", "--sampler",
+                    "plain", "--schedule", "16,32", "--samples", "2048",
+                    "--out-dir", str(tmp_path)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    sidecar = json.loads((tmp_path / "threshold_scan.config.json").read_text(),
+                         parse_constant=refuse)
+    assert sidecar["options"]["ratios"] == [0.5, "inf"]
+
+
 def test_config_file_precedence(tmp_path):
     cfgfile = tmp_path / "opts.cfg"
     cfgfile.write_text("count = 25\n")
