@@ -11,6 +11,7 @@ import pytest
 import scipy.special as sp
 
 from gibbslab.bessel import BesselTable, bessel_j0, bessel_zeros
+from gibbslab.cli import main
 
 
 def _series_j0(x):
@@ -85,6 +86,18 @@ def test_bad_count_rejected():
 def test_non_integer_count_rejected():
     with pytest.raises(ValueError, match="integer"):
         bessel_zeros(2.5)
+
+
+def test_csv_export(tmp_path):
+    out = tmp_path / "bt"
+    assert main(["bessel-table", "--count", "5", "--out-dir", str(out)]) == 0
+    lines = (out / "bessel_zeros.csv").read_text().strip().splitlines()
+    assert lines[0] == "n,z_n,j1_at_z_n"
+    assert len(lines) == 6
+    n, z, j1 = lines[1].split(",")
+    assert n == "1"
+    assert abs(float(z) - 2.404825557695773) < 1e-14
+    assert len(z.replace(".", "").replace("-", "").lstrip("0")) >= 15
 
 
 def test_corrupt_table_fails_validation(table200):

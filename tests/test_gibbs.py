@@ -313,6 +313,20 @@ def test_importance_sampler_consistency():
         assert dev < 3.0
 
 
+def test_report_json_embeds_config(tmp_path):
+    import json
+
+    from gibbslab.cli import main
+
+    assert main(["partition", "--dim", "1", "--p", "6", "--cutoff", "1.0",
+                 "--n-modes", "8", "--samples", "1000", "--seed", "16",
+                 "--out-dir", str(tmp_path)]) == 0
+    rec = json.loads((tmp_path / "partition.json").read_text())
+    assert rec["config"]["n_modes"] == 8
+    assert rec["config"]["seed"] == 16
+    assert rec["n_samples"] == 1000
+
+
 def test_overflowing_estimates_keep_finite_logs():
     gs = solve_ground_state(1, 6)
     cfg = EnsembleConfig(dim=1, p=6, cutoff=1.5 * gs.mass, n_modes=64,
