@@ -221,6 +221,9 @@ def _cmd_threshold_scan(opts, out):
     for ratio, name in zip(opts["ratios"], files):
         if not ratio >= 0:
             raise ValueError(f"ratios must be nonnegative, got {ratio}")
+        if ratio == 0:
+            raise ValueError(f"--ratios {ratio!r} is a cutoff of 0, which "
+                             f"holds no sample")
         if name in seen:
             raise ValueError(f"--ratios {seen[name]!r} and {ratio!r} would "
                              f"both write {name}")

@@ -226,6 +226,8 @@ DOMAIN_ERRORS = [
     (["partition", "--dim", "2", "--p", "4", "--cutoff", "1e200",
       "--sampler", "soliton", "--samples", "100", "--n-modes", "8"], "1",
      "the soliton shift at the cutoff 1e+200 has energy inf"),
+    (["threshold-scan", "--ratios", "0.5,0"], "1",
+     "--ratios 0.0 is a cutoff of 0, which holds no sample"),
 ]
 
 
@@ -428,7 +430,8 @@ def test_tail_scan_outputs_golden(tmp_path, name):
 # classes lost their own writers: both ground-state dimensions, the zero
 # table, a partition estimate with a finite, an infinite and a calibration
 # cutoff and one whose estimate and error are inf, and toy 1D and 2D
-# threshold scans, one with ratio 0 (a -inf log estimate and a nan slope)
+# threshold scans; the 1D scan's verdicts and sidecar were re-pinned when
+# its refused ratio 0 was dropped
 _PARTITION = ["partition", "--dim", "1", "--p", "6", "--n-modes", "16",
               "--samples", "5000", "--seed", "7"]
 OUTPUT_GOLDEN = {
@@ -464,18 +467,16 @@ OUTPUT_GOLDEN = {
         "partition.json":
             "c7d45f6a9930e987853a2472bcc2077682ab5330a52daee287560b3e7b174024"}),
     "threshold-scan-1d": (["threshold-scan", "--dim", "1", "--p", "6",
-                           "--ratios", "0,0.5,1.5", "--schedule", "16,32",
+                           "--ratios", "0.5,1.5", "--schedule", "16,32",
                            "--samples", "4096", "--seed", "3"], {
-        "scan_ratio_0.csv":
-            "9322808cf518747792428e81c4da2ed657846e3e507afc6486e7937f5f48ad61",
         "scan_ratio_0.5.csv":
             "aabae84c775eef295c8d62cc9e9434f4c6d64773000973b34504a44ec27736b1",
         "scan_ratio_1.5.csv":
             "cff9d74b08340604ad267d84e58d0c2a6c339011abf2705c23c762139891fa56",
         "threshold_scan.config.json":
-            "3e1f227c2f7d76fce1d1f07075d16a25002e6437a69d1285c51249e9572ef084",
+            "8bfc3af30ceae82d2188ddd9776e0e3de1a9081ca6d0ba8a07d07e2181149e00",
         "verdicts.csv":
-            "ed16eb424cd99e781cc39dfaec69eb0e3e06c2441a050eace79aa3be04ffde17"}),
+            "ab7f2bcf8557f7b69bb6aeada207b78865973eb772fc5ca63ddfd7192fc45afd"}),
     "threshold-scan-2d": (["threshold-scan", "--dim", "2", "--p", "4",
                            "--ratios", "0.5,1.5", "--schedule", "16,32",
                            "--samples", "2048", "--seed", "3"], {
