@@ -240,11 +240,10 @@ def _cmd_threshold_scan(opts, out):
     for name, (_, _, v) in zip(files, rows):
         _write_csv(out / name, ["N", "n_samples", "log_estimate", "stderr",
                                 "fraction_inside_cutoff"],
-                   ([n, opts["samples"], f"{le:.12g}", f"{err:.12g}",
-                     f"{frac:.12g}"]
-                    for n, le, err, frac in zip(
-                        v.n_schedule, v.log_estimates, v.log_errors,
-                        v.fractions_inside)))
+                   ([rep.n_modes, rep.n_samples, f"{rep.log_estimate:.12g}",
+                     f"{rep.log_std_error:.12g}",
+                     f"{rep.fraction_inside_cutoff:.12g}"]
+                    for rep in v.reports))
     _write_csv(out / "verdicts.csv",
                ["ratio", "cutoff", "verdict", "slope", "slope_error"],
                ([f"{ratio:g}", f"{cutoff:.12g}", v.verdict, f"{v.slope:.6g}",

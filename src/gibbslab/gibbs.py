@@ -48,7 +48,9 @@ shift scales with the cutoff, so only the slices wholly in the unshifted
 bottom half of a batch are shared, up to the largest cutoff, and the others
 are redone per cutoff, up to that cutoff. estimate_partitions is the pass
 of one level, and every report is bit-identical to its own
-estimate_partition call.
+estimate_partition call. A DivergenceVerdict holds those reports, one per
+N, with the drift slope fitted to them; the fit weighs an error below 1e-9
+as 1e-9, and the reports keep their own.
 
 A weight that overflows is not a weight of zero: a NaN or +inf Gibbs
 exponent on a sample inside the cutoff raises, and a soliton shift whose
@@ -73,7 +75,6 @@ from .radial2d import RadialBasis, radial_basis
 from . import rng
 from .rng import BATCH_SIZE
 from .spectral1d import evaluate_coeff_rows, gaussian_coeffs, spectral_weights
-from .tails import TailCurve
 
 SAMPLERS = ("plain", "tilted", "soliton")
 _LOG_HUGE = 700.0
@@ -145,10 +146,7 @@ class EstimatorReport:
 
 @dataclass(frozen=True)
 class DivergenceVerdict:
-    n_schedule: tuple
-    log_estimates: tuple
-    log_errors: tuple
-    fractions_inside: tuple
+    reports: tuple                 # one EstimatorReport per N of the schedule
     slope: float
     slope_error: float
     verdict: str                   # stable | diverging | inconclusive
@@ -535,24 +533,17 @@ def constrained_tails(cfg: EnsembleConfig, lams,
     return reports
 
 
-def tail_curve(cfg: EnsembleConfig, lams,
-               basis: RadialBasis | None = None) -> TailCurve:
-    """Constrained tail probabilities on a level grid, each level from its
-    own block of streams.
+def tail_curve(cfg: EnsembleConfig, lams) -> list[EstimatorReport]:
+    """The constrained_tail report of each level of lams, each level from
+    its own block of streams.
 
     Only the benchmark's tracer (perfbench/spans.py, which binds it by name)
     and tests/test_streams.py still reach it; layer_cake scores the levels
     in one pass. The next change to the benchmark deletes it.
     """
-    lams = np.asarray(lams, dtype=float)
     n_batches = (cfg.n_samples + BATCH_SIZE - 1) // BATCH_SIZE
-    reps = [constrained_tail(cfg, float(lam), basis,
-                             stream_offset=i * n_batches)
+    return [constrained_tail(cfg, float(lam), stream_offset=i * n_batches)
             for i, lam in enumerate(lams)]
-    return TailCurve(lams, np.array([rep.estimate for rep in reps]),
-                     np.array([rep.standard_error for rep in reps]),
-                     np.full(len(lams), math.nan),
-                     np.zeros(len(lams), dtype=bool), cfg.n_samples)
 
 
 @dataclass(frozen=True)
@@ -562,8 +553,7 @@ class LayerCakeResult:
     inconclusive: bool
 
 
-def layer_cake(cfg: EnsembleConfig, lams,
-               basis: RadialBasis | None = None) -> LayerCakeResult:
+def layer_cake(cfg: EnsembleConfig, lams) -> LayerCakeResult:
     """The partition function rebuilt from its constrained tail,
 
         Z = P(A) + int lam^(p-1) exp(lam^p / p) P(||u||_p > lam, A) d lam,
@@ -604,7 +594,7 @@ def layer_cake(cfg: EnsembleConfig, lams,
     trap_w[1:] += dl / 2.0
     # a sample above exactly the first k levels scores w * score[k]
     score = np.concatenate([[0.0], 1.0 + np.cumsum(trap_w * g_fac)])
-    ens, = _make_ensembles([cfg], basis)
+    ens, = _make_ensembles([cfg])
     ws = rng.Workspace()
 
     def batch(gen, start, b):
@@ -646,25 +636,22 @@ def divergence_scan(cfgs, n_schedule) -> list[DivergenceVerdict]:
         basis = radial_basis(bessel_zeros(max(n_schedule)), max(n_schedule))
     by_n = _estimate_levels([[replace(c, n_modes=n) for c in cfgs]
                              for n in n_schedule], basis)
-    return [_verdict(n_schedule, [reps[i] for reps in by_n])
-            for i in range(len(cfgs))]
+    return [_verdict([reps[i] for reps in by_n]) for i in range(len(cfgs))]
 
 
-def _verdict(n_schedule, reps):
+def _verdict(reps):
     """The DivergenceVerdict of one cutoff's reports along the schedule."""
-    logs = [rep.log_estimate for rep in reps]
-    errs = [max(rep.log_std_error, 1e-9) for rep in reps]
-    fracs = [rep.fraction_inside_cutoff for rep in reps]
-    slope, slope_err = _drift_slope(n_schedule, logs, errs)
-    verdict = _classify(slope, slope_err)
-    return DivergenceVerdict(tuple(n_schedule), tuple(logs), tuple(errs),
-                             tuple(fracs), slope, slope_err, verdict)
+    slope, slope_err = _drift_slope(reps)
+    return DivergenceVerdict(tuple(reps), slope, slope_err,
+                             _classify(slope, slope_err))
 
 
-def _drift_slope(ns, logs, errs):
-    """Weighted LS slope of log-estimate against log N over the top half."""
-    pts = [(math.log(n), y, e) for n, y, e in zip(ns, logs, errs)
-           if math.isfinite(y)]
+def _drift_slope(reps):
+    """Weighted LS slope of log-estimate against log N over the top half;
+    an error below 1e-9 weighs as 1e-9."""
+    pts = [(math.log(rep.n_modes), rep.log_estimate,
+            max(rep.log_std_error, 1e-9))
+           for rep in reps if math.isfinite(rep.log_estimate)]
     top = pts[len(pts) // 2:] if len(pts) >= 4 else pts
     if len(top) < 2:
         return math.nan, math.nan

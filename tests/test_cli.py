@@ -349,6 +349,17 @@ def test_threshold_scan_acceptance_pattern(tmp_path):
     assert len(scan) == 5
 
 
+def test_scan_rows_carry_their_reports_errors(tmp_path):
+    # no sample lies inside 0.02 times the critical mass: every row's stderr
+    # is its report's own 0, not the 1e-9 floor of the slope fit
+    assert run_cli(["threshold-scan", "--dim", "1", "--p", "6", "--ratios",
+                    "0.02", "--sampler", "plain", "--schedule", "16,32,64",
+                    "--samples", "4096", "--seed", "3",
+                    "--out-dir", str(tmp_path)]) == 0
+    assert (tmp_path / "scan_ratio_0.02.csv").read_text().splitlines()[1:] \
+        == ["16,4096,-inf,0,0", "32,4096,-inf,0,0", "64,4096,-inf,0,0"]
+
+
 def test_tail_scan_outputs_sorted_and_rerunnable(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     args = ["tail-scan", "--dim", "1", "--p", "6", "--n-modes", "64",

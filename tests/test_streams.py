@@ -301,7 +301,8 @@ def test_rows_of_each_batch_are_golden(name, seed):
 def _tail_curve_1d():
     cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=8, n_samples=5000,
                          seed=31)
-    return _curve(tail_curve(cfg, [0.0, 0.5, 1.0]))
+    return [h for rep in tail_curve(cfg, [0.0, 0.5, 1.0])
+            for h in _report(rep)]
 
 
 WORKER_SAMPLERS = {
@@ -536,8 +537,8 @@ def test_one_pass_cutoffs_match_per_cutoff_calls(dim, sampler, n_samples,
 
 
 def _verdict_hex(v):
-    return (_hex(v.log_estimates) + _hex(v.log_errors)
-            + _hex(v.fractions_inside) + _hex([v.slope, v.slope_error])
+    return (_hex([(r.log_estimate, r.log_std_error, r.fraction_inside_cutoff)
+                  for r in v.reports]) + _hex([v.slope, v.slope_error])
             + [v.verdict])
 
 
@@ -566,7 +567,7 @@ def test_each_scan_level_matches_its_own_estimate(dim, sampler, schedule,
         by_n = [estimate_partitions([replace(c, n_modes=n) for c in cfgs],
                                     basis) for n in schedule]
     for i, v in enumerate(verdicts):
-        alone = gibbs._verdict(list(schedule), [reps[i] for reps in by_n])
+        alone = gibbs._verdict([reps[i] for reps in by_n])
         assert _verdict_hex(v) == _verdict_hex(alone)
 
 
