@@ -64,6 +64,7 @@ pass each, and the sample variance of those contributions is the exact error
 of the rebuilt estimate.
 """
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,8 +104,15 @@ class EnsembleConfig:
         if not self.cutoff >= 0:
             raise ValueError(
                 f"cutoff must be nonnegative, got {self.cutoff!r}")
+        for name in ("n_modes", "n_samples", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_modes < 1 or self.n_samples < 1:
             raise ValueError("n_modes and n_samples must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed!r}")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}")
         if self.dim == 2 and self.grid_size is not None:
@@ -496,8 +504,13 @@ def constrained_tails(cfg: EnsembleConfig, lams,
     """constrained_tail at every level of lams from one pass over the draws.
 
     The levels share their draws, so their errors are correlated; each
-    report is bit-identical to the single-level call.
+    report is bit-identical to the single-level call. A tail probability
+    has no Gibbs exponent for calibration to replace, so a calibration
+    config is refused.
     """
+    if cfg.calibration:
+        raise ValueError("constrained_tails has no calibration mode, got "
+                         "calibration=True")
     lams = [float(lam) for lam in lams]
     for lam in lams:
         if not lam >= 0:
@@ -567,8 +580,12 @@ def layer_cake(cfg: EnsembleConfig, lams) -> LayerCakeResult:
     exp(lam_i^p / p), t_i the trapezoid weights, so the estimate is mean(h)
     and its error sd(h) / sqrt(n) is exact however the levels correlate.
     inconclusive flags a cut while the last bin still carries more than 1%
-    of the integral.
+    of the integral. Calibration, which replaces the Gibbs exponent of
+    estimate_partition, is refused.
     """
+    if cfg.calibration:
+        raise ValueError("layer_cake has no calibration mode, got "
+                         "calibration=True")
     lams = np.asarray(lams, dtype=float)
     if len(lams) < 2:
         raise ValueError(f"layer cake needs at least two levels, "

@@ -13,7 +13,7 @@ from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (EnsembleConfig, _combine_lse, _lse_partial,
                             constrained_tail, constrained_tails,
                             divergence_scan, estimate_partition,
-                            estimate_partitions, layer_cake)
+                            estimate_partitions, layer_cake, tail_curve)
 from gibbslab.groundstate import solve_ground_state
 from gibbslab.radial2d import radial_basis
 
@@ -113,6 +113,31 @@ def test_nan_p_rejected():
                        n_samples=10)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_modes", 16.0, "n_modes must be an integer, got 16.0"),
+    ("n_modes", True, "n_modes must be an integer, got True"),
+    ("n_samples", 1e4, "n_samples must be an integer, got 10000.0"),
+    ("n_samples", False, "n_samples must be an integer, got False"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("seed", True, "seed must be an integer, got True"),
+    ("seed", -1, "seed must be >= 0, got -1"),
+])
+def test_non_integer_counts_and_negative_seed_rejected(field, value,
+                                                       message):
+    fields = dict(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=10, seed=0)
+    with pytest.raises(ValueError) as info:
+        EnsembleConfig(**{**fields, field: value})
+    assert str(info.value) == message
+
+
+def test_numpy_integer_counts_accepted():
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=np.int64(8),
+                         n_samples=np.int32(10), seed=np.uint8(3))
+    assert estimate_partition(cfg) == estimate_partition(
+        EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=10,
+                       seed=3))
+
+
 def test_2d_soliton_shift_follows_config_p():
     # the 2D ground state exists for p <= 4 only: p=6 must reach the solver
     # and fail there instead of silently shifting onto the p=4 profile
@@ -200,6 +225,25 @@ def test_layer_cake_truncation_flag_follows_the_last_bin():
         assert layer_cake(cfg, lams).inconclusive == expected
         flags.append(expected)
     assert flags[0] and not flags[-1]
+
+
+@pytest.mark.parametrize("estimator, name", [
+    (lambda cfg, lams: constrained_tails(cfg, lams), "constrained_tails"),
+    (lambda cfg, lams: constrained_tail(cfg, lams[1]), "constrained_tails"),
+    (tail_curve, "constrained_tails"),
+    (layer_cake, "layer_cake")],
+    ids=["constrained_tails", "constrained_tail", "tail_curve", "layer_cake"])
+def test_tail_estimators_refuse_calibration(estimator, name):
+    # they read no replaced Gibbs exponent, and returned the same numbers
+    # with calibration on or off; they refuse it before any draw
+    cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=16, n_samples=8192,
+                         seed=123, calibration=True)
+    with mock.patch("gibbslab.rng.batches",
+                    side_effect=AssertionError("drew samples")), \
+            pytest.raises(ValueError) as info:
+        estimator(cfg, [0.0, 0.5, 1.0])
+    assert str(info.value) == \
+        f"{name} has no calibration mode, got calibration=True"
 
 
 def test_layer_cake_requires_zero_level():
