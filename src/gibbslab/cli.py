@@ -4,19 +4,22 @@ Commands: ground-state, threshold-scan, tail-scan, bessel-table, partition,
 verify. Every run writes its outputs under --out-dir only, embeds the
 resolved configuration and the package version in a JSON sidecar, and is
 reproducible byte-for-byte from that sidecar. This is the only module that
-writes files: every CSV goes through _write_csv and every JSON file through
+writes files: every CSV goes through _write_csv, every JSON file through
 _write_json, which writes a non-finite float as its repr ("inf", "nan"),
-and each makes the directory it writes into. The result classes of the
-other modules hold data only. Options resolve with the precedence
+and verify's JUnit XML report through _write_junit, and each makes the
+directory it writes into. The result classes of the other modules hold data
+only: a threshold scan's rows are its verdicts' reports, one per N, printed
+as they are. Options resolve with the precedence
 CLI > config file > built-in defaults. Config files are flat
 key=value lines whose keys are the option names, written with - or _, and
 a value from a file goes through the same parser as the same value given as
 a flag. GIBBSLAB_WORKERS sets the Monte Carlo worker count. A domain error
 (an out-of-range, empty, missing or conflicting option, an unreadable or
-malformed config file or one that sets a key twice, or a bad
-GIBBSLAB_WORKERS) ends with a one-line message and exit status 2, as
-argparse's usage errors do. A command computes its results before it
-creates --out-dir, so a failed run writes nothing.
+malformed config file or one that sets a key twice, a --ratios value of 0,
+whose cutoff holds no sample, or a bad GIBBSLAB_WORKERS) ends with a
+one-line message and exit status 2, as argparse's usage errors do. A
+command computes its results before it creates --out-dir, so a failed run
+writes nothing.
 """
 import argparse
 import csv
@@ -25,6 +28,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from xml.etree import ElementTree
 
 from . import __version__, gibbs, rng, spectral1d, tails, verify
 from .bessel import bessel_zeros
@@ -187,6 +191,25 @@ def _write_json(path: Path, record: dict):
 def _write_sidecar(path: Path, command: str, options: dict):
     _write_json(path, {"command": command, "version": __version__,
                        "options": options})
+
+
+def _write_junit(path: Path, results):
+    """verify's results as a JUnit XML report: one testcase per check, with
+    its measured text as system-out and, if it failed, as the message of
+    its failure."""
+    suite = ElementTree.Element(
+        "testsuite", name="gibbslab-verify", tests=str(len(results)),
+        failures=str(sum(not r.passed for r in results)))
+    for r in results:
+        case = ElementTree.SubElement(suite, "testcase", name=r.name,
+                                      time=f"{r.seconds:.3f}")
+        if not r.passed:
+            ElementTree.SubElement(case, "failure", message=r.measured)
+        ElementTree.SubElement(case, "system-out").text = r.measured
+    ElementTree.indent(suite)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    ElementTree.ElementTree(suite).write(path, encoding="utf-8",
+                                         xml_declaration=True)
 
 
 # ------------------------------------------------------------------ commands
@@ -365,8 +388,7 @@ def _cmd_verify(args):
         print(f"{mark}  {r.name:<{width}s}  {r.measured}")
     failures = sum(not r.passed for r in results)
     if args.junit:
-        Path(args.junit).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.junit).write_text(verify.junit_xml(results))
+        _write_junit(Path(args.junit), results)
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 

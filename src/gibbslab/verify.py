@@ -374,21 +374,3 @@ def _random_bump(rng, grid, dim):
         f *= np.exp(-(grid / 8.0) ** 4)
     return f
 
-
-def junit_xml(results: list[CheckResult]) -> str:
-    from xml.sax.saxutils import escape
-
-    failures = sum(0 if r.passed else 1 for r in results)
-    lines = ['<?xml version="1.0" encoding="utf-8"?>',
-             f'<testsuite name="gibbslab-verify" tests="{len(results)}" '
-             f'failures="{failures}">']
-    for r in results:
-        base = (f'  <testcase name="{escape(r.name)}" '
-                f'time="{r.seconds:.3f}"')
-        lines.append(base + ">")
-        if not r.passed:
-            lines.append(f'    <failure message="{escape(r.measured)}" />')
-        lines.append(f"    <system-out>{escape(r.measured)}</system-out>")
-        lines.append("  </testcase>")
-    lines.append("</testsuite>")
-    return "\n".join(lines)

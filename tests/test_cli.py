@@ -573,12 +573,20 @@ def test_partition_ratio_path(tmp_path):
     assert 1.16 < float(rec["config"]["cutoff"]) < 1.17
 
 
+def _junit_report(tmp_path, results):
+    from gibbslab.cli import _write_junit
+
+    path = tmp_path / "report" / "verify.xml"
+    _write_junit(path, results)
+    return path.read_text()
+
+
 def test_verify_junit_report(tmp_path):
-    from gibbslab.verify import CheckResult, junit_xml
+    from gibbslab.verify import CheckResult
 
     results = [CheckResult("alpha", True, "fine", 0.1),
                CheckResult("beta", False, "broke < badly >", 0.2)]
-    xml = junit_xml(results)
+    xml = _junit_report(tmp_path, results)
     assert 'tests="2"' in xml and 'failures="1"' in xml
     assert "&lt; badly &gt;" in xml
     # every check, passing or failing, carries its measured string
@@ -586,6 +594,25 @@ def test_verify_junit_report(tmp_path):
     assert [c.findtext("system-out") for c in cases] == [
         "fine", "broke < badly >"]
     assert [c.find("failure") is None for c in cases] == [True, False]
+    # a quote or a newline in a failure message stays well-formed XML
+    measured = ['raised KeyError: "a"', "first line\nsecond line"]
+    xml = _junit_report(tmp_path, [CheckResult(f"c{i}", False, m, 0.1)
+                                   for i, m in enumerate(measured)])
+    cases = ElementTree.fromstring(xml.encode()).findall("testcase")
+    assert [c.find("failure").get("message") for c in cases] == measured
+    assert [c.findtext("system-out") for c in cases] == measured
+
+
+def test_verify_command_reports_an_injected_fault(tmp_path, capsys):
+    path = tmp_path / "verify.xml"
+    assert main(["verify", "--inject-fault", "j1-normalization",
+                 "--junit", str(path)]) == 1
+    suite = ElementTree.parse(path).getroot()
+    failed = {c.get("name") for c in suite.iter("testcase")
+              if c.find("failure") is not None}
+    assert "gradient-parseval-2d" in failed
+    assert suite.get("failures") == str(len(failed))
+    assert "FAIL  gradient-parseval-2d" in capsys.readouterr().out
 
 
 # sha256 of verify's "name measured" lines, one per check, with the run time
@@ -624,7 +651,7 @@ def test_commands_write_only_inside_out_dir(tmp_path, monkeypatch):
 
 def test_only_the_cli_writes_files():
     # every output file's format lives in cli.py: no other module of the
-    # package imports csv or json, opens a file or makes a directory
+    # package imports csv, json or xml, opens a file or makes a directory
     import ast
 
     found = []
@@ -640,7 +667,7 @@ def test_only_the_cli_writes_files():
             else:
                 modules = []
             found += [f"{where} imports {m}" for m in modules
-                      if m.split(".")[0] in ("csv", "json")]
+                      if m.split(".")[0] in ("csv", "json", "xml")]
             if isinstance(node, ast.Call):
                 f = node.func
                 name = f.id if isinstance(f, ast.Name) else getattr(
