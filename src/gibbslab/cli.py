@@ -28,7 +28,6 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from xml.etree import ElementTree
 
 from . import __version__, gibbs, rng, spectral1d, tails, verify
 from .bessel import bessel_zeros
@@ -197,6 +196,9 @@ def _write_junit(path: Path, results):
     """verify's results as a JUnit XML report: one testcase per check, with
     its measured text as system-out and, if it failed, as the message of
     its failure."""
+    # imported here, as scipy is, so that no other command pays to load it
+    from xml.etree import ElementTree
+
     suite = ElementTree.Element(
         "testsuite", name="gibbslab-verify", tests=str(len(results)),
         failures=str(sum(not r.passed for r in results)))
