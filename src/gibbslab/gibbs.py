@@ -84,6 +84,11 @@ TILT_MODES = 4                 # tilted: how many of the lowest modes
 SOLITON_MASS_FRACTION = 0.95   # soliton: shift mass as a fraction of K
 
 
+def _is_integer(value) -> bool:
+    """An integer of Python or numpy, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     dim: int
@@ -106,13 +111,19 @@ class EnsembleConfig:
                 f"cutoff must be nonnegative, got {self.cutoff!r}")
         for name in ("n_modes", "n_samples", "seed"):
             value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
+            if not _is_integer(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_modes < 1 or self.n_samples < 1:
             raise ValueError("n_modes and n_samples must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed!r}")
+        if self.grid_size is not None and not _is_integer(self.grid_size):
+            raise ValueError(f"grid_size must be an integer or None, got "
+                             f"{self.grid_size!r}")
+        if not isinstance(self.calibration, (bool, np.bool_)):
+            # a truthy string such as "no" would turn it on
+            raise ValueError(f"calibration must be True or False, got "
+                             f"{self.calibration!r}")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}")
         if self.dim == 2 and self.grid_size is not None:

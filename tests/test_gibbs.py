@@ -121,21 +121,24 @@ def test_nan_p_rejected():
     ("seed", 1.5, "seed must be an integer, got 1.5"),
     ("seed", True, "seed must be an integer, got True"),
     ("seed", -1, "seed must be >= 0, got -1"),
+    ("grid_size", 64.0, "grid_size must be an integer or None, got 64.0"),
+    ("grid_size", True, "grid_size must be an integer or None, got True"),
+    ("calibration", "no", "calibration must be True or False, got 'no'"),
 ])
-def test_non_integer_counts_and_negative_seed_rejected(field, value,
-                                                       message):
+def test_mistyped_fields_and_negative_seed_rejected(field, value, message):
     fields = dict(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=10, seed=0)
     with pytest.raises(ValueError) as info:
         EnsembleConfig(**{**fields, field: value})
     assert str(info.value) == message
 
 
-def test_numpy_integer_counts_accepted():
+def test_numpy_scalars_accepted():
     cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=np.int64(8),
-                         n_samples=np.int32(10), seed=np.uint8(3))
+                         n_samples=np.int32(10), seed=np.uint8(3),
+                         grid_size=np.int64(32), calibration=np.False_)
     assert estimate_partition(cfg) == estimate_partition(
         EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=10,
-                       seed=3))
+                       seed=3, grid_size=32))
 
 
 def test_2d_soliton_shift_follows_config_p():
