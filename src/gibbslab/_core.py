@@ -47,16 +47,19 @@ def weighted_abs_power_sum(values, weights, p, out=None):
 
 def _bessel_arg(x):
     x = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(x) & (x >= 0.0)):
+    # NaN fails x >= 0, and then x is finite if its largest value is; one
+    # boolean temporary instead of three
+    if not (np.all(x >= 0.0) and np.isfinite(np.max(x, initial=0.0))):
         raise ValueError("Bessel kernels are defined for finite x >= 0")
     return x
 
 
-def j0_array(x):
-    """J0 of an array of finite nonnegative arguments."""
+def j0_array(x, out=None):
+    """J0 of an array of finite nonnegative arguments, into out if given
+    (which may be x itself)."""
     from scipy.special import j0
 
-    return j0(_bessel_arg(x))
+    return j0(_bessel_arg(x), out=out)
 
 
 def j1_array(x):

@@ -80,14 +80,15 @@ def _mode_scales(table: BesselTable, n_modes: int):
 
 
 def radial_basis(table: BesselTable, n_modes: int) -> RadialBasis:
-    """The first n_modes modes on default_node_count Gauss-Legendre nodes."""
+    """The first n_modes modes on default_node_count Gauss-Legendre nodes;
+    the matrix is built in place in the array of its arguments z_n r_q."""
     if table.count < n_modes:
         raise ValueError("Bessel table too short for requested n_modes")
     quad = disc_quadrature(default_node_count(table, n_modes))
-    z = table.zeros[:n_modes]
-    arg = np.outer(quad.nodes, z)
-    scale = _mode_scales(table, n_modes)
-    return RadialBasis(table, n_modes, quad, j0_array(arg) * scale[None, :])
+    matrix = np.outer(quad.nodes, table.zeros[:n_modes])
+    j0_array(matrix, out=matrix)
+    matrix *= _mode_scales(table, n_modes)
+    return RadialBasis(table, n_modes, quad, matrix)
 
 
 @dataclass(frozen=True)

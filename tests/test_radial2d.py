@@ -150,6 +150,30 @@ def test_block_energy_counts_modes(table64):
     assert abs(vals.mean() - n_in_block) < 3 * se
 
 
+@pytest.mark.parametrize("n_modes", [16, 64, 256])
+def test_radial_basis_is_built_in_place(n_modes):
+    import tracemalloc
+
+    from gibbslab._core import j0_array
+    from gibbslab.bessel import bessel_zeros
+    from gibbslab.radial2d import _mode_scales, default_node_count
+
+    table = bessel_zeros(n_modes)
+    radial_basis(table, n_modes)            # scipy loaded, caches warm
+    tracemalloc.start()
+    try:
+        matrix = radial_basis(table, n_modes).matrix
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    nodes = disc_quadrature(default_node_count(table, n_modes)).nodes
+    old = j0_array(np.outer(nodes, table.zeros[:n_modes])) \
+        * _mode_scales(table, n_modes)[None, :]
+    assert matrix.tobytes() == old.tobytes()
+    if n_modes == 256:      # below it the quadrature's own arrays weigh in
+        assert peak < 2 * matrix.nbytes, peak / matrix.nbytes
+
+
 def test_short_table_rejected(table64):
     with pytest.raises(ValueError):
         sample_radials(0, 1, 65, table64)
