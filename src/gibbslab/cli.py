@@ -7,9 +7,12 @@ reproducible byte-for-byte from that sidecar. This is the only module that
 writes files: every CSV goes through _write_csv, every JSON file through
 _write_json, which writes a non-finite float as its repr ("inf", "nan"),
 and verify's JUnit XML report through _write_junit, and each makes the
-directory it writes into. The result classes of the other modules hold data
-only: a threshold scan's rows are its verdicts' reports, one per N, printed
-as they are. Options resolve with the precedence
+directory it writes into. The result classes of the other modules hold
+data only: a threshold scan's rows are its verdicts' reports, one per N,
+printed as they are. tail-scan and verify import the modules they run,
+tails and verify, when they start, and no other command loads them; the
+--inject-fault choices are verify.FAULTS written out here, so that building
+the parser does not load verify. Options resolve with the precedence
 CLI > config file > built-in defaults. Config files are flat
 key=value lines whose keys are the option names, written with - or _, and
 a value from a file goes through the same parser as the same value given as
@@ -29,7 +32,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import __version__, gibbs, rng, spectral1d, tails, verify
+from . import __version__, gibbs, rng, spectral1d
 from .bessel import bessel_zeros
 from .groundstate import solve_ground_state
 
@@ -276,12 +279,18 @@ def _cmd_threshold_scan(opts, out):
     _write_sidecar(out / "threshold_scan.config.json", "threshold-scan",
                    {**opts, "critical_mass": gs.mass})
     for ratio, cutoff, v in rows:
+        # an empty cutoff has no slope to fit: say so, not "nan +- nan"
+        note = ("no sample inside the cutoff at any N"
+                if all(rep.fraction_inside_cutoff == 0 for rep in v.reports)
+                else f"slope {v.slope:.4g} +- {v.slope_error:.2g}")
         print(f"ratio {ratio:<5g} K={cutoff:.6g}  verdict={v.verdict} "
-              f"(slope {v.slope:.4g} +- {v.slope_error:.2g})")
+              f"({note})")
     return 0
 
 
 def _cmd_tail_scan(opts, out):
+    from . import tails
+
     lambdas = opts["lambdas"]
     for lam in lambdas:
         if not 0 < lam < math.inf:
@@ -383,6 +392,8 @@ def _cmd_partition(opts, out):
 
 
 def _cmd_verify(args):
+    from . import verify
+
     results = verify.run_all(inject_fault=args.inject_fault)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -394,6 +405,9 @@ def _cmd_verify(args):
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 0 if failures == 0 else 1
 
+
+# verify.FAULTS, named here so that building the parser does not load verify
+_FAULTS = ("j1-normalization",)
 
 # command -> (function, help, options); each option is (name, parser,
 # default), its flag is --name with _ written as -, and a _bool option is a
@@ -448,7 +462,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("verify", help="run the pinned invariant suite")
     p.add_argument("--junit", help="write a JUnit XML report here")
-    p.add_argument("--inject-fault", choices=verify.FAULTS,
+    p.add_argument("--inject-fault", choices=_FAULTS,
                    help="deliberately break an internal identity (the suite "
                         "must then fail)")
 

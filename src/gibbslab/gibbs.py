@@ -32,9 +32,11 @@ estimators compute each slice's ||u||_2^2 first and synthesize int |u|^p
 only on the rows at or below the largest cutoff that reads them, and on no
 row under calibration, whose exponent is the proposal weight alone. In 1D
 those rows are packed together: each row's inverse FFT and grid mean are
-its own, so they change no bit. In 2D a matrix product rounds its last rows
-by the row count (see rng), so a slice keeps every row and is skipped only
-when none of its rows is needed. The tail estimators synthesize every row.
+its own, so they change no bit. A 1D slice keeps its coefficients in
+columns 1..N of its spectrum buffer, the transform's input, and packs whole
+spectrum rows, so it holds no separate coefficient array. In 2D a matrix
+product rounds its last rows by the row count (see rng), so a slice keeps
+every row and is skipped only when none of its rows is needed. The tail estimators synthesize every row.
 
 A threshold scan asks for the same estimate at several cutoffs and
 truncation levels with the same seed. A batch at one level is a prefix of
@@ -240,10 +242,15 @@ class _Ensemble1D:
         """Fill l2sq with ||u||_2^2 of each row of Gaussians g, and power
         with int |u|^p on the rows with ||u||_2^2 <= ksq and NaN on the
         others. Those rows are packed together: each row's transform and
-        mean are its own."""
+        mean are its own.
+
+        The coefficients are written straight into columns 1.. of the
+        slice's spectrum, whose column 0, the zero mode, the transform
+        sets; packing takes whole spectrum rows, so the transform reads
+        the coefficients where they are."""
         rows, n_modes = g.shape[:-1]
-        coeffs = gaussian_coeffs(g, self.weights,
-                                 out=ws("coeffs", (rows, n_modes), complex))
+        spectrum = ws("spectrum", (rows, n_modes + 1), complex)
+        coeffs = gaussian_coeffs(g, self.weights, out=spectrum[:, 1:])
         modsq = np.abs(coeffs, out=ws("modsq", (rows, n_modes)))
         np.multiply(modsq, modsq, out=modsq)
         np.sum(modsq, axis=1, out=l2sq)
@@ -254,13 +261,12 @@ class _Ensemble1D:
         if kept == 0:
             return
         if kept < rows:
-            coeffs = np.take(coeffs, np.flatnonzero(keep), axis=0,
-                             out=ws("packed", (kept, n_modes), complex),
-                             mode="clip")
-        vals = evaluate_coeff_rows(
-            coeffs, self.width,
-            spectrum=ws("spectrum", (kept, n_modes + 1), complex),
-            out=ws("vals", (kept, self.width)))
+            spectrum = np.take(spectrum, np.flatnonzero(keep), axis=0,
+                               out=ws("packed", (kept, n_modes + 1), complex),
+                               mode="clip")
+        vals = evaluate_coeff_rows(spectrum[:, 1:], self.width,
+                                   spectrum=spectrum,
+                                   out=ws("vals", (kept, self.width)))
         power[keep] = abs_power_mean(vals, self.cfg.p,
                                      out=ws("power", vals.shape))
 
@@ -313,16 +319,19 @@ def _make_ensembles(cfgs, basis=None):
 def _proposal_rows(ens, g, lo, half, ws):
     """Rows lo: of the stratified half/half mixture of a batch, made from its
     drawn rows g: the rows from half on are tilted or shifted onto the
-    soliton in a workspace copy, and a slice below half is g itself."""
+    soliton as they are written into a workspace copy, and a slice below
+    half is g itself."""
     top = max(half - lo, 0)             # the first row of g in the top half
     if ens.cfg.sampler == "plain" or top >= len(g):
         return g
     rows = ws("rows", g.shape)
-    rows[...] = g
+    rows[:top] = g[:top]
     if ens.theta is not None:
-        rows[top:] += ens.theta
+        np.add(g[top:], ens.theta, out=rows[top:])
     else:
-        rows[top:, :min(TILT_MODES, ens.cfg.n_modes)] *= TILT_SCALE
+        k = min(TILT_MODES, ens.cfg.n_modes)
+        np.multiply(g[top:, :k], TILT_SCALE, out=rows[top:, :k])
+        rows[top:, k:] = g[top:, k:]
     return rows
 
 

@@ -11,7 +11,8 @@ estimate of n samples draws.
 
 GIBBSLAB_WORKERS sets how many threads run the batches. batches() returns
 the batch results in stream order and callers reduce them in that order, so
-every result is bit-identical for any worker count.
+every result is bit-identical for any worker count. With one worker the
+batches run in the calling thread, and concurrent.futures is not loaded.
 
 Every sampler reads a batch from its stream with slices(), in the row
 slices of row_slices(), of about SYNTH_BUDGET grid values each, so that the
@@ -47,7 +48,6 @@ the row count of the product, and with it the kernel of its last rows, so a
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -92,6 +92,10 @@ def batches(seed: int, n_samples: int, batch_size: int, fn,
     workers = worker_count()
     if workers == 1:
         return [job(i) for i in range(n_batches)]
+    # imported here: concurrent.futures loads logging, which one worker
+    # does not need
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(job, range(n_batches)))
 

@@ -44,7 +44,9 @@ class SpectralField1D:
 def gaussian_coeffs(g: np.ndarray, weights: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """c_n = w_n (g_n0 + i g_n1) / sqrt(2) for normals of shape (..., N, 2),
-    into out (complex, of shape (..., N)) if given.
+    into out (complex, of shape (..., N)) if given. out may be a strided
+    view whose rows are contiguous, such as columns 1.. of the spectrum
+    buffer that evaluate_coeff_rows then reads in place.
 
     Computed in real arithmetic on the (..., 2N) view of g: a multiply by
     each weight twice over, then by 1/sqrt(2), viewed as complex. This is
@@ -109,7 +111,15 @@ def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int,
     The transform reads the spectrum c_0 = 0, c_1..c_N and pads it with
     zeros to M/2 + 1 frequencies itself. spectrum, complex of shape
     (..., N + 1), and out, float of shape (..., M), are optional buffers
-    for the spectrum and the values; out is returned."""
+    for the spectrum and the values; out is returned. coeff_rows may be
+    spectrum[..., 1:] itself, which saves the copy.
+
+    The values are M times the backward transform, whose last pass
+    multiplies by 1/M. For M a power of two that product and the multiply
+    by M are exact, so the transform skips both (norm="forward"); the bits
+    are the same, except that a value below about 1e-304 in magnitude,
+    whose product with 1/M is subnormal, comes out exact instead of
+    rounded. Other M keep the two passes."""
     n_modes = coeff_rows.shape[-1]
     if grid_size < 4 * n_modes:
         raise ValueError(
@@ -119,6 +129,9 @@ def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int,
                             dtype=complex)
     spectrum[..., 0] = 0.0
     spectrum[..., 1:] = coeff_rows
+    if grid_size & (grid_size - 1) == 0:
+        return np.fft.irfft(spectrum, n=grid_size, axis=-1, norm="forward",
+                            out=out)
     vals = np.fft.irfft(spectrum, n=grid_size, axis=-1, out=out)
     vals *= grid_size
     return vals

@@ -360,6 +360,23 @@ def test_scan_rows_carry_their_reports_errors(tmp_path):
         == ["16,4096,-inf,0,0", "32,4096,-inf,0,0", "64,4096,-inf,0,0"]
 
 
+def test_scan_says_when_no_sample_is_inside_a_cutoff(tmp_path, capsys):
+    # 0.02 and a noisy scan both read inconclusive with a nan slope in
+    # verdicts.csv; the printed line of the empty cutoff says why
+    assert run_cli(["threshold-scan", "--dim", "1", "--p", "6", "--ratios",
+                    "0.02,0.5", "--sampler", "plain", "--schedule",
+                    "16,32,64", "--samples", "4096", "--seed", "3",
+                    "--out-dir", str(tmp_path)]) == 0
+    empty, filled = capsys.readouterr().out.splitlines()
+    assert empty.startswith("ratio 0.02 ")
+    assert empty.endswith("verdict=inconclusive "
+                          "(no sample inside the cutoff at any N)")
+    assert filled.startswith("ratio 0.5 ")
+    assert "no sample" not in filled and "(slope " in filled
+    verdicts = (tmp_path / "verdicts.csv").read_text().splitlines()
+    assert verdicts[1].split(",")[2:] == ["inconclusive", "nan", "nan"]
+
+
 def test_tail_scan_outputs_sorted_and_rerunnable(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     args = ["tail-scan", "--dim", "1", "--p", "6", "--n-modes", "64",
@@ -750,6 +767,98 @@ def test_benchmark_tracer_binds(tmp_path):
     assert proc.returncode == 0, proc.stderr
     trace = json.loads((tmp_path / "trace.json").read_text())
     assert trace["calls"]["bessel.zeros"] == 1
+    # it also rebinds every public function of tails, which the CLI imports
+    # only when tail-scan runs; the spans must still be counted
+    proc = run_python(
+        [str(ROOT / "perfbench" / "spans.py"), str(tmp_path / "tails.json"),
+         "tail-scan", "--dim", "1", "--n-modes", "16", "--samples", "200",
+         "--bernstein-trials", "100", "--k-list", "3", "--lambdas", "0.5",
+         "--out-dir", str(tmp_path / "tails")], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads((tmp_path / "tails.json").read_text())["calls"]
+    assert calls.get("tails.bernstein_probe") == 1
+    assert calls.get("tails.high_freq_empirical_1d") == 1
+
+
+# every name the package exported when all of them were imported with it,
+# by the module that defines it
+PACKAGE_NAMES = {
+    "_core": ["BACKEND"],
+    "bessel": ["BesselTable", "bessel_j0", "bessel_zeros"],
+    "gibbs": ["DivergenceVerdict", "EnsembleConfig", "EstimatorReport",
+              "LayerCakeResult", "constrained_tail", "divergence_scan",
+              "estimate_partition", "layer_cake", "tail_curve"],
+    "groundstate": ["GroundState", "disc_gns_check", "gns_functional",
+                    "profile_function", "solve_ground_state"],
+    "radial2d": ["DiscQuadrature", "RadialBasis", "RadialField2D",
+                 "block_l4_expectation", "disc_quadrature", "evaluate_radial",
+                 "grad_l2_spectral_sq", "radial_basis", "radial_lp_norm",
+                 "sample_radials"],
+    "rng": ["rng_for"],
+    "spectral1d": ["SpectralField1D", "dyadic_project", "evaluate_coeff_rows",
+                   "h1_seminorm_sq", "l2_norm_spectral", "lp_norm",
+                   "sample_loops"],
+    "tails": ["DyadicSchedule", "FerniqueProbe", "TailCurve",
+              "bernstein_probe", "block_norm_samples_2d", "block_tail_2d",
+              "block_tail_empirical_2d", "chi2_tail_bound",
+              "chi2_tail_empirical", "dyadic_schedule", "fernique_probe",
+              "gaussian_mgf", "gaussian_mgf_mc", "gaussian_mgf_quadrature",
+              "high_freq_empirical_1d", "high_freq_tail_bound"],
+}
+
+
+def test_cli_loads_only_the_modules_it_runs(tmp_path):
+    # the scans, estimates and ground states never run tails or verify, and
+    # one worker runs its batches without concurrent.futures (which scipy,
+    # and so every 2D run, loads); the package namespace still holds every
+    # name it had, tails' ones loaded on use
+    code = f"""
+import sys
+
+def loaded():
+    return [m for m in ("gibbslab.tails", "gibbslab.verify",
+                        "concurrent.futures") if m in sys.modules
+            and (m != "concurrent.futures" or "scipy" not in sys.modules)]
+
+import gibbslab
+assert loaded() == [], f"on import gibbslab: {{loaded()}}"
+import gibbslab.cli
+assert loaded() == [], f"on import gibbslab.cli: {{loaded()}}"
+for dim, p in ((1, 6), (2, 4)):
+    for args in (["threshold-scan", "--ratios", "0.5", "--schedule", "16,32",
+                  "--samples", "500"],
+                 ["partition", "--ratio", "0.5", "--n-modes", "16",
+                  "--samples", "500", "--sampler", "soliton"],
+                 ["ground-state"]):
+        assert gibbslab.cli.main(args + [
+            "--dim", str(dim), "--p", str(p),
+            "--out-dir", {str(tmp_path)!r} + f"/{{dim}}-{{args[0]}}"]) == 0
+        assert loaded() == [], f"after {{dim}}D {{args[0]}}: {{loaded()}}"
+assert gibbslab.cli.main([
+    "tail-scan", "--dim", "1", "--n-modes", "16", "--samples", "200",
+    "--bernstein-trials", "100", "--k-list", "3", "--lambdas", "0.5",
+    "--out-dir", {str(tmp_path / "tail1d")!r}]) == 0
+assert loaded() == ["gibbslab.tails"], f"after a tail scan: {{loaded()}}"
+import importlib
+for module, names in {PACKAGE_NAMES!r}.items():
+    mod = importlib.import_module("gibbslab." + module)
+    for name in names:
+        assert getattr(gibbslab, name) is getattr(mod, name), name
+assert "gibbslab.verify" not in sys.modules
+"""
+    env = {**os.environ, "GIBBSLAB_WORKERS": "1"}
+    proc = run_python(["-c", code], env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_inject_fault_choices_are_verify_faults():
+    from gibbslab import cli, verify
+
+    assert cli._FAULTS == verify.FAULTS
+    proc = run_python(["-m", "gibbslab.cli", "verify", "--inject-fault",
+                       "no-such-fault"])
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr
 
 
 def test_benchmark_tracer_targets_exist():

@@ -102,6 +102,26 @@ def test_evaluate_coeff_rows_equals_scaled_irfft(grid_size):
     assert out.tobytes() == reference.tobytes()
 
 
+@pytest.mark.parametrize("grid_size", [2 ** k for k in range(2, 13)])
+def test_power_of_two_transform_equals_scaled_irfft(grid_size):
+    # a power-of-two grid skips the 1/M and M scalings, which are exact there
+    rng = np.random.default_rng(grid_size)
+    n_modes = grid_size // 4
+    unit = rng.standard_normal((3, n_modes)) \
+        + 1j * rng.standard_normal((3, n_modes))
+    for magnitude in 10.0 ** np.arange(-300, 301, 50):
+        coeffs = magnitude * unit
+        spec = np.zeros((3, n_modes + 1), dtype=complex)
+        spec[:, 1:] = coeffs
+        reference = grid_size * np.fft.irfft(spec, n=grid_size, axis=-1)
+        assert evaluate_coeff_rows(coeffs, grid_size).tobytes() \
+            == reference.tobytes(), magnitude
+        # the coefficients read in place from the spectrum buffer
+        assert evaluate_coeff_rows(spec[:, 1:], grid_size,
+                                   spectrum=spec).tobytes() \
+            == reference.tobytes(), magnitude
+
+
 def test_evaluate_coeff_rows_pads_its_spectrum_like_zeros():
     # the transform is given N + 1 frequencies and pads them to M/2 + 1
     # itself, here eight points per period of the top mode
