@@ -245,15 +245,19 @@ class _Ensemble1D:
         mean are its own.
 
         The coefficients are written straight into columns 1.. of the
-        slice's spectrum, whose column 0, the zero mode, the transform
-        sets; packing takes whole spectrum rows, so the transform reads
-        the coefficients where they are."""
+        slice's spectrum, column 0 holding the zero mode 0, and packing
+        takes whole spectrum rows, so the transform reads the coefficients
+        where they are. Writing into that strided view is slower than into
+        a contiguous array, so |c|^2 is taken over whole spectrum rows."""
         rows, n_modes = g.shape[:-1]
         spectrum = ws("spectrum", (rows, n_modes + 1), complex)
-        coeffs = gaussian_coeffs(g, self.weights, out=spectrum[:, 1:])
-        modsq = np.abs(coeffs, out=ws("modsq", (rows, n_modes)))
+        spectrum[:, 0] = 0.0
+        gaussian_coeffs(g, self.weights, out=spectrum[:, 1:])
+        # summed from column 1, each row adds the same values in the same
+        # order as over the coefficients alone
+        modsq = np.abs(spectrum, out=ws("modsq", spectrum.shape))
         np.multiply(modsq, modsq, out=modsq)
-        np.sum(modsq, axis=1, out=l2sq)
+        np.sum(modsq[:, 1:], axis=1, out=l2sq)
         l2sq *= 2.0
         keep = l2sq <= ksq
         kept = int(np.count_nonzero(keep))
