@@ -36,7 +36,8 @@ its own, so they change no bit. A 1D slice keeps its coefficients in
 columns 1..N of its spectrum buffer, the transform's input, and packs whole
 spectrum rows, so it holds no separate coefficient array. In 2D a matrix
 product rounds its last rows by the row count (see rng), so a slice keeps
-every row and is skipped only when none of its rows is needed. The tail estimators synthesize every row.
+every row and is skipped only when none of its rows is needed. The tail
+estimators synthesize every row.
 
 A threshold scan asks for the same estimate at several cutoffs and
 truncation levels with the same seed. A batch at one level is a prefix of
