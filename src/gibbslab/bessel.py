@@ -52,7 +52,7 @@ class BesselTable:
 
 def bessel_zeros(count: int) -> BesselTable:
     """First `count` positive zeros of J0, certified by validate()."""
-    if not isinstance(count, numbers.Integral):
+    if not isinstance(count, numbers.Integral) or isinstance(count, bool):
         raise ValueError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -20,7 +20,10 @@ a flag. GIBBSLAB_WORKERS sets the Monte Carlo worker count. A domain error
 (an out-of-range, empty, missing or conflicting option, an unreadable or
 malformed config file or one that sets a key twice, a --ratios value of 0,
 whose cutoff holds no sample, or a bad GIBBSLAB_WORKERS) ends with a
-one-line message and exit status 2, as argparse's usage errors do. A
+one-line message and exit status 2, as argparse's usage errors do. So
+does an output path that a run could not write, checked before any work:
+an --out-dir that exists as a non-directory or sits under one, or a
+--junit path that is a directory or sits under a non-directory. A
 command computes its results before it creates --out-dir, so a failed run
 writes nothing.
 """
@@ -163,6 +166,21 @@ def _cutoff(flag, ratio, mass):
         raise ValueError(f"{flag} {ratio!r} times the critical mass "
                          f"{mass:.6g} overflows to an infinite cutoff")
     return cutoff
+
+
+def _check_output_path(flag, path: Path, is_dir):
+    """Refuse a path that a run could not write: one that exists as a
+    directory when it should be a file or the other way round, or one whose
+    nearest existing ancestor is not a directory."""
+    if path.exists():
+        if path.is_dir() != is_dir:
+            what = "is not a directory" if is_dir else "is a directory"
+            raise ValueError(f"{flag} {path} {what}")
+        return
+    up = next(a for a in path.parents if a.exists())
+    if not up.is_dir():
+        raise ValueError(f"{flag} {path} is under {up}, which is not a "
+                         f"directory")
 
 
 def _write_csv(path: Path, header, rows):
@@ -470,9 +488,13 @@ def main(argv=None) -> int:
     try:
         rng.worker_count()
         if args.command == "verify":
+            if args.junit:
+                _check_output_path("--junit", Path(args.junit), is_dir=False)
             return _cmd_verify(args)
         fn, _, options = _COMMANDS[args.command]
-        return fn(_resolve(args, options), Path(args.out_dir))
+        out = Path(args.out_dir)
+        _check_output_path("--out-dir", out, is_dir=True)
+        return fn(_resolve(args, options), out)
     except ValueError as exc:
         print(f"{ap.prog} {args.command}: error: {exc}", file=sys.stderr)
         return 2

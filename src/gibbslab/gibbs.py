@@ -92,6 +92,11 @@ def _is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """A real number of Python or numpy, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     dim: int
@@ -105,8 +110,12 @@ class EnsembleConfig:
     calibration: bool = False      # replace the Gibbs exponent by 0
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
+        if isinstance(self.dim, bool) or self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
+        for name in ("p", "cutoff"):
+            value = getattr(self, name)
+            if not _is_real(value):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 1 <= self.p < math.inf:
             raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
         if not self.cutoff >= 0:
@@ -537,6 +546,9 @@ def constrained_tails(cfg: EnsembleConfig, lams,
         raise ValueError("constrained_tails has no calibration mode, got "
                          "calibration=True")
     lams = [float(lam) for lam in lams]
+    if not lams:
+        raise ValueError("constrained_tails needs at least one level, got "
+                         "none")
     for lam in lams:
         if not lam >= 0:
             raise ValueError(f"lam must be >= 0, got {lam!r}")
@@ -663,6 +675,11 @@ def divergence_scan(cfgs, n_schedule) -> list[DivergenceVerdict]:
     classified by the pre-registered drift-slope rule: one verdict per config
     of cfgs, which differ only in cutoff (their n_modes is the schedule's).
     At each N every cutoff is scored from one pass over the draws."""
+    n_schedule = list(n_schedule)
+    for n in n_schedule:
+        if not _is_integer(n):
+            raise ValueError(f"the schedule n_schedule holds {n!r}, which is "
+                             f"not an integer")
     n_schedule = [int(n) for n in n_schedule]
     if not n_schedule:
         raise ValueError("the schedule n_schedule is empty; it needs an N")

@@ -147,20 +147,17 @@ def _newton_2d(p: int, r_max: float, n_cells: int, guess):
     phi = np.asarray(guess(r), dtype=float)
     phi[-2:] = 0.0
     h2 = 12.0 * h * h
-    h1 = 12.0 * h
 
     def fd_ops(f):
         d2 = np.zeros_like(f)
-        d1 = np.zeros_like(f)
         i = np.arange(2, n - 2)
         d2[i] = (-f[i - 2] + 16 * f[i - 1] - 30 * f[i] + 16 * f[i + 1]
                  - f[i + 2]) / h2
-        d1[i] = (f[i - 2] - 8 * f[i - 1] + 8 * f[i + 1] - f[i + 2]) / h1
         # even extension through r=0: f[-k] = f[k]
         d2[0] = (-2 * f[2] + 32 * f[1] - 30 * f[0]) / h2
         d2[1] = (16 * f[0] - 31 * f[1] + 16 * f[2] - f[3]) / h2
-        d1[1] = (f[1] - 8 * f[0] + 8 * f[2] - f[3]) / h1
-        return d2, d1
+        # the residual reads d1 on rows 1..n-3 only
+        return d2, _fd_derivative(f, h)
 
     def residual_vec(f):
         d2, d1 = fd_ops(f)
@@ -175,7 +172,7 @@ def _newton_2d(p: int, r_max: float, n_cells: int, guess):
     def jacobian(f):
         ab = np.zeros((5, n))
         lap2 = (p - 2) / h2
-        adv = (p - 2) / h1
+        adv = (p - 2) / (12.0 * h)
         ab[2, 0] = 2 * (-30.0) * lap2 - (p + 2) + (p - 1) * f[0] ** (p - 2)
         ab[1, 1] = 2 * 32.0 * lap2
         ab[0, 2] = 2 * (-2.0) * lap2

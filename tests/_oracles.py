@@ -1,14 +1,20 @@
-"""Independent numerical oracles used by the test suite.
+"""Independent numerical oracles used by the test suite, one copy of each.
 
-These deliberately avoid the package's own code paths: a fixed-step RK4
-shooting solve of the standard-normalized 2D equation, and a bisection root
-finder on a locally coded J0 power series.
+These deliberately avoid the package's own code paths (test_oracles.py
+checks it): rk4_standard_ground_state_2d, a fixed-step RK4 shooting solve of
+the standard-normalized 2D equation, cached so that a session runs it once;
+series_j0 and bisect_series_zero, a bisection root finder on a locally
+coded J0 power series; and bump_corpus, the random Gaussian bumps of the
+GNS minimality checks. The whole-batch Monte Carlo rows at the end read
+ensembles on purpose: the row-slicing estimators are held to them.
 """
+import functools
 import math
 
 import numpy as np
 
 
+@functools.lru_cache(maxsize=None)
 def rk4_standard_ground_state_2d(h=2.5e-4, r_end=12.0):
     """Solve Lap(psi) - psi + psi^3 = 0 radially; return (psi0, mass_sq)."""
     steps = int(r_end / h)
@@ -64,6 +70,7 @@ def rk4_standard_ground_state_2d(h=2.5e-4, r_end=12.0):
 
 
 def series_j0(x):
+    """J0 from its direct power series, enough terms for x <= 8."""
     total, term = 1.0, 1.0
     for j in range(1, 40):
         term *= -(x * x / 4.0) / (j * j)
@@ -72,7 +79,9 @@ def series_j0(x):
 
 
 def bisect_series_zero(lo, hi):
+    """The zero of series_j0 in [lo, hi], which must change its sign."""
     flo = series_j0(lo)
+    assert flo * series_j0(hi) < 0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if flo * series_j0(mid) <= 0:
@@ -80,6 +89,19 @@ def bisect_series_zero(lo, hi):
         else:
             lo, flo = mid, series_j0(mid)
     return 0.5 * (lo + hi)
+
+
+def bump_corpus(rng, grid, dim):
+    """One to three random Gaussian bumps on grid, damped at its edge."""
+    f = np.zeros_like(grid)
+    for _ in range(rng.integers(1, 4)):
+        c = rng.uniform(0.0, 4.0) if dim == 2 else rng.uniform(-4.0, 4.0)
+        f += (rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
+              * np.exp(-((grid - c) / rng.uniform(0.4, 2.5)) ** 2))
+    f *= np.exp(-(grid / 9.0) ** 6)
+    if np.max(np.abs(f)) < 1e-3:
+        f += np.exp(-grid ** 2)
+    return f
 
 
 # ------------------------------------------------ whole-batch Monte Carlo rows

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.stats import norm as normal_dist
 
 import _oracles
+from _oracles import bump_corpus as _corpus
 from gibbslab import verify
 from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (EnsembleConfig, divergence_scan,
@@ -85,18 +86,6 @@ def test_acceptance_03_gns_minimality():
     _report(3, f"2000 corpus functions all above the minimum "
                f"(smallest gap {worst_gap:.3f}); rescaled profiles within "
                f"1e-6")
-
-
-def _corpus(rng, grid, dim):
-    f = np.zeros_like(grid)
-    for _ in range(rng.integers(1, 4)):
-        c = rng.uniform(0.0, 4.0) if dim == 2 else rng.uniform(-4.0, 4.0)
-        f += (rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
-              * np.exp(-((grid - c) / rng.uniform(0.4, 2.5)) ** 2))
-    f *= np.exp(-(grid / 9.0) ** 6)
-    if np.max(np.abs(f)) < 1e-3:
-        f += np.exp(-grid ** 2)
-    return f
 
 
 def test_acceptance_04_gradient_parseval_2d(table64):

@@ -1,7 +1,7 @@
 """Bessel evaluation and the certified zero table.
 
-The zero oracle here is deliberately independent of the package path: a
-bisection on a locally coded power series for the small zeros, and scipy's
+The zero oracle here is deliberately independent of the package path: the
+bisection on a power series in _oracles.py for the small zeros, and scipy's
 J0 sign changes for the deep table.
 """
 import math
@@ -10,29 +10,9 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
+import _oracles
 from gibbslab.bessel import BesselTable, bessel_j0, bessel_zeros
 from gibbslab.cli import main
-
-
-def _series_j0(x):
-    # direct power series, enough terms for x <= 8
-    total, term = 1.0, 1.0
-    for j in range(1, 40):
-        term *= -(x * x / 4.0) / (j * j)
-        total += term
-    return total
-
-
-def _bisect(f, lo, hi):
-    flo = f(lo)
-    assert flo * f(hi) < 0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if flo * f(mid) <= 0:
-            hi = mid
-        else:
-            lo, flo = mid, f(mid)
-    return 0.5 * (lo + hi)
 
 
 def test_j0_at_zero_is_one():
@@ -40,14 +20,14 @@ def test_j0_at_zero_is_one():
 
 
 def test_first_zero_matches_series_bisection():
-    z = _bisect(_series_j0, 2.0, 3.0)
+    z = _oracles.bisect_series_zero(2.0, 3.0)
     assert abs(z - 2.404825557695773) < 1e-12
     assert abs(bessel_j0(z)) < 1e-12
 
 
 def test_first_two_zeros_against_oracle(table200):
-    z1 = _bisect(_series_j0, 2.0, 3.0)
-    z2 = _bisect(_series_j0, 5.0, 6.0)
+    z1 = _oracles.bisect_series_zero(2.0, 3.0)
+    z2 = _oracles.bisect_series_zero(5.0, 6.0)
     assert abs(table200.zeros[0] - z1) < 1e-12
     assert abs(table200.zeros[1] - z2) < 1e-12
 
@@ -84,8 +64,9 @@ def test_bad_count_rejected():
 
 
 def test_non_integer_count_rejected():
-    with pytest.raises(ValueError, match="integer"):
-        bessel_zeros(2.5)
+    for count in (2.5, True, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="integer"):
+            bessel_zeros(count)
 
 
 def test_csv_export(tmp_path):

@@ -228,16 +228,33 @@ DOMAIN_ERRORS = [
      "the soliton shift at the cutoff 1e+200 has energy inf"),
     (["threshold-scan", "--ratios", "0.5,0"], "1",
      "--ratios 0.0 is a cutoff of 0, which holds no sample"),
+    # output paths a run could not write, refused before any work: in the
+    # run's working directory afile is a file and adir a directory
+    (["bessel-table", "--count", "5", "--out-dir", "afile"], "1",
+     "--out-dir afile is not a directory"),
+    (["threshold-scan", "--dim", "1", "--ratios", "0.5", "--schedule",
+      "16,32", "--samples", "2000", "--out-dir", "afile/x"], "1",
+     "--out-dir afile/x is under afile, which is not a directory"),
+    (["ground-state", "--out-dir", "afile/x/y"], "1",
+     "--out-dir afile/x/y is under afile, which is not a directory"),
+    (["verify", "--junit", "adir"], "1", "--junit adir is a directory"),
+    (["verify", "--junit", "afile/report.xml"], "1",
+     "--junit afile/report.xml is under afile, which is not a directory"),
 ]
 
 
 def _error_case_args(tmp_path, args):
-    """args with the config files written and named by path, and the
-    --out-dir that a failed run must not create."""
+    """args with the config files written and named by path, afile and adir
+    made in tmp_path, and the --out-dir that a failed run must not create
+    unless args name their own or run verify, which has none."""
     for name, text in CONFIGS.items():
         (tmp_path / name).write_text(text)
-    return [str(tmp_path / a) if a.endswith(".cfg") else a for a in args] \
-        + ["--out-dir", str(tmp_path / "out")]
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "adir").mkdir()
+    args = [str(tmp_path / a) if a.endswith(".cfg") else a for a in args]
+    if args[0] == "verify" or "--out-dir" in args:
+        return args
+    return args + ["--out-dir", str(tmp_path / "out")]
 
 
 @pytest.mark.parametrize("args, workers, message", DOMAIN_ERRORS)
@@ -245,12 +262,15 @@ def test_domain_errors_exit_2_with_one_line(tmp_path, capsys, monkeypatch,
                                             args, workers, message):
     args = _error_case_args(tmp_path, args)
     monkeypatch.setenv("GIBBSLAB_WORKERS", workers)
+    monkeypatch.chdir(tmp_path)
     returncode = main(args)
     stderr = capsys.readouterr().err
     assert returncode == 2
     assert len(stderr.splitlines()) == 1
     assert message in stderr
     assert not (tmp_path / "out").exists()      # a failed run writes nothing
+    assert sorted(p.name for p in tmp_path.rglob("*")) == \
+        sorted([*CONFIGS, "afile", "adir"])
 
 
 # the module entry point and the worker count read from the environment of

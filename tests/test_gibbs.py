@@ -124,6 +124,11 @@ def test_nan_p_rejected():
     ("grid_size", 64.0, "grid_size must be an integer or None, got 64.0"),
     ("grid_size", True, "grid_size must be an integer or None, got True"),
     ("calibration", "no", "calibration must be True or False, got 'no'"),
+    ("p", True, "p must be a number, got True"),
+    ("p", "6", "p must be a number, got '6'"),
+    ("cutoff", "1", "cutoff must be a number, got '1'"),
+    ("cutoff", False, "cutoff must be a number, got False"),
+    ("dim", True, "dim must be 1 or 2"),
 ])
 def test_mistyped_fields_and_negative_seed_rejected(field, value, message):
     fields = dict(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=10, seed=0)
@@ -167,6 +172,16 @@ def test_constrained_tail_rejects_bad_level(lam):
         constrained_tail(cfg, lam)
     with pytest.raises(ValueError, match="lam must be >= 0"):
         constrained_tails(cfg, [0.0, lam])
+
+
+def test_constrained_tails_rejects_an_empty_level_list():
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=100)
+    with mock.patch("gibbslab.rng.batches",
+                    side_effect=AssertionError("drew samples")), \
+            pytest.raises(ValueError) as info:
+        constrained_tails(cfg, [])
+    assert str(info.value) == \
+        "constrained_tails needs at least one level, got none"
 
 
 def test_constrained_tail_nonincreasing_in_level():
@@ -327,6 +342,28 @@ def test_scan_rejects_unsorted_schedule():
                          seed=0)
     with pytest.raises(ValueError):
         divergence_scan([cfg], [32, 16])
+
+
+@pytest.mark.parametrize("schedule, bad", [
+    ([16.7, 32.2], "16.7"), ([True, 32], "True"), (["16", "32"], "'16'"),
+    ([16, np.float64(32.0)], "np.float64(32.0)")])
+def test_scan_rejects_a_non_integer_schedule(schedule, bad):
+    # int() made them N = 16, 32 (or 1, 32) and ran
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=16, n_samples=100,
+                         seed=0)
+    with mock.patch("gibbslab.gibbs._estimate_levels",
+                    side_effect=AssertionError("set up the scan")), \
+            pytest.raises(ValueError) as info:
+        divergence_scan([cfg], schedule)
+    assert str(info.value) == \
+        f"the schedule n_schedule holds {bad}, which is not an integer"
+
+
+def test_scan_accepts_numpy_integers():
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=16, n_samples=100,
+                         seed=0)
+    assert divergence_scan([cfg], np.array([16, 32])) == \
+        divergence_scan([cfg], [16, 32])
 
 
 @pytest.mark.parametrize("dim", [1, 2])

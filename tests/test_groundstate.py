@@ -2,8 +2,8 @@
 
 Oracles here are independent of the package code paths: the 1D mass comes
 from scaling algebra done inline (a, b, and the sech integrals), and the 2D
-mass from a locally coded fixed-step RK4 shooting solve of the
-standard-normalized equation, rescaled.
+mass from the fixed-step RK4 shooting solve of the standard-normalized
+equation in _oracles.py, rescaled.
 """
 import hashlib
 import math
@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import simpson
 from scipy.interpolate import CubicSpline
 
+import _oracles
 from gibbslab.groundstate import (_BETA_HALF, _clamped_spline, _simpson,
                                   _validate_dim_p, disc_gns_check,
                                   gns_functional, profile_function,
@@ -93,68 +94,8 @@ def test_beta_table_matches_scipy_bit_for_bit():
             assert float(_BETA_HALF[a]).hex() == float(beta(a, 0.5)).hex()
 
 
-def _rk4_townes_mass_sq():
-    """Independent shooting solve of Lap(psi) - psi + psi^3 = 0 in 2D."""
-    h = 2.5e-4
-    r_end = 12.0
-    steps = int(r_end / h)
-
-    def rhs(r, f, fp):
-        lap = f - f ** 3
-        return fp, lap - (fp / r if r > 1e-12 else 0.0)
-
-    def shoot(s):
-        f, fp = s, 0.0
-        r = 1e-9
-        for _ in range(steps):
-            k1f, k1p = rhs(r, f, fp)
-            k2f, k2p = rhs(r + h / 2, f + h / 2 * k1f, fp + h / 2 * k1p)
-            k3f, k3p = rhs(r + h / 2, f + h / 2 * k2f, fp + h / 2 * k2p)
-            k4f, k4p = rhs(r + h, f + h * k3f, fp + h * k3p)
-            f += h / 6 * (k1f + 2 * k2f + 2 * k3f + k4f)
-            fp += h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-            r += h
-            if f < 0.0:
-                return "cross", None, None
-            if fp > 0.0:
-                return "turn", None, None
-        return "decay", None, None
-
-    lo, hi = 2.0, 2.5
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        out, _, _ = shoot(mid)
-        if out == "cross":
-            hi = mid
-        else:
-            lo = mid
-    s = 0.5 * (lo + hi)
-
-    # final pass accumulating the mass integral on the fly (Simpson)
-    f, fp = s, 0.0
-    r = 1e-9
-    vals = [f * f * r]
-    for _ in range(steps):
-        k1f, k1p = rhs(r, f, fp)
-        k2f, k2p = rhs(r + h / 2, f + h / 2 * k1f, fp + h / 2 * k1p)
-        k3f, k3p = rhs(r + h / 2, f + h / 2 * k2f, fp + h / 2 * k2p)
-        k4f, k4p = rhs(r + h, f + h * k3f, fp + h * k3p)
-        f += h / 6 * (k1f + 2 * k2f + 2 * k3f + k4f)
-        fp += h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p)
-        r += h
-        if f < 1e-9:
-            f = 0.0
-        vals.append(f * f * r)
-    vals = np.array(vals)
-    if len(vals) % 2 == 0:
-        vals = vals[:-1]
-    integral = h / 3 * (vals[0] + vals[-1] + 4 * vals[1:-1:2].sum()
-                        + 2 * vals[2:-1:2].sum())
-    return s, 2 * math.pi * integral
-
-
 def test_mass_2d_p4_against_independent_shooting():
-    s, townes_mass_sq = _rk4_townes_mass_sq()
+    s, townes_mass_sq = _oracles.rk4_standard_ground_state_2d()
     assert abs(s - 2.2062008647) < 1e-6
     gs = solve_ground_state(2, 4)
     # the solved equation is a dilation of the standard one doubling mass^2
@@ -315,20 +256,8 @@ def test_minimality_over_random_corpus():
         gs = solve_ground_state(dim, p)
         grid = _grids(dim, 2401)
         for _ in range(1000):
-            f = _corpus_function(rng, grid, dim)
+            f = _oracles.bump_corpus(rng, grid, dim)
             assert gns_functional(grid, f, dim, p) >= gs.j_min - 1e-9
-
-
-def _corpus_function(rng, grid, dim):
-    f = np.zeros_like(grid)
-    for _ in range(rng.integers(1, 4)):
-        c = rng.uniform(0.0, 4.0) if dim == 2 else rng.uniform(-4.0, 4.0)
-        f += (rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
-              * np.exp(-((grid - c) / rng.uniform(0.4, 2.5)) ** 2))
-    f *= np.exp(-(grid / 9.0) ** 6)
-    if np.max(np.abs(f)) < 1e-3:
-        f += np.exp(-grid ** 2)
-    return f
 
 
 def test_functional_rejects_vanishing_input():
