@@ -29,6 +29,7 @@ writes nothing.
 """
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
@@ -500,5 +501,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run():
+    """The process entry of ``python -m gibbslab.cli`` and of the installed
+    ``gibbslab`` script: main, then exit with its status. The heap is
+    frozen first (gc.freeze), so the interpreter's shutdown skips its full
+    collections over the tens of thousands of objects that numpy and scipy
+    load, which cost a run more time than anything they could free is
+    worth. atexit handlers and stream flushes run as they always do; an
+    exception or argparse's SystemExit leaves without the freeze. In-process
+    callers call main and keep normal collection."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

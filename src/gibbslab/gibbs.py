@@ -97,6 +97,16 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _real_floats(values, what) -> list[float]:
+    """values as floats, refused unless each is a real number by _is_real:
+    float() would turn True into the level 1.0 and "2" into 2.0."""
+    values = list(values)
+    for value in values:
+        if not _is_real(value):
+            raise ValueError(f"{what} must be numbers, got {value!r}")
+    return [float(value) for value in values]
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     dim: int
@@ -545,7 +555,7 @@ def constrained_tails(cfg: EnsembleConfig, lams,
     if cfg.calibration:
         raise ValueError("constrained_tails has no calibration mode, got "
                          "calibration=True")
-    lams = [float(lam) for lam in lams]
+    lams = _real_floats(lams, "constrained_tails levels")
     if not lams:
         raise ValueError("constrained_tails needs at least one level, got "
                          "none")
@@ -592,7 +602,7 @@ def tail_curve(cfg: EnsembleConfig, lams) -> list[EstimatorReport]:
     in one pass. The next change to the benchmark deletes it.
     """
     n_batches = (cfg.n_samples + BATCH_SIZE - 1) // BATCH_SIZE
-    return [constrained_tail(cfg, float(lam), stream_offset=i * n_batches)
+    return [constrained_tail(cfg, lam, stream_offset=i * n_batches)
             for i, lam in enumerate(lams)]
 
 
@@ -623,7 +633,7 @@ def layer_cake(cfg: EnsembleConfig, lams) -> LayerCakeResult:
     if cfg.calibration:
         raise ValueError("layer_cake has no calibration mode, got "
                          "calibration=True")
-    lams = np.asarray(lams, dtype=float)
+    lams = np.asarray(_real_floats(lams, "layer cake levels"))
     if len(lams) < 2:
         raise ValueError(f"layer cake needs at least two levels, "
                          f"got {len(lams)}")

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .gibbs import _real_floats
 from .radial2d import BesselTable, _disc_l4_norms, block_l4_expectation
 from .rng import Workspace, batches, row_slices, slices
 from .spectral1d import (evaluate_coeff_rows, gaussian_coeffs, lp_norm,
@@ -49,9 +50,9 @@ class TailCurve:
 
 
 def _levels(levels) -> np.ndarray:
-    """levels as a float array, refused unless they are numbers in strictly
-    increasing order; the curves call it before any draw."""
-    levels = np.asarray(levels, dtype=float)
+    """levels as a float array, refused unless they are numbers (not bools)
+    in strictly increasing order; the curves call it before any draw."""
+    levels = np.asarray(_real_floats(levels, "levels"))
     if np.any(np.isnan(levels)):
         raise ValueError("levels must be numbers, got NaN")
     if np.any(np.diff(levels) <= 0):

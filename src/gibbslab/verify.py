@@ -48,13 +48,13 @@ class CheckResult:
 
 
 def _check(name, fn, results):
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         passed, measured = fn()
     except Exception as exc:                  # a crash is a failure, not an abort
         passed, measured = False, f"raised {type(exc).__name__}: {exc}"
     results.append(CheckResult(name, bool(passed), measured,
-                               time.time() - t0))
+                               time.perf_counter() - t0))
 
 
 def run_all(inject_fault: str | None = None) -> list[CheckResult]:
@@ -143,9 +143,9 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
             f"max quadrature mismatch {worst_rel:.2e}")
 
     def ground_state_1d():
-        t0 = time.time()
+        t0 = time.perf_counter()
         gs = solve_ground_state(1, 6)
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         m_err = abs(gs.mass ** 2 - math.sqrt(3) * math.pi) / (math.sqrt(3) * math.pi)
         ident = abs(gs.gns_constant * gs.mass ** (gs.p - 2) - gs.p / 2.0)
         ok = m_err < 1e-8 and ident < 1e-12 and gs.residual_max < 1e-8

@@ -1,4 +1,5 @@
 """Command-line behavior: files, determinism, config precedence, verify."""
+import gc
 import hashlib
 import json
 import math
@@ -545,6 +546,62 @@ def test_command_outputs_golden(tmp_path, name):
     assert run_cli([*args, "--out-dir", str(tmp_path)]) == 0
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
             for f in tmp_path.iterdir()} == digests
+
+
+# ------------------------------------------------------- the process entry
+# python -m gibbslab.cli and the installed gibbslab script run cli.run,
+# which freezes the heap before it exits with main's status
+
+def test_module_entry_writes_the_golden_bytes(tmp_path):
+    # a frozen exit must not cut a file short
+    args, digests = OUTPUT_GOLDEN["threshold-scan-2d"]
+    proc = run_python(["-m", "gibbslab.cli", *args,
+                       "--out-dir", str(tmp_path)])
+    assert proc.returncode == 0, proc.stderr
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in tmp_path.iterdir()} == digests
+
+
+@pytest.mark.parametrize("args, status", [
+    (["bessel-table", "--count", "3"], 0),
+    (["bessel-table", "--count", "0"], 2)], ids=["ok", "domain-error"])
+def test_module_entry_runs_atexit_handlers_and_keeps_the_status(
+        tmp_path, args, status):
+    code = """
+import atexit, runpy
+atexit.register(print, "atexit handler ran")
+runpy.run_module("gibbslab.cli", run_name="__main__")
+"""
+    proc = run_python(["-c", code, *args, "--out-dir", str(tmp_path)])
+    assert proc.returncode == status, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "atexit handler ran"
+
+
+def test_in_process_main_leaves_the_heap_unfrozen(tmp_path):
+    before = gc.get_freeze_count()
+    assert main(["bessel-table", "--count", "3",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_installed_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    import ast
+    import importlib
+
+    from gibbslab import cli
+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    module, _, name = project["scripts"]["gibbslab"].partition(":")
+    script = getattr(importlib.import_module(module), name)
+    # the one call of cli.py's `if __name__ == "__main__":` block
+    block, = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+              if isinstance(node, ast.If)
+              and ast.unparse(node.test) == "__name__ == '__main__'"]
+    stmt, = block.body
+    assert isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)
+    assert not stmt.value.args and not stmt.value.keywords
+    assert script is getattr(cli, stmt.value.func.id)
 
 
 def test_json_outputs_write_non_finite_floats_as_strings(tmp_path):

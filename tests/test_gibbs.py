@@ -264,6 +264,31 @@ def test_tail_estimators_refuse_calibration(estimator, name):
         f"{name} has no calibration mode, got calibration=True"
 
 
+# float() took True as the level 1.0: constrained_tails(cfg, [True]) gave
+# 0.0 and layer_cake(cfg, [False, True]) an estimate of 1.0
+@pytest.mark.parametrize("estimator, lams, message", [
+    (constrained_tails, [True],
+     "constrained_tails levels must be numbers, got True"),
+    (lambda cfg, lams: constrained_tail(cfg, lams[0]), [True],
+     "constrained_tails levels must be numbers, got True"),
+    (tail_curve, [np.True_],
+     "constrained_tails levels must be numbers, got np.True_"),
+    (layer_cake, [False, True], "layer cake levels must be numbers, got "
+                                "False"),
+    (layer_cake, [0.0, "1.5"], "layer cake levels must be numbers, got "
+                               "'1.5'")],
+    ids=["constrained_tails", "constrained_tail", "tail_curve", "layer_cake",
+         "layer_cake-string"])
+def test_tail_estimators_refuse_levels_that_are_not_numbers(estimator, lams,
+                                                            message):
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=100)
+    with mock.patch("gibbslab.rng.batches",
+                    side_effect=AssertionError("drew samples")), \
+            pytest.raises(ValueError) as info:
+        estimator(cfg, lams)
+    assert str(info.value) == message
+
+
 def test_layer_cake_requires_zero_level():
     cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=8, n_samples=100)
     with pytest.raises(ValueError, match=r"^layer cake levels must start at "

@@ -413,6 +413,12 @@ BAD_TAIL_ARGUMENTS = [
                                                       1.0), "NaN"),
     ("nan-level-2d", lambda t: block_tail_empirical_2d(
         3, [1.0, NAN], 32, 100, t, 0.7, 0.45), "NaN"),
+    # float() took True as the level 1.0
+    ("bool-level-chi2", lambda t: chi2_tail_empirical(1, [True, 2.0], 100),
+     "^levels must be numbers, got True$"),
+    ("bool-level-2d", lambda t: block_tail_empirical_2d(
+        3, np.array([False, True]), 32, 100, t, 0.7, 0.45),
+     "^levels must be numbers, got np.False_$"),
     ("bernstein-c-zero",
      lambda t: high_freq_tail_bound(3, 1.0, 1.0 / 12.0, 6.0, 0.0),
      "bernstein_c must be positive"),
