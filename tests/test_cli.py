@@ -563,8 +563,10 @@ def test_module_entry_writes_the_golden_bytes(tmp_path):
 
 
 @pytest.mark.parametrize("args, status", [
-    (["bessel-table", "--count", "3"], 0),
-    (["bessel-table", "--count", "0"], 2)], ids=["ok", "domain-error"])
+    (["bessel-table", "--count", "3", "--out-dir", "out"], 0),
+    (["verify", "--inject-fault", "j1-normalization"], 1),
+    (["bessel-table", "--count", "0", "--out-dir", "out"], 2)],
+    ids=["ok", "failed-check", "domain-error"])
 def test_module_entry_runs_atexit_handlers_and_keeps_the_status(
         tmp_path, args, status):
     code = """
@@ -572,7 +574,7 @@ import atexit, runpy
 atexit.register(print, "atexit handler ran")
 runpy.run_module("gibbslab.cli", run_name="__main__")
 """
-    proc = run_python(["-c", code, *args, "--out-dir", str(tmp_path)])
+    proc = run_python(["-c", code, *args], cwd=tmp_path)
     assert proc.returncode == status, proc.stderr
     assert proc.stdout.splitlines()[-1] == "atexit handler ran"
 
