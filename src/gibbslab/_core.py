@@ -8,6 +8,12 @@ import numpy as np
 BACKEND = "numpy"
 
 
+def _even_integer(p):
+    """The integer p, if it is an even integer >= 2, else None."""
+    ip = int(round(p))
+    return ip if ip == p and ip % 2 == 0 and ip >= 2 else None
+
+
 def _abs_power(v, p, out=None):
     """|v|^p; an even integer p is multiplied out left to right,
     ((w*w)*w)... with w = v*v, instead of going through the generic power.
@@ -16,9 +22,10 @@ def _abs_power(v, p, out=None):
 
     With out, an array of v's shape, |v|^p is left in out and nothing is
     allocated; for an even p >= 6, v (then a float64 array) is overwritten
-    with w, which the chain reads after out holds w*w."""
-    ip = int(round(p))
-    if not (ip == p and ip % 2 == 0 and ip >= 2):
+    with w, which the chain reads after out holds w*w, so out may be v
+    itself only where power_in_place(p)."""
+    ip = _even_integer(p)
+    if ip is None:
         if out is None:
             return np.abs(v) ** p
         return np.power(np.abs(v, out=out), p, out=out)
@@ -30,6 +37,13 @@ def _abs_power(v, p, out=None):
     for _ in range(ip // 2 - 2):
         np.multiply(out, w, out=out)
     return out
+
+
+def power_in_place(p) -> bool:
+    """Whether _abs_power(v, p, out=v) is |v|^p: for every p but an even
+    integer p >= 6, whose chain reads w = v*v after writing out."""
+    ip = _even_integer(p)
+    return ip is None or ip <= 4
 
 
 def abs_power_mean(values, p, out=None):

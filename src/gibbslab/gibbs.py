@@ -24,8 +24,11 @@ observable signature of a divergent partition function.
 Each batch is read once, front to back, from its stream through
 rng.slices, and every slice-sized array comes from the pass's rng.Workspace,
 a set per worker thread; none of this changes a result bit (see rng). What
-a batch holds whole are its per-row log-weights, |u|^p integrals and norms,
-since its sums run over them in one piece.
+a batch holds whole is what its sums read, since they run over each row
+vector in one piece: a partition estimate folds each slice at once into one
+Gibbs exponent and one inside flag per row and cutoff, and a tail estimate
+into the norm ||u||_p, the inside flag and the importance weight of each
+row.
 
 The indicator gives a row outside every cutoff no weight, so the partition
 estimators compute each slice's ||u||_2^2 first and synthesize int |u|^p
@@ -36,7 +39,10 @@ its own, so they change no bit. A 1D slice keeps its coefficients in
 columns 1..N of its spectrum buffer, the transform's input, and packs whole
 spectrum rows, so it holds no separate coefficient array. In 2D a matrix
 product rounds its last rows by the row count (see rng), so a slice keeps
-every row and is skipped only when none of its rows is needed. The tail
+every row and is skipped only when none of its rows is needed; it takes
+|v|^p in place in its grid values, and so holds one grid-sized array where
+a 1D slice holds two, and its slices are twice as tall (but for an even
+p >= 6, whose power chain cannot run in place; see _core). The tail
 estimators synthesize every row.
 
 A threshold scan asks for the same estimate at several cutoffs and
@@ -72,7 +78,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._core import abs_power_mean, weighted_abs_power_sum
+from ._core import abs_power_mean, power_in_place, weighted_abs_power_sum
 from .bessel import bessel_zeros
 from .groundstate import profile_function, solve_ground_state
 from .radial2d import RadialBasis, radial_basis
@@ -252,6 +258,7 @@ class _Ensemble1D:
         self.weights = spectral_weights(cfg.n_modes)
         self.width = cfg.resolved_grid_size()       # grid points per row
         self.row_shape = (cfg.n_modes, 2)           # normals per row
+        self.grid_arrays = 2                        # the grid and |u|^p
         self.theta = None
         if cfg.sampler == "soliton":
             self.theta, self.theta_energy = _soliton_shift(
@@ -306,6 +313,8 @@ class _Ensemble2D:
         self.area_w = basis.quad.area_weights
         self.width = basis.quad.count               # quadrature nodes per row
         self.row_shape = (cfg.n_modes,)             # normals per row
+        # |v|^p overwrites the grid values, but for an even p >= 6
+        self.grid_arrays = 1 if power_in_place(cfg.p) else 2
         self.theta = None
         if cfg.sampler == "soliton":
             self.theta, self.theta_energy = _soliton_shift(
@@ -317,17 +326,19 @@ class _Ensemble2D:
         """Fill l2sq with ||v||_2^2 of each row of Gaussians g, and power
         with int |v|^p, NaN on every row when no row has ||v||_2^2 <= ksq.
         Rows are never dropped from the product: its last rows round by the
-        row count (rng.py)."""
+        row count (rng.py). |a|^2 is taken in the grid values' buffer, which
+        is free until the product, and |v|^p over the grid values."""
         coeffs = np.multiply(g, self.inv_z, out=ws("coeffs", g.shape))
-        np.sum(np.multiply(coeffs, coeffs, out=ws("modsq", g.shape)), axis=1,
+        np.sum(np.multiply(coeffs, coeffs, out=ws("vals", g.shape)), axis=1,
                out=l2sq)
         if not np.any(l2sq <= ksq):
             power.fill(math.nan)
             return
         vals = np.matmul(coeffs, self.matrix_t,
                          out=ws("vals", (len(g), self.width)))
+        out = vals if self.grid_arrays == 1 else ws("power", vals.shape)
         power[:] = weighted_abs_power_sum(vals, self.area_w, self.cfg.p,
-                                          out=ws("power", vals.shape))
+                                          out=out)
 
 
 def _make_ensembles(cfgs, basis=None):
@@ -379,37 +390,35 @@ def _log_weights(ens, rows):
     return math.log(2.0) - np.logaddexp(0.0, log_rho)
 
 
-def _batch_rows(levels, gen, b, bounds, ws):
-    """Per-row (log weight, int |u|^p, ||u||_2^2) of a batch of b rows drawn
-    from gen, for every cutoff of every level: one (3, cutoffs, b) array per
-    level. levels[i] holds the ensembles of a level, one per cutoff, and
-    bounds[i] the squared L2 norm up to which each needs int |u|^p (NaN
-    above it); ws is the pass's rng.Workspace.
+def _batch_slices(levels, gen, b, bounds, ws):
+    """(i, c, lo, hi, log_w, power, l2sq) for every row slice lo:hi of a
+    batch of b rows drawn from gen and every cutoff c of every level i: the
+    slice's log weights, int |u|^p and ||u||_2^2, the last two in arrays of
+    the pass's rng.Workspace ws that are valid until the next slice.
+    levels[i] holds the ensembles of a level, one per cutoff, and bounds[i]
+    the squared L2 norm up to which each needs int |u|^p (NaN above it).
 
     Cutoffs whose proposal rows are the same share their synthesis, up to
     the largest bound: always under the plain and tilted proposals, and
     under the soliton on the slices wholly in the unshifted bottom half.
     """
     half = b // 2
-    per_level = [np.empty((3, len(ensembles), b)) for ensembles in levels]
     for i, lo, hi, g in rng.slices(
-            gen, b, [(ens[0].row_shape, ens[0].width) for ens in levels]):
-        log_w, power, l2sq = per_level[i]
+            gen, b, [(ens[0].row_shape, ens[0].width, ens[0].grid_arrays)
+                     for ens in levels]):
         ensembles = levels[i]
+        power = ws("row_power", (hi - lo,))
+        l2sq = ws("row_l2sq", (hi - lo,))
         if ensembles[0].theta is None or hi <= half:
             rows = _proposal_rows(ensembles[0], g, lo, half, ws)
-            ensembles[0].synthesize(rows, max(bounds[i]), ws,
-                                    power[0, lo:hi], l2sq[0, lo:hi])
-            power[1:, lo:hi] = power[0, lo:hi]
-            l2sq[1:, lo:hi] = l2sq[0, lo:hi]
+            ensembles[0].synthesize(rows, max(bounds[i]), ws, power, l2sq)
             for c, ens in enumerate(ensembles):
-                log_w[c, lo:hi] = _log_weights(ens, rows)
+                yield i, c, lo, hi, _log_weights(ens, rows), power, l2sq
             continue
         for c, (ens, ksq) in enumerate(zip(ensembles, bounds[i])):
             rows = _proposal_rows(ens, g, lo, half, ws)
-            ens.synthesize(rows, ksq, ws, power[c, lo:hi], l2sq[c, lo:hi])
-            log_w[c, lo:hi] = _log_weights(ens, rows)
-    return per_level
+            ens.synthesize(rows, ksq, ws, power, l2sq)
+            yield i, c, lo, hi, _log_weights(ens, rows), power, l2sq
 
 
 def _batched(cfg, ens, fn, stream_offset=0):
@@ -488,19 +497,23 @@ def _estimate_levels(levels, basis=None):
     ws = rng.Workspace()
 
     def batch(gen, start, b):
+        expo = [np.empty((len(cfgs), b)) for cfgs in levels]
+        inside = [np.empty((len(cfgs), b), dtype=bool) for cfgs in levels]
         # a value that overflows is inf or NaN, and _lse_partial raises on
         # it inside a cutoff; outside every cutoff a row carries no weight
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = _batch_rows(ensembles, gen, b, bounds, ws)
-            partials = []
-            for cfgs, (log_w, power, l2sq) in zip(levels, rows):
+            for i, c, lo, hi, log_w, power, l2sq in _batch_slices(
+                    ensembles, gen, b, bounds, ws):
+                cfg = levels[i][c]
                 # the exponent of the Gibbs weight; calibration keeps the
                 # proposal weight alone
-                partials.append([
-                    _lse_partial(w if c.calibration else w + pw / c.p,
-                                 l2 <= c.cutoff * c.cutoff, c.cutoff)
-                    for c, w, pw, l2 in zip(cfgs, log_w, power, l2sq)])
-        return partials
+                expo[i][c, lo:hi] = log_w if cfg.calibration \
+                    else log_w + power / cfg.p
+                inside[i][c, lo:hi] = l2sq <= cfg.cutoff * cfg.cutoff
+            return [[_lse_partial(e, ins, c.cutoff)
+                     for c, e, ins in zip(cfgs, level_expo, level_inside)]
+                    for cfgs, level_expo, level_inside
+                    in zip(levels, expo, inside)]
 
     parts = _batched(levels[0][0], ensembles[0][0], batch)
     return [[_report(c, _combine_lse(col))
@@ -530,9 +543,27 @@ def _tail_rows(ens, gen, b, ws):
     """(||u||_p, inside the cutoff, importance weight) of a batch's rows,
     every row synthesized in the pass's rng.Workspace ws."""
     cfg = ens.cfg
-    (log_w, power, l2sq), = _batch_rows([[ens]], gen, b, [[math.inf]], ws)
-    return (power[0] ** (1.0 / cfg.p), l2sq[0] <= cfg.cutoff * cfg.cutoff,
-            np.exp(log_w[0]))
+    lp, weight = np.empty(b), np.empty(b)
+    inside = np.empty(b, dtype=bool)
+    for *_, lo, hi, log_w, power, l2sq in _batch_slices(
+            [[ens]], gen, b, [[math.inf]], ws):
+        lp[lo:hi] = power ** (1.0 / cfg.p)
+        inside[lo:hi] = l2sq <= cfg.cutoff * cfg.cutoff
+        weight[lo:hi] = np.exp(log_w)
+    return lp, inside, weight
+
+
+def _tail_levels(lams) -> list[float]:
+    """The tail levels lams as floats, refused unless there is one and each
+    is a number >= 0."""
+    lams = _real_floats(lams, "constrained_tails levels")
+    if not lams:
+        raise ValueError("constrained_tails needs at least one level, got "
+                         "none")
+    for lam in lams:
+        if not lam >= 0:
+            raise ValueError(f"lam must be >= 0, got {lam!r}")
+    return lams
 
 
 def constrained_tail(cfg: EnsembleConfig, lam: float,
@@ -555,13 +586,7 @@ def constrained_tails(cfg: EnsembleConfig, lams,
     if cfg.calibration:
         raise ValueError("constrained_tails has no calibration mode, got "
                          "calibration=True")
-    lams = _real_floats(lams, "constrained_tails levels")
-    if not lams:
-        raise ValueError("constrained_tails needs at least one level, got "
-                         "none")
-    for lam in lams:
-        if not lam >= 0:
-            raise ValueError(f"lam must be >= 0, got {lam!r}")
+    lams = _tail_levels(lams)
     ens, = _make_ensembles([cfg], basis)
     ws = rng.Workspace()
 
@@ -595,12 +620,14 @@ def constrained_tails(cfg: EnsembleConfig, lams,
 
 def tail_curve(cfg: EnsembleConfig, lams) -> list[EstimatorReport]:
     """The constrained_tail report of each level of lams, each level from
-    its own block of streams.
+    its own block of streams; every level is checked before the first
+    draw.
 
     Only the benchmark's tracer (perfbench/spans.py, which binds it by name)
     and tests/test_streams.py still reach it; layer_cake scores the levels
     in one pass. The next change to the benchmark deletes it.
     """
+    lams = _tail_levels(lams)
     n_batches = (cfg.n_samples + BATCH_SIZE - 1) // BATCH_SIZE
     return [constrained_tail(cfg, lam, stream_offset=i * n_batches)
             for i, lam in enumerate(lams)]

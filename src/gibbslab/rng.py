@@ -15,15 +15,25 @@ every result is bit-identical for any worker count. With one worker the
 batches run in the calling thread, and concurrent.futures is not loaded.
 
 Every sampler reads a batch from its stream with slices(), in the row
-slices of row_slices(), of about SYNTH_BUDGET grid values each, so that the
-draws, the spectrum, the grid and the |u|^p chain of a slice stay in cache,
-and keeps its slice-sized arrays in a Workspace; a batch that fits the budget
-goes through whole. Only the field corpora, which their callers hold whole,
-and the Bernstein probe, whose two draws fix its stream, draw whole batches.
-The budget of 2^16 values makes each slice array 512 KB of float64, so a
-slice and its temporaries fit a 2 MB per-core L2 cache; at 2^19 they were
-4 MB and spilled out of it, and fresh 1D threshold scans ran about 10%
-slower. Every row is reduced on its own, so slicing changes no result bit.
+slices of row_slices(), and keeps its slice-sized arrays in a Workspace, so
+that the draws, the spectrum, the grid and the |u|^p chain of a slice stay
+in cache; a batch that fits the budget goes through whole. Only the field
+corpora, which their callers hold whole, and the Bernstein probe, whose two
+draws fix its stream, draw whole batches. The budget, SYNTH_BUDGET = 2^17
+grid values (1 MB of float64), counts every grid-sized array a slice holds:
+a slice of rows of width values that holds k such arrays is the largest
+power of two of rows that keeps rows * width * k within the budget, and at
+least 64 rows. Most slices hold two, the grid values and their powers, so
+each array is 512 KB, or 64 rows where a row is wider than 1024 values: a
+1D slice at N=512 is 64 rows of 2048 points, two 1 MB arrays. A 2D
+estimator slice (gibbs) takes |v|^p in place over its grid values and holds
+one (two for an even p >= 6, whose power chain cannot run in place; see
+_core), so it is 128 rows of the 837 nodes at N=256. The tail laboratory's
+samplers count two arrays per slice. The two arrays of a 1D slice, 1 MB
+together up to N=256 and 2 MB at N=512, fit the 2 MiB per-core L2 of a
+2-CPU Xeon (lscpu: 4 MiB over 2 instances); two 4 MB arrays spilled out of
+it, and fresh 1D threshold scans ran about 10% slower. Every row is reduced
+on its own, so slicing changes no result bit.
 The rows of a slice are a power of two, at least 64: OpenBLAS computes the
 last rows of a 2D matrix product whose row count is not a multiple of its
 4-row kernel with another kernel that rounds differently (slices of 7 or 626
@@ -52,7 +62,7 @@ import threading
 import numpy as np
 
 BATCH_SIZE = 4096       # samples per stream, for the fields and the estimators
-SYNTH_BUDGET = 1 << 16  # grid values per synthesis slice (512 KB, in L2)
+SYNTH_BUDGET = 1 << 17  # grid values a synthesis slice holds (1 MB, in L2)
 
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:
@@ -100,12 +110,14 @@ def batches(seed: int, n_samples: int, batch_size: int, fn,
         return list(ex.map(job, range(n_batches)))
 
 
-def row_slices(n_rows: int, width: int) -> list:
+def row_slices(n_rows: int, width: int, arrays: int = 2) -> list:
     """[(start, stop)] row bounds of the synthesis slices of a batch of
-    n_rows rows of width grid values each (see the module docstring)."""
-    if n_rows * width <= SYNTH_BUDGET:
+    n_rows rows of width grid values each, a slice holding arrays
+    grid-sized arrays (see the module docstring)."""
+    per_row = width * arrays
+    if n_rows * per_row <= SYNTH_BUDGET:
         return [(0, n_rows)]
-    rows = max(SYNTH_BUDGET // width, 64)
+    rows = max(SYNTH_BUDGET // per_row, 64)
     rows = 1 << (rows.bit_length() - 1)        # a power of two
     return [(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows)]
 
@@ -155,17 +167,18 @@ class Tape:
 
 def slices(gen: np.random.Generator, b: int, readers):
     """(i, lo, hi, g) for the row slices of a batch of b rows of every reader
-    of readers, a (row_shape, width) pair: rows lo:hi of reader i's normals
-    g, of shape (hi - lo, *row_shape), read from the stream of gen through
-    one Tape in the slices of row_slices(b, width), in the order of their
-    first value on the stream. g is valid until the next slice, and a reader
-    alone on its stream may overwrite it."""
-    sizes = [math.prod(shape) for shape, _ in readers]
+    of readers, a (row_shape, width) or (row_shape, width, arrays) tuple:
+    rows lo:hi of reader i's normals g, of shape (hi - lo, *row_shape), read
+    from the stream of gen through one Tape in the slices of
+    row_slices(b, width, arrays), in the order of their first value on the
+    stream. g is valid until the next slice, and a reader alone on its
+    stream may overwrite it."""
+    sizes = [math.prod(reader[0]) for reader in readers]
     tape = Tape(gen, [b * size for size in sizes])
     for _, i, lo, hi in sorted(
             (lo * size, i, lo, hi)
-            for i, ((_, width), size) in enumerate(zip(readers, sizes))
-            for lo, hi in row_slices(b, width)):
+            for i, (reader, size) in enumerate(zip(readers, sizes))
+            for lo, hi in row_slices(b, *reader[1:])):
         yield i, lo, hi, tape.read(i, (hi - lo) * sizes[i]).reshape(
             (hi - lo, *readers[i][0]))
 

@@ -179,5 +179,6 @@ def synthesize(ens, g, ksq=math.inf):
     from gibbslab import rng
 
     parts = [_synthesize_slice(ens, g[lo:hi], ksq)
-             for lo, hi in rng.row_slices(len(g), ens.width)]
+             for lo, hi in rng.row_slices(len(g), ens.width,
+                                          ens.grid_arrays)]
     return tuple(np.concatenate(col) for col in zip(*parts))

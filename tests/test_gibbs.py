@@ -289,6 +289,22 @@ def test_tail_estimators_refuse_levels_that_are_not_numbers(estimator, lams,
     assert str(info.value) == message
 
 
+# a bad later level is refused before the first level draws its samples
+@pytest.mark.parametrize("lams, message", [
+    ([0.0, np.True_], "constrained_tails levels must be numbers, got "
+                      "np.True_"),
+    ([0.0, -1.0], "lam must be >= 0, got -1.0"),
+    ([0.0, math.nan], "lam must be >= 0, got nan")],
+    ids=["bool", "negative", "nan"])
+def test_tail_curve_checks_every_level_before_sampling(lams, message):
+    cfg = EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=100)
+    with mock.patch("gibbslab.rng.batches",
+                    side_effect=AssertionError("drew samples")), \
+            pytest.raises(ValueError) as info:
+        tail_curve(cfg, lams)
+    assert str(info.value) == message
+
+
 def test_layer_cake_requires_zero_level():
     cfg = EnsembleConfig(dim=1, p=4, cutoff=1.0, n_modes=8, n_samples=100)
     with pytest.raises(ValueError, match=r"^layer cake levels must start at "

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gibbslab._core import BACKEND, j0_array, j1_array, j01_arrays, \
-    abs_power_mean, weighted_abs_power_sum
+    _abs_power, abs_power_mean, power_in_place, weighted_abs_power_sum
 from gibbslab.bessel import bessel_j0
 from gibbslab.spectral1d import evaluate_coeff_rows
 
@@ -65,6 +65,22 @@ def test_power_kernels_with_a_buffer_keep_their_bits(p):
     assert weighted_abs_power_sum(v.copy(), weights, p,
                                   out=np.empty_like(v)).tobytes() \
         == weighted_abs_power_sum(v, weights, p).tobytes()
+
+
+@pytest.mark.parametrize("p", [2, 2.5, 3, 4, 4.0, 6, 8, 6.0])
+def test_power_in_place_keeps_the_bits_of_a_buffered_call(p):
+    # out=v overwrites the input with |v|^p, which an even p >= 6 cannot
+    # do: its chain reads w = v*v after writing out
+    rng = np.random.default_rng(int(2 * p))
+    v = rng.standard_normal((24, 97))
+    buffered = _abs_power(v.copy(), p, out=np.empty_like(v))
+    w = v.copy()
+    in_place = _abs_power(w, p, out=w)
+    assert power_in_place(p) == (p not in (6, 8))
+    if power_in_place(p):
+        assert in_place is w and w.tobytes() == buffered.tobytes()
+    else:
+        assert w.tobytes() != buffered.tobytes()
 
 
 @pytest.mark.parametrize("p", [2, 4, 6, 8])

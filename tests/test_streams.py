@@ -27,7 +27,10 @@ requires each of its levels to match its own estimate, another that the
 reads of a Tape under any interleaving are slices of one whole draw, a third
 that rng.slices hands every reader its row slices of one whole draw in the
 order of their first value on the stream, and a tracemalloc bound that a
-batch holds slices rather than the whole batch.
+batch holds slices rather than the whole batch. Another bound holds a scan
+to one Gibbs exponent and one inside flag per row and cutoff, a golden 2D
+soliton scan runs in slices of 128 rows, and a golden 2D p=6 estimate
+pins the power chain that cannot run in place.
 """
 import contextlib
 import functools
@@ -49,6 +52,7 @@ from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
                             constrained_tails, divergence_scan,
                             estimate_partition, estimate_partitions,
                             layer_cake, tail_curve)
+from gibbslab.groundstate import solve_ground_state
 from gibbslab.radial2d import (block_l4_expectation, radial_basis,
                                sample_radials)
 from gibbslab.rng import rng_for, worker_count
@@ -106,6 +110,11 @@ SAME_LAYOUT = {
         lambda: _report(estimate_partition(_config(2, "tilted", 15))),
     "partition-2d-soliton":
         lambda: _report(estimate_partition(_config(2, "soliton", 16))),
+    # an even p >= 6 takes |v|^p through a second buffer
+    "partition-2d-plain-p6":
+        lambda: _report(estimate_partition(EnsembleConfig(
+            dim=2, p=6, cutoff=2.0, n_modes=32, n_samples=BATCH_SIZE,
+            seed=3))),
     "constrained-tail-1d":
         lambda: _report(constrained_tail(_config(1, "tilted", 17), 0.4,
                                          stream_offset=3)),
@@ -221,6 +230,13 @@ GOLDEN = {
         "0x1.7061504929b3dp+12",
         "0x1.0000000000000p+0",
     ],
+    "partition-2d-plain-p6": [
+        "0x1.0a5df6ebf6dc4p+0",
+        "0x1.4534503755600p-5",
+        "0x1.c4d9520de064fp-7",
+        "0x1.293a8923e6ed2p+11",
+        "0x1.0000000000000p+0",
+    ],
     "partition-2d-soliton": [
         "0x1.07e4523653f85p+0",
         "0x1.f173928bf6400p-6",
@@ -276,9 +292,12 @@ def _row_digest(cfg, rows_of_batch):
 
 
 def _pipeline_rows(ens, gen, b, ksq=math.inf):
-    (log_w, power, l2sq), = gibbs._batch_rows([[ens]], gen, b, [[ksq]],
-                                              rng.Workspace())
-    return log_w[0], power[0], l2sq[0]
+    """The batch's per-row (log weight, int |u|^p, ||u||_2^2), its slices
+    from gibbs._batch_slices joined."""
+    parts = [(log_w, power.copy(), l2sq.copy())  # valid until the next slice
+             for *_, log_w, power, l2sq in gibbs._batch_slices(
+                 [[ens]], gen, b, [[ksq]], rng.Workspace())]
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _oracle_rows(ens, gen, b):
@@ -407,10 +426,11 @@ def _sliced_config(dim, sampler, n_samples):
 
 
 @contextlib.contextmanager
-def _budget(rows, width, workers):
-    """The synthesis slice budget set to `rows` rows of grid values (None:
-    each batch whole) and the worker count set to `workers`."""
-    budget = rows * width if rows else 1 << 62
+def _budget(rows, width, workers, arrays=2):
+    """The synthesis slice budget set to `rows` rows of `arrays` grid-sized
+    arrays (None: each batch whole) and the worker count set to
+    `workers`."""
+    budget = rows * width * arrays if rows else 1 << 62
     with mock.patch.object(rng, "SYNTH_BUDGET", budget), \
             mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
         yield
@@ -423,7 +443,7 @@ def _sliced_run(dim, sampler, n_samples, rows, workers, rows_of_batch):
     cfg, basis = _sliced_config(dim, sampler, n_samples)
     ens, = gibbs._make_ensembles([cfg], basis)
     b = n_samples % BATCH_SIZE or BATCH_SIZE
-    with _budget(rows, ens.width, workers):
+    with _budget(rows, ens.width, workers, ens.grid_arrays):
         per_row = np.concatenate(
             rows_of_batch(ens, rng_for(cfg.seed, 0), b)).tobytes()
         tails = constrained_tails(cfg, [0.0, 0.4], basis, stream_offset=2)
@@ -444,6 +464,7 @@ def _whole_batches(dim, sampler, n_samples):
            lambda k: st.integers(1 << k, (2 << k) - 1)),
        workers=st.sampled_from([1, 2]))
 @example(dim=2, sampler="soliton", n_samples=5003, rows=99, workers=2)
+@example(dim=2, sampler="soliton", n_samples=5003, rows=128, workers=2)
 def test_synthesis_slices_do_not_change_results(dim, sampler, n_samples,
                                                 rows, workers):
     # a budget of `rows` rows, log-uniform from 1 to 8191, gives slices from
@@ -463,7 +484,7 @@ def test_high_freq_slices_do_not_change_counts(rows):
                                                  2500, seed=25,
                                                  bernstein_c=1.0))
 
-    assert run(rows * 512) == run(1 << 62)
+    assert run(rows * 512 * 2) == run(1 << 62)     # two arrays of 512 points
 
 
 @functools.cache
@@ -484,25 +505,43 @@ def test_tail_sampler_slices_do_not_change_results(name, rows, workers):
 
 @settings(max_examples=300, deadline=None)
 @given(n_rows=st.integers(1, 9000), width=st.integers(1, 1 << 13),
-       budget=st.one_of(st.none(), st.integers(1, 1 << 21)))
-@example(n_rows=BATCH_SIZE, width=2048, budget=None)   # 1D at N=512
-def test_row_slices_tile_the_batch(n_rows, width, budget):
+       arrays=st.integers(1, 3),
+       budget=st.one_of(st.none(), st.integers(1, 1 << 22)))
+@example(n_rows=BATCH_SIZE, width=2048, arrays=2, budget=None)  # 1D, N=512
+@example(n_rows=BATCH_SIZE, width=837, arrays=1, budget=None)   # 2D, N=256
+def test_row_slices_tile_the_batch(n_rows, width, arrays, budget):
     # budget None is the default SYNTH_BUDGET
     budget = rng.SYNTH_BUDGET if budget is None else budget
     with mock.patch.object(rng, "SYNTH_BUDGET", budget):
-        bounds = rng.row_slices(n_rows, width)
+        bounds = rng.row_slices(n_rows, width, arrays)
     starts = [lo for lo, _ in bounds]
     stops = [hi for _, hi in bounds]
     assert starts == [0] + stops[:-1] and stops[-1] == n_rows
     assert all(lo < hi for lo, hi in bounds)
-    if n_rows * width <= budget:
+    held = width * arrays                   # grid values a slice row holds
+    if n_rows * held <= budget:
         assert bounds == [(0, n_rows)]      # the batch goes through whole
     for lo, hi in bounds[:-1]:
         rows = hi - lo
         assert rows >= 64 and rows & (rows - 1) == 0
         assert rows == stops[0]             # one slice size per batch
-    assert all((hi - lo) * width <= max(budget, 64 * width)
+        assert 2 * rows * held > budget     # the largest that fits
+    assert all((hi - lo) * held <= max(budget, 64 * held)
                for lo, hi in bounds)
+
+
+@pytest.mark.parametrize("dim, p, n_modes, rows", [
+    (1, 6, 512, 64), (1, 6, 16, 1024), (1, 6, 4, 4096), (2, 4, 256, 128),
+    (2, 2.5, 256, 128), (2, 6, 256, 64), (2, 4, 64, 512)])
+def test_estimator_slice_heights(dim, p, n_modes, rows):
+    # a 2D slice takes |v|^p over its grid values, so it holds one
+    # grid-sized array and is twice as tall as one that holds two: all but
+    # an even p >= 6, whose power chain needs a second buffer
+    cfg = EnsembleConfig(dim=dim, p=p, cutoff=1.0, n_modes=n_modes,
+                         n_samples=BATCH_SIZE)
+    ens, = gibbs._make_ensembles([cfg])
+    lo, hi = rng.row_slices(BATCH_SIZE, ens.width, ens.grid_arrays)[0]
+    assert (lo, hi) == (0, rows)
 
 
 def _full_report(rep):
@@ -529,7 +568,7 @@ def test_one_pass_cutoffs_match_per_cutoff_calls(dim, sampler, n_samples,
         cutoffs.append(math.inf)
     cfgs = [replace(cfg, cutoff=k) for k in cutoffs]
     ens, = gibbs._make_ensembles([cfg], basis)
-    with _budget(rows, ens.width, workers):
+    with _budget(rows, ens.width, workers, ens.grid_arrays):
         together = estimate_partitions(cfgs, basis)
         alone = [estimate_partition(c, basis) for c in cfgs]
     assert [_full_report(r) for r in together] \
@@ -569,6 +608,29 @@ def test_each_scan_level_matches_its_own_estimate(dim, sampler, schedule,
     for i, v in enumerate(verdicts):
         alone = gibbs._verdict([reps[i] for reps in by_n])
         assert _verdict_hex(v) == _verdict_hex(alone)
+
+
+# A 2D soliton scan at N = 128 and 256, in slices of more than 64 rows of
+# the N = 256 basis's 837 nodes: (log estimate, log error, fraction inside)
+# per N, then the slope, its error and the verdict, at cutoffs 2 and 4
+SCAN_2D_GOLDEN = [
+    ["0x1.0f8eb8a88bd00p-5", "0x1.6e7a64d80ae59p-7", "0x1.c790000000000p-1",
+     "0x1.16bdb6fae5700p-5", "0x1.6f21078990e71p-7", "0x1.cba0000000000p-1",
+     "0x1.4ba36a4434f25p-10", "0x1.7630e0bde855bp-6", "stable"],
+    ["0x1.084f994f8f0dap+14", "0x1.fff7fff00036dp-1", "0x1.fe00000000000p-1",
+     "0x1.d88f8c5b2d9d3p+15", "0x1.fff7fff00836fp-1", "0x1.fe50000000000p-1",
+     "0x1.eb19dab24d860p+15", "0x1.0523c730e7aa4p+1", "diverging"],
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_2d_soliton_scan_is_golden(workers):
+    cfg = EnsembleConfig(dim=2, p=4, cutoff=2.0, n_modes=128,
+                         n_samples=2 * BATCH_SIZE, seed=5, sampler="soliton")
+    with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
+        verdicts = divergence_scan([cfg, replace(cfg, cutoff=4.0)],
+                                   [128, 256])
+    assert [_verdict_hex(v) for v in verdicts] == SCAN_2D_GOLDEN
 
 
 @settings(max_examples=60, deadline=None)
@@ -614,6 +676,27 @@ def test_slices_read_each_reader_from_one_whole_draw(readers, b, budget):
     assert firsts == sorted(firsts)
 
 
+def test_a_scan_holds_one_exponent_and_one_flag_per_row():
+    # the 1D benchmark scan's configs: 2 cutoffs at 6 levels of a 4096-row
+    # batch. Its (log weight, int |u|^p, ||u||_2^2) rows were 1.2 MB of
+    # float64, and an exponent and an inside flag per row are 0.44 MB; the
+    # whole scan peaked at 6.2 MB with the three rows
+    mass = solve_ground_state(1, 6).mass
+    cfgs = [EnsembleConfig(dim=1, p=6, cutoff=r * mass, n_modes=16,
+                           n_samples=2 * BATCH_SIZE, seed=1,
+                           sampler="soliton") for r in (0.5, 1.5)]
+    schedule = [16, 32, 64, 128, 256, 512]
+    with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": "1"}):
+        divergence_scan(cfgs, schedule[:2])     # lazy imports, caches warm
+        tracemalloc.start()
+        try:
+            divergence_scan(cfgs, schedule)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 5.7e6, peak
+
+
 def test_a_batch_holds_slices_not_the_whole_batch():
     # one 1D soliton estimate at N=512: the draws of its 4096-row batch
     # alone are 32 MiB, and holding the batch whole peaks at 48 MiB
@@ -645,10 +728,10 @@ def _synthesis_counts(cfgs, basis=None):
         calls.append(len(vals))
         return power_sum(vals, weights, p, **buffers)
 
-    width = gibbs._make_ensembles(cfgs[:1], basis)[0].width
+    ens = gibbs._make_ensembles(cfgs[:1], basis)[0]
     with mock.patch.object(gibbs, "evaluate_coeff_rows", count_rows), \
             mock.patch.object(gibbs, "weighted_abs_power_sum", count_calls), \
-            _budget(1024, width, 1):
+            _budget(1024, ens.width, 1, ens.grid_arrays):
         estimate_partitions(cfgs, basis)
     return sum(rows), len(calls)
 
@@ -699,7 +782,7 @@ def test_rows_kept_are_bit_identical_to_a_full_synthesis(dim, sampler,
     # rows are synthesized: packed 1D rows, or whole 2D slices only
     cfg, basis = _sliced_config(dim, sampler, BATCH_SIZE)
     ens, = gibbs._make_ensembles([cfg], basis)
-    with _budget(rows, ens.width, 1):
+    with _budget(rows, ens.width, 1, ens.grid_arrays):
         _, full, l2sq = _oracle_rows(ens, rng_for(cfg.seed, 0), n_rows)
         ksq = float(np.quantile(l2sq, share))
         _, kept, l2sq_kept = _pipeline_rows(ens, rng_for(cfg.seed, 0),
