@@ -12,8 +12,9 @@ worker count. Three proposal modes are available:
   plain    -- direct sampling of the Gaussian ensemble;
   tilted   -- half/half mixture with the lowest four modes variance-inflated;
   soliton  -- half/half mixture with the means shifted onto a near-cutoff-mass
-              concentration profile (the extremal family of the interpolation
-              inequality) whose width shrinks with the truncation level.
+              concentration profile whose width shrinks with the truncation
+              level: the disc ground state of p in 2D, sech^(1/2) in 1D at
+              every p (the interpolation extremal at p=6 only; see shift).
 
 The soliton proposal exists because the divergent region of configuration
 space is exponentially rare under the plain ensemble: the mixture keeps the
@@ -34,32 +35,23 @@ The indicator gives a row outside every cutoff no weight, so the partition
 estimators compute each slice's ||u||_2^2 first and synthesize int |u|^p
 only on the rows at or below the largest cutoff that reads them, and on no
 row under calibration, whose exponent is the proposal weight alone. In 1D
-those rows are packed together: each row's inverse FFT and grid mean are
-its own, so they change no bit. A 1D slice keeps its coefficients in
-columns 1..N of its spectrum buffer, the transform's input, and packs whole
-spectrum rows, so it holds no separate coefficient array. In 2D a matrix
-product rounds its last rows by the row count (see rng), so a slice keeps
-every row and is skipped only when none of its rows is needed; it takes
-|v|^p in place in its grid values, and so holds one grid-sized array where
-a 1D slice holds two, and its slices are twice as tall (but for an even
-p >= 6, whose power chain cannot run in place; see _core). The tail
-estimators synthesize every row.
+those rows are packed together, since each row's inverse FFT and grid mean
+are its own; in 2D a matrix product rounds its last rows by the row count
+(see rng), so a slice is synthesized whole, or not at all when none of its
+rows is needed. The tail estimators synthesize every row.
 
 A threshold scan asks for the same estimate at several cutoffs and
 truncation levels with the same seed. A batch at one level is a prefix of
 its stream at every larger one (see rng), so divergence_scan makes one pass
 over the draws for the whole schedule: each batch is read once, and every
 level and every cutoff scores its row slices in the order of their first
-value on the stream. The plain and tilted proposals do not depend on the
-cutoff, so each level synthesizes them once, up to its largest cutoff,
-leaving each cutoff its inside test and log-sum-exp partial. The soliton
-shift scales with the cutoff, so only the slices wholly in the unshifted
-bottom half of a batch are shared, up to the largest cutoff, and the others
-are redone per cutoff, up to that cutoff. estimate_partitions is the pass
-of one level, and every report is bit-identical to its own
-estimate_partition call. A DivergenceVerdict holds those reports, one per
-N, with the drift slope fitted to them; the fit weighs an error below 1e-9
-as 1e-9, and the reports keep their own.
+value on the stream. The cutoffs of a level share the synthesis of the
+slices whose proposal rows are the same (see _batch_slices): all but the
+soliton's slices that reach its shifted half, as the shift scales with the
+cutoff. estimate_partitions is the pass of one level, and every report is
+bit-identical to its own estimate_partition call. A DivergenceVerdict holds
+those reports, one per N, with the drift slope fitted to them; the fit
+weighs an error below 1e-9 as 1e-9, and the reports keep their own.
 
 A weight that overflows is not a weight of zero: a NaN or +inf Gibbs
 exponent on a sample inside the cutoff raises, and a soliton shift whose
@@ -113,6 +105,21 @@ def _real_floats(values, what) -> list[float]:
     return [float(value) for value in values]
 
 
+def _check_integers(**values):
+    """Refuse each of values, by name, unless _is_integer."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_p(p):
+    """Refuse p unless it is a number (_is_real), finite and at least 1."""
+    if not _is_real(p):
+        raise ValueError(f"p must be a number, got {p!r}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     dim: int
@@ -128,19 +135,14 @@ class EnsembleConfig:
     def __post_init__(self):
         if isinstance(self.dim, bool) or self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        for name in ("p", "cutoff"):
-            value = getattr(self, name)
-            if not _is_real(value):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 1 <= self.p < math.inf:
-            raise ValueError(f"p must be finite and >= 1, got {self.p!r}")
+        _check_p(self.p)
+        if not _is_real(self.cutoff):
+            raise ValueError(f"cutoff must be a number, got {self.cutoff!r}")
         if not self.cutoff >= 0:
             raise ValueError(
                 f"cutoff must be nonnegative, got {self.cutoff!r}")
-        for name in ("n_modes", "n_samples", "seed"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _check_integers(n_modes=self.n_modes, n_samples=self.n_samples,
+                        seed=self.seed)
         if self.n_modes < 1 or self.n_samples < 1:
             raise ValueError("n_modes and n_samples must be positive")
         if self.seed < 0:
@@ -199,71 +201,50 @@ class DivergenceVerdict:
     verdict: str                   # stable | diverging | inconclusive
 
 
-# ------------------------------------------------------------- tilt profiles
-
-def _sech_shift_1d(n_modes: int, cutoff: float, frac: float) -> np.ndarray:
-    """Mean shift, in standard-normal coordinates, onto a mass frac*cutoff
-    concentration bump of width ~ 4/n_modes (mean-zero, wrapped)."""
-    w = max(4.0 / n_modes, 0.001)
-    m_grid = 8 * n_modes
-    x = np.arange(m_grid) / m_grid
-    prof = 1.0 / np.sqrt(np.cosh((x - 0.5) / w))
-    prof -= prof.mean()
-    ch = np.fft.rfft(prof) / m_grid
-    c = ch[1:n_modes + 1]
-    mass = math.sqrt(2.0 * float(np.sum(np.abs(c) ** 2)))
-    c = c * (frac * cutoff / mass)
-    wn = spectral_weights(n_modes)
-    g_target = np.sqrt(2.0) * c / wn
-    return np.stack([g_target.real, g_target.imag], axis=-1)
-
-
-def _disc_shift_2d(n_modes: int, p: float, cutoff: float, frac: float,
-                   basis: RadialBasis) -> np.ndarray:
-    """Mean shift onto a mass frac*cutoff dilated exponent-p ground-state
-    profile of width ~ 8/z_N projected onto the disc modes."""
-    if not float(p).is_integer():
-        raise ValueError(f"the 2D soliton shift needs an integer p, got {p!r}")
-    gs = solve_ground_state(2, int(p))
-    phi = profile_function(gs)
-    z = basis.table.zeros[:n_modes]
-    w = 8.0 / z[-1]
-    r = basis.quad.nodes
-    target = (frac * cutoff / gs.mass) * phi(r / w) / w
-    a = basis.project(target)[:n_modes]
-    mass = math.sqrt(float(np.sum(a * a)))
-    if 0 < mass < math.inf:     # an overflowed mass leaves the shift as it is
-        a *= min(1.0, frac * cutoff / mass)
-    return z * a
-
-
-def _soliton_shift(cutoff, make_shift):
-    """(theta, |theta|^2 / 2) of the shift make_shift() builds; a shift whose
-    energy is not finite, at a cutoff near the float range, fails here,
-    before any sampling, rather than as NaN weights."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        theta = make_shift()
-        energy = 0.5 * float(np.sum(theta * theta))
-    if not math.isfinite(energy):
-        raise ValueError(f"the soliton shift at the cutoff {cutoff!r} has "
-                         f"energy {energy}, not a finite number")
-    return theta, energy
-
-
 # ------------------------------------------------------------- batch machinery
 
-class _Ensemble1D:
+class _Ensemble:
+    """The proposal of cfg.sampler, set once: theta, the soliton's mean shift
+    or None, and tilt_modes, the low modes that the tilt inflates or 0."""
+
     def __init__(self, cfg: EnsembleConfig):
         self.cfg = cfg
+        self.theta, self.tilt_modes = None, 0
+        match cfg.sampler:
+            case "tilted":
+                self.tilt_modes = min(TILT_MODES, cfg.n_modes)
+            case "soliton":
+                with np.errstate(over="ignore", invalid="ignore"):
+                    theta = self.shift(SOLITON_MASS_FRACTION * cfg.cutoff)
+                    energy = 0.5 * float(np.sum(theta * theta))
+                if not math.isfinite(energy):
+                    raise ValueError(f"the soliton shift at the cutoff "
+                                     f"{cfg.cutoff!r} has energy {energy}, "
+                                     f"not a finite number")
+                self.theta, self.theta_energy = theta, energy
+
+
+class _Ensemble1D(_Ensemble):
+    def __init__(self, cfg: EnsembleConfig):
         self.weights = spectral_weights(cfg.n_modes)
         self.width = cfg.resolved_grid_size()       # grid points per row
         self.row_shape = (cfg.n_modes, 2)           # normals per row
         self.grid_arrays = 2                        # the grid and |u|^p
-        self.theta = None
-        if cfg.sampler == "soliton":
-            self.theta, self.theta_energy = _soliton_shift(
-                cfg.cutoff, lambda: _sech_shift_1d(cfg.n_modes, cfg.cutoff,
-                                                   SOLITON_MASS_FRACTION))
+        super().__init__(cfg)           # last: the shift reads the above
+
+    def shift(self, mass):
+        """The mean shift, in standard-normal coordinates, onto a wrapped,
+        mean-zero bump of L2 mass `mass` and width max(4/N, 0.001): sech^(1/2)
+        at every cfg.p, the interpolation extremal at p=6 only (p=4: sech)."""
+        n_modes = self.cfg.n_modes
+        w = max(4.0 / n_modes, 0.001)
+        m_grid = 8 * n_modes
+        prof = 1.0 / np.sqrt(np.cosh((np.arange(m_grid) / m_grid - 0.5) / w))
+        prof -= prof.mean()
+        c = (np.fft.rfft(prof) / m_grid)[1:n_modes + 1]
+        norm = math.sqrt(2.0 * float(np.sum(np.abs(c) ** 2)))
+        g_target = np.sqrt(2.0) * (c * (mass / norm)) / self.weights
+        return np.stack([g_target.real, g_target.imag], axis=-1)
 
     def synthesize(self, g, ksq, ws, power, l2sq):
         """Fill l2sq with ||u||_2^2 of each row of Gaussians g, and power
@@ -302,9 +283,8 @@ class _Ensemble1D:
                                      out=ws("power", vals.shape))
 
 
-class _Ensemble2D:
+class _Ensemble2D(_Ensemble):
     def __init__(self, cfg: EnsembleConfig, basis: RadialBasis):
-        self.cfg = cfg
         if basis.n_modes < cfg.n_modes:
             raise ValueError(f"basis holds {basis.n_modes} modes, fewer than "
                              f"n_modes={cfg.n_modes}")
@@ -315,12 +295,27 @@ class _Ensemble2D:
         self.row_shape = (cfg.n_modes,)             # normals per row
         # |v|^p overwrites the grid values, but for an even p >= 6
         self.grid_arrays = 1 if power_in_place(cfg.p) else 2
-        self.theta = None
-        if cfg.sampler == "soliton":
-            self.theta, self.theta_energy = _soliton_shift(
-                cfg.cutoff, lambda: _disc_shift_2d(
-                    cfg.n_modes, cfg.p, cfg.cutoff, SOLITON_MASS_FRACTION,
-                    basis))
+        self.basis = basis
+        super().__init__(cfg)           # last: the shift reads the above
+
+    def shift(self, mass):
+        """The mean shift onto the disc ground state of cfg.p, of L2 mass
+        `mass` and width 8/z_N, projected onto the modes; it is scaled back
+        to `mass` where the projection's quadrature error gains mass."""
+        p, n_modes, basis = self.cfg.p, self.cfg.n_modes, self.basis
+        if not float(p).is_integer():
+            raise ValueError(f"the 2D soliton shift needs an integer p, got "
+                             f"{p!r}")
+        gs = solve_ground_state(2, int(p))
+        phi = profile_function(gs)
+        z = basis.table.zeros[:n_modes]
+        w = 8.0 / z[-1]
+        target = (mass / gs.mass) * phi(basis.quad.nodes / w) / w
+        a = basis.project(target)[:n_modes]
+        norm = math.sqrt(float(np.sum(a * a)))
+        if 0 < norm < math.inf:     # an overflowed norm leaves the shift as is
+            a *= min(1.0, mass / norm)
+        return z * a
 
     def synthesize(self, g, ksq, ws, power, l2sq):
         """Fill l2sq with ||v||_2^2 of each row of Gaussians g, and power
@@ -357,14 +352,14 @@ def _proposal_rows(ens, g, lo, half, ws):
     soliton as they are written into a workspace copy, and a slice below
     half is g itself."""
     top = max(half - lo, 0)             # the first row of g in the top half
-    if ens.cfg.sampler == "plain" or top >= len(g):
+    if (ens.theta is None and not ens.tilt_modes) or top >= len(g):
         return g
     rows = ws("rows", g.shape)
     rows[:top] = g[:top]
     if ens.theta is not None:
         np.add(g[top:], ens.theta, out=rows[top:])
     else:
-        k = min(TILT_MODES, ens.cfg.n_modes)
+        k = ens.tilt_modes
         np.multiply(g[top:, :k], TILT_SCALE, out=rows[top:, :k])
         rows[top:, k:] = g[top:, k:]
     return rows
@@ -372,21 +367,19 @@ def _proposal_rows(ens, g, lo, half, ws):
 
 def _log_weights(ens, rows):
     """Log importance weights of rows of the mixture, each at most log 2."""
-    cfg = ens.cfg
-    if cfg.sampler == "plain":
-        return np.zeros(len(rows))
-    if cfg.sampler == "soliton":
+    if ens.theta is not None:
         # one matrix-vector product per slice: with slices of at least 64
         # rows each row gets the bits of one product over the batch (rng)
         log_rho = rows.reshape(len(rows), -1) @ ens.theta.reshape(-1) \
             - ens.theta_energy
+    elif ens.tilt_modes:
+        flat = rows[:, :ens.tilt_modes].reshape(len(rows), -1)
+        # per-coordinate density ratio of N(0, TILT_SCALE^2) to N(0, 1)
+        log_rho = 0.5 * (1.0 - 1.0 / (TILT_SCALE * TILT_SCALE)) \
+            * np.sum(flat * flat, axis=1) \
+            - flat.shape[1] * math.log(TILT_SCALE)
     else:
-        k = min(TILT_MODES, cfg.n_modes)
-        sig = TILT_SCALE
-        flat = rows[:, :k].reshape(len(rows), -1)
-        # per-coordinate density ratio of N(0, sig^2) to N(0, 1)
-        log_rho = 0.5 * (1.0 - 1.0 / (sig * sig)) \
-            * np.sum(flat * flat, axis=1) - flat.shape[1] * math.log(sig)
+        return np.zeros(len(rows))
     return math.log(2.0) - np.logaddexp(0.0, log_rho)
 
 

@@ -170,6 +170,9 @@ def _disc_l4_norms(keep: np.ndarray, n_samples: int, table: BesselTable,
 def block_l4_expectation(j: int, n_samples: int, table: BesselTable,
                          seed: int = 0):
     """Monte Carlo estimate of E ||v_j||_{L^4(disc)} with its standard error."""
+    from .gibbs import _check_integers     # gibbs imports this module
+
+    _check_integers(j=j, n_samples=n_samples)
     if j < 1:
         raise ValueError("block index must be >= 1")
     if n_samples == 1:              # below 1, rng.batches rejects it

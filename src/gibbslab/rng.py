@@ -50,10 +50,7 @@ whole batch. Consecutive standard_normal(out=...) draws continue one
 another, so every read is bit for bit that slice of one whole draw.
 
 The partition estimators synthesize |u|^p only on the rows of a slice that
-lie inside a cutoff (gibbs). In 1D they pack those rows together, since an
-inverse FFT and a grid mean treat each row alone. In 2D that would change
-the row count of the product, and with it the kernel of its last rows, so a
-2D slice is synthesized whole or, when no row of it is needed, not at all.
+lie inside a cutoff, 1D rows packed and 2D slices whole (see gibbs).
 """
 import math
 import os

@@ -16,16 +16,15 @@ one; a level that is not positive, NaN among them, is refused.
 
 The samplers read their streams through rng.slices, as the estimators of
 gibbs do, all but the Bernstein probe, whose two whole 512-row draws fix its
-stream. The curves check their levels (_levels) and evaluate their bounds
-before any sampling.
+stream. The samplers check their arguments, and the curves their levels
+(_levels) and bounds, before any sampling.
 """
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import _real_floats
+from .gibbs import _check_integers, _check_p, _is_integer, _real_floats
 from .radial2d import BesselTable, _disc_l4_norms, block_l4_expectation
 from .rng import Workspace, batches, row_slices, slices
 from .spectral1d import (evaluate_coeff_rows, gaussian_coeffs, lp_norm,
@@ -73,6 +72,7 @@ def chi2_tail_bound(m_dof: int, level: float):
 def chi2_tail_empirical(m_dof: int, levels, n_samples: int,
                         seed: int = 0) -> TailCurve:
     """Monte Carlo tail of a chi-square with the matching analytic bound."""
+    _check_integers(M=m_dof, n_samples=n_samples)
     levels = _levels(levels)
     bounds = [chi2_tail_bound(m_dof, r) for r in levels]
 
@@ -106,8 +106,7 @@ def _check_mgf_args(c: float, m_dof: int) -> None:
     """The boundary check of the three MGF helpers."""
     if math.isnan(c):
         raise ValueError("c must be a number, got NaN")
-    if (isinstance(m_dof, bool) or not isinstance(m_dof, numbers.Integral)
-            or m_dof < 1):
+    if not _is_integer(m_dof) or m_dof < 1:
         raise ValueError(f"M must be an integer >= 1, got {m_dof!r}")
 
 
@@ -167,6 +166,7 @@ def _square_sums(rng, rows: int, shape, weights=None) -> np.ndarray:
 def gaussian_mgf_mc(c: float, m_dof: int, n_samples: int, seed: int = 0):
     """Monte Carlo mean of exp(c chi2_M) with its empirical standard error."""
     _check_mgf_args(c, m_dof)
+    _check_integers(n_samples=n_samples)
 
     def batch(rng, start, b):
         w = np.exp(c * _square_sums(rng, b, (m_dof,)))
@@ -192,6 +192,8 @@ def bernstein_probe(j: int, p: float, trials: int, seed: int = 0) -> float:
     the near-extremal family of the inequality, so the probed constant is
     uniform in the block index rather than an artifact of Gaussian typicality.
     """
+    _check_integers(j=j, trials=trials)
+    _check_p(p)
     if j < 1:
         raise ValueError("block index must be >= 1")
     n_modes = 2 ** j
@@ -297,6 +299,8 @@ def high_freq_empirical_1d(k: int, lams, n_modes: int, n_samples: int,
                            seed: int = 0) -> TailCurve:
     """Empirical P(||u_(high k)||_p > lam) against the summed dyadic bound,
     whose level split has the rate r = 1/(2p), halfway into (0, 1/p)."""
+    _check_integers(k=k, n_modes=n_modes, n_samples=n_samples)
+    _check_p(p)
     lams = _levels(lams)
     r = 0.5 / p
     keep = _high_window(k, n_modes)
@@ -351,6 +355,7 @@ def fernique_probe(norm_samples, ts) -> FerniqueProbe:
 def block_norm_samples_2d(j: int, n_samples: int, table: BesselTable,
                           seed: int = 0) -> np.ndarray:
     """L4 norms of dyadic block fields on the disc, for Fernique probes."""
+    _check_integers(j=j, n_samples=n_samples)
     return _disc_l4_norms(_window("block", j, 2 ** j), n_samples, table, seed)
 
 
@@ -404,6 +409,7 @@ def block_tail_empirical_2d(k: int, lams, n_modes: int, n_samples: int,
                             table: BesselTable, c_prime: float, c4: float,
                             seed: int = 0) -> TailCurve:
     """Empirical P(||v_(high k)||_4 >= lam) against the chained bound."""
+    _check_integers(k=k, n_modes=n_modes, n_samples=n_samples)
     lams = _levels(lams)
     bounds = [block_tail_2d(k, lam, c_prime, c4) for lam in lams]
     norms = _disc_l4_norms(_high_window(k, n_modes), n_samples, table, seed)

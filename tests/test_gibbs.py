@@ -1,4 +1,6 @@
 """Partition estimators, tails, layer cake, and the divergence scan."""
+import functools
+import hashlib
 import math
 from dataclasses import replace
 from unittest import mock
@@ -10,7 +12,8 @@ from scipy.integrate import quad
 from scipy.special import logsumexp
 
 from gibbslab.bessel import bessel_zeros
-from gibbslab.gibbs import (EnsembleConfig, _combine_lse, _lse_partial,
+from gibbslab.gibbs import (EnsembleConfig, _Ensemble1D, _Ensemble2D,
+                            _combine_lse, _lse_partial,
                             constrained_tail, constrained_tails,
                             divergence_scan, estimate_partition,
                             estimate_partitions, layer_cake, tail_curve)
@@ -156,6 +159,65 @@ def test_2d_soliton_shift_follows_config_p():
     cfg = replace(cfg, p=4.5)
     with pytest.raises(ValueError, match="integer p"):
         estimate_partition(cfg)
+
+
+# sha256 of the soliton shifts shift(0.95 * 3.0) of cutoff-3.0 ensembles at
+# N=64: the 1D sech^(1/2) bump and the 2D p=4 disc ground state
+SECH_SHIFT_1D_SHA256 = \
+    "61b6e0447d563e1db1e0cb083679c60c09f8ddd5bdba681251f139eec662b2bf"
+DISC_SHIFT_2D_SHA256 = \
+    "3d0d48c8be0d0b9800bcf7eeda9d08c6dd6242fbf05a07e13aa5a8048d14e180"
+
+
+def _shift_config(dim, n_modes):
+    return EnsembleConfig(dim=dim, p=6 if dim == 1 else 4, cutoff=3.0,
+                          n_modes=n_modes, n_samples=1)
+
+
+def test_sech_shift_1d_golden():
+    shift = _Ensemble1D(_shift_config(1, 64)).shift(0.95 * 3.0)
+    assert hashlib.sha256(shift.tobytes()).hexdigest() == SECH_SHIFT_1D_SHA256
+
+
+def test_disc_shift_2d_golden():
+    basis = radial_basis(bessel_zeros(64), 64)
+    shift = _Ensemble2D(_shift_config(2, 64), basis).shift(0.95 * 3.0)
+    assert hashlib.sha256(shift.tobytes()).hexdigest() == DISC_SHIFT_2D_SHA256
+
+
+@functools.cache
+def _basis_256():
+    return radial_basis(bessel_zeros(256), 256)
+
+
+# masses in (0, 10] down to 1e-100: below about 1e-154 the squares in the
+# norms below underflow, and below about 1e-300 the shift itself is
+# subnormal and loses its digits
+MASSES = st.floats(min_value=1e-100, max_value=10.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_modes=st.integers(1, 512), mass=MASSES)
+def test_1d_shift_has_the_mass_it_is_given(n_modes, mass):
+    ens = _Ensemble1D(_shift_config(1, n_modes))
+    theta = ens.shift(mass)
+    assert theta.shape == (n_modes, 2)
+    # ||u||_2^2 = 2 sum |c_n|^2, c_n = w_n (re theta_n + i im theta_n) / sqrt 2
+    norm = math.sqrt(float(np.sum((theta * ens.weights[:, None]) ** 2)))
+    assert abs(norm - mass) <= 1e-12 * mass
+
+
+@settings(max_examples=50, deadline=None)
+@given(n_modes=st.integers(1, 256), mass=MASSES)
+def test_2d_shift_has_at_most_the_mass_it_is_given(n_modes, mass):
+    # the projection onto the disc modes can only lose mass; every N runs
+    # on one basis, as the levels of a threshold scan do
+    basis = _basis_256()
+    theta = _Ensemble2D(_shift_config(2, n_modes), basis).shift(mass)
+    assert theta.shape == (n_modes,)
+    a = theta / basis.table.zeros[:n_modes]
+    norm = math.sqrt(float(np.sum(a * a)))
+    assert 0 < norm <= mass * (1 + 1e-12)
 
 
 def test_constrained_tail_level_zero_is_cutoff_probability():

@@ -123,8 +123,6 @@ GROUND_STATE_2D_GOLDEN = {
     "mass_error_bar": "0x1.0111fd999999ap-28",
 }
 GNS_FUNCTIONAL_2D_GOLDEN = "0x1.766dbe856e483p+2"
-DISC_SHIFT_2D_SHA256 = \
-    "3d0d48c8be0d0b9800bcf7eeda9d08c6dd6242fbf05a07e13aa5a8048d14e180"
 # profile_function at x[0], x[1], x[2000], x[-1], the midpoint of the first
 # interval, 1.2345, -1.2345, x[-1] - 1e-3 and x[-1] + 0.5, x the stored grid
 PROFILE_FUNCTION_GOLDEN = {
@@ -149,15 +147,6 @@ def test_ground_state_2d_p4_golden():
             for k in GROUND_STATE_2D_GOLDEN} == GROUND_STATE_2D_GOLDEN
     j = gns_functional(gs.grid, gs.profile, 2, 4)
     assert float(j).hex() == GNS_FUNCTIONAL_2D_GOLDEN
-
-
-def test_disc_shift_2d_golden():
-    from gibbslab.bessel import bessel_zeros
-    from gibbslab.gibbs import _disc_shift_2d
-
-    basis = radial_basis(bessel_zeros(64), 64)
-    shift = _disc_shift_2d(64, 4, 3.0, 0.95, basis)
-    assert hashlib.sha256(shift.tobytes()).hexdigest() == DISC_SHIFT_2D_SHA256
 
 
 @pytest.mark.parametrize("dim, p", sorted(PROFILE_FUNCTION_GOLDEN))

@@ -466,6 +466,58 @@ BAD_TAIL_ARGUMENTS = [
     ("fernique-inf-sample", lambda t: fernique_probe(
         np.r_[np.ones(1999), np.inf], [1.5]),
      "norm samples must be finite, got a mean of inf"),
+    # an index or a count that is a bool ran as 1, and a float one failed in
+    # the middle of sampling with a numpy TypeError or ran as a float index
+    ("bool-index-bernstein", lambda t: bernstein_probe(True, 6.0, 10),
+     "^j must be an integer, got True$"),
+    ("float-trials-bernstein", lambda t: bernstein_probe(3, 6.0, 10.0),
+     "^trials must be an integer, got 10.0$"),
+    ("bool-k-1d", lambda t: high_freq_empirical_1d(True, [0.5], 32, 10, 1.0),
+     "^k must be an integer, got True$"),
+    ("float-modes-1d", lambda t: high_freq_empirical_1d(3, [0.5], 32.0, 10,
+                                                        1.0),
+     "^n_modes must be an integer, got 32.0$"),
+    ("bool-samples-1d", lambda t: high_freq_empirical_1d(3, [0.5], 32, True,
+                                                         1.0),
+     "^n_samples must be an integer, got True$"),
+    ("bool-k-2d", lambda t: block_tail_empirical_2d(
+        True, [0.5], 32, 100, t, 0.5, 0.5),
+     "^k must be an integer, got True$"),
+    ("float-k-2d", lambda t: block_tail_empirical_2d(
+        2.5, [0.5], 32, 100, t, 0.5, 0.5), "^k must be an integer, got 2.5$"),
+    ("float-samples-2d", lambda t: block_tail_empirical_2d(
+        3, [0.5], 32, 100.0, t, 0.5, 0.5),
+     "^n_samples must be an integer, got 100.0$"),
+    ("bool-index-l4", lambda t: block_l4_expectation(True, 100, t),
+     "^j must be an integer, got True$"),
+    ("float-samples-l4", lambda t: block_l4_expectation(3, 100.0, t),
+     "^n_samples must be an integer, got 100.0$"),
+    ("bool-index-block-norms", lambda t: block_norm_samples_2d(True, 100, t),
+     "^j must be an integer, got True$"),
+    ("bool-dof-chi2", lambda t: chi2_tail_empirical(True, [1.0], 100),
+     "^M must be an integer, got True$"),
+    ("float-dof-chi2", lambda t: chi2_tail_empirical(2.5, [1.0], 100),
+     "^M must be an integer, got 2.5$"),
+    ("float-samples-chi2", lambda t: chi2_tail_empirical(1, [1.0], 1e4),
+     "^n_samples must be an integer, got 10000.0$"),
+    ("bool-dof-mgf-mc", lambda t: gaussian_mgf_mc(0.1, True, 100),
+     "^M must be an integer >= 1, got True$"),
+    ("float-samples-mgf-mc", lambda t: gaussian_mgf_mc(0.1, 4, 100.0),
+     "^n_samples must be an integer, got 100.0$"),
+    # p=True ran as p=1, p=inf raised a raw OverflowError, and p=0.5 drew
+    # before lp_norm refused it
+    ("bool-p-bernstein", lambda t: bernstein_probe(3, True, 10),
+     "^p must be a number, got True$"),
+    ("inf-p-bernstein", lambda t: bernstein_probe(3, math.inf, 10),
+     "^p must be finite and >= 1, got inf$"),
+    ("small-p-bernstein", lambda t: bernstein_probe(3, 0.5, 10),
+     "^p must be finite and >= 1, got 0.5$"),
+    ("small-p-1d", lambda t: high_freq_empirical_1d(3, [0.5], 32, 10, 1.0,
+                                                    p=0.5),
+     "^p must be finite and >= 1, got 0.5$"),
+    ("nan-p-1d", lambda t: high_freq_empirical_1d(3, [0.5], 32, 10, 1.0,
+                                                  p=NAN),
+     "^p must be finite and >= 1, got nan$"),
 ]
 
 
@@ -473,8 +525,37 @@ BAD_TAIL_ARGUMENTS = [
                          [pytest.param(call, message, id=name)
                           for name, call, message in BAD_TAIL_ARGUMENTS])
 def test_tail_laboratory_rejects_bad_arguments(call, message, table64):
-    with pytest.raises(ValueError, match=message):
+    # with the samplers' driver patched to raise, a refusal that comes
+    # after the first draw would fail as an AssertionError
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before checking the arguments")
+
+    with mock.patch.object(tails, "batches", no_draws), \
+            mock.patch.object(radial2d, "batches", no_draws), \
+            pytest.raises(ValueError, match=message) as info:
         call(table64)
+    assert "\n" not in str(info.value)
+
+
+def test_tail_samplers_take_numpy_integers(table64):
+    # the same bits as from Python integers
+    i64 = np.int64
+    assert bernstein_probe(i64(3), 6.0, i64(20)) \
+        == bernstein_probe(3, 6.0, 20)
+    assert gaussian_mgf_mc(0.1, i64(4), i64(1000)) \
+        == gaussian_mgf_mc(0.1, 4, 1000)
+    assert block_l4_expectation(i64(2), i64(200), table64) \
+        == block_l4_expectation(2, 200, table64)
+    for np_curve, curve in [
+            (chi2_tail_empirical(i64(2), [1.0, 2.0], i64(1000)),
+             chi2_tail_empirical(2, [1.0, 2.0], 1000)),
+            (high_freq_empirical_1d(i64(2), [0.1], i64(16), i64(200), 1.0),
+             high_freq_empirical_1d(2, [0.1], 16, 200, 1.0)),
+            (block_tail_empirical_2d(i64(2), [0.5], i64(16), i64(200),
+                                     table64, 0.7, 0.45),
+             block_tail_empirical_2d(2, [0.5], 16, 200, table64, 0.7, 0.45))]:
+        assert np_curve.empirical.tobytes() == curve.empirical.tobytes()
+        assert np_curve.theoretical.tobytes() == curve.theoretical.tobytes()
 
 
 # decreasing levels, with the sizes at which each curve sampled for 2.75,
