@@ -1,8 +1,12 @@
-"""Hot numerical kernels: the |v|^p reductions and the J0/J1 wrappers.
+"""Hot numerical kernels (the |v|^p reductions, the J0/J1 wrappers) and the
+package's one set of argument checks (_is_integer, _is_real, _check_p).
 
 J0 and J1 come from scipy.special, imported on the first call so that the
 1D paths never load it; the wrappers only add the argument check.
 """
+import math
+import numbers
+
 import numpy as np
 
 BACKEND = "numpy"
@@ -57,6 +61,41 @@ def weighted_abs_power_sum(values, weights, p, out=None):
     optional buffer of _abs_power."""
     return _abs_power(np.asarray(values, dtype=float), p, out) \
         @ np.asarray(weights, dtype=float)
+
+
+def _is_integer(value) -> bool:
+    """An integer of Python or numpy, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """A real number of Python or numpy, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _real_floats(values, what) -> list[float]:
+    """values as floats, refused unless each is a real number by _is_real:
+    float() would turn True into the level 1.0 and "2" into 2.0."""
+    values = list(values)
+    for value in values:
+        if not _is_real(value):
+            raise ValueError(f"{what} must be numbers, got {value!r}")
+    return [float(value) for value in values]
+
+
+def _check_integers(**values):
+    """Refuse each of values, by name, unless _is_integer."""
+    for name, value in values.items():
+        if not _is_integer(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_p(p):
+    """Refuse p unless it is a number (_is_real), finite and at least 1."""
+    if not _is_real(p):
+        raise ValueError(f"p must be a number, got {p!r}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and >= 1, got {p!r}")
 
 
 def _bessel_arg(x):

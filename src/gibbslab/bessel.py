@@ -6,12 +6,11 @@ certified against the table invariants before it is returned:
 |J0(z_n)| < 1e-12, spacing within 0.3 of pi, and J1 alternating in sign at
 consecutive zeros.
 """
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import j0_array, j1_array
+from ._core import _check_integers, j0_array, j1_array
 
 ZERO_RESIDUAL_TOL = 1e-12
 
@@ -52,8 +51,7 @@ class BesselTable:
 
 def bessel_zeros(count: int) -> BesselTable:
     """First `count` positive zeros of J0, certified by validate()."""
-    if not isinstance(count, numbers.Integral) or isinstance(count, bool):
-        raise ValueError(f"count must be an integer, got {count!r}")
+    _check_integers(count=count)
     if count < 1:
         raise ValueError("count must be >= 1")
     from scipy.special import jn_zeros

@@ -55,7 +55,8 @@ weighs an error below 1e-9 as 1e-9, and the reports keep their own.
 
 A weight that overflows is not a weight of zero: a NaN or +inf Gibbs
 exponent on a sample inside the cutoff raises, and a soliton shift whose
-energy is not finite fails before any sampling.
+energy is not finite, or a config field that _core's checks refuse, fails
+before any sampling.
 
 The layer-cake cross-check rebuilds the partition estimate from the tail
 probabilities P(||u||_p > lam, ||u||_2 <= K) at a grid of levels. It too
@@ -65,12 +66,13 @@ pass each, and the sample variance of those contributions is the exact error
 of the rebuilt estimate.
 """
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._core import abs_power_mean, power_in_place, weighted_abs_power_sum
+from ._core import (_check_integers, _check_p, _is_integer, _is_real,
+                    _real_floats, abs_power_mean, power_in_place,
+                    weighted_abs_power_sum)
 from .bessel import bessel_zeros
 from .groundstate import profile_function, solve_ground_state
 from .radial2d import RadialBasis, radial_basis
@@ -83,41 +85,6 @@ _LOG_HUGE = 700.0
 TILT_SCALE = 2.0               # tilted: standard deviation of the tilted modes
 TILT_MODES = 4                 # tilted: how many of the lowest modes
 SOLITON_MASS_FRACTION = 0.95   # soliton: shift mass as a fraction of K
-
-
-def _is_integer(value) -> bool:
-    """An integer of Python or numpy, not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    """A real number of Python or numpy, not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _real_floats(values, what) -> list[float]:
-    """values as floats, refused unless each is a real number by _is_real:
-    float() would turn True into the level 1.0 and "2" into 2.0."""
-    values = list(values)
-    for value in values:
-        if not _is_real(value):
-            raise ValueError(f"{what} must be numbers, got {value!r}")
-    return [float(value) for value in values]
-
-
-def _check_integers(**values):
-    """Refuse each of values, by name, unless _is_integer."""
-    for name, value in values.items():
-        if not _is_integer(value):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_p(p):
-    """Refuse p unless it is a number (_is_real), finite and at least 1."""
-    if not _is_real(p):
-        raise ValueError(f"p must be a number, got {p!r}")
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and >= 1, got {p!r}")
 
 
 @dataclass(frozen=True)

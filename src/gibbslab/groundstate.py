@@ -34,6 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._core import _check_integers
 from .radial2d import (RadialBasis, RadialField2D, grad_l2_spectral_sq,
                        radial_lp_norm)
 
@@ -60,6 +61,7 @@ class GroundState:
 
 
 def _validate_dim_p(dim: int, p: int) -> None:
+    _check_integers(dim=dim, p=p)
     if dim not in (1, 2):
         raise ValueError("dim must be 1 or 2")
     if p % 2 or p <= 2:
@@ -70,7 +72,8 @@ def _validate_dim_p(dim: int, p: int) -> None:
         raise ValueError("2D range is p <= 4")
 
 
-@lru_cache(maxsize=8)
+# typed: else True or 6.0 would get the cached entry of 1 or 6, unchecked
+@lru_cache(maxsize=8, typed=True)
 def solve_ground_state(dim: int, p: int) -> GroundState:
     _validate_dim_p(dim, p)
     return _solve_1d(p) if dim == 1 else _solve_2d(p)
@@ -325,11 +328,9 @@ def profile_function(gs: GroundState):
 
 
 def _fd4(values: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order first derivative on a uniform grid."""
+    """_fd_derivative with fourth-order one-sided rows at both ends."""
     f = values
-    d = np.empty_like(f)
-    i = np.arange(2, len(f) - 2)
-    d[i] = (f[i - 2] - 8 * f[i - 1] + 8 * f[i + 1] - f[i + 2]) / (12 * h)
+    d = _fd_derivative(f, h)
     d[0] = (-25 * f[0] + 48 * f[1] - 36 * f[2] + 16 * f[3] - 3 * f[4]) / (12 * h)
     d[1] = (-3 * f[0] - 10 * f[1] + 18 * f[2] - 6 * f[3] + f[4]) / (12 * h)
     d[-2] = -(-3 * f[-1] - 10 * f[-2] + 18 * f[-3] - 6 * f[-4] + f[-5]) / (12 * h)

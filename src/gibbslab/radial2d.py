@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import j0_array, j1_array, weighted_abs_power_sum
+from ._core import (_check_integers, _check_p, j0_array, j1_array,
+                    weighted_abs_power_sum)
 from .bessel import BesselTable
 from .rng import BATCH_SIZE, batches, slices
 from .spectral1d import _window
@@ -82,6 +83,7 @@ def _mode_scales(table: BesselTable, n_modes: int):
 def radial_basis(table: BesselTable, n_modes: int) -> RadialBasis:
     """The first n_modes modes on default_node_count Gauss-Legendre nodes;
     the matrix is built in place in the array of its arguments z_n r_q."""
+    _check_integers(n_modes=n_modes)
     if table.count < n_modes:
         raise ValueError("Bessel table too short for requested n_modes")
     quad = disc_quadrature(default_node_count(table, n_modes))
@@ -133,8 +135,7 @@ def evaluate_radial(field: RadialField2D, basis: RadialBasis) -> np.ndarray:
 def radial_lp_norm(field: RadialField2D, p: float,
                    basis: RadialBasis) -> np.ndarray:
     """L^p norm of each field over the disc by Gauss-Legendre quadrature."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     v = evaluate_radial(field, basis)
     return weighted_abs_power_sum(v, basis.quad.area_weights, p) ** (1.0 / p)
 
@@ -170,8 +171,6 @@ def _disc_l4_norms(keep: np.ndarray, n_samples: int, table: BesselTable,
 def block_l4_expectation(j: int, n_samples: int, table: BesselTable,
                          seed: int = 0):
     """Monte Carlo estimate of E ||v_j||_{L^4(disc)} with its standard error."""
-    from .gibbs import _check_integers     # gibbs imports this module
-
     _check_integers(j=j, n_samples=n_samples)
     if j < 1:
         raise ValueError("block index must be >= 1")

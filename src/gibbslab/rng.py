@@ -58,15 +58,18 @@ import threading
 
 import numpy as np
 
+from ._core import _check_integers
+
 BATCH_SIZE = 4096       # samples per stream, for the fields and the estimators
 SYNTH_BUDGET = 1 << 17  # grid values a synthesis slice holds (1 MB, in L2)
 
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:
     """Independent generator for the given (seed, stream) pair."""
+    _check_integers(seed=seed, stream=stream)
     if seed < 0 or stream < 0:
         raise ValueError("seed and stream must be nonnegative integers")
-    ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import abs_power_mean
+from ._core import _check_p, abs_power_mean
 from .rng import BATCH_SIZE, batches
 
 
@@ -140,8 +140,7 @@ def evaluate_coeff_rows(coeff_rows: np.ndarray, grid_size: int,
 def lp_norm(values: np.ndarray, p: float, out=None) -> np.ndarray:
     """Rectangle-rule L^p norm on the unit circle of each row of uniform
     grid values; out is the optional buffer of abs_power_mean."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    _check_p(p)
     return abs_power_mean(values, p, out) ** (1.0 / p)
 
 

@@ -16,15 +16,16 @@ one; a level that is not positive, NaN among them, is refused.
 
 The samplers read their streams through rng.slices, as the estimators of
 gibbs do, all but the Bernstein probe, whose two whole 512-row draws fix its
-stream. The samplers check their arguments, and the curves their levels
-(_levels) and bounds, before any sampling.
+stream. The samplers and the bounds check their arguments with _core's
+checks, and the curves their levels (_levels) and bounds, before any
+sampling.
 """
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gibbs import _check_integers, _check_p, _is_integer, _real_floats
+from ._core import _check_integers, _check_p, _is_integer, _real_floats
 from .radial2d import BesselTable, _disc_l4_norms, block_l4_expectation
 from .rng import Workspace, batches, row_slices, slices
 from .spectral1d import (evaluate_coeff_rows, gaussian_coeffs, lp_norm,
@@ -63,6 +64,7 @@ def _levels(levels) -> np.ndarray:
 
 def chi2_tail_bound(m_dof: int, level: float):
     """Bound exp(-R^2/4) for P(chi2_M >= R^2), valid once R >= 3 sqrt(M)."""
+    _check_integers(M=m_dof)
     if m_dof < 1 or not level > 0:
         raise ValueError(f"need M >= 1 and R > 0, not NaN, got M={m_dof!r} "
                          f"and R={level}")
@@ -246,6 +248,7 @@ def dyadic_schedule(lam: float, k: int, r: float, p: float,
                     bernstein_c: float = 1.0) -> DyadicSchedule:
     """Geometric level split lambda_j = lam (1-2^-r) 2^(kr) 2^(-jr) at the 48
     levels j = k .. k + 47."""
+    _check_integers(k=k)
     if not lam > 0:
         raise ValueError(f"lam must be > 0 and not NaN, got {lam}")
     if not 0.0 < r < 1.0 / p:
@@ -383,6 +386,7 @@ def block_tail_2d(k: int, lam: float, c_prime: float,
     eps_j = (1-2^-s) 2^(ks) 2^(-js), s = 1/4, apply the Fernique rate to
     each block and sum, capped at 1; valid if every block's tail level
     exceeds 1."""
+    _check_integers(k=k)
     if not lam > 0:
         raise ValueError(f"lam must be > 0 and not NaN, got {lam}")
     if not (c_prime > 0 and c4 > 0):

@@ -773,6 +773,37 @@ def test_only_the_cli_writes_files():
     assert found == []
 
 
+def test_argument_checks_live_in_core():
+    # what counts as an integer, a real or a valid p is decided in _core
+    # alone: no other module imports numbers, and the modules below gibbs
+    # import gibbs nowhere, at module level or inside a function
+    import ast
+
+    below_gibbs = ("tails", "radial2d", "spectral1d", "bessel", "rng",
+                   "groundstate")
+    found = []
+    for path in sorted((ROOT / "src" / "gibbslab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                # "from . import gibbs" names the module as an alias
+                base = ("gibbslab." if node.level else "") \
+                    + (node.module or "")
+                base = base.rstrip(".")
+                modules = [base] + [f"{base}.{a.name}" for a in node.names]
+            else:
+                continue
+            if path.name != "_core.py":
+                found += [f"{where} imports numbers" for m in modules
+                          if m.split(".")[0] == "numbers"]
+            if path.stem in below_gibbs:
+                found += [f"{where} imports gibbs" for m in modules
+                          if m == "gibbslab.gibbs"]
+    assert found == []
+
+
 # scipy subpackages beyond scipy.special; scipy.integrate and
 # scipy.interpolate each pull in scipy.optimize, and scipy.stats all three.
 # A 1D command loads no scipy at all, and a 2D command scipy.special and

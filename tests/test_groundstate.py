@@ -168,8 +168,13 @@ def test_profile_invariants_2d():
 
 
 def test_bad_dim_p_combinations():
-    for dim, p in ((1, 5), (1, 8), (2, 6), (3, 4), (1, 2)):
-        with pytest.raises(ValueError):
+    # True ran as dim 1 and 6.0 as p = 6, also from the cache of the equal
+    # int key, which the first two calls fill
+    solve_ground_state(1, 6)
+    solve_ground_state(2, 4)
+    for dim, p in ((1, 5), (1, 8), (2, 6), (3, 4), (1, 2), (True, 6),
+                   (1.0, 6), (1, 6.0), (2, 4.0)):
+        with pytest.raises(ValueError, match="^[^\n]*$"):
             solve_ground_state(dim, p)
 
 

@@ -181,6 +181,26 @@ def test_short_table_rejected(table64):
         RadialField2D(np.zeros(8), table64)
     with pytest.raises(ValueError):
         radial_basis(table64, 65)
+    # True ran as one mode, on a basis whose n_modes was True
+    for n_modes in (True, 16.0):
+        with pytest.raises(ValueError,
+                           match=f"^n_modes must be an integer, got "
+                                 f"{n_modes}$"):
+            radial_basis(table64, n_modes)
+
+
+@pytest.mark.parametrize("p, message", [
+    # True ran as p = 1; inf and NaN escaped from the power kernel
+    (True, "^p must be a number, got True$"),
+    ("4", "^p must be a number, got '4'$"),
+    (0.5, "^p must be finite and >= 1, got 0.5$"),
+    (math.inf, "^p must be finite and >= 1, got inf$"),
+    (math.nan, "^p must be finite and >= 1, got nan$"),
+], ids=["bool", "str", "small", "inf", "nan"])
+def test_radial_lp_norm_refuses_bad_p(p, message, table64):
+    basis = radial_basis(table64, 16)
+    with pytest.raises(ValueError, match=message):
+        radial_lp_norm(sample_radials(0, 2, 16, table64), p, basis)
 
 
 def test_block_l4_scaling_and_noise():

@@ -181,6 +181,20 @@ def test_lp_monotone_in_p(seed):
         assert np.all(b >= a * (1 - 1e-12))
 
 
+@pytest.mark.parametrize("p, message", [
+    # True ran as p = 1; inf raised a raw OverflowError, NaN a raw
+    # ValueError from the power kernel
+    (True, "^p must be a number, got True$"),
+    ("6", "^p must be a number, got '6'$"),
+    (0.5, "^p must be finite and >= 1, got 0.5$"),
+    (math.inf, "^p must be finite and >= 1, got inf$"),
+    (math.nan, "^p must be finite and >= 1, got nan$"),
+], ids=["bool", "str", "small", "inf", "nan"])
+def test_lp_norm_refuses_bad_p(p, message):
+    with pytest.raises(ValueError, match=message):
+        lp_norm(np.ones((1, 8)), p)
+
+
 def test_lp_monotone_thousand_fields():
     # the invariant at its stated corpus size
     g = _grid(sample_loops(35, 1000, 24), 128)

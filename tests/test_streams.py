@@ -885,6 +885,26 @@ def test_corpus_holds_the_plain_estimator_rows(dim, seed, n):
                           _plain_estimator_rows(dim, seed, n))
 
 
+@pytest.mark.parametrize("seed, stream, message", [
+    # int() truncated 1.5 and True to 1, and drew seed 1's stream
+    (1.5, 0, "^seed must be an integer, got 1.5$"),
+    (True, 0, "^seed must be an integer, got True$"),
+    (1, 2.0, "^stream must be an integer, got 2.0$"),
+    (1, False, "^stream must be an integer, got False$"),
+    (-1, 0, "nonnegative"),
+], ids=["float-seed", "bool-seed", "float-stream", "bool-stream",
+        "negative-seed"])
+def test_bad_stream_keys_rejected(seed, stream, message):
+    with pytest.raises(ValueError, match=message):
+        rng_for(seed, stream)
+
+
+def test_streams_take_numpy_integers():
+    assert np.array_equal(
+        rng_for(np.int64(5), np.uint32(2)).standard_normal(8),
+        rng_for(5, 2).standard_normal(8))
+
+
 @pytest.mark.parametrize("text", ["abc", "0", "-1", "1.5"])
 def test_bad_worker_count_rejected(text, monkeypatch):
     monkeypatch.setenv("GIBBSLAB_WORKERS", text)

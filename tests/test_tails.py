@@ -453,6 +453,22 @@ BAD_TAIL_ARGUMENTS = [
      "lam must be > 0 and not NaN, got nan"),
     ("nan-level-chi2-bound", lambda t: chi2_tail_bound(1, NAN),
      "R > 0, not NaN, got M=1 and R=nan"),
+    # a bool or non-integer index ran in the bounds: True as 1, 2.5 as a
+    # block index of 2.5
+    ("bool-dof-chi2-bound", lambda t: chi2_tail_bound(True, 3.0),
+     "^M must be an integer, got True$"),
+    ("float-dof-chi2-bound", lambda t: chi2_tail_bound(2.5, 3.0),
+     "^M must be an integer, got 2.5$"),
+    ("bool-k-block-bound", lambda t: block_tail_2d(True, 2.0, 0.7, 0.45),
+     "^k must be an integer, got True$"),
+    ("float-k-block-bound", lambda t: block_tail_2d(2.5, 2.0, 0.7, 0.45),
+     "^k must be an integer, got 2.5$"),
+    ("float-k-schedule",
+     lambda t: dyadic_schedule(1.0, 2.5, 1.0 / 12.0, 6.0),
+     "^k must be an integer, got 2.5$"),
+    ("bool-k-high-freq-bound",
+     lambda t: high_freq_tail_bound(True, 1.0, 1.0 / 12.0, 6.0, 1.0),
+     "^k must be an integer, got True$"),
     # a mean that is not positive made c_hat -0.0, and a NaN one inf
     ("fernique-zero-mean", lambda t: fernique_probe(np.zeros(2000),
                                                     [1.5, 2.0]),
