@@ -100,7 +100,7 @@ class EnsembleConfig:
     calibration: bool = False      # replace the Gibbs exponent by 0
 
     def __post_init__(self):
-        if isinstance(self.dim, bool) or self.dim not in (1, 2):
+        if not _is_integer(self.dim) or self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
         _check_p(self.p)
         if not _is_real(self.cutoff):
@@ -192,6 +192,10 @@ class _Ensemble:
 
 
 class _Ensemble1D(_Ensemble):
+    # each row is synthesized on its own, and the soliton's matrix-vector
+    # product keeps its bits from 4-row slices up (see rng)
+    row_floor = 16
+
     def __init__(self, cfg: EnsembleConfig):
         self.weights = spectral_weights(cfg.n_modes)
         self.width = cfg.resolved_grid_size()       # grid points per row
@@ -223,14 +227,15 @@ class _Ensemble1D(_Ensemble):
         slice's spectrum, column 0 holding the zero mode 0, and packing
         takes whole spectrum rows, so the transform reads the coefficients
         where they are. Writing into that strided view is slower than into
-        a contiguous array, so |c|^2 is taken over whole spectrum rows."""
+        a contiguous array, so |c|^2 is taken over whole spectrum rows, in
+        the grid values' buffer, which is free until the transform."""
         rows, n_modes = g.shape[:-1]
         spectrum = ws("spectrum", (rows, n_modes + 1), complex)
         spectrum[:, 0] = 0.0
         gaussian_coeffs(g, self.weights, out=spectrum[:, 1:])
         # summed from column 1, each row adds the same values in the same
         # order as over the coefficients alone
-        modsq = np.abs(spectrum, out=ws("modsq", spectrum.shape))
+        modsq = np.abs(spectrum, out=ws("vals", spectrum.shape))
         np.multiply(modsq, modsq, out=modsq)
         np.sum(modsq[:, 1:], axis=1, out=l2sq)
         l2sq *= 2.0
@@ -251,6 +256,8 @@ class _Ensemble1D(_Ensemble):
 
 
 class _Ensemble2D(_Ensemble):
+    row_floor = rng.ROW_FLOOR       # for the matrix product (see rng)
+
     def __init__(self, cfg: EnsembleConfig, basis: RadialBasis):
         if basis.n_modes < cfg.n_modes:
             raise ValueError(f"basis holds {basis.n_modes} modes, fewer than "
@@ -335,7 +342,7 @@ def _proposal_rows(ens, g, lo, half, ws):
 def _log_weights(ens, rows):
     """Log importance weights of rows of the mixture, each at most log 2."""
     if ens.theta is not None:
-        # one matrix-vector product per slice: with slices of at least 64
+        # one matrix-vector product per slice: with slices of at least 4
         # rows each row gets the bits of one product over the batch (rng)
         log_rho = rows.reshape(len(rows), -1) @ ens.theta.reshape(-1) \
             - ens.theta_energy
@@ -364,8 +371,8 @@ def _batch_slices(levels, gen, b, bounds, ws):
     """
     half = b // 2
     for i, lo, hi, g in rng.slices(
-            gen, b, [(ens[0].row_shape, ens[0].width, ens[0].grid_arrays)
-                     for ens in levels]):
+            gen, b, [(ens[0].row_shape, ens[0].width, ens[0].grid_arrays,
+                      ens[0].row_floor) for ens in levels]):
         ensembles = levels[i]
         power = ws("row_power", (hi - lo,))
         l2sq = ws("row_l2sq", (hi - lo,))

@@ -23,23 +23,32 @@ draws fix its stream, draw whole batches. The budget, SYNTH_BUDGET = 2^17
 grid values (1 MB of float64), counts every grid-sized array a slice holds:
 a slice of rows of width values that holds k such arrays is the largest
 power of two of rows that keeps rows * width * k within the budget, and at
-least 64 rows. Most slices hold two, the grid values and their powers, so
-each array is 512 KB, or 64 rows where a row is wider than 1024 values: a
-1D slice at N=512 is 64 rows of 2048 points, two 1 MB arrays. A 2D
+least the reader's row floor. Most slices hold two, the grid values and
+their powers, so each array is 512 KB: a 1D estimator slice is 32 rows of
+2048 points at N=512 and 16 rows of 4096 at N=1024, and only at N=2048
+does its floor of 16 rows bind, two 1 MB arrays of 8192 points. A 2D
 estimator slice (gibbs) takes |v|^p in place over its grid values and holds
 one (two for an even p >= 6, whose power chain cannot run in place; see
 _core), so it is 128 rows of the 837 nodes at N=256. The tail laboratory's
-samplers count two arrays per slice. The two arrays of a 1D slice, 1 MB
-together up to N=256 and 2 MB at N=512, fit the 2 MiB per-core L2 of a
-2-CPU Xeon (lscpu: 4 MiB over 2 instances); two 4 MB arrays spilled out of
-it, and fresh 1D threshold scans ran about 10% slower. Every row is reduced
-on its own, so slicing changes no result bit.
-The rows of a slice are a power of two, at least 64: OpenBLAS computes the
-last rows of a 2D matrix product whose row count is not a multiple of its
-4-row kernel with another kernel that rounds differently (slices of 7 or 626
-rows moved power_mean by up to 4e-15 relative), and with power-of-two slices
-those rows are the same ones as in the whole batch. The soliton weights'
-matrix-vector products keep their bits the same way; single rows do not.
+samplers count two arrays per slice. The two arrays of a slice, 1 MB
+together within the budget and 2 MB at a 1D slice of 16 rows at N=2048,
+fit the 2 MiB per-core L2 of a 2-CPU Xeon (lscpu: 4 MiB over 2 instances);
+two 4 MB arrays spilled out of it, and fresh 1D threshold scans ran about
+10% slower. Every row is reduced on its own, so slicing changes no result
+bit.
+The rows of a slice are a power of two, at least ROW_FLOOR = 64 unless the
+reader sets its own floor: OpenBLAS computes the last rows of a 2D matrix
+product whose row count is not a multiple of its 4-row kernel with another
+kernel that rounds differently (slices of 7 or 626 rows moved power_mean by
+up to 4e-15 relative), and with power-of-two slices those rows are the same
+ones as in the whole batch. The soliton weights' matrix-vector products keep
+their bits the same way, from slices of 4 rows up; single rows do not. The
+matrix products of a 2D synthesis keep the floor of 64, as a 16-row floor
+slowed a 2D p=4 N=1024 estimate by about 18%. A 1D estimator synthesizes
+each row on its own, by an inverse FFT and a power chain, and its only
+product across rows is that matrix-vector product, so it reads with a floor
+of 16 rows, which keeps its slices within the budget up to N=1024 and a
+scan to N=2048 in about a quarter of the memory of 64-row slices.
 
 A batch of n rows of m normals each is the first n * m values of its
 stream, so a batch at a smaller truncation level is a prefix of the batch at
@@ -62,6 +71,7 @@ from ._core import _check_integers
 
 BATCH_SIZE = 4096       # samples per stream, for the fields and the estimators
 SYNTH_BUDGET = 1 << 17  # grid values a synthesis slice holds (1 MB, in L2)
+ROW_FLOOR = 64          # the fewest rows of a slice, unless a reader sets it
 
 
 def rng_for(seed: int, stream: int) -> np.random.Generator:
@@ -110,14 +120,16 @@ def batches(seed: int, n_samples: int, batch_size: int, fn,
         return list(ex.map(job, range(n_batches)))
 
 
-def row_slices(n_rows: int, width: int, arrays: int = 2) -> list:
+def row_slices(n_rows: int, width: int, arrays: int = 2,
+               floor: int = ROW_FLOOR) -> list:
     """[(start, stop)] row bounds of the synthesis slices of a batch of
     n_rows rows of width grid values each, a slice holding arrays
-    grid-sized arrays (see the module docstring)."""
+    grid-sized arrays and at least floor rows, a power of two (see the
+    module docstring)."""
     per_row = width * arrays
     if n_rows * per_row <= SYNTH_BUDGET:
         return [(0, n_rows)]
-    rows = max(SYNTH_BUDGET // per_row, 64)
+    rows = max(SYNTH_BUDGET // per_row, floor)
     rows = 1 << (rows.bit_length() - 1)        # a power of two
     return [(i, min(i + rows, n_rows)) for i in range(0, n_rows, rows)]
 
@@ -167,12 +179,12 @@ class Tape:
 
 def slices(gen: np.random.Generator, b: int, readers):
     """(i, lo, hi, g) for the row slices of a batch of b rows of every reader
-    of readers, a (row_shape, width) or (row_shape, width, arrays) tuple:
-    rows lo:hi of reader i's normals g, of shape (hi - lo, *row_shape), read
-    from the stream of gen through one Tape in the slices of
-    row_slices(b, width, arrays), in the order of their first value on the
-    stream. g is valid until the next slice, and a reader alone on its
-    stream may overwrite it."""
+    of readers, a (row_shape, width), (row_shape, width, arrays) or
+    (row_shape, width, arrays, floor) tuple: rows lo:hi of reader i's
+    normals g, of shape (hi - lo, *row_shape), read from the stream of gen
+    through one Tape in the slices of row_slices(b, width, arrays, floor),
+    in the order of their first value on the stream. g is valid until the
+    next slice, and a reader alone on its stream may overwrite it."""
     sizes = [math.prod(reader[0]) for reader in readers]
     tape = Tape(gen, [b * size for size in sizes])
     for _, i, lo, hi in sorted(

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._core import _check_integers, _check_p, _is_integer, _real_floats
+from ._core import (_check_integers, _check_p, _is_integer, _is_real,
+                    _real_floats)
 from .radial2d import BesselTable, _disc_l4_norms, block_l4_expectation
 from .rng import Workspace, batches, row_slices, slices
 from .spectral1d import (evaluate_coeff_rows, gaussian_coeffs, lp_norm,
@@ -106,6 +107,8 @@ def resolvable(curve: TailCurve) -> np.ndarray:
 
 def _check_mgf_args(c: float, m_dof: int) -> None:
     """The boundary check of the three MGF helpers."""
+    if not _is_real(c):
+        raise ValueError(f"c must be a number, got {c!r}")
     if math.isnan(c):
         raise ValueError("c must be a number, got NaN")
     if not _is_integer(m_dof) or m_dof < 1:

@@ -110,8 +110,9 @@ def bump_corpus(rng, grid, dim):
 # one random stream. These are the whole-batch forms they replaced: a batch
 # drawn at once, its mixture proposal made in one array, and its rows
 # synthesized in the slices of rng.row_slices. They read only the ensemble's
-# fixed data (cfg, weights, width, theta, inv_z, matrix_t, area_w) and the
-# package's numerical kernels, and the tests hold the estimators to them.
+# fixed data (cfg, weights, width, grid_arrays, row_floor, theta, inv_z,
+# matrix_t, area_w) and the package's numerical kernels, and the tests hold
+# the estimators to them.
 
 def draw_batch(ens, gen, b):
     """A batch of b rows of Gaussians drawn whole from gen."""
@@ -180,5 +181,5 @@ def synthesize(ens, g, ksq=math.inf):
 
     parts = [_synthesize_slice(ens, g[lo:hi], ksq)
              for lo, hi in rng.row_slices(len(g), ens.width,
-                                          ens.grid_arrays)]
+                                          ens.grid_arrays, ens.row_floor)]
     return tuple(np.concatenate(col) for col in zip(*parts))

@@ -132,6 +132,10 @@ def test_nan_p_rejected():
     ("cutoff", "1", "cutoff must be a number, got '1'"),
     ("cutoff", False, "cutoff must be a number, got False"),
     ("dim", True, "dim must be 1 or 2"),
+    # a float dim ran as its integer and its config recorded dim: 1.0
+    ("dim", 1.0, "dim must be 1 or 2"),
+    ("dim", np.float64(2.0), "dim must be 1 or 2"),
+    ("dim", "1", "dim must be 1 or 2"),
 ])
 def test_mistyped_fields_and_negative_seed_rejected(field, value, message):
     fields = dict(dim=1, p=6, cutoff=1.0, n_modes=8, n_samples=10, seed=0)

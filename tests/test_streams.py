@@ -8,7 +8,8 @@ enough for several batches, and requires identical results. The disc block
 norms are pinned by every 500th of their 5000 values (all three batches); the
 worker test compares all of them, and sha256 goldens pin every value of the
 disc norms and chi-square counts of the tail laboratory on one and two
-workers, which row slices of 64 to 1024 rows must leave in place. The
+workers, which their row slices, from the default floor of 64 rows up to
+1024, must leave in place. The
 one-pass tail levels and the row slices of the synthesis must leave every
 bit of these results in place, and the one-pass layer cake is pinned the
 same way.
@@ -30,7 +31,10 @@ order of their first value on the stream, and a tracemalloc bound that a
 batch holds slices rather than the whole batch. Another bound holds a scan
 to one Gibbs exponent and one inside flag per row and cutoff, a golden 2D
 soliton scan runs in slices of 128 rows, and a golden 2D p=6 estimate
-pins the power chain that cannot run in place.
+pins the power chain that cannot run in place. A 1D estimator's row floor
+is 16 rows, the 2D one's 64: a 1D scan to N=2048 gives every sampler the
+reports of 64-row slices, and a tracemalloc bound holds its soliton scan to
+the memory of 16-row slices.
 """
 import contextlib
 import functools
@@ -468,7 +472,8 @@ def _whole_batches(dim, sampler, n_samples):
 def test_synthesis_slices_do_not_change_results(dim, sampler, n_samples,
                                                 rows, workers):
     # a budget of `rows` rows, log-uniform from 1 to 8191, gives slices from
-    # the 64-row floor up to a whole 4096-row batch; 5003 and 9000 samples
+    # the row floor (16 rows in 1D, 64 in 2D) up to a whole 4096-row batch;
+    # 5003 and 9000 samples
     # end on a short batch (907 and 808 rows)
     assert _sliced_run(dim, sampler, n_samples, rows, workers,
                        _pipeline_rows) \
@@ -505,15 +510,17 @@ def test_tail_sampler_slices_do_not_change_results(name, rows, workers):
 
 @settings(max_examples=300, deadline=None)
 @given(n_rows=st.integers(1, 9000), width=st.integers(1, 1 << 13),
-       arrays=st.integers(1, 3),
+       arrays=st.integers(1, 3), floor=st.sampled_from([16, 64]),
        budget=st.one_of(st.none(), st.integers(1, 1 << 22)))
-@example(n_rows=BATCH_SIZE, width=2048, arrays=2, budget=None)  # 1D, N=512
-@example(n_rows=BATCH_SIZE, width=837, arrays=1, budget=None)   # 2D, N=256
-def test_row_slices_tile_the_batch(n_rows, width, arrays, budget):
+@example(n_rows=BATCH_SIZE, width=8192, arrays=2, floor=16,
+         budget=None)                                           # 1D, N=2048
+@example(n_rows=BATCH_SIZE, width=837, arrays=1, floor=64,
+         budget=None)                                           # 2D, N=256
+def test_row_slices_tile_the_batch(n_rows, width, arrays, floor, budget):
     # budget None is the default SYNTH_BUDGET
     budget = rng.SYNTH_BUDGET if budget is None else budget
     with mock.patch.object(rng, "SYNTH_BUDGET", budget):
-        bounds = rng.row_slices(n_rows, width, arrays)
+        bounds = rng.row_slices(n_rows, width, arrays, floor)
     starts = [lo for lo, _ in bounds]
     stops = [hi for _, hi in bounds]
     assert starts == [0] + stops[:-1] and stops[-1] == n_rows
@@ -523,24 +530,28 @@ def test_row_slices_tile_the_batch(n_rows, width, arrays, budget):
         assert bounds == [(0, n_rows)]      # the batch goes through whole
     for lo, hi in bounds[:-1]:
         rows = hi - lo
-        assert rows >= 64 and rows & (rows - 1) == 0
+        assert rows >= floor and rows & (rows - 1) == 0
         assert rows == stops[0]             # one slice size per batch
         assert 2 * rows * held > budget     # the largest that fits
-    assert all((hi - lo) * held <= max(budget, 64 * held)
+    assert all((hi - lo) * held <= max(budget, floor * held)
                for lo, hi in bounds)
 
 
 @pytest.mark.parametrize("dim, p, n_modes, rows", [
-    (1, 6, 512, 64), (1, 6, 16, 1024), (1, 6, 4, 4096), (2, 4, 256, 128),
-    (2, 2.5, 256, 128), (2, 6, 256, 64), (2, 4, 64, 512)])
+    (1, 6, 2048, 16), (1, 6, 512, 32), (1, 6, 16, 1024), (1, 6, 4, 4096),
+    (2, 4, 1024, 64), (2, 6, 512, 64), (2, 4, 256, 128), (2, 2.5, 256, 128),
+    (2, 6, 256, 64), (2, 4, 64, 512)])
 def test_estimator_slice_heights(dim, p, n_modes, rows):
     # a 2D slice takes |v|^p over its grid values, so it holds one
     # grid-sized array and is twice as tall as one that holds two: all but
-    # an even p >= 6, whose power chain needs a second buffer
+    # an even p >= 6, whose power chain needs a second buffer. A 1D slice
+    # holds two, and its floor of 16 rows binds only at N=2048; the 2D
+    # floor of 64 binds from N=512 (p=6) or N=1024 (p=4)
     cfg = EnsembleConfig(dim=dim, p=p, cutoff=1.0, n_modes=n_modes,
                          n_samples=BATCH_SIZE)
     ens, = gibbs._make_ensembles([cfg])
-    lo, hi = rng.row_slices(BATCH_SIZE, ens.width, ens.grid_arrays)[0]
+    lo, hi = rng.row_slices(BATCH_SIZE, ens.width, ens.grid_arrays,
+                            ens.row_floor)[0]
     assert (lo, hi) == (0, rows)
 
 
@@ -654,19 +665,21 @@ def test_tape_reads_are_slices_of_one_whole_draw(lengths, data):
 @settings(max_examples=100, deadline=None)
 @given(readers=st.lists(st.tuples(
            st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple),
-           st.integers(1, 300)), min_size=1, max_size=3),
+           st.integers(1, 300), st.just(2), st.sampled_from([16, 64])),
+           min_size=1, max_size=3),
        b=st.integers(1, 700), budget=st.integers(1, 1 << 12))
-@example(readers=[((4, 2), 64), ((3,), 100)], b=700, budget=4096)
+@example(readers=[((4, 2), 64, 2, 16), ((3,), 100, 2, 64)], b=700,
+         budget=4096)
 def test_slices_read_each_reader_from_one_whole_draw(readers, b, budget):
-    # row shapes of 1 to 25 normals, widths that give slices of 64 rows and
-    # more, and batches that end on a short slice
+    # row shapes of 1 to 25 normals, widths and floors that give slices of
+    # 16 rows and more, and batches that end on a short slice
     with mock.patch.object(rng, "SYNTH_BUDGET", budget):
         got = [(i, lo, hi, g.copy())        # g is valid until the next slice
                for i, lo, hi, g in rng.slices(rng_for(5, 3), b, readers)]
-        bounds = [rng.row_slices(b, width) for _, width in readers]
-    sizes = [math.prod(shape) for shape, _ in readers]
+        bounds = [rng.row_slices(b, *reader[1:]) for reader in readers]
+    sizes = [math.prod(shape) for shape, *_ in readers]
     whole = rng_for(5, 3).standard_normal(b * max(sizes))
-    for i, (shape, _) in enumerate(readers):
+    for i, (shape, *_) in enumerate(readers):
         mine = [(lo, hi, g) for j, lo, hi, g in got if j == i]
         assert [(lo, hi) for lo, hi, _ in mine] == bounds[i]
         assert all(g.shape == (hi - lo, *shape) for lo, hi, g in mine)
@@ -680,7 +693,9 @@ def test_a_scan_holds_one_exponent_and_one_flag_per_row():
     # the 1D benchmark scan's configs: 2 cutoffs at 6 levels of a 4096-row
     # batch. Its (log weight, int |u|^p, ||u||_2^2) rows were 1.2 MB of
     # float64, and an exponent and an inside flag per row are 0.44 MB; the
-    # whole scan peaked at 6.2 MB with the three rows
+    # whole scan peaked at 6.2 MB with the three rows, and at 5.5 MB with
+    # 64-row slices at N=512, whose two grid arrays were 2 MB (2.9 MB with
+    # the 32 rows that fit the budget)
     mass = solve_ground_state(1, 6).mass
     cfgs = [EnsembleConfig(dim=1, p=6, cutoff=r * mass, n_modes=16,
                            n_samples=2 * BATCH_SIZE, seed=1,
@@ -694,7 +709,46 @@ def test_a_scan_holds_one_exponent_and_one_flag_per_row():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-    assert peak < 5.7e6, peak
+    assert peak < 3.6e6, peak
+
+
+def _scan_to_2048(sampler, floor=None):
+    """The verdicts of a 1D scan at N = 512, 1024 and 2048 of two cutoffs
+    and 600 samples, with the 1D row floor set to floor (None: as it is)."""
+    mass = solve_ground_state(1, 6).mass
+    cfgs = [EnsembleConfig(dim=1, p=6, cutoff=r * mass, n_modes=16,
+                           n_samples=600, seed=1, sampler=sampler)
+            for r in (0.5, 1.5)]
+    floor = gibbs._Ensemble1D.row_floor if floor is None else floor
+    with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": "1"}), \
+            mock.patch.object(gibbs._Ensemble1D, "row_floor", floor):
+        return divergence_scan(cfgs, [512, 1024, 2048])
+
+
+@pytest.mark.parametrize("sampler", gibbs.SAMPLERS)
+def test_1d_row_floor_leaves_reports_in_place(sampler):
+    # at N = 2048 the 1D floor binds: slices of 16 rows of 8192 points
+    # against 64, and 32 and 16 rows at N = 512 and 1024 against 64; each
+    # row is synthesized on its own, and the soliton's matrix-vector product
+    # keeps its bits from 4-row slices up
+    def bits(verdicts):
+        return [(_verdict_hex(v), [_full_report(r) for r in v.reports])
+                for v in verdicts]
+    assert bits(_scan_to_2048(sampler)) \
+        == bits(_scan_to_2048(sampler, floor=64))
+
+
+def test_a_1d_scan_to_2048_holds_16_row_slices():
+    # its slices of 64 rows at N = 2048 hold two 4 MB grid arrays, and the
+    # scan peaked at 17.7 MB; with 16 rows it peaks at 4.8 MB
+    _scan_to_2048("soliton")                   # lazy imports, caches warm
+    tracemalloc.start()
+    try:
+        _scan_to_2048("soliton")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 7e6, peak
 
 
 def test_a_batch_holds_slices_not_the_whole_batch():

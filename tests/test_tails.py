@@ -520,6 +520,15 @@ BAD_TAIL_ARGUMENTS = [
      "^M must be an integer >= 1, got True$"),
     ("float-samples-mgf-mc", lambda t: gaussian_mgf_mc(0.1, 4, 100.0),
      "^n_samples must be an integer, got 100.0$"),
+    # a bool c ran as 1 or 0: gaussian_mgf(True, 2) returned inf
+    ("bool-c-mgf", lambda t: gaussian_mgf(True, 2),
+     "^c must be a number, got True$"),
+    ("bool-c-mgf-quadrature", lambda t: gaussian_mgf_quadrature(False, 2),
+     "^c must be a number, got False$"),
+    ("bool-c-mgf-mc", lambda t: gaussian_mgf_mc(np.True_, 4, 100),
+     "^c must be a number, got np.True_$"),
+    ("str-c-mgf", lambda t: gaussian_mgf("0.1", 2),
+     "^c must be a number, got '0.1'$"),
     # p=True ran as p=1, p=inf raised a raw OverflowError, and p=0.5 drew
     # before lp_norm refused it
     ("bool-p-bernstein", lambda t: bernstein_probe(3, True, 10),
