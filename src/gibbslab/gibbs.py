@@ -455,7 +455,7 @@ def estimate_partitions(cfgs, basis: RadialBasis | None = None
 def _estimate_levels(levels, basis=None):
     """The reports of every config of levels, lists of configs that differ
     only in cutoff within a list and only in n_modes between lists, from one
-    pass over the draws; in 2D every level runs on basis."""
+    pass over the draws; in 2D each level runs on basis, else on its own."""
     ensembles = [_make_ensembles(cfgs, basis) for cfgs in levels]
     # the squared norm up to which rows need int |u|^p: none under
     # calibration, whose exponent does not read it
@@ -678,7 +678,8 @@ def divergence_scan(cfgs, n_schedule) -> list[DivergenceVerdict]:
     """Partition estimates along a truncation schedule with matched seeds,
     classified by the pre-registered drift-slope rule: one verdict per config
     of cfgs, which differ only in cutoff (their n_modes is the schedule's).
-    At each N every cutoff is scored from one pass over the draws."""
+    At each N every cutoff is scored from one pass over the draws, in 2D on
+    the basis of that N, so each report equals that of estimate_partition."""
     n_schedule = list(n_schedule)
     for n in n_schedule:
         if not _is_integer(n):
@@ -694,11 +695,8 @@ def divergence_scan(cfgs, n_schedule) -> list[DivergenceVerdict]:
             raise ValueError("divergence_scan puts 4 N grid points at each N "
                              f"of the schedule, got grid_size={c.grid_size}")
     _check_family(cfgs, free=("cutoff", "n_modes"))
-    basis = None
-    if cfgs[0].dim == 2:
-        basis = radial_basis(bessel_zeros(max(n_schedule)), max(n_schedule))
     by_n = _estimate_levels([[replace(c, n_modes=n) for c in cfgs]
-                             for n in n_schedule], basis)
+                             for n in n_schedule])
     return [_verdict([reps[i] for reps in by_n]) for i in range(len(cfgs))]
 
 

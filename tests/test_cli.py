@@ -398,6 +398,34 @@ def test_scan_says_when_no_sample_is_inside_a_cutoff(tmp_path, capsys):
     assert verdicts[1].split(",")[2:] == ["inconclusive", "nan", "nan"]
 
 
+@pytest.mark.parametrize("dim, p", [(1, 6), (2, 4)])
+def test_scan_rows_are_their_partition_commands(tmp_path, dim, p):
+    # each row of a scan is the report that partition writes for its N and
+    # cutoff with the same samples, seed and sampler; the cutoff is passed
+    # as the repr of ratio times the critical mass, so it keeps every bit
+    common = ["--dim", str(dim), "--p", str(p), "--samples", "2048",
+              "--seed", "3", "--sampler", "soliton"]
+    scan = tmp_path / "scan"
+    assert run_cli(["threshold-scan", *common, "--ratios", "0.5,1.5",
+                    "--schedule", "16,32", "--out-dir", str(scan)]) == 0
+    sidecar = json.loads((scan / "threshold_scan.config.json").read_text())
+    mass = sidecar["options"]["critical_mass"]
+    for ratio in ("0.5", "1.5"):
+        rows = (scan / f"scan_ratio_{ratio}.csv").read_text().splitlines()
+        assert len(rows) == 3
+        for row in rows[1:]:
+            n = row.split(",")[0]
+            out = tmp_path / f"partition_{ratio}_{n}"
+            assert run_cli(["partition", *common, "--n-modes", n,
+                            "--cutoff", repr(float(ratio) * mass),
+                            "--out-dir", str(out)]) == 0
+            rep = json.loads((out / "partition.json").read_text())
+            assert row == (f"{rep['n_modes']},{rep['n_samples']},"
+                           f"{rep['log_estimate']:.12g},"
+                           f"{rep['log_std_error']:.12g},"
+                           f"{rep['fraction_inside_cutoff']:.12g}")
+
+
 def test_tail_scan_outputs_sorted_and_rerunnable(tmp_path):
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
     args = ["tail-scan", "--dim", "1", "--p", "6", "--n-modes", "64",
@@ -480,7 +508,8 @@ def test_tail_scan_outputs_golden(tmp_path, name):
 # table, a partition estimate with a finite, an infinite and a calibration
 # cutoff and one whose estimate and error are inf, and toy 1D and 2D
 # threshold scans; the 1D scan's verdicts and sidecar were re-pinned when
-# its refused ratio 0 was dropped
+# its refused ratio 0 was dropped, and the 2D scan's ratio 1.5 file when
+# its N = 16 level stopped running on the N = 32 basis
 _PARTITION = ["partition", "--dim", "1", "--p", "6", "--n-modes", "16",
               "--samples", "5000", "--seed", "7"]
 OUTPUT_GOLDEN = {
@@ -532,7 +561,7 @@ OUTPUT_GOLDEN = {
         "scan_ratio_0.5.csv":
             "7fc16dbcbcb81be23f9d48b5d488bd398f76743a66b8e14fc27a5dd736105ba9",
         "scan_ratio_1.5.csv":
-            "c41fb39b0f04b803db84960f0bbeee400292a723e36f7cb988ad89fa3ae49eef",
+            "a46174eca607285e79b4cee29ad8b6a2a073246c14d45d4ee6600e0bcf300b56",
         "threshold_scan.config.json":
             "2ace4ac54e136af25aa38287c393a93da974c62633c3d2f29d98710ee2eac99e",
         "verdicts.csv":

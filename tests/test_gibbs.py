@@ -215,7 +215,7 @@ def test_1d_shift_has_the_mass_it_is_given(n_modes, mass):
 @given(n_modes=st.integers(1, 256), mass=MASSES)
 def test_2d_shift_has_at_most_the_mass_it_is_given(n_modes, mass):
     # the projection onto the disc modes can only lose mass; every N runs
-    # on one basis, as the levels of a threshold scan do
+    # on one basis of 256 modes
     basis = _basis_256()
     theta = _Ensemble2D(_shift_config(2, n_modes), basis).shift(mass)
     assert theta.shape == (n_modes,)

@@ -30,11 +30,12 @@ that rng.slices hands every reader its row slices of one whole draw in the
 order of their first value on the stream, and a tracemalloc bound that a
 batch holds slices rather than the whole batch. Another bound holds a scan
 to one Gibbs exponent and one inside flag per row and cutoff, a golden 2D
-soliton scan runs in slices of 128 rows, and a golden 2D p=6 estimate
-pins the power chain that cannot run in place. A 1D estimator's row floor
-is 16 rows, the 2D one's 64: a 1D scan to N=2048 gives every sampler the
-reports of 64-row slices, and a tracemalloc bound holds its soliton scan to
-the memory of 16-row slices.
+soliton scan runs each N on its own basis in slices of 256 and 128 rows,
+a test counts one basis built per N of a 2D scan, and a golden 2D p=6
+estimate pins the power chain that cannot run in place. A 1D estimator's
+row floor is 16 rows, the 2D one's 64: a 1D scan to N=2048 gives every
+sampler the reports of 64-row slices, and a tracemalloc bound holds its
+soliton scan to the memory of 16-row slices.
 """
 import contextlib
 import functools
@@ -609,28 +610,39 @@ def test_each_scan_level_matches_its_own_estimate(dim, sampler, schedule,
     cfg, _ = _sliced_config(dim, sampler, n_samples)
     cfgs = [replace(cfg, n_modes=schedule[0], cutoff=k)
             for k in (0.5 * cfg.cutoff, cfg.cutoff)]
-    basis = None
-    if dim == 2:
-        basis = radial_basis(bessel_zeros(max(schedule)), max(schedule))
     with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
         verdicts = divergence_scan(cfgs, schedule)
-        by_n = [estimate_partitions([replace(c, n_modes=n) for c in cfgs],
-                                    basis) for n in schedule]
+        by_n = [estimate_partitions([replace(c, n_modes=n) for c in cfgs])
+                for n in schedule]
     for i, v in enumerate(verdicts):
         alone = gibbs._verdict([reps[i] for reps in by_n])
         assert _verdict_hex(v) == _verdict_hex(alone)
 
 
-# A 2D soliton scan at N = 128 and 256, in slices of more than 64 rows of
-# the N = 256 basis's 837 nodes: (log estimate, log error, fraction inside)
-# per N, then the slope, its error and the verdict, at cutoffs 2 and 4
+def test_a_2d_scan_builds_one_basis_per_level():
+    # the cutoffs of a level share its basis; no level borrows another's
+    cfg = EnsembleConfig(dim=2, p=4, cutoff=2.0, n_modes=16, n_samples=700,
+                         seed=3, sampler="soliton")
+    schedule = [16, 24, 40]
+    with mock.patch.object(gibbs, "radial_basis",
+                           wraps=gibbs.radial_basis) as built:
+        divergence_scan([cfg, replace(cfg, cutoff=4.0)], schedule)
+    assert [c.args[1] for c in built.call_args_list] == schedule
+
+
+# A 2D soliton scan at N = 128 and 256, each N on its own basis, in slices
+# of more than 64 rows: 256 rows of 435 nodes at N = 128 and 128 rows of
+# 837 at N = 256. (log estimate, log error, fraction inside) per N, then
+# the slope, its error and the verdict, at cutoffs 2 and 4; the N = 128
+# values and the slopes were re-pinned when N = 128 stopped running on the
+# N = 256 basis
 SCAN_2D_GOLDEN = [
-    ["0x1.0f8eb8a88bd00p-5", "0x1.6e7a64d80ae59p-7", "0x1.c790000000000p-1",
+    ["0x1.0f8eb8a88bd00p-5", "0x1.6e7a64d80ae41p-7", "0x1.c790000000000p-1",
      "0x1.16bdb6fae5700p-5", "0x1.6f21078990e71p-7", "0x1.cba0000000000p-1",
-     "0x1.4ba36a4434f25p-10", "0x1.7630e0bde855bp-6", "stable"],
-    ["0x1.084f994f8f0dap+14", "0x1.fff7fff00036dp-1", "0x1.fe00000000000p-1",
+     "0x1.4ba36a4434f25p-10", "0x1.7630e0bde854fp-6", "stable"],
+    ["0x1.084f994f94f3ap+14", "0x1.fff7fff00036dp-1", "0x1.fe00000000000p-1",
      "0x1.d88f8c5b2d9d3p+15", "0x1.fff7fff00836fp-1", "0x1.fe50000000000p-1",
-     "0x1.eb19dab24d860p+15", "0x1.0523c730e7aa4p+1", "diverging"],
+     "0x1.eb19dab24944dp+15", "0x1.0523c730e7aa4p+1", "diverging"],
 ]
 
 
