@@ -24,8 +24,7 @@ from .radial2d import (DiscQuadrature, RadialBasis, RadialField2D,
                        sample_radials)
 from .rng import rng_for
 from .spectral1d import (SpectralField1D, dyadic_project, evaluate_coeff_rows,
-                         h1_seminorm_sq, l2_norm_spectral, lp_norm,
-                         sample_loops)
+                         l2_norm_spectral, lp_norm, sample_loops)
 
 __version__ = "0.1.0"
 

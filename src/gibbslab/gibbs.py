@@ -31,6 +31,9 @@ Gibbs exponent and one inside flag per row and cutoff, and a tail estimate
 into the norm ||u||_p, the inside flag and the importance weight of each
 row.
 
+Every 2D estimate (a partition, a scan level, a tail, a layer cake) runs on
+the disc basis of its own N, built once for each call and level.
+
 The indicator gives a row outside every cutoff no weight, so the partition
 estimators compute each slice's ||u||_2^2 first and synthesize int |u|^p
 only on the rows at or below the largest cutoff that reads them, and on no
@@ -259,9 +262,6 @@ class _Ensemble2D(_Ensemble):
     row_floor = rng.ROW_FLOOR       # for the matrix product (see rng)
 
     def __init__(self, cfg: EnsembleConfig, basis: RadialBasis):
-        if basis.n_modes < cfg.n_modes:
-            raise ValueError(f"basis holds {basis.n_modes} modes, fewer than "
-                             f"n_modes={cfg.n_modes}")
         self.matrix_t = basis.matrix[:, :cfg.n_modes].T
         self.inv_z = 1.0 / basis.table.zeros[:cfg.n_modes]
         self.area_w = basis.quad.area_weights
@@ -310,13 +310,13 @@ class _Ensemble2D(_Ensemble):
                                           out=out)
 
 
-def _make_ensembles(cfgs, basis=None):
-    """One ensemble per config; in 2D all on one basis, by default the one
-    of the first config's n_modes."""
+def _make_ensembles(cfgs):
+    """One ensemble per config of a level, configs that differ only in
+    cutoff; in 2D all on the one basis of their n_modes."""
     if cfgs[0].dim == 1:
         return [_Ensemble1D(c) for c in cfgs]
-    if basis is None:
-        basis = radial_basis(bessel_zeros(cfgs[0].n_modes), cfgs[0].n_modes)
+    n_modes = cfgs[0].n_modes
+    basis = radial_basis(bessel_zeros(n_modes), n_modes)
     return [_Ensemble2D(c, basis) for c in cfgs]
 
 
@@ -434,14 +434,12 @@ def _check_family(cfgs, free=("cutoff",)):
                              f"different values of {name}")
 
 
-def estimate_partition(cfg: EnsembleConfig,
-                       basis: RadialBasis | None = None) -> EstimatorReport:
+def estimate_partition(cfg: EnsembleConfig) -> EstimatorReport:
     """Importance-weighted mean of the cutoff Gibbs weight."""
-    return estimate_partitions([cfg], basis)[0]
+    return estimate_partitions([cfg])[0]
 
 
-def estimate_partitions(cfgs, basis: RadialBasis | None = None
-                        ) -> list[EstimatorReport]:
+def estimate_partitions(cfgs) -> list[EstimatorReport]:
     """estimate_partition for configs that differ only in cutoff, from one
     pass over the draws (see the module docstring).
 
@@ -449,14 +447,14 @@ def estimate_partitions(cfgs, basis: RadialBasis | None = None
     report is bit-identical to the single-config call.
     """
     _check_family(cfgs)
-    return _estimate_levels([cfgs], basis)[0]
+    return _estimate_levels([cfgs])[0]
 
 
-def _estimate_levels(levels, basis=None):
+def _estimate_levels(levels):
     """The reports of every config of levels, lists of configs that differ
     only in cutoff within a list and only in n_modes between lists, from one
-    pass over the draws; in 2D each level runs on basis, else on its own."""
-    ensembles = [_make_ensembles(cfgs, basis) for cfgs in levels]
+    pass over the draws; in 2D each level runs on the basis of its own N."""
+    ensembles = [_make_ensembles(cfgs) for cfgs in levels]
     # the squared norm up to which rows need int |u|^p: none under
     # calibration, whose exponent does not read it
     bounds = [[-math.inf if c.calibration else c.cutoff * c.cutoff
@@ -534,14 +532,12 @@ def _tail_levels(lams) -> list[float]:
 
 
 def constrained_tail(cfg: EnsembleConfig, lam: float,
-                     basis: RadialBasis | None = None,
                      stream_offset: int = 0) -> EstimatorReport:
     """P(||u||_p > lam, ||u||_2 <= K) with its sampling error."""
-    return constrained_tails(cfg, [lam], basis, stream_offset)[0]
+    return constrained_tails(cfg, [lam], stream_offset)[0]
 
 
 def constrained_tails(cfg: EnsembleConfig, lams,
-                      basis: RadialBasis | None = None,
                       stream_offset: int = 0) -> list[EstimatorReport]:
     """constrained_tail at every level of lams from one pass over the draws.
 
@@ -554,7 +550,7 @@ def constrained_tails(cfg: EnsembleConfig, lams,
         raise ValueError("constrained_tails has no calibration mode, got "
                          "calibration=True")
     lams = _tail_levels(lams)
-    ens, = _make_ensembles([cfg], basis)
+    ens, = _make_ensembles([cfg])
     ws = rng.Workspace()
 
     def batch(gen, start, b):
@@ -679,7 +675,7 @@ def divergence_scan(cfgs, n_schedule) -> list[DivergenceVerdict]:
     classified by the pre-registered drift-slope rule: one verdict per config
     of cfgs, which differ only in cutoff (their n_modes is the schedule's).
     At each N every cutoff is scored from one pass over the draws, in 2D on
-    the basis of that N, so each report equals that of estimate_partition."""
+    one basis of that N alone, so each report is its estimate_partition's."""
     n_schedule = list(n_schedule)
     for n in n_schedule:
         if not _is_integer(n):

@@ -84,6 +84,8 @@ def radial_basis(table: BesselTable, n_modes: int) -> RadialBasis:
     """The first n_modes modes on default_node_count Gauss-Legendre nodes;
     the matrix is built in place in the array of its arguments z_n r_q."""
     _check_integers(n_modes=n_modes)
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if table.count < n_modes:
         raise ValueError("Bessel table too short for requested n_modes")
     quad = disc_quadrature(default_node_count(table, n_modes))
@@ -103,8 +105,9 @@ class RadialField2D:
     gaussians: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.coeffs.ndim != 2:
-            raise ValueError("coefficients must be (fields, n_modes)")
+        if self.coeffs.ndim != 2 or self.coeffs.shape[1] < 1:
+            raise ValueError("coefficients must be (fields, n_modes) with "
+                             "n_modes >= 1")
         if self.table.count < self.coeffs.shape[1]:
             raise ValueError("Bessel table too short for field")
         if not np.all(np.isfinite(self.coeffs)):
@@ -116,6 +119,8 @@ def sample_radials(seed: int, n_fields: int, n_modes: int,
     """a_n = g_n / z_n with standard real Gaussians g_n, n_fields rows through
     rng.batches: BATCH_SIZE fields per stream, the rows a plain estimate of
     n_fields samples draws."""
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if table.count < n_modes:
         raise ValueError("Bessel table too short for requested n_modes")
     g = np.empty((n_fields, n_modes))

@@ -147,17 +147,3 @@ def lp_norm(values: np.ndarray, p: float, out=None) -> np.ndarray:
 def l2_norm_spectral(field: SpectralField1D) -> np.ndarray:
     """Parseval L^2 norm of each field."""
     return np.sqrt(2.0 * np.sum(np.abs(field.coeffs_pos) ** 2, axis=-1))
-
-
-def h1_seminorm_sq(field: SpectralField1D) -> np.ndarray:
-    """Squared Dirichlet energy int_0^1 |u'|^2 of each field.
-
-    For sampled fields this is taken directly from the stored standard
-    normals, making the chi-square law exact in floating point; otherwise the
-    spectral formula sum (2 pi n)^2 |c_n|^2 over both signs is used.
-    """
-    if field.gaussians is not None:
-        return np.sum(field.gaussians * field.gaussians, axis=(-2, -1))
-    n = np.arange(1, field.coeffs_pos.shape[-1] + 1, dtype=float)
-    return 2.0 * np.sum((2.0 * np.pi * n) ** 2
-                        * np.abs(field.coeffs_pos) ** 2, axis=-1)

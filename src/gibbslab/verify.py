@@ -354,9 +354,9 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
 
 
 def _dirichlet_energies(seed: int, n_fields: int, n_modes: int) -> np.ndarray:
-    """h1_seminorm_sq(sample_loops(seed, n_fields, n_modes)), bit for bit,
-    from the same streams but without the corpus: each batch's normals are
-    squared and summed a slice at a time."""
+    """The Dirichlet energies, sums of squares of the stored Gaussians, of
+    sample_loops(seed, n_fields, n_modes), bit for bit, from its streams but
+    without the corpus: each batch's normals are squared a slice at a time."""
     return np.concatenate(batches(
         seed, n_fields, BATCH_SIZE,
         lambda rng, start, b: tails._square_sums(rng, b, (n_modes, 2))))

@@ -833,6 +833,20 @@ def test_argument_checks_live_in_core():
     assert found == []
 
 
+def test_no_public_gibbs_function_takes_a_basis():
+    # every 2D estimate builds the disc basis of its own N; a basis handed
+    # in from outside could run a level on another N's quadrature
+    import inspect
+
+    from gibbslab import gibbs
+
+    takes = [name for name, fn in vars(gibbs).items()
+             if inspect.isfunction(fn) and not name.startswith("_")
+             and fn.__module__ == gibbs.__name__
+             and "basis" in inspect.signature(fn).parameters]
+    assert takes == []
+
+
 # scipy subpackages beyond scipy.special; scipy.integrate and
 # scipy.interpolate each pull in scipy.optimize, and scipy.stats all three.
 # A 1D command loads no scipy at all, and a 2D command scipy.special and
@@ -935,8 +949,7 @@ PACKAGE_NAMES = {
                  "sample_radials"],
     "rng": ["rng_for"],
     "spectral1d": ["SpectralField1D", "dyadic_project", "evaluate_coeff_rows",
-                   "h1_seminorm_sq", "l2_norm_spectral", "lp_norm",
-                   "sample_loops"],
+                   "l2_norm_spectral", "lp_norm", "sample_loops"],
     "tails": ["DyadicSchedule", "FerniqueProbe", "TailCurve",
               "bernstein_probe", "block_norm_samples_2d", "block_tail_2d",
               "block_tail_empirical_2d", "chi2_tail_bound",

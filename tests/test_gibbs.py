@@ -98,13 +98,6 @@ def test_2d_config_rejects_a_grid_size():
                                "meaning with dim=2, got grid_size=64")
 
 
-def test_basis_with_too_few_modes_rejected():
-    basis = radial_basis(bessel_zeros(8), 8)
-    cfg = EnsembleConfig(dim=2, p=4, cutoff=1.0, n_modes=16, n_samples=100)
-    with pytest.raises(ValueError, match="basis holds 8 modes, fewer than"):
-        estimate_partition(cfg, basis)
-
-
 def test_nan_cutoff_rejected():
     with pytest.raises(ValueError, match="cutoff"):
         EnsembleConfig(dim=1, p=6, cutoff=math.nan, n_modes=8, n_samples=10)

@@ -181,6 +181,17 @@ def test_short_table_rejected(table64):
         RadialField2D(np.zeros(8), table64)
     with pytest.raises(ValueError):
         radial_basis(table64, 65)
+    # -3 sliced the zeros from the end, and 0 gave empty fields whose
+    # L^p norm read 0.0
+    for n_modes in (0, -3):
+        with pytest.raises(ValueError,
+                           match=f"^n_modes must be >= 1, got {n_modes}$"):
+            radial_basis(table64, n_modes)
+        with pytest.raises(ValueError,
+                           match=f"^n_modes must be >= 1, got {n_modes}$"):
+            sample_radials(0, 4, n_modes, table64)
+    with pytest.raises(ValueError, match="with n_modes >= 1$"):
+        RadialField2D(np.zeros((4, 0)), table64)
     # True ran as one mode, on a basis whose n_modes was True
     for n_modes in (True, 16.0):
         with pytest.raises(ValueError,

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from gibbslab.rng import rng_for
 from gibbslab.spectral1d import (SpectralField1D, dyadic_project,
                                  evaluate_coeff_rows, gaussian_coeffs,
-                                 h1_seminorm_sq, l2_norm_spectral, lp_norm,
-                                 sample_loops, spectral_weights)
+                                 l2_norm_spectral, lp_norm, sample_loops,
+                                 spectral_weights)
 
 
 def _cosine_field(n=1, amp=0.5, n_modes=8):
@@ -21,6 +21,13 @@ def _cosine_field(n=1, amp=0.5, n_modes=8):
 
 def _grid(field, grid_size):
     return evaluate_coeff_rows(field.coeffs_pos, grid_size)
+
+
+def _spectral_energy(field):
+    """int_0^1 |u'|^2 = 2 sum (2 pi n)^2 |c_n|^2 of each field."""
+    n = np.arange(1, field.coeffs_pos.shape[-1] + 1)
+    return 2.0 * np.sum((2.0 * np.pi * n) ** 2 * np.abs(field.coeffs_pos) ** 2,
+                        axis=-1)
 
 
 def test_sampling_is_deterministic():
@@ -40,7 +47,7 @@ def test_sampled_field_has_zero_mean():
 def test_h1_chi_square_moments():
     # Dirichlet energy of a gff loop is a chi-square with 2N degrees
     n, n_modes = 100000, 64
-    vals = h1_seminorm_sq(sample_loops(3, n, n_modes))
+    vals = _spectral_energy(sample_loops(3, n, n_modes))
     dof = 2 * n_modes
     assert abs(vals.mean() - dof) < 3 * math.sqrt(2 * dof / n)
     var_tol = 3 * (2 * dof) * math.sqrt(2 / (n - 1) + 12 / (dof * n))
@@ -51,7 +58,7 @@ def test_zero_field_norms_and_projections():
     z = SpectralField1D(np.zeros((1, 8), complex))
     assert l2_norm_spectral(z) == [0.0]
     assert lp_norm(_grid(z, 32), 6.0) == [0.0]
-    assert h1_seminorm_sq(z) == [0.0]
+    assert _spectral_energy(z) == [0.0]
     hi = dyadic_project(z, "high", 1)
     assert np.all(hi.coeffs_pos == 0)
     assert np.all(_grid(z, 32) == 0.0)
@@ -146,12 +153,16 @@ def test_one_cosine_parseval():
 
 
 def test_h1_bit_exact_from_gaussians():
+    # the weights make the energy the sum of squares of the stored
+    # Gaussians, which a projection keeps bit for bit on the kept modes
     f = sample_loops(30, 5, 128)
     blk = dyadic_project(f, "block", 5)
     keep = slice(16, 32)          # block 5: 2^4 < n <= 2^5
-    for i in range(5):
-        assert h1_seminorm_sq(f)[i] == np.sum(f.gaussians[i] ** 2)
-        assert h1_seminorm_sq(blk)[i] == np.sum(f.gaussians[i, keep] ** 2)
+    for field in (f, blk):
+        sums = np.sum(field.gaussians ** 2, axis=(-2, -1))
+        assert np.allclose(_spectral_energy(field), sums, rtol=1e-13, atol=0)
+    assert np.sum(blk.gaussians ** 2, axis=(-2, -1)).tobytes() \
+        == np.sum(f.gaussians[:, keep] ** 2, axis=(-2, -1)).tobytes()
 
 
 def test_stack_gives_each_field_its_own_values():
@@ -162,14 +173,13 @@ def test_stack_gives_each_field_its_own_values():
     for i in range(5):
         one = SpectralField1D(f.coeffs_pos[i:i + 1], f.gaussians[i:i + 1])
         assert l2_norm_spectral(one)[0] == l2_norm_spectral(f)[i]
-        assert h1_seminorm_sq(one)[0] == h1_seminorm_sq(f)[i]
         assert lp_norm(_grid(one, 128), 6.0)[0] == lp_norm(grid, 6.0)[i]
 
 
 def test_h1_paper_literal_closed_form():
-    # a field without stored Gaussians takes the spectral formula
+    # c_1 = c_{-1} = 1/2: u = cos(2 pi x), whose energy is 2 pi^2
     f = SpectralField1D(np.array([[0.5, 0.0]], dtype=complex))
-    assert abs(h1_seminorm_sq(f)[0] - 2 * math.pi ** 2) < 1e-12
+    assert abs(_spectral_energy(f)[0] - 2 * math.pi ** 2) < 1e-12
 
 
 @settings(max_examples=20, deadline=None)

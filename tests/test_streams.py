@@ -31,7 +31,8 @@ order of their first value on the stream, and a tracemalloc bound that a
 batch holds slices rather than the whole batch. Another bound holds a scan
 to one Gibbs exponent and one inside flag per row and cutoff, a golden 2D
 soliton scan runs each N on its own basis in slices of 256 and 128 rows,
-a test counts one basis built per N of a 2D scan, and a golden 2D p=6
+a test counts one basis built per N of every 2D call (a scan, a partition,
+its one-pass cutoffs, the tails and the layer cake), and a golden 2D p=6
 estimate pins the power chain that cannot run in place. A 1D estimator's
 row floor is 16 rows, the 2D one's 64: a 1D scan to N=2048 gives every
 sampler the reports of 64-row slices, and a tracemalloc bound holds its
@@ -58,8 +59,7 @@ from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
                             estimate_partition, estimate_partitions,
                             layer_cake, tail_curve)
 from gibbslab.groundstate import solve_ground_state
-from gibbslab.radial2d import (block_l4_expectation, radial_basis,
-                               sample_radials)
+from gibbslab.radial2d import block_l4_expectation, sample_radials
 from gibbslab.rng import rng_for, worker_count
 from gibbslab.spectral1d import _window, gaussian_coeffs, sample_loops, \
     spectral_weights
@@ -413,21 +413,13 @@ def test_constrained_tails_match_golden_per_level_calls(name, cfg, lam,
         for x in lams]
 
 
-@functools.cache
-def _wide_basis():
-    # more modes than the configs use, as in a divergence scan
-    return radial_basis(bessel_zeros(64), 64)
-
-
 def _sliced_config(dim, sampler, n_samples):
-    """A config of 37 modes and the basis to run it on."""
+    """A config of 37 modes."""
     if dim == 1:
         return EnsembleConfig(dim=1, p=6, cutoff=1.0, n_modes=37,
-                              n_samples=n_samples, seed=41,
-                              sampler=sampler), None
+                              n_samples=n_samples, seed=41, sampler=sampler)
     return EnsembleConfig(dim=2, p=4, cutoff=2.0, n_modes=37,
-                          n_samples=n_samples, seed=42,
-                          sampler=sampler), _wide_basis()
+                          n_samples=n_samples, seed=42, sampler=sampler)
 
 
 @contextlib.contextmanager
@@ -445,14 +437,14 @@ def _sliced_run(dim, sampler, n_samples, rows, workers, rows_of_batch):
     """The per-row synthesis of rows_of_batch (every row synthesized) on
     stream 0 in a batch of the last batch's size, then the partition and
     two-level tail digests, under _budget(rows, ..., workers)."""
-    cfg, basis = _sliced_config(dim, sampler, n_samples)
-    ens, = gibbs._make_ensembles([cfg], basis)
+    cfg = _sliced_config(dim, sampler, n_samples)
+    ens, = gibbs._make_ensembles([cfg])
     b = n_samples % BATCH_SIZE or BATCH_SIZE
     with _budget(rows, ens.width, workers, ens.grid_arrays):
         per_row = np.concatenate(
             rows_of_batch(ens, rng_for(cfg.seed, 0), b)).tobytes()
-        tails = constrained_tails(cfg, [0.0, 0.4], basis, stream_offset=2)
-        return [per_row, _report(estimate_partition(cfg, basis))] \
+        tails = constrained_tails(cfg, [0.0, 0.4], stream_offset=2)
+        return [per_row, _report(estimate_partition(cfg))] \
             + [_report(r) for r in tails]
 
 
@@ -574,15 +566,15 @@ def test_one_pass_cutoffs_match_per_cutoff_calls(dim, sampler, n_samples,
                                                  rows, workers):
     # the slice budgets of the property above; under the soliton sampler a
     # slice may straddle the half of a batch that is shifted
-    cfg, basis = _sliced_config(dim, sampler, n_samples)
+    cfg = _sliced_config(dim, sampler, n_samples)
     cutoffs = [0.0, 0.5 * cfg.cutoff, cfg.cutoff, 3.0 * cfg.cutoff]
     if sampler != "soliton":
         cutoffs.append(math.inf)
     cfgs = [replace(cfg, cutoff=k) for k in cutoffs]
-    ens, = gibbs._make_ensembles([cfg], basis)
+    ens, = gibbs._make_ensembles([cfg])
     with _budget(rows, ens.width, workers, ens.grid_arrays):
-        together = estimate_partitions(cfgs, basis)
-        alone = [estimate_partition(c, basis) for c in cfgs]
+        together = estimate_partitions(cfgs)
+        alone = [estimate_partition(c) for c in cfgs]
     assert [_full_report(r) for r in together] \
         == [_full_report(r) for r in alone]
 
@@ -607,7 +599,7 @@ def test_each_scan_level_matches_its_own_estimate(dim, sampler, schedule,
     # a scan reads each stream once for the whole schedule; levels that are
     # not powers of two put their slices across each other's, and 700 and
     # 5003 samples end on a short batch
-    cfg, _ = _sliced_config(dim, sampler, n_samples)
+    cfg = _sliced_config(dim, sampler, n_samples)
     cfgs = [replace(cfg, n_modes=schedule[0], cutoff=k)
             for k in (0.5 * cfg.cutoff, cfg.cutoff)]
     with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
@@ -619,15 +611,31 @@ def test_each_scan_level_matches_its_own_estimate(dim, sampler, schedule,
         assert _verdict_hex(v) == _verdict_hex(alone)
 
 
-def test_a_2d_scan_builds_one_basis_per_level():
-    # the cutoffs of a level share its basis; no level borrows another's
+# each 2D call on a config of N = 16 and the N of every level it runs
+ONE_BASIS_CALLS = {
+    "divergence_scan": (lambda cfg: divergence_scan(
+        [cfg, replace(cfg, cutoff=4.0)], [16, 24, 40]), [16, 24, 40]),
+    "estimate_partition": (estimate_partition, [16]),
+    "estimate_partitions": (lambda cfg: estimate_partitions(
+        [cfg, replace(cfg, cutoff=4.0)]), [16]),
+    "constrained_tails": (lambda cfg: constrained_tails(cfg, [0.0, 0.4]),
+                          [16]),
+    "layer_cake": (lambda cfg: layer_cake(cfg, [0.0, 0.5, 1.0]), [16]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(ONE_BASIS_CALLS))
+def test_a_2d_call_builds_one_basis_per_level(call):
+    # the cutoffs of a level share its basis, no level borrows another's,
+    # and each basis is built on the zeros of its own N
     cfg = EnsembleConfig(dim=2, p=4, cutoff=2.0, n_modes=16, n_samples=700,
                          seed=3, sampler="soliton")
-    schedule = [16, 24, 40]
+    run, levels = ONE_BASIS_CALLS[call]
     with mock.patch.object(gibbs, "radial_basis",
                            wraps=gibbs.radial_basis) as built:
-        divergence_scan([cfg, replace(cfg, cutoff=4.0)], schedule)
-    assert [c.args[1] for c in built.call_args_list] == schedule
+        run(cfg)
+    assert [(c.args[0].count, c.args[1]) for c in built.call_args_list] \
+        == [(n, n) for n in levels]
 
 
 # A 2D soliton scan at N = 128 and 256, each N on its own basis, in slices
@@ -779,9 +787,9 @@ def test_a_batch_holds_slices_not_the_whole_batch():
     assert peak < 8 << 20
 
 
-def _synthesis_counts(cfgs, basis=None):
+def _synthesis_counts(cfgs):
     """(rows given to evaluate_coeff_rows, calls of weighted_abs_power_sum)
-    while estimate_partitions(cfgs, basis) runs in 1024-row slices."""
+    while estimate_partitions(cfgs) runs in 1024-row slices."""
     rows, calls = [], []
     evaluate, power_sum = gibbs.evaluate_coeff_rows, \
         gibbs.weighted_abs_power_sum
@@ -794,11 +802,11 @@ def _synthesis_counts(cfgs, basis=None):
         calls.append(len(vals))
         return power_sum(vals, weights, p, **buffers)
 
-    ens = gibbs._make_ensembles(cfgs[:1], basis)[0]
+    ens = gibbs._make_ensembles(cfgs[:1])[0]
     with mock.patch.object(gibbs, "evaluate_coeff_rows", count_rows), \
             mock.patch.object(gibbs, "weighted_abs_power_sum", count_calls), \
             _budget(1024, ens.width, 1, ens.grid_arrays):
-        estimate_partitions(cfgs, basis)
+        estimate_partitions(cfgs)
     return sum(rows), len(calls)
 
 
@@ -846,8 +854,8 @@ def test_rows_kept_are_bit_identical_to_a_full_synthesis(dim, sampler,
                                                          n_rows, rows, share):
     # int |u|^p of a row inside the bound does not depend on which other
     # rows are synthesized: packed 1D rows, or whole 2D slices only
-    cfg, basis = _sliced_config(dim, sampler, BATCH_SIZE)
-    ens, = gibbs._make_ensembles([cfg], basis)
+    cfg = _sliced_config(dim, sampler, BATCH_SIZE)
+    ens, = gibbs._make_ensembles([cfg])
     with _budget(rows, ens.width, 1, ens.grid_arrays):
         _, full, l2sq = _oracle_rows(ens, rng_for(cfg.seed, 0), n_rows)
         ksq = float(np.quantile(l2sq, share))
@@ -862,8 +870,8 @@ def test_rows_kept_are_bit_identical_to_a_full_synthesis(dim, sampler,
 @pytest.mark.parametrize("change", [{"calibration": True}, {"cutoff": 0.0}])
 def test_no_row_is_synthesized_when_none_can_weigh(dim, change):
     # the calibration exponent reads no |u|^p, and a zero cutoff keeps no row
-    cfg, basis = _sliced_config(dim, "soliton", BATCH_SIZE + 5)
-    assert _synthesis_counts([replace(cfg, **change)], basis) == (0, 0)
+    cfg = _sliced_config(dim, "soliton", BATCH_SIZE + 5)
+    assert _synthesis_counts([replace(cfg, **change)]) == (0, 0)
 
 
 def test_one_pass_rejects_an_empty_list():
