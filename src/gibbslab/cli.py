@@ -353,10 +353,9 @@ def _cmd_tail_scan(opts, out):
             for k in opts["k_list"]]
         extra = {"bernstein_c_hat": c_hat}
     else:
-        table = bessel_zeros(opts["n_modes"])
-        c_prime, c4 = tails.disc_tail_constants(table, opts["seed"] + 1)
+        c_prime, c4 = tails.disc_tail_constants(opts["seed"] + 1)
         curves = [tails.block_tail_empirical_2d(
-            k, lambdas, opts["n_modes"], opts["samples"], table,
+            k, lambdas, opts["n_modes"], opts["samples"],
             seed=opts["seed"], c_prime=c_prime, c4=c4)
             for k in opts["k_list"]]
         extra = {"fernique_c_prime": c_prime, "block_l4_c4": c4}

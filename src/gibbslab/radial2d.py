@@ -6,9 +6,11 @@ Modes are the L2-normalized Dirichlet eigenfunctions
 
 with z_n the J0 zeros, so that a coefficient vector a gives
 ||v||_2^2 = sum a_n^2 and ||grad v||_2^2 = sum (z_n a_n)^2 exactly.
-Sampling draws a_n = g_n / z_n with independent standard real Gaussians, and
-stores the g_n so the Dirichlet energy of a sampled field is literally the
-sum of squares of its Gaussians.
+Fields and samplers take no table: they read z_1..z_N from bessel_zeros(N),
+whose entries are the first N of any longer table bit for bit. Sampling
+draws a_n = g_n / z_n with independent standard real Gaussians, and stores
+the g_n so the Dirichlet energy of a sampled field is literally the sum of
+squares of its Gaussians.
 
 Radial integrals use Gauss-Legendre nodes on [0, 1] (scipy's
 roots_legendre) with the area measure 2 pi r dr applied through the weights.
@@ -19,7 +21,7 @@ import numpy as np
 
 from ._core import (_check_integers, _check_p, j0_array, j1_array,
                     weighted_abs_power_sum)
-from .bessel import BesselTable
+from .bessel import BesselTable, bessel_zeros
 from .rng import BATCH_SIZE, batches, slices
 from .spectral1d import _window
 
@@ -101,32 +103,27 @@ class RadialField2D:
     one field is a stack of one."""
 
     coeffs: np.ndarray              # (fields, N)
-    table: BesselTable
     gaussians: np.ndarray | None = None
 
     def __post_init__(self):
         if self.coeffs.ndim != 2 or self.coeffs.shape[1] < 1:
             raise ValueError("coefficients must be (fields, n_modes) with "
                              "n_modes >= 1")
-        if self.table.count < self.coeffs.shape[1]:
-            raise ValueError("Bessel table too short for field")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValueError("non-finite coefficient")
 
 
-def sample_radials(seed: int, n_fields: int, n_modes: int,
-                   table: BesselTable) -> RadialField2D:
+def sample_radials(seed: int, n_fields: int, n_modes: int) -> RadialField2D:
     """a_n = g_n / z_n with standard real Gaussians g_n, n_fields rows through
     rng.batches: BATCH_SIZE fields per stream, the rows a plain estimate of
     n_fields samples draws."""
+    _check_integers(n_fields=n_fields, n_modes=n_modes)
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    if table.count < n_modes:
-        raise ValueError("Bessel table too short for requested n_modes")
     g = np.empty((n_fields, n_modes))
     batches(seed, n_fields, BATCH_SIZE,
             lambda rng, start, b: rng.standard_normal(out=g[start:start + b]))
-    return RadialField2D(g / table.zeros[:n_modes], table, gaussians=g)
+    return RadialField2D(g / bessel_zeros(n_modes).zeros, gaussians=g)
 
 
 def evaluate_radial(field: RadialField2D, basis: RadialBasis) -> np.ndarray:
@@ -150,17 +147,16 @@ def grad_l2_spectral_sq(field: RadialField2D) -> np.ndarray:
     its Gaussian squares."""
     if field.gaussians is not None:
         return np.sum(field.gaussians * field.gaussians, axis=-1)
-    za = field.table.zeros[:field.coeffs.shape[1]] * field.coeffs
+    za = bessel_zeros(field.coeffs.shape[1]).zeros * field.coeffs
     return np.sum(za * za, axis=-1)
 
 
-def _disc_l4_norms(keep: np.ndarray, n_samples: int, table: BesselTable,
-                   seed: int) -> np.ndarray:
+def _disc_l4_norms(keep: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
     """||v||_{L^4(disc)} of sampled fields a_n = g_n / z_n kept to the modes
     where keep is true, one per sample in stream order."""
     n_modes = len(keep)
-    basis = radial_basis(table, n_modes)
-    z = table.zeros[:n_modes]
+    basis = radial_basis(bessel_zeros(n_modes), n_modes)
+    z = basis.table.zeros
     aw = basis.quad.area_weights
 
     def batch(rng, start, b):
@@ -173,15 +169,14 @@ def _disc_l4_norms(keep: np.ndarray, n_samples: int, table: BesselTable,
     return np.concatenate(batches(seed, n_samples, 2048, batch))
 
 
-def block_l4_expectation(j: int, n_samples: int, table: BesselTable,
-                         seed: int = 0):
+def block_l4_expectation(j: int, n_samples: int, seed: int = 0):
     """Monte Carlo estimate of E ||v_j||_{L^4(disc)} with its standard error."""
     _check_integers(j=j, n_samples=n_samples)
     if j < 1:
         raise ValueError("block index must be >= 1")
     if n_samples == 1:              # below 1, rng.batches rejects it
         raise ValueError("a standard error needs n_samples >= 2, got 1")
-    norms = _disc_l4_norms(_window("block", j, 2 ** j), n_samples, table, seed)
+    norms = _disc_l4_norms(_window("block", j, 2 ** j), n_samples, seed)
     mean = float(norms.mean())
     stderr = float(norms.std(ddof=1) / np.sqrt(n_samples))
     return mean, stderr

@@ -16,7 +16,9 @@ one; a level that is not positive, NaN among them, is refused.
 
 The samplers read their streams through rng.slices, as the estimators of
 gibbs do, all but the Bernstein probe, whose two whole 512-row draws fix its
-stream. The samplers and the bounds check their arguments with _core's
+stream. The disc samplers take no Bessel table: each builds the basis of its
+own mode count, radial_basis(bessel_zeros(N), N), as every 2D estimate
+does. The samplers and the bounds check their arguments with _core's
 checks, and the curves their levels (_levels) and bounds, before any
 sampling.
 """
@@ -27,7 +29,7 @@ import numpy as np
 
 from ._core import (_check_integers, _check_p, _is_integer, _is_real,
                     _real_floats)
-from .radial2d import BesselTable, _disc_l4_norms, block_l4_expectation
+from .radial2d import _disc_l4_norms, block_l4_expectation
 from .rng import Workspace, batches, row_slices, slices
 from .spectral1d import (evaluate_coeff_rows, gaussian_coeffs, lp_norm,
                          spectral_weights, _window)
@@ -358,26 +360,26 @@ def fernique_probe(norm_samples, ts) -> FerniqueProbe:
     return FerniqueProbe(emp, float(np.min(rates)))
 
 
-def block_norm_samples_2d(j: int, n_samples: int, table: BesselTable,
+def block_norm_samples_2d(j: int, n_samples: int,
                           seed: int = 0) -> np.ndarray:
     """L4 norms of dyadic block fields on the disc, for Fernique probes."""
     _check_integers(j=j, n_samples=n_samples)
-    return _disc_l4_norms(_window("block", j, 2 ** j), n_samples, table, seed)
+    return _disc_l4_norms(_window("block", j, 2 ** j), n_samples, seed)
 
 
 # dyadic blocks whose L4 expectation sets the 2D tail constant C4; block j
-# spans modes 2^(j-1)+1 .. 2^j, so the table must hold 2^5 zeros
+# spans modes 2^(j-1)+1 .. 2^j, so the top block's probe runs on 2^5 modes
 _C4_BLOCKS = (3, 4, 5)
 
 
-def disc_tail_constants(table: BesselTable, seed: int) -> tuple[float, float]:
+def disc_tail_constants(seed: int) -> tuple[float, float]:
     """(c_prime, c4) of block_tail_2d, measured: the Fernique rate of 3000
     block-4 L4 norms (stream seed) at t = 1.5, 2, 3, and the largest
     E||v_j||_4 2^(j/2) over the blocks j of _C4_BLOCKS, each from 2000
     samples (stream seed + 1)."""
-    norms = block_norm_samples_2d(4, 3000, table, seed=seed)
+    norms = block_norm_samples_2d(4, 3000, seed=seed)
     c_prime = fernique_probe(norms, [1.5, 2.0, 3.0]).c_hat
-    c4 = max(block_l4_expectation(j, 2000, table, seed=seed + 1)[0]
+    c4 = max(block_l4_expectation(j, 2000, seed=seed + 1)[0]
              * 2 ** (j / 2) for j in _C4_BLOCKS)
     return c_prime, c4
 
@@ -413,12 +415,12 @@ def block_tail_2d(k: int, lam: float, c_prime: float,
 
 
 def block_tail_empirical_2d(k: int, lams, n_modes: int, n_samples: int,
-                            table: BesselTable, c_prime: float, c4: float,
+                            c_prime: float, c4: float,
                             seed: int = 0) -> TailCurve:
     """Empirical P(||v_(high k)||_4 >= lam) against the chained bound."""
     _check_integers(k=k, n_modes=n_modes, n_samples=n_samples)
     lams = _levels(lams)
     bounds = [block_tail_2d(k, lam, c_prime, c4) for lam in lams]
-    norms = _disc_l4_norms(_high_window(k, n_modes), n_samples, table, seed)
+    norms = _disc_l4_norms(_high_window(k, n_modes), n_samples, seed)
     return _curve(lams, bounds, (norms[:, None] >= lams[None, :]).sum(axis=0),
                   n_samples)

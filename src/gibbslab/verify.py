@@ -133,7 +133,7 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         if inject_fault == "j1-normalization":
             dmat = dmat * np.abs(t.j1_at_zeros[:64])
         aw = basis.quad.area_weights
-        f = sample_radials(106, 300, 64, t)
+        f = sample_radials(106, 300, 64)
         spec = grad_l2_spectral_sq(f)
         exact = np.array_equal(spec, np.sum(f.gaussians ** 2, axis=-1))
         dv = f.coeffs @ dmat.T
@@ -185,10 +185,9 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         return bad == 0, f"{bad} violations (corpus and rescalings)"
 
     def disc_saturation():
-        t = bessel_zeros(64)
-        basis = radial_basis(t, 64)
+        basis = radial_basis(bessel_zeros(64), 64)
         gs = solve_ground_state(2, 4)
-        worst = float(np.max(disc_gns_check(sample_radials(108, 100, 64, t),
+        worst = float(np.max(disc_gns_check(sample_radials(108, 100, 64),
                                             basis, gs.sharp_constant)))
         return worst <= 1.0 + 1e-9, f"max saturation ratio {worst:.6f}"
 
@@ -231,11 +230,10 @@ def run_all(inject_fault: str | None = None) -> list[CheckResult]:
         return True, f"empirical under bound for k in (3,4), C_hat={c_hat:.3f}"
 
     def block_tail_domination():
-        t = bessel_zeros(64)
-        c_prime, c4 = tails.disc_tail_constants(t, 113)
+        c_prime, c4 = tails.disc_tail_constants(113)
         c_prime = min(c_prime, 5.0)
         curve = tails.block_tail_empirical_2d(
-            3, [1.0, 2.0], 64, 10 ** 4, t, seed=115, c_prime=c_prime, c4=c4)
+            3, [1.0, 2.0], 64, 10 ** 4, seed=115, c_prime=c_prime, c4=c4)
         ok = np.all(curve.empirical <= curve.theoretical + 3 * curve.err)
         return bool(ok), (f"c'={c_prime:.3f}, C4={c4:.3f}, "
                           f"bounds {np.array2string(curve.theoretical, precision=3)}")

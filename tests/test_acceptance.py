@@ -92,7 +92,7 @@ def test_acceptance_04_gradient_parseval_2d(table64):
     basis = radial_basis(table64, 64)
     dmat = basis.derivative_matrix()
     aw = basis.quad.area_weights
-    f = sample_radials(313, 1000, 64, table64)
+    f = sample_radials(313, 1000, 64)
     spec = grad_l2_spectral_sq(f)
     # exact identity
     assert np.array_equal(spec, np.sum(f.gaussians ** 2, axis=-1))
@@ -141,19 +141,19 @@ def test_acceptance_06_mgf_product():
                "identity to 1e-10 everywhere (including M=1)")
 
 
-def test_acceptance_07_high_frequency_tails(table64):
+def test_acceptance_07_high_frequency_tails():
     c_hat = max(bernstein_probe(j, 6.0, 5000, seed=61)
                 for j in (3, 4, 5))
     for k in (3, 4, 5):
         curve = high_freq_empirical_1d(k, [1.0], 128, 10 ** 5, seed=62,
                                        bernstein_c=c_hat)
         assert curve.empirical[0] <= curve.theoretical[0]
-    norms = block_norm_samples_2d(4, 5000, table64, seed=63)
+    norms = block_norm_samples_2d(4, 5000, seed=63)
     c_prime = fernique_probe(norms, [1.5, 2.0, 3.0]).c_hat
-    c4 = max(block_l4_expectation(j, 3000, table64, seed=64)[0] * 2 ** (j / 2)
+    c4 = max(block_l4_expectation(j, 3000, seed=64)[0] * 2 ** (j / 2)
              for j in (3, 4, 5))
     for k in (3, 4):
-        curve = block_tail_empirical_2d(k, [1.0, 2.0], 64, 10 ** 5, table64,
+        curve = block_tail_empirical_2d(k, [1.0, 2.0], 64, 10 ** 5,
                                         seed=65, c_prime=c_prime, c4=c4)
         assert np.all(curve.empirical <= curve.theoretical)
     _report(7, f"1D summed dyadic bound dominates at k in (3,4,5) "

@@ -81,6 +81,19 @@ def test_csv_export(tmp_path):
     assert len(z.replace(".", "").replace("-", "").lstrip("0")) >= 15
 
 
+@pytest.mark.parametrize("m", [64, 128, 256, 512])
+def test_short_table_is_a_prefix_of_a_long_one(m):
+    # the disc fields and samplers build bessel_zeros(N) for their own N,
+    # which gives the bits a caller's longer table held
+    long = bessel_zeros(m)
+    for n in (1, 8, 16, 32, 63, 64, 100, 255):
+        if n <= m:
+            short = bessel_zeros(n)
+            assert short.zeros.tobytes() == long.zeros[:n].tobytes()
+            assert short.j1_at_zeros.tobytes() \
+                == long.j1_at_zeros[:n].tobytes()
+
+
 def test_corrupt_table_fails_validation(table200):
     bad = BesselTable(zeros=table200.zeros[:10] + 1e-3,
                       j1_at_zeros=table200.j1_at_zeros[:10])

@@ -847,6 +847,28 @@ def test_no_public_gibbs_function_takes_a_basis():
     assert takes == []
 
 
+def test_no_disc_field_or_sampler_takes_a_bessel_table():
+    # a disc field and its samplers read z_1..z_N from bessel_zeros(N); a
+    # table handed in could only be refused for being too short
+    import dataclasses
+    import inspect
+
+    from gibbslab import radial2d, tails
+    from gibbslab.bessel import BesselTable
+
+    def takes_table(module, allowed=()):
+        return [name for name, fn in vars(module).items()
+                if inspect.isfunction(fn) and not name.startswith("_")
+                and fn.__module__ == module.__name__ and name not in allowed
+                and any(q.name == "table" or q.annotation is BesselTable
+                        for q in inspect.signature(fn).parameters.values())]
+
+    assert takes_table(radial2d, ("radial_basis", "default_node_count")) == []
+    assert takes_table(tails) == []
+    assert "table" not in [f.name for f in
+                           dataclasses.fields(radial2d.RadialField2D)]
+
+
 # scipy subpackages beyond scipy.special; scipy.integrate and
 # scipy.interpolate each pull in scipy.optimize, and scipy.stats all three.
 # A 1D command loads no scipy at all, and a 2D command scipy.special and

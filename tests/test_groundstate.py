@@ -307,7 +307,7 @@ def test_disc_check_single_mode(table64):
     basis = radial_basis(table64, 16)
     coeffs = np.zeros((1, 16))
     coeffs[0, 0] = 1.0
-    r = disc_gns_check(RadialField2D(coeffs, table64), basis,
+    r = disc_gns_check(RadialField2D(coeffs), basis,
                        gs.sharp_constant)[0]
     assert 0.0 < r < 1.0
 
@@ -315,7 +315,7 @@ def test_disc_check_single_mode(table64):
 def test_disc_check_random_sweep(table64):
     gs = solve_ground_state(2, 4)
     basis = radial_basis(table64, 64)
-    ratios = disc_gns_check(sample_radials(91, 1000, 64, table64), basis,
+    ratios = disc_gns_check(sample_radials(91, 1000, 64), basis,
                             gs.sharp_constant)
     assert np.max(ratios) <= 1.0 + 1e-9
 
@@ -325,10 +325,10 @@ def test_disc_check_stack_matches_single_fields(table64):
     # from a one-row product in the last bits
     gs = solve_ground_state(2, 4)
     basis = radial_basis(table64, 64)
-    f = sample_radials(92, 7, 64, table64)
+    f = sample_radials(92, 7, 64)
     ratios = disc_gns_check(f, basis, gs.sharp_constant)
     for i in range(7):
-        one = RadialField2D(f.coeffs[i:i + 1], table64, f.gaussians[i:i + 1])
+        one = RadialField2D(f.coeffs[i:i + 1], f.gaussians[i:i + 1])
         single = disc_gns_check(one, basis, gs.sharp_constant)[0]
         assert abs(single - ratios[i]) <= 1e-13 * ratios[i]
 
@@ -342,7 +342,7 @@ def test_disc_check_near_saturation(table200):
     w = 0.02
     target = phi(basis.quad.nodes / w) / w
     coeffs = basis.project(target)
-    r = disc_gns_check(RadialField2D(coeffs[None], table200), basis,
+    r = disc_gns_check(RadialField2D(coeffs[None]), basis,
                        gs.sharp_constant)[0]
     assert r > 0.9
     assert r <= 1.0 + 1e-9
@@ -353,6 +353,6 @@ def test_disc_check_rejects_zero_field(table64):
     basis = radial_basis(table64, 16)
     coeffs = np.zeros((2, 16))
     coeffs[0, 0] = 1.0               # one zero field in the stack is enough
-    f = RadialField2D(coeffs, table64)
+    f = RadialField2D(coeffs)
     with pytest.raises(ValueError):
         disc_gns_check(f, basis, gs.sharp_constant)

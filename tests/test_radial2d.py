@@ -1,10 +1,12 @@
 """Disc fields: normalized modes, quadrature, spectral energies, blocks."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gibbslab import radial2d
 from gibbslab.radial2d import (RadialField2D, block_l4_expectation,
                                disc_quadrature, evaluate_radial,
                                grad_l2_spectral_sq, radial_basis,
@@ -12,9 +14,9 @@ from gibbslab.radial2d import (RadialField2D, block_l4_expectation,
 from gibbslab.spectral1d import _window
 
 
-def test_sampling_deterministic(table64):
-    a = sample_radials(9, 4, 32, table64)
-    b = sample_radials(9, 4, 32, table64)
+def test_sampling_deterministic():
+    a = sample_radials(9, 4, 32)
+    b = sample_radials(9, 4, 32)
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
@@ -23,7 +25,7 @@ def test_mode_normalization_unit_l2(table200):
     coeffs = np.zeros((4, 100))
     for i, n in enumerate((1, 10, 50, 100)):
         coeffs[i, n - 1] = 1.0
-    f = RadialField2D(coeffs, table200)
+    f = RadialField2D(coeffs)
     assert np.all(np.abs(radial_lp_norm(f, 2.0, basis) - 1.0) < 1e-10)
 
 
@@ -66,7 +68,7 @@ def test_parseval_through_the_default_quadrature(table200, coeffs):
     # skip magnitudes whose squares would underflow to subnormals.
     a = np.array(coeffs)
     basis = radial_basis(table200, len(a))
-    quad_sq = radial_lp_norm(RadialField2D(a[None], table200), 2.0,
+    quad_sq = radial_lp_norm(RadialField2D(a[None]), 2.0,
                              basis)[0] ** 2
     spectral_sq = float(np.sum(a * a))
     assert abs(quad_sq - spectral_sq) <= 1e-11 * spectral_sq
@@ -75,14 +77,14 @@ def test_parseval_through_the_default_quadrature(table200, coeffs):
 def test_expected_l2_mass_matches_analytic_sum(table200):
     n_modes, n_samples = 100, 100000
     target = float(np.sum(table200.zeros[:n_modes] ** -2.0))
-    vals = np.sum(sample_radials(17, n_samples, n_modes, table200).coeffs ** 2,
+    vals = np.sum(sample_radials(17, n_samples, n_modes).coeffs ** 2,
                   axis=-1)
     se = vals.std(ddof=1) / math.sqrt(n_samples)
     assert abs(vals.mean() - target) < 3 * se
 
 
-def test_grad_energy_bit_exact(table64):
-    f = sample_radials(5, 3, 64, table64)
+def test_grad_energy_bit_exact():
+    f = sample_radials(5, 3, 64)
     for i in range(3):
         assert grad_l2_spectral_sq(f)[i] == np.sum(f.gaussians[i] ** 2)
 
@@ -91,13 +93,13 @@ def test_single_mode_evaluation(table64):
     basis = radial_basis(table64, 16)
     coeffs = np.zeros((1, 16))
     coeffs[0, 0] = 1.0
-    vals = evaluate_radial(RadialField2D(coeffs, table64), basis)
+    vals = evaluate_radial(RadialField2D(coeffs), basis)
     assert np.allclose(vals[0], basis.matrix[:, 0], atol=0)
 
 
 def test_zero_field_evaluates_to_zeros(table64):
     basis = radial_basis(table64, 16)
-    f = RadialField2D(np.zeros((1, 16)), table64)
+    f = RadialField2D(np.zeros((1, 16)))
     assert np.all(evaluate_radial(f, basis) == 0.0)
     assert radial_lp_norm(f, 3.0, basis) == [0.0]
 
@@ -105,7 +107,7 @@ def test_zero_field_evaluates_to_zeros(table64):
 def test_center_value_closed_form(table64):
     # at r=0 every J0 is 1, so v(0) = sum a_n / (sqrt(pi) |J1(z_n)|)
     n_modes = 16
-    f = sample_radials(23, 2, n_modes, table64)
+    f = sample_radials(23, 2, n_modes)
     expected = np.sum(f.coeffs / (math.sqrt(math.pi)
                                   * np.abs(table64.j1_at_zeros[:n_modes])),
                       axis=-1)
@@ -118,7 +120,7 @@ def test_center_value_closed_form(table64):
 
 def test_lp_norm_against_dense_trapezoid(table64):
     basis = radial_basis(table64, 4)
-    f = RadialField2D(np.array([[1.0, 0.0, 0.0, 0.0]]), table64)
+    f = RadialField2D(np.array([[1.0, 0.0, 0.0, 0.0]]))
     val = radial_lp_norm(f, 4.0, basis)[0]
     # brute-force oracle: composite trapezoid with 1e6 points
     from gibbslab._core import j0_array
@@ -132,18 +134,18 @@ def test_lp_norm_against_dense_trapezoid(table64):
 def test_grad_energy_matches_derivative_quadrature(table64):
     basis = radial_basis(table64, 64)
     dmat = basis.derivative_matrix()
-    f = sample_radials(29, 20, 64, table64)
+    f = sample_radials(29, 20, 64)
     dv = f.coeffs @ dmat.T
     quad = np.sum(basis.quad.area_weights * dv * dv, axis=-1)
     spec = grad_l2_spectral_sq(f)
     assert np.all(np.abs(quad - spec) < 1e-6 * spec)
 
 
-def test_block_energy_counts_modes(table64):
+def test_block_energy_counts_modes():
     # block j of a sampled field has E[grad^2] = number of modes in block
     n, j = 4000, 4
     keep = _window("block", j, 32)
-    vals = np.sum(sample_radials(37, n, 32, table64).gaussians[:, keep] ** 2,
+    vals = np.sum(sample_radials(37, n, 32).gaussians[:, keep] ** 2,
                   axis=-1)
     n_in_block = 2 ** (j - 1)
     se = vals.std(ddof=1) / math.sqrt(n)
@@ -175,10 +177,8 @@ def test_radial_basis_is_built_in_place(n_modes):
 
 
 def test_short_table_rejected(table64):
-    with pytest.raises(ValueError):
-        sample_radials(0, 1, 65, table64)
     with pytest.raises(ValueError, match="fields, n_modes"):
-        RadialField2D(np.zeros(8), table64)
+        RadialField2D(np.zeros(8))
     with pytest.raises(ValueError):
         radial_basis(table64, 65)
     # -3 sliced the zeros from the end, and 0 gave empty fields whose
@@ -189,9 +189,22 @@ def test_short_table_rejected(table64):
             radial_basis(table64, n_modes)
         with pytest.raises(ValueError,
                            match=f"^n_modes must be >= 1, got {n_modes}$"):
-            sample_radials(0, 4, n_modes, table64)
+            sample_radials(0, 4, n_modes)
+    # a bool or float count failed in the draw with a raw TypeError
+    def no_draws(*args, **kwargs):
+        raise AssertionError("sampled before checking the arguments")
+
+    for n_fields, n_modes, message in (
+            (4, True, "n_modes must be an integer, got True"),
+            (True, 3, "n_fields must be an integer, got True"),
+            (4, 2.0, "n_modes must be an integer, got 2.0")):
+        with mock.patch.object(radial2d, "batches", no_draws), \
+                pytest.raises(ValueError, match=f"^{message}$"):
+            sample_radials(0, n_fields, n_modes)
+    assert sample_radials(0, np.int64(4), np.int64(3)).coeffs.tobytes() \
+        == sample_radials(0, 4, 3).coeffs.tobytes()
     with pytest.raises(ValueError, match="with n_modes >= 1$"):
-        RadialField2D(np.zeros((4, 0)), table64)
+        RadialField2D(np.zeros((4, 0)))
     # True ran as one mode, on a basis whose n_modes was True
     for n_modes in (True, 16.0):
         with pytest.raises(ValueError,
@@ -211,16 +224,13 @@ def test_short_table_rejected(table64):
 def test_radial_lp_norm_refuses_bad_p(p, message, table64):
     basis = radial_basis(table64, 16)
     with pytest.raises(ValueError, match=message):
-        radial_lp_norm(sample_radials(0, 2, 16, table64), p, basis)
+        radial_lp_norm(sample_radials(0, 2, 16), p, basis)
 
 
 def test_block_l4_scaling_and_noise():
-    from gibbslab.bessel import bessel_zeros
-
-    table = bessel_zeros(256)
     means = {}
     for j in (3, 4, 5, 6, 7, 8):
-        m, se = block_l4_expectation(j, 10000, table, seed=2)
+        m, se = block_l4_expectation(j, 10000, seed=2)
         means[j] = (m, se)
     ms = [means[j][0] for j in (3, 4, 5, 6, 7, 8)]
     assert all(b < a for a, b in zip(ms, ms[1:]))      # decreasing in j
@@ -231,6 +241,6 @@ def test_block_l4_scaling_and_noise():
     assert max(incs[-2:]) < 0.5 * incs[0]
     assert max(scaled[2:]) / min(scaled[2:]) < 1.2
     # doubling the samples roughly halves the variance of the estimator
-    _, se1 = block_l4_expectation(4, 5000, table, seed=3)
-    _, se2 = block_l4_expectation(4, 20000, table, seed=3)
+    _, se1 = block_l4_expectation(4, 5000, seed=3)
+    _, se2 = block_l4_expectation(4, 20000, seed=3)
     assert se2 < se1 / 1.6

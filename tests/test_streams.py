@@ -53,7 +53,6 @@ from hypothesis import example, given, settings, strategies as st
 
 import _oracles
 from gibbslab import gibbs, radial2d, rng
-from gibbslab.bessel import bessel_zeros
 from gibbslab.gibbs import (BATCH_SIZE, EnsembleConfig, constrained_tail,
                             constrained_tails, divergence_scan,
                             estimate_partition, estimate_partitions,
@@ -94,12 +93,8 @@ def _layer_cake(cfg):
     return _hex([rec.estimate, rec.stderr])
 
 
-def _table():
-    return bessel_zeros(64)
-
-
 def _block_norms_2d():
-    return block_norm_samples_2d(3, 5000, _table(), seed=32)
+    return block_norm_samples_2d(3, 5000, seed=32)
 
 
 SAME_LAYOUT = {
@@ -139,10 +134,10 @@ SAME_LAYOUT = {
     "block-norms-2d": lambda: _hex(_block_norms_2d()[::500]),
     "block-tail-2d":
         lambda: _curve(block_tail_empirical_2d(2, [0.25, 0.5, 1.0], 32, 5000,
-                                               _table(), seed=33, c_prime=0.7,
+                                               seed=33, c_prime=0.7,
                                                c4=0.45)),
     "block-l4-2d":
-        lambda: _hex(block_l4_expectation(3, 5000, _table(), seed=34)),
+        lambda: _hex(block_l4_expectation(3, 5000, seed=34)),
 }
 
 GOLDEN = {
@@ -363,11 +358,11 @@ def _chi2_full():
 # 8 * 2^j-point grid and the chi-square on its 16 degrees of freedom
 TAIL_SAMPLERS = {
     "block-norms-2d": (
-        lambda: _sha(block_norm_samples_2d(4, 3001, _table(), seed=113)),
+        lambda: _sha(block_norm_samples_2d(4, 3001, seed=113)),
         83),
     "disc-l4-high": (
         lambda: _sha(radial2d._disc_l4_norms(_window("high", 3, 64), 4097,
-                                             _table(), 7)), 234),
+                                             7)), 234),
     **{f"bernstein-{j}": (
         functools.partial(lambda j: bernstein_probe(j, 6.0, 1300,
                                                     seed=4).hex(), j),
@@ -895,7 +890,7 @@ def _corpus(dim, seed, n_fields, workers=1):
     with mock.patch.dict(os.environ, {"GIBBSLAB_WORKERS": str(workers)}):
         if dim == 1:
             return sample_loops(seed, n_fields, 6).gaussians
-        return sample_radials(seed, n_fields, 6, _table()).gaussians
+        return sample_radials(seed, n_fields, 6).gaussians
 
 
 _DIMS = st.sampled_from([1, 2])
@@ -989,7 +984,7 @@ def test_bad_worker_count_rejected(text, monkeypatch):
 @pytest.mark.parametrize("sampler", [
     lambda: chi2_tail_empirical(1, [1.0], 0),
     lambda: bernstein_probe(3, 6.0, 0),
-    lambda: block_l4_expectation(3, 0, _table()),
+    lambda: block_l4_expectation(3, 0),
 ])
 def test_empty_sample_count_rejected(sampler):
     with pytest.raises(ValueError, match="at least one sample"):

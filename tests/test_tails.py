@@ -158,21 +158,21 @@ def test_streamed_energies_hold_no_corpus():
 # each tail sampler's traced peak, which whole-batch draws and syntheses set
 # at 8.5, 5.8, 3.8 and 16.5 MiB, against its bound
 TAIL_SAMPLER_PEAKS = {
-    "block-tail-2d": (lambda t: block_tail_empirical_2d(
-        3, [1.0, 2.0], 64, 10 ** 4, t, c_prime=0.7, c4=0.45), 2 << 20),
-    "high-freq-1d": (lambda t: high_freq_empirical_1d(
+    "block-tail-2d": (lambda: block_tail_empirical_2d(
+        3, [1.0, 2.0], 64, 10 ** 4, c_prime=0.7, c4=0.45), 2 << 20),
+    "high-freq-1d": (lambda: high_freq_empirical_1d(
         3, [1.0, 2.0], 128, 10 ** 4, bernstein_c=1.0), 3 << 20),
-    "bernstein": (lambda t: bernstein_probe(5, 6.0, 2000), 3 << 20),
-    "chi2-tail": (lambda t: chi2_tail_empirical(16, [12.0], 10 ** 5),
+    "bernstein": (lambda: bernstein_probe(5, 6.0, 2000), 3 << 20),
+    "chi2-tail": (lambda: chi2_tail_empirical(16, [12.0], 10 ** 5),
                   2 << 20),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TAIL_SAMPLER_PEAKS))
-def test_tail_samplers_hold_slices_not_batches(name, table64):
+def test_tail_samplers_hold_slices_not_batches(name):
     sampler, bound = TAIL_SAMPLER_PEAKS[name]
-    sampler(table64)        # the scipy.special import is not the sampler's
-    assert _traced_peak(lambda: sampler(table64)) < bound
+    sampler()               # the scipy.special import is not the sampler's
+    assert _traced_peak(sampler) < bound
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -285,8 +285,8 @@ def test_fernique_normal_oracle():
     assert np.all(np.abs(probe.empirical - oracle) < 3 * err)
 
 
-def test_fernique_block_l4_rate_positive(table64):
-    norms = block_norm_samples_2d(5, 10 ** 4, table64, seed=13)
+def test_fernique_block_l4_rate_positive():
+    norms = block_norm_samples_2d(5, 10 ** 4, seed=13)
     probe = fernique_probe(norms, [1.5, 2.0, 3.0])
     assert probe.c_hat > 0.0
 
@@ -312,13 +312,13 @@ def test_block_tail_bound_decreasing_in_k():
     assert vals[0] > vals[1] > vals[2]
 
 
-def test_block_tail_empirical_dominated(table64):
-    norms = block_norm_samples_2d(4, 5000, table64, seed=14)
+def test_block_tail_empirical_dominated():
+    norms = block_norm_samples_2d(4, 5000, seed=14)
     c_prime = fernique_probe(norms, [1.5, 2.0, 3.0]).c_hat
-    c4 = max(block_l4_expectation(j, 3000, table64, seed=15)[0] * 2 ** (j / 2)
+    c4 = max(block_l4_expectation(j, 3000, seed=15)[0] * 2 ** (j / 2)
              for j in (3, 4, 5))
     for k in (3, 4):
-        curve = block_tail_empirical_2d(k, [1.0, 2.0], 64, 10 ** 5, table64,
+        curve = block_tail_empirical_2d(k, [1.0, 2.0], 64, 10 ** 5,
                                         seed=16, c_prime=c_prime, c4=c4)
         mask = curve.valid
         assert np.all(curve.empirical[mask]
@@ -382,8 +382,8 @@ BLOCK_TAIL_BOUND_GOLDEN = {
 
 
 @pytest.mark.parametrize("k", sorted(BLOCK_TAIL_BOUND_GOLDEN))
-def test_block_tail_bound_columns_golden(k, table64):
-    curve = block_tail_empirical_2d(k, BLOCK_TAIL_LEVELS, 32, 200, table64,
+def test_block_tail_bound_columns_golden(k):
+    curve = block_tail_empirical_2d(k, BLOCK_TAIL_LEVELS, 32, 200,
                                     seed=33, c_prime=0.7, c4=0.45)
     assert _bounds(curve) == BLOCK_TAIL_BOUND_GOLDEN[k]
 
@@ -401,148 +401,148 @@ def test_curve_rejects_repeated_levels():
 NAN = math.nan
 BAD_TAIL_ARGUMENTS = [
     # an empty high window samples the zero field, under every bound
-    ("empty-window-1d", lambda t: high_freq_empirical_1d(9, [1.0], 32, 100,
-                                                         1.0),
+    ("empty-window-1d", lambda: high_freq_empirical_1d(9, [1.0], 32, 100,
+                                                       1.0),
      "k=9 holds no mode at n_modes=32"),
-    ("empty-window-2d", lambda t: block_tail_empirical_2d(
-        9, [1.0], 32, 100, t, 0.7, 0.45), "k=9 holds no mode at n_modes=32"),
-    ("nan-level-curve", lambda t: TailCurve(
+    ("empty-window-2d", lambda: block_tail_empirical_2d(
+        9, [1.0], 32, 100, 0.7, 0.45), "k=9 holds no mode at n_modes=32"),
+    ("nan-level-curve", lambda: TailCurve(
         np.array([NAN]), np.zeros(1), np.zeros(1), np.zeros(1),
         np.zeros(1, dtype=bool), 100), "NaN"),
-    ("nan-level-chi2", lambda t: chi2_tail_empirical(1, [NAN], 100), "NaN"),
-    ("nan-level-1d", lambda t: high_freq_empirical_1d(3, [NAN], 32, 100,
-                                                      1.0), "NaN"),
-    ("nan-level-2d", lambda t: block_tail_empirical_2d(
-        3, [1.0, NAN], 32, 100, t, 0.7, 0.45), "NaN"),
+    ("nan-level-chi2", lambda: chi2_tail_empirical(1, [NAN], 100), "NaN"),
+    ("nan-level-1d", lambda: high_freq_empirical_1d(3, [NAN], 32, 100,
+                                                    1.0), "NaN"),
+    ("nan-level-2d", lambda: block_tail_empirical_2d(
+        3, [1.0, NAN], 32, 100, 0.7, 0.45), "NaN"),
     # float() took True as the level 1.0
-    ("bool-level-chi2", lambda t: chi2_tail_empirical(1, [True, 2.0], 100),
+    ("bool-level-chi2", lambda: chi2_tail_empirical(1, [True, 2.0], 100),
      "^levels must be numbers, got True$"),
-    ("bool-level-2d", lambda t: block_tail_empirical_2d(
-        3, np.array([False, True]), 32, 100, t, 0.7, 0.45),
+    ("bool-level-2d", lambda: block_tail_empirical_2d(
+        3, np.array([False, True]), 32, 100, 0.7, 0.45),
      "^levels must be numbers, got np.False_$"),
     ("bernstein-c-zero",
-     lambda t: high_freq_tail_bound(3, 1.0, 1.0 / 12.0, 6.0, 0.0),
+     lambda: high_freq_tail_bound(3, 1.0, 1.0 / 12.0, 6.0, 0.0),
      "bernstein_c must be positive"),
     ("bernstein-c-negative",
-     lambda t: high_freq_empirical_1d(3, [1.0], 32, 100, -1.0),
+     lambda: high_freq_empirical_1d(3, [1.0], 32, 100, -1.0),
      "bernstein_c must be positive"),
     ("bernstein-c-nan",
-     lambda t: high_freq_empirical_1d(3, [1.0], 32, 100, NAN),
+     lambda: high_freq_empirical_1d(3, [1.0], 32, 100, NAN),
      "bernstein_c must be positive"),
     ("bernstein-c-schedule",
-     lambda t: dyadic_schedule(1.0, 3, 1.0 / 12.0, 6.0, bernstein_c=0.0),
+     lambda: dyadic_schedule(1.0, 3, 1.0 / 12.0, 6.0, bernstein_c=0.0),
      "bernstein_c must be positive"),
-    ("c4-zero", lambda t: block_tail_2d(3, 1.0, 0.7, 0.0),
+    ("c4-zero", lambda: block_tail_2d(3, 1.0, 0.7, 0.0),
      "c_prime and c4 must be positive"),
-    ("c4-nan", lambda t: block_tail_empirical_2d(3, [1.0], 32, 100, t, 0.7,
-                                                 NAN),
+    ("c4-nan", lambda: block_tail_empirical_2d(3, [1.0], 32, 100, 0.7,
+                                               NAN),
      "c_prime and c4 must be positive"),
-    ("c-prime-negative", lambda t: block_tail_2d(3, 1.0, -0.7, 0.45),
+    ("c-prime-negative", lambda: block_tail_2d(3, 1.0, -0.7, 0.45),
      "c_prime and c4 must be positive"),
-    ("c-prime-nan", lambda t: block_tail_2d(3, 1.0, NAN, 0.45),
+    ("c-prime-nan", lambda: block_tail_2d(3, 1.0, NAN, 0.45),
      "c_prime and c4 must be positive"),
-    ("one-sample-l4", lambda t: block_l4_expectation(3, 1, t),
+    ("one-sample-l4", lambda: block_l4_expectation(3, 1),
      "n_samples >= 2, got 1"),
     # a NaN level passes a "level <= 0" check and makes NaN bounds
-    ("nan-level-block-bound", lambda t: block_tail_2d(3, NAN, 1.0, 0.5),
+    ("nan-level-block-bound", lambda: block_tail_2d(3, NAN, 1.0, 0.5),
      "lam must be > 0 and not NaN, got nan"),
     ("nan-level-schedule",
-     lambda t: dyadic_schedule(NAN, 3, 1.0 / 12.0, 6.0),
+     lambda: dyadic_schedule(NAN, 3, 1.0 / 12.0, 6.0),
      "lam must be > 0 and not NaN, got nan"),
     ("nan-level-high-freq-bound",
-     lambda t: high_freq_tail_bound(3, NAN, 1.0 / 12.0, 6.0, 1.0),
+     lambda: high_freq_tail_bound(3, NAN, 1.0 / 12.0, 6.0, 1.0),
      "lam must be > 0 and not NaN, got nan"),
-    ("nan-level-chi2-bound", lambda t: chi2_tail_bound(1, NAN),
+    ("nan-level-chi2-bound", lambda: chi2_tail_bound(1, NAN),
      "R > 0, not NaN, got M=1 and R=nan"),
     # a bool or non-integer index ran in the bounds: True as 1, 2.5 as a
     # block index of 2.5
-    ("bool-dof-chi2-bound", lambda t: chi2_tail_bound(True, 3.0),
+    ("bool-dof-chi2-bound", lambda: chi2_tail_bound(True, 3.0),
      "^M must be an integer, got True$"),
-    ("float-dof-chi2-bound", lambda t: chi2_tail_bound(2.5, 3.0),
+    ("float-dof-chi2-bound", lambda: chi2_tail_bound(2.5, 3.0),
      "^M must be an integer, got 2.5$"),
-    ("bool-k-block-bound", lambda t: block_tail_2d(True, 2.0, 0.7, 0.45),
+    ("bool-k-block-bound", lambda: block_tail_2d(True, 2.0, 0.7, 0.45),
      "^k must be an integer, got True$"),
-    ("float-k-block-bound", lambda t: block_tail_2d(2.5, 2.0, 0.7, 0.45),
+    ("float-k-block-bound", lambda: block_tail_2d(2.5, 2.0, 0.7, 0.45),
      "^k must be an integer, got 2.5$"),
     ("float-k-schedule",
-     lambda t: dyadic_schedule(1.0, 2.5, 1.0 / 12.0, 6.0),
+     lambda: dyadic_schedule(1.0, 2.5, 1.0 / 12.0, 6.0),
      "^k must be an integer, got 2.5$"),
     ("bool-k-high-freq-bound",
-     lambda t: high_freq_tail_bound(True, 1.0, 1.0 / 12.0, 6.0, 1.0),
+     lambda: high_freq_tail_bound(True, 1.0, 1.0 / 12.0, 6.0, 1.0),
      "^k must be an integer, got True$"),
     # a mean that is not positive made c_hat -0.0, and a NaN one inf
-    ("fernique-zero-mean", lambda t: fernique_probe(np.zeros(2000),
-                                                    [1.5, 2.0]),
+    ("fernique-zero-mean", lambda: fernique_probe(np.zeros(2000),
+                                                  [1.5, 2.0]),
      "the mean norm must be positive, got 0.0"),
-    ("fernique-nan-sample", lambda t: fernique_probe(
+    ("fernique-nan-sample", lambda: fernique_probe(
         np.r_[np.ones(1999), NAN], [1.5, 2.0]),
      "the mean norm must be positive, got nan"),
-    ("fernique-nan-t", lambda t: fernique_probe(np.ones(2000), [1.5, NAN]),
+    ("fernique-nan-t", lambda: fernique_probe(np.ones(2000), [1.5, NAN]),
      "every t must exceed 1 and not be NaN"),
     # only the inf sample meets x >= t * mean, which made c_hat 3.378
-    ("fernique-inf-sample", lambda t: fernique_probe(
+    ("fernique-inf-sample", lambda: fernique_probe(
         np.r_[np.ones(1999), np.inf], [1.5]),
      "norm samples must be finite, got a mean of inf"),
     # an index or a count that is a bool ran as 1, and a float one failed in
     # the middle of sampling with a numpy TypeError or ran as a float index
-    ("bool-index-bernstein", lambda t: bernstein_probe(True, 6.0, 10),
+    ("bool-index-bernstein", lambda: bernstein_probe(True, 6.0, 10),
      "^j must be an integer, got True$"),
-    ("float-trials-bernstein", lambda t: bernstein_probe(3, 6.0, 10.0),
+    ("float-trials-bernstein", lambda: bernstein_probe(3, 6.0, 10.0),
      "^trials must be an integer, got 10.0$"),
-    ("bool-k-1d", lambda t: high_freq_empirical_1d(True, [0.5], 32, 10, 1.0),
+    ("bool-k-1d", lambda: high_freq_empirical_1d(True, [0.5], 32, 10, 1.0),
      "^k must be an integer, got True$"),
-    ("float-modes-1d", lambda t: high_freq_empirical_1d(3, [0.5], 32.0, 10,
-                                                        1.0),
+    ("float-modes-1d", lambda: high_freq_empirical_1d(3, [0.5], 32.0, 10,
+                                                      1.0),
      "^n_modes must be an integer, got 32.0$"),
-    ("bool-samples-1d", lambda t: high_freq_empirical_1d(3, [0.5], 32, True,
-                                                         1.0),
+    ("bool-samples-1d", lambda: high_freq_empirical_1d(3, [0.5], 32, True,
+                                                       1.0),
      "^n_samples must be an integer, got True$"),
-    ("bool-k-2d", lambda t: block_tail_empirical_2d(
-        True, [0.5], 32, 100, t, 0.5, 0.5),
+    ("bool-k-2d", lambda: block_tail_empirical_2d(
+        True, [0.5], 32, 100, 0.5, 0.5),
      "^k must be an integer, got True$"),
-    ("float-k-2d", lambda t: block_tail_empirical_2d(
-        2.5, [0.5], 32, 100, t, 0.5, 0.5), "^k must be an integer, got 2.5$"),
-    ("float-samples-2d", lambda t: block_tail_empirical_2d(
-        3, [0.5], 32, 100.0, t, 0.5, 0.5),
+    ("float-k-2d", lambda: block_tail_empirical_2d(
+        2.5, [0.5], 32, 100, 0.5, 0.5), "^k must be an integer, got 2.5$"),
+    ("float-samples-2d", lambda: block_tail_empirical_2d(
+        3, [0.5], 32, 100.0, 0.5, 0.5),
      "^n_samples must be an integer, got 100.0$"),
-    ("bool-index-l4", lambda t: block_l4_expectation(True, 100, t),
+    ("bool-index-l4", lambda: block_l4_expectation(True, 100),
      "^j must be an integer, got True$"),
-    ("float-samples-l4", lambda t: block_l4_expectation(3, 100.0, t),
+    ("float-samples-l4", lambda: block_l4_expectation(3, 100.0),
      "^n_samples must be an integer, got 100.0$"),
-    ("bool-index-block-norms", lambda t: block_norm_samples_2d(True, 100, t),
+    ("bool-index-block-norms", lambda: block_norm_samples_2d(True, 100),
      "^j must be an integer, got True$"),
-    ("bool-dof-chi2", lambda t: chi2_tail_empirical(True, [1.0], 100),
+    ("bool-dof-chi2", lambda: chi2_tail_empirical(True, [1.0], 100),
      "^M must be an integer, got True$"),
-    ("float-dof-chi2", lambda t: chi2_tail_empirical(2.5, [1.0], 100),
+    ("float-dof-chi2", lambda: chi2_tail_empirical(2.5, [1.0], 100),
      "^M must be an integer, got 2.5$"),
-    ("float-samples-chi2", lambda t: chi2_tail_empirical(1, [1.0], 1e4),
+    ("float-samples-chi2", lambda: chi2_tail_empirical(1, [1.0], 1e4),
      "^n_samples must be an integer, got 10000.0$"),
-    ("bool-dof-mgf-mc", lambda t: gaussian_mgf_mc(0.1, True, 100),
+    ("bool-dof-mgf-mc", lambda: gaussian_mgf_mc(0.1, True, 100),
      "^M must be an integer >= 1, got True$"),
-    ("float-samples-mgf-mc", lambda t: gaussian_mgf_mc(0.1, 4, 100.0),
+    ("float-samples-mgf-mc", lambda: gaussian_mgf_mc(0.1, 4, 100.0),
      "^n_samples must be an integer, got 100.0$"),
     # a bool c ran as 1 or 0: gaussian_mgf(True, 2) returned inf
-    ("bool-c-mgf", lambda t: gaussian_mgf(True, 2),
+    ("bool-c-mgf", lambda: gaussian_mgf(True, 2),
      "^c must be a number, got True$"),
-    ("bool-c-mgf-quadrature", lambda t: gaussian_mgf_quadrature(False, 2),
+    ("bool-c-mgf-quadrature", lambda: gaussian_mgf_quadrature(False, 2),
      "^c must be a number, got False$"),
-    ("bool-c-mgf-mc", lambda t: gaussian_mgf_mc(np.True_, 4, 100),
+    ("bool-c-mgf-mc", lambda: gaussian_mgf_mc(np.True_, 4, 100),
      "^c must be a number, got np.True_$"),
-    ("str-c-mgf", lambda t: gaussian_mgf("0.1", 2),
+    ("str-c-mgf", lambda: gaussian_mgf("0.1", 2),
      "^c must be a number, got '0.1'$"),
     # p=True ran as p=1, p=inf raised a raw OverflowError, and p=0.5 drew
     # before lp_norm refused it
-    ("bool-p-bernstein", lambda t: bernstein_probe(3, True, 10),
+    ("bool-p-bernstein", lambda: bernstein_probe(3, True, 10),
      "^p must be a number, got True$"),
-    ("inf-p-bernstein", lambda t: bernstein_probe(3, math.inf, 10),
+    ("inf-p-bernstein", lambda: bernstein_probe(3, math.inf, 10),
      "^p must be finite and >= 1, got inf$"),
-    ("small-p-bernstein", lambda t: bernstein_probe(3, 0.5, 10),
+    ("small-p-bernstein", lambda: bernstein_probe(3, 0.5, 10),
      "^p must be finite and >= 1, got 0.5$"),
-    ("small-p-1d", lambda t: high_freq_empirical_1d(3, [0.5], 32, 10, 1.0,
-                                                    p=0.5),
+    ("small-p-1d", lambda: high_freq_empirical_1d(3, [0.5], 32, 10, 1.0,
+                                                  p=0.5),
      "^p must be finite and >= 1, got 0.5$"),
-    ("nan-p-1d", lambda t: high_freq_empirical_1d(3, [0.5], 32, 10, 1.0,
-                                                  p=NAN),
+    ("nan-p-1d", lambda: high_freq_empirical_1d(3, [0.5], 32, 10, 1.0,
+                                                p=NAN),
      "^p must be finite and >= 1, got nan$"),
 ]
 
@@ -550,7 +550,7 @@ BAD_TAIL_ARGUMENTS = [
 @pytest.mark.parametrize("call, message",
                          [pytest.param(call, message, id=name)
                           for name, call, message in BAD_TAIL_ARGUMENTS])
-def test_tail_laboratory_rejects_bad_arguments(call, message, table64):
+def test_tail_laboratory_rejects_bad_arguments(call, message):
     # with the samplers' driver patched to raise, a refusal that comes
     # after the first draw would fail as an AssertionError
     def no_draws(*args, **kwargs):
@@ -559,27 +559,27 @@ def test_tail_laboratory_rejects_bad_arguments(call, message, table64):
     with mock.patch.object(tails, "batches", no_draws), \
             mock.patch.object(radial2d, "batches", no_draws), \
             pytest.raises(ValueError, match=message) as info:
-        call(table64)
+        call()
     assert "\n" not in str(info.value)
 
 
-def test_tail_samplers_take_numpy_integers(table64):
+def test_tail_samplers_take_numpy_integers():
     # the same bits as from Python integers
     i64 = np.int64
     assert bernstein_probe(i64(3), 6.0, i64(20)) \
         == bernstein_probe(3, 6.0, 20)
     assert gaussian_mgf_mc(0.1, i64(4), i64(1000)) \
         == gaussian_mgf_mc(0.1, 4, 1000)
-    assert block_l4_expectation(i64(2), i64(200), table64) \
-        == block_l4_expectation(2, 200, table64)
+    assert block_l4_expectation(i64(2), i64(200)) \
+        == block_l4_expectation(2, 200)
     for np_curve, curve in [
             (chi2_tail_empirical(i64(2), [1.0, 2.0], i64(1000)),
              chi2_tail_empirical(2, [1.0, 2.0], 1000)),
             (high_freq_empirical_1d(i64(2), [0.1], i64(16), i64(200), 1.0),
              high_freq_empirical_1d(2, [0.1], 16, 200, 1.0)),
             (block_tail_empirical_2d(i64(2), [0.5], i64(16), i64(200),
-                                     table64, 0.7, 0.45),
-             block_tail_empirical_2d(2, [0.5], 16, 200, table64, 0.7, 0.45))]:
+                                     0.7, 0.45),
+             block_tail_empirical_2d(2, [0.5], 16, 200, 0.7, 0.45))]:
         assert np_curve.empirical.tobytes() == curve.empirical.tobytes()
         assert np_curve.theoretical.tobytes() == curve.theoretical.tobytes()
 
@@ -587,23 +587,23 @@ def test_tail_samplers_take_numpy_integers(table64):
 # decreasing levels, with the sizes at which each curve sampled for 2.75,
 # 1.74 and 0.15 s before TailCurve refused them
 DECREASING_LEVELS = {
-    "high-freq-1d": lambda t: high_freq_empirical_1d(3, [2.0, 1.0], 128,
-                                                     200_000, 1.0),
-    "block-2d": lambda t: block_tail_empirical_2d(3, [2.0, 1.0], 64, 100_000,
-                                                  t, 0.7, 0.45),
-    "chi2": lambda t: chi2_tail_empirical(1, [3.0, 2.0], 2_000_000),
+    "high-freq-1d": lambda: high_freq_empirical_1d(3, [2.0, 1.0], 128,
+                                                   200_000, 1.0),
+    "block-2d": lambda: block_tail_empirical_2d(3, [2.0, 1.0], 64, 100_000,
+                                                0.7, 0.45),
+    "chi2": lambda: chi2_tail_empirical(1, [3.0, 2.0], 2_000_000),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DECREASING_LEVELS))
-def test_tail_curves_check_levels_before_sampling(name, table64):
+def test_tail_curves_check_levels_before_sampling(name):
     def no_draws(*args, **kwargs):
         raise AssertionError("sampled before checking the levels")
 
     with mock.patch.object(tails, "batches", no_draws), \
             mock.patch.object(radial2d, "batches", no_draws), \
             pytest.raises(ValueError, match="strictly increasing"):
-        DECREASING_LEVELS[name](table64)
+        DECREASING_LEVELS[name]()
 
 
 def test_an_infinite_fernique_rate_is_legal():
